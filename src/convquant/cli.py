@@ -18,7 +18,6 @@ import argparse
 import csv
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from . import __version__
@@ -40,7 +39,6 @@ from .metrics import (
     figure_of_merit,
     memory_bytes,
     memory_saving_ratio,
-    quant_error,
     select_granularity,
 )
 from .pwlq import PWLQ
@@ -80,10 +78,11 @@ def _memory_model(args) -> MemoryModel:
 
 def _quantize_one(tensor, excluded, method, bits, granularity, breakpoint_mode,
                   grid_points):
-    """Returns (QuantizedTensor, ErrorReport, excluded flag)."""
+    """Returns (QuantizedTensor, ErrorReport, excluded flag); the error is the
+    one measured while quantizing, so no tensor is decoded again here."""
     if tensor.name in excluded:
         q = make_passthrough(tensor, LAYER_WISE, method, bits)
-        return q, quant_error(tensor, q), True
+        return q, q.error, True
     if granularity in AUTO_CANDIDATES:
         _, q = select_granularity(tensor, AUTO_CANDIDATES[granularity], method,
                                   bits, breakpoint_mode=breakpoint_mode,
@@ -91,20 +90,14 @@ def _quantize_one(tensor, excluded, method, bits, granularity, breakpoint_mode,
     else:
         q = quantize_tensor(tensor, GRANULARITY_FLAGS[granularity], method, bits,
                             breakpoint_mode=breakpoint_mode, grid_points=grid_points)
-    return q, quant_error(tensor, q), False
+    return q, q.error, False
 
 
 def _quantize_model(model: ModelWeights, method: str, bits: int, granularity: str,
-                    breakpoint_mode: str, grid_points: int, workers: int):
-    """Quantize every tensor, in manifest order regardless of worker count."""
-    def job(tensor):
-        return _quantize_one(tensor, model.excluded, method, bits, granularity,
-                             breakpoint_mode, grid_points)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(job, model.tensors))
-    return [job(t) for t in model.tensors]
+                    breakpoint_mode: str, grid_points: int):
+    """Quantize every tensor, in manifest order."""
+    return [_quantize_one(t, model.excluded, method, bits, granularity,
+                          breakpoint_mode, grid_points) for t in model.tensors]
 
 
 def _totals(results, mm: MemoryModel) -> dict:
@@ -175,7 +168,7 @@ def cmd_quantize(args) -> int:
         mm = _memory_model(args)
         results = _quantize_model(model, METHOD_FLAGS[args.method], args.bits,
                                   args.granularity, args.breakpoint,
-                                  args.grid_points, args.workers)
+                                  args.grid_points)
         write_container([q for q, _, _ in results], mm, args.out)
         written.append(args.out)
         read_container(args.out)  # exit 0 only once the output verifies readable
@@ -247,7 +240,7 @@ def cmd_sweep(args) -> int:
         for bits in bit_range:
             results = _quantize_model(model, METHOD_FLAGS[args.method], bits,
                                       args.granularity, args.breakpoint,
-                                      args.grid_points, args.workers)
+                                      args.grid_points)
             totals = _totals(results, mm)
             fom = ""
             if bits in losses:
@@ -293,8 +286,6 @@ def _add_common_flags(sub) -> None:
     sub.add_argument("--param-bytes-pwlq", type=int, default=10)
     sub.add_argument("--charge-region-bits", action="store_true",
                      help="charge pwlq region bits in the memory model")
-    sub.add_argument("--workers", type=int, default=1,
-                     help="tensors quantized concurrently")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -334,8 +325,6 @@ def _validate(parser, args) -> None:
             parser.error(f"--bits {args.bits} outside [2, 8]")
         if args.method == "pwlq" and args.bits < 3:
             parser.error("pwlq needs --bits >= 3 (tails use k-1 bits)")
-    if getattr(args, "workers", 1) < 1:
-        parser.error("--workers must be >= 1")
 
 
 def main(argv=None) -> int:

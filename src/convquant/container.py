@@ -14,7 +14,8 @@ sections per tensor:
   ``<kind u8, bits u8, scale f16, zero_point i16, beta f16, alpha f16>``
   with kind 0=affine, 1=symmetric-restricted, 2=symmetric-full. A
   piecewise record is kind 3: ``<kind u8, bits u8, m f16, p f16>`` followed
-  by three embedded uniform records (center, negative tail, positive tail).
+  by three embedded uniform records (center, negative tail, positive tail);
+  a piecewise tensor's all-zero groups take a degenerate affine record.
 * ``codes``: the packed k-bit code stream (see packing module), exactly
   ceil(E * k / 8) bytes.
 * ``regions``: piecewise only; one bit per element, little-endian bit order.
@@ -22,15 +23,16 @@ sections per tensor:
 
 Scales, breakpoints and clip bounds are serialized as IEEE binary16 and
 zero-points as 16-bit signed integers, so round-trip equality is defined
-after that rounding. Values outside those ranges are a hard error rather
-than silent clamping.
+after that rounding. Values outside those ranges, and scales that round to
+zero, are an InvalidInput naming the tensor and the group, raised before
+anything is written. The reader rejects every record that decode could not
+use with CorruptHeader.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import struct
 from pathlib import Path
 
 import numpy as np
@@ -41,90 +43,133 @@ from .errors import (
     OffsetOutOfBounds,
     VersionMismatch,
 )
-from .granularity import GRANULARITIES, METHODS, QuantizedTensor
+from .granularity import GRANULARITIES, METHODS, QuantizedTensor, partition
 from .metrics import MemoryModel
 from .packing import PackedCodes, pack_codes, unpack_codes
-from .pwlq import PWLQ, PwlqParams
+from .pwlq import PIECES, PWLQ, PWLQ_KIND
+from .pwlq import RECORD as PWLQ_RECORD
 from .tensor_store import TensorShape
-from .uniform import (
-    AFFINE,
-    SYMMETRIC_FULL,
-    SYMMETRIC_RESTRICTED,
-    ClipRange,
-    UniformParams,
-)
+from .uniform import AFFINE, KIND_BY_SCHEME, SYMMETRIC_FULL
+from .uniform import RECORD as UNIFORM_RECORD
 
 FORMAT_VERSION = "qnt/1"
 
-_UNIFORM_RECORD = struct.Struct("<BBehee")
-_PWLQ_HEAD = struct.Struct("<BBee")
-
-_KIND_BY_SCHEME = {AFFINE: 0, SYMMETRIC_RESTRICTED: 1, SYMMETRIC_FULL: 2}
-_SCHEME_BY_KIND = {v: k for k, v in _KIND_BY_SCHEME.items()}
-_PWLQ_KIND = 3
+# On-disk twins of the in-memory records (convquant.uniform.RECORD and
+# convquant.pwlq.RECORD): the same fields, narrowed to binary16 and int16.
+_UNIFORM_DISK = np.dtype([("kind", "u1"), ("bits", "u1"), ("scale", "<f2"),
+                          ("zero_point", "<i2"), ("beta", "<f2"), ("alpha", "<f2")])
+_PWLQ_DISK = np.dtype([("kind", "u1"), ("bits", "u1"), ("m", "<f2"), ("p", "<f2"),
+                       *((piece, _UNIFORM_DISK) for piece in PIECES)])
+_CENTER_OFFSET = _PWLQ_DISK.fields["center"][1]
 
 _MM_FIELDS = ("baseline_bits_per_element", "param_bytes_affine",
               "param_bytes_symmetric", "param_bytes_pwlq", "charge_region_bits")
 
 
-def _pack_uniform(p: UniformParams) -> bytes:
-    try:
-        return _UNIFORM_RECORD.pack(_KIND_BY_SCHEME[p.scheme], p.bits, p.scale,
-                                    p.zero_point, p.clip.beta, p.clip.alpha)
-    except (struct.error, OverflowError) as exc:
-        raise InvalidInput(f"parameters not representable in 16-bit fields: {exc}") from exc
+def _invalid_uniform(records: np.ndarray, kinds, bits: int) -> np.ndarray:
+    kind = records["kind"]
+    scale, beta, alpha = records["scale"], records["beta"], records["alpha"]
+    return (~np.isin(kind, kinds) | (records["bits"] != bits)
+            | ~(scale > 0) | ~np.isfinite(scale)
+            | ((kind != KIND_BY_SCHEME[AFFINE]) & (records["zero_point"] != 0))
+            | ~(beta <= alpha) | ~np.isfinite(beta) | ~np.isfinite(alpha))
 
 
-def _pack_params(params) -> bytes:
-    chunks = []
-    for p in params:
-        if isinstance(p, PwlqParams):
-            try:
-                chunks.append(_PWLQ_HEAD.pack(_PWLQ_KIND, p.bits, p.m, p.p))
-            except (struct.error, OverflowError) as exc:
-                raise InvalidInput(
-                    f"breakpoint not representable in 16-bit fields: {exc}") from exc
-            chunks.append(_pack_uniform(p.center))
-            chunks.append(_pack_uniform(p.neg_tail))
-            chunks.append(_pack_uniform(p.pos_tail))
-        else:
-            chunks.append(_pack_uniform(p))
-    return b"".join(chunks)
+def _invalid_groups(records: np.ndarray, method: str, bits: int) -> np.ndarray:
+    """Mask of the groups whose record decode cannot use.
+
+    Valid records have a known kind, the tensor's bit width (k - 1 for the
+    tails of a piecewise record), finite positive scales, zero-point 0 for
+    symmetric kinds, and finite, ordered clip bounds and breakpoints.
+    """
+    if method != PWLQ:
+        return _invalid_uniform(records, (KIND_BY_SCHEME[method], KIND_BY_SCHEME[AFFINE]),
+                                bits)
+    piecewise = records["kind"] == PWLQ_KIND
+    affine, full = KIND_BY_SCHEME[AFFINE], KIND_BY_SCHEME[SYMMETRIC_FULL]
+    center = records["center"]
+    bad = ((center["kind"] != np.where(piecewise, full, affine))
+           | _invalid_uniform(center, (affine, full), bits))
+    head = ((records["bits"] != bits) | ~np.isfinite(records["m"])
+            | ~np.isfinite(records["p"]))
+    for piece in ("neg_tail", "pos_tail"):
+        head |= _invalid_uniform(records[piece], (affine,), bits - 1)
+    return bad | (piecewise & head)
 
 
-def _unpack_uniform(buf: bytes, offset: int) -> tuple[UniformParams, int]:
-    if offset + _UNIFORM_RECORD.size > len(buf):
-        raise CorruptHeader("parameter record truncated")
-    kind, bits, scale, zero, beta, alpha = _UNIFORM_RECORD.unpack_from(buf, offset)
-    if kind not in _SCHEME_BY_KIND:
-        raise CorruptHeader(f"unknown parameter record kind {kind}")
-    params = UniformParams(_SCHEME_BY_KIND[kind], bits, scale, zero,
-                           ClipRange(beta, alpha))
-    return params, offset + _UNIFORM_RECORD.size
+def _pack_params(q: QuantizedTensor) -> bytes:
+    """The params section: one record per group, in group order.
+
+    A pwlq tensor's degenerate groups take a 10-byte uniform record (their
+    ``center``) instead of the 36-byte piecewise one. A record that does not
+    survive the narrowing to binary16 and int16 (a value overflows, a scale
+    rounds to zero) raises InvalidInput naming the tensor and the group,
+    before anything is written.
+    """
+    pwlq = q.method == PWLQ
+    with np.errstate(over="ignore", invalid="ignore"):
+        disk = q.params.astype(_PWLQ_DISK if pwlq else _UNIFORM_DISK)
+    back = disk.astype(q.params.dtype)
+    pieces = [(back[p], q.params[p]) for p in PIECES] if pwlq else [(back, q.params)]
+    bad = _invalid_groups(back, q.method, q.bits)
+    for narrowed, wide in pieces:
+        bad |= narrowed["zero_point"] != wide["zero_point"]
+    if bad.any():
+        g = int(np.flatnonzero(bad)[0])
+        raise InvalidInput(f"{q.name}: group {g}: parameters do not fit the 16-bit "
+                           f"fields of {FORMAT_VERSION} (a value overflows or a "
+                           f"scale rounds to zero)")
+    if not pwlq:
+        return disk.tobytes()
+    piecewise = q.params["kind"] == PWLQ_KIND
+    rows = disk.view(np.uint8).reshape(q.group_count, _PWLQ_DISK.itemsize)
+    if piecewise.all():
+        return rows.tobytes()
+    keep = np.repeat(piecewise[:, None], _PWLQ_DISK.itemsize, axis=1)
+    keep[:, _CENTER_OFFSET:_CENTER_OFFSET + _UNIFORM_DISK.itemsize] = True
+    return rows[keep].tobytes()
 
 
-def _unpack_params(buf: bytes, group_count: int) -> list:
-    params = []
+def _record_starts(buf: bytes, group_count: int) -> np.ndarray:
+    """Offsets of a pwlq params section's records, which vary in size."""
+    if len(buf) == group_count * _PWLQ_DISK.itemsize:
+        return np.arange(group_count) * _PWLQ_DISK.itemsize
+    starts = np.empty(group_count, dtype=np.int64)
     offset = 0
-    for _ in range(group_count):
+    for g in range(group_count):
         if offset >= len(buf):
             raise CorruptHeader("fewer parameter records than groups")
-        kind = buf[offset]
-        if kind == _PWLQ_KIND:
-            if offset + _PWLQ_HEAD.size > len(buf):
-                raise CorruptHeader("parameter record truncated")
-            _, bits, m, p = _PWLQ_HEAD.unpack_from(buf, offset)
-            offset += _PWLQ_HEAD.size
-            center, offset = _unpack_uniform(buf, offset)
-            neg_tail, offset = _unpack_uniform(buf, offset)
-            pos_tail, offset = _unpack_uniform(buf, offset)
-            params.append(PwlqParams(bits, m, p, center, neg_tail, pos_tail))
-        else:
-            uniform, offset = _unpack_uniform(buf, offset)
-            params.append(uniform)
+        starts[g] = offset
+        offset += (_PWLQ_DISK if buf[offset] == PWLQ_KIND else _UNIFORM_DISK).itemsize
     if offset != len(buf):
-        raise CorruptHeader("trailing bytes after parameter records")
-    return params
+        raise CorruptHeader("parameter records do not tile the params section")
+    return starts
+
+
+def _unpack_params(name: str, buf: bytes, group_count: int, method: str,
+                   bits: int) -> np.ndarray:
+    """Parse a params section into in-memory records; CorruptHeader unless
+    every record is valid."""
+    raw = np.frombuffer(buf, dtype=np.uint8)
+    if method != PWLQ:
+        if len(buf) != group_count * _UNIFORM_DISK.itemsize:
+            raise CorruptHeader(f"{name}: params section is {len(buf)} bytes "
+                                f"for {group_count} records")
+        records = raw.view(_UNIFORM_DISK).astype(UNIFORM_RECORD)
+    else:
+        starts = _record_starts(buf, group_count)
+        piecewise = raw[starts] == PWLQ_KIND
+        records = np.zeros(group_count, PWLQ_RECORD)
+        for rows, disk, target in ((piecewise, _PWLQ_DISK, records),
+                                   (~piecewise, _UNIFORM_DISK, records["center"])):
+            chunk = raw[starts[rows][:, None] + np.arange(disk.itemsize)]
+            target[rows] = chunk.view(disk).ravel().astype(target.dtype)
+        records["kind"][~piecewise] = records["center"]["kind"][~piecewise]
+        records["bits"][~piecewise] = bits
+    bad = np.flatnonzero(_invalid_groups(records, method, bits))
+    if bad.size:
+        raise CorruptHeader(f"{name}: group {bad[0]}: invalid parameter record")
+    return records
 
 
 def write_container(tensors, memory_model: MemoryModel, path) -> None:
@@ -154,7 +199,7 @@ def write_container(tensors, memory_model: MemoryModel, path) -> None:
             record["sections"]["raw"] = add_section(
                 np.asarray(q.values, dtype=np.float64).astype(dtype).tobytes())
         else:
-            record["sections"]["params"] = add_section(_pack_params(q.group_params))
+            record["sections"]["params"] = add_section(_pack_params(q))
             record["sections"]["codes"] = add_section(pack_codes(q.codes, q.bits).data)
             if q.method == PWLQ:
                 region = np.asarray(q.region_bits, dtype=np.uint8)
@@ -293,8 +338,11 @@ def _read_record(record, payload: bytes, claimed: list) -> QuantizedTensor:
                                scheme=scheme, passthrough=True, values=values,
                                source_bits=source_bits)
 
+    if group_count != partition(shape, scheme).group_count:
+        raise CorruptHeader(f"{name}: {group_count} groups for a {scheme} "
+                            f"{shape.dims} tensor")
     off, length = _section(sections, "params", len(payload), claimed)
-    group_params = _unpack_params(payload[off:off + length], group_count)
+    params = _unpack_params(name, payload[off:off + length], group_count, method, bits)
 
     off, length = _section(sections, "codes", len(payload), claimed)
     expected = -(-count * bits // 8)
@@ -314,5 +362,5 @@ def _read_record(record, payload: bytes, claimed: list) -> QuantizedTensor:
             count=count, bitorder="little")
 
     return QuantizedTensor(name=name, shape=shape, method=method, bits=bits,
-                           scheme=scheme, group_params=group_params, codes=codes,
+                           scheme=scheme, params=params, codes=codes,
                            region_bits=region_bits, source_bits=source_bits)

@@ -18,22 +18,16 @@ precision instead.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import pwlq as _pwlq
+from . import uniform as _uniform
 from .errors import CodeOutOfDomain, CorruptCodes, IncompatibleBits, InvalidInput
-from .pwlq import PWLQ, PwlqParams, breakpoint_approx, breakpoint_bruteforce
+from .pwlq import PWLQ, PwlqCodes
 from .tensor_store import TensorShape, WeightTensor, element_index
-from .uniform import (
-    AFFINE,
-    MAX_BITS,
-    MIN_BITS,
-    UNIFORM_SCHEMES,
-    dequantize_slice,
-    quantize_slice,
-)
+from .uniform import MAX_BITS, MIN_BITS, UNIFORM_SCHEMES
 
 LAYER_WISE = "layer-wise"
 FILTER_WISE = "filter-wise"
@@ -135,14 +129,28 @@ def _from_group_matrix(mat: np.ndarray, shape: TensorShape, scheme: str) -> np.n
         mat.reshape(n, h * w, c).transpose(0, 2, 1)).reshape(-1)
 
 
+@dataclass(frozen=True)
+class ErrorReport:
+    """Reconstruction error of one quantized tensor against its original."""
+
+    mse: float
+    max_abs: float
+    element_count: int
+
+
 @dataclass
 class QuantizedTensor:
     """One tensor after group-wise quantization (or passthrough).
 
-    ``codes`` holds one signed k-bit integer per element in row-major order;
-    for the pwlq method ``region_bits`` marks tail elements and the codes are
-    the folded representation from :func:`convquant.pwlq.fold_regions`.
-    Passthrough tensors keep their original ``values`` instead.
+    ``params`` holds one record per group: :data:`convquant.uniform.RECORD`
+    for the uniform methods, :data:`convquant.pwlq.RECORD` for pwlq.
+    ``codes`` holds one signed k-bit int8 code per element in row-major
+    order; for the pwlq method ``region_bits`` marks tail elements and the
+    codes are the folded representation from
+    :func:`convquant.pwlq.fold_regions`. Passthrough tensors keep their
+    original ``values`` instead. ``error`` is the reconstruction error
+    against the source, measured when the tensor was quantized (None for a
+    tensor read from a container).
     """
 
     name: str
@@ -150,20 +158,30 @@ class QuantizedTensor:
     method: str
     bits: int
     scheme: str
-    group_params: list = field(default_factory=list)
+    params: np.ndarray | None = None
     codes: np.ndarray | None = None
     region_bits: np.ndarray | None = None
     passthrough: bool = False
     values: np.ndarray | None = None
     source_bits: int = 16
+    error: ErrorReport | None = None
 
     @property
     def group_count(self) -> int:
-        return len(self.group_params)
+        return 0 if self.params is None else len(self.params)
 
     @property
     def element_count(self) -> int:
         return self.shape.element_count
+
+    @property
+    def group_params(self) -> list:
+        """Per-group UniformParams / PwlqParams built from ``params`` (read-only)."""
+        if self.params is None:
+            return []
+        to_params = (_pwlq.record_params if self.method == PWLQ
+                     else _uniform.record_params)
+        return [to_params(record) for record in self.params]
 
 
 def make_passthrough(t: WeightTensor, scheme: str, method: str, bits: int) -> QuantizedTensor:
@@ -171,7 +189,8 @@ def make_passthrough(t: WeightTensor, scheme: str, method: str, bits: int) -> Qu
     return QuantizedTensor(
         name=t.name, shape=t.shape, method=method, bits=bits, scheme=scheme,
         passthrough=True, values=t.values.copy(),
-        source_bits=t.source_precision_bits)
+        source_bits=t.source_precision_bits,
+        error=ErrorReport(0.0, 0.0, t.shape.element_count))
 
 
 def _validate_method_bits(method: str, bits: int) -> None:
@@ -184,14 +203,22 @@ def _validate_method_bits(method: str, bits: int) -> None:
             f"pwlq needs at least {_pwlq.MIN_PWLQ_BITS} bits, got {bits}")
 
 
+def _error_report(values: np.ndarray, reconstructed: np.ndarray) -> ErrorReport:
+    """MSE and max |error| over the flat row-major difference; overwrites
+    ``reconstructed``."""
+    diff = np.subtract(values, reconstructed, out=reconstructed)
+    mse = float(np.mean(diff * diff))
+    return ErrorReport(mse, float(np.abs(diff, out=diff).max()), values.size)
+
+
 def quantize_tensor(t: WeightTensor, scheme: str, method: str, bits: int,
                     breakpoint_mode: str = "approx",
                     grid_points: int = _pwlq.DEFAULT_GRID_POINTS) -> QuantizedTensor:
-    """Quantize one tensor group-by-group under a granularity.
+    """Quantize one tensor under a granularity, all groups in one matrix pass.
 
     Channel-wise on a 1x1 kernel returns a passthrough tensor: each group
     would hold a single weight and the layer cannot be usefully quantized at
-    this granularity.
+    this granularity. The result carries its reconstruction error.
     """
     _validate_method_bits(method, bits)
     if scheme not in GRANULARITIES:
@@ -203,36 +230,24 @@ def quantize_tensor(t: WeightTensor, scheme: str, method: str, bits: int,
         return make_passthrough(t, scheme, method, bits)
 
     mat = _as_group_matrix(t.values, t.shape, scheme)
-    group_params = []
-    code_mat = np.empty(mat.shape, dtype=np.int64)
-    region_mat = np.zeros(mat.shape, dtype=np.uint8) if method == PWLQ else None
-
-    for g in range(mat.shape[0]):
-        vals = mat[g]
-        if method != PWLQ:
-            params, codes = quantize_slice(vals, method, bits)
-            code_mat[g] = codes
-        elif not np.any(vals):
-            # All-zero group: nothing to split, store a degenerate uniform group.
-            params, codes = quantize_slice(vals, AFFINE, bits)
-            code_mat[g] = codes
-        else:
-            m = float(np.abs(vals).max())
-            if breakpoint_mode == "approx":
-                p = breakpoint_approx(m)
-            else:
-                p = breakpoint_bruteforce(vals, bits, grid_points)
-            params, codes = _pwlq.pwlq_quantize(vals, bits, p)
-            region_mat[g], code_mat[g] = _pwlq.fold_regions(codes, bits)
-        group_params.append(params)
+    region_bits = None
+    if method == PWLQ:
+        p = _pwlq.row_breakpoints(mat, bits, breakpoint_mode, grid_points)
+        params, regions, codes = _pwlq.quantize_rows(mat, bits, p)
+        reconstructed = _pwlq.dequantize_rows(params, regions, codes)
+        tail_bits, codes = _pwlq.fold_regions(PwlqCodes(regions, codes), bits)
+        region_bits = _from_group_matrix(tail_bits, t.shape, scheme)
+    else:
+        params, codes = _uniform.quantize_rows(mat, method, bits)
+        reconstructed = _uniform.decode(codes, params["scale"][:, None],
+                                        params["zero_point"][:, None])
+    reconstructed = _from_group_matrix(reconstructed, t.shape, scheme)
 
     return QuantizedTensor(
         name=t.name, shape=t.shape, method=method, bits=bits, scheme=scheme,
-        group_params=group_params,
-        codes=_from_group_matrix(code_mat, t.shape, scheme),
-        region_bits=(_from_group_matrix(region_mat, t.shape, scheme)
-                     if region_mat is not None else None),
-        source_bits=t.source_precision_bits)
+        params=params, codes=_from_group_matrix(codes, t.shape, scheme),
+        region_bits=region_bits, source_bits=t.source_precision_bits,
+        error=_error_report(t.values, reconstructed))
 
 
 def dequantize_tensor(q: QuantizedTensor) -> WeightTensor:
@@ -247,22 +262,17 @@ def dequantize_tensor(q: QuantizedTensor) -> WeightTensor:
             f"{q.name}: {q.group_count} parameter sets for {expected_groups} groups")
 
     code_mat = _as_group_matrix(q.codes, q.shape, q.scheme)
-    region_mat = None
-    if q.method == PWLQ:
-        if q.region_bits is None or len(q.region_bits) != q.element_count:
-            raise CorruptCodes(f"{q.name}: region bitmap missing or wrong length")
-        region_mat = _as_group_matrix(q.region_bits, q.shape, q.scheme)
-
-    out = np.empty(code_mat.shape, dtype=np.float64)
     try:
-        for g, params in enumerate(q.group_params):
-            if isinstance(params, PwlqParams):
-                if region_mat is None:
-                    raise CorruptCodes(f"{q.name}: piecewise group without region bitmap")
-                codes = _pwlq.unfold_regions(region_mat[g], code_mat[g], params.bits)
-                out[g] = _pwlq.pwlq_dequantize(codes, params)
-            else:
-                out[g] = dequantize_slice(code_mat[g], params)
+        if q.method == PWLQ:
+            if q.region_bits is None or len(q.region_bits) != q.element_count:
+                raise CorruptCodes(f"{q.name}: region bitmap missing or wrong length")
+            # Degenerate groups decode uniformly, whatever their region bits say.
+            tail = (_as_group_matrix(q.region_bits, q.shape, q.scheme).astype(bool)
+                    & (q.params["kind"] == _pwlq.PWLQ_KIND)[:, None])
+            codes = _pwlq.unfold_regions(tail, code_mat, q.bits)
+            out = _pwlq.dequantize_rows(q.params, codes.regions, codes.values)
+        else:
+            out = _uniform.dequantize_rows(q.params, code_mat)
     except CodeOutOfDomain as exc:
         raise CorruptCodes(f"{q.name}: {exc}") from exc
 

@@ -22,6 +22,7 @@ from .granularity import (
     F_SHAPE_WISE,
     FILTER_WISE,
     LAYER_WISE,
+    ErrorReport,
     QuantizedTensor,
     dequantize_tensor,
     quantize_tensor,
@@ -33,15 +34,6 @@ from .uniform import AFFINE
 # Fixed preference order for breaking mse ties, finest data-adaptivity first.
 SELECTION_PREFERENCE = (C_SHAPE_WISE, F_SHAPE_WISE, FILTER_WISE,
                         CHANNEL_WISE, LAYER_WISE)
-
-
-@dataclass(frozen=True)
-class ErrorReport:
-    """Reconstruction error of one quantized tensor against its original."""
-
-    mse: float
-    max_abs: float
-    element_count: int
 
 
 @dataclass(frozen=True)
@@ -101,9 +93,10 @@ def select_granularity(t: WeightTensor, candidates, method: str, bits: int,
                        grid_points: int = 64) -> tuple[str, QuantizedTensor]:
     """Quantize under every candidate granularity and keep the lowest-mse one.
 
-    Candidates that degrade to passthrough (channel-wise on 1x1 kernels) are
-    left out of the comparison unless nothing else was offered. Exact mse
-    ties fall back to a fixed preference order.
+    Candidates are ranked on the error each quantization measured in its
+    own pass. Candidates that degrade to passthrough (channel-wise on 1x1
+    kernels) are left out of the comparison unless nothing else was offered.
+    Exact mse ties fall back to a fixed preference order.
     """
     ranked = [s for s in SELECTION_PREFERENCE if s in set(candidates)]
     if len(ranked) != len(set(candidates)):
@@ -119,7 +112,7 @@ def select_granularity(t: WeightTensor, candidates, method: str, bits: int,
         if q.passthrough:
             fallback = (scheme, q)
             continue
-        scored.append((quant_error(t, q).mse, preference, scheme, q))
+        scored.append((q.error.mse, preference, scheme, q))
 
     if scored:
         _, _, scheme, q = min(scored, key=lambda item: (item[0], item[1]))

@@ -49,24 +49,26 @@ def pack_codes(codes, bits: int) -> PackedCodes:
     """Pack signed codes in [-2^(k-1), 2^(k-1)-1] into a byte stream."""
     if not MIN_BITS <= bits <= MAX_BITS:
         raise InvalidInput(f"bit width {bits} outside [{MIN_BITS}, {MAX_BITS}]")
-    codes = np.asarray(codes, dtype=np.int64)
+    codes = np.asarray(codes)
+    if codes.dtype != np.int8:
+        codes = codes.astype(np.int64)
     half = 1 << (bits - 1)
     if codes.size == 0:
         return PackedCodes(bits, 0, b"")
     if codes.min() < -half or codes.max() > half - 1:
         raise CodeOutOfDomain(f"code outside [{-half}, {half - 1}]")
-    biased = (codes + half).astype(np.uint8)
+    biased = codes.astype(np.uint8) + np.uint8(half)    # wraps to code + half
     code_bits = np.unpackbits(biased[:, None], axis=1, count=bits, bitorder="little")
     data = np.packbits(code_bits.reshape(-1), bitorder="little").tobytes()
     return PackedCodes(bits, int(codes.size), data)
 
 
 def unpack_codes(packed: PackedCodes) -> np.ndarray:
-    """Exact inverse of pack_codes."""
+    """Exact inverse of pack_codes; returns int8 codes."""
     if packed.count == 0:
-        return np.zeros(0, dtype=np.int64)
+        return np.zeros(0, dtype=np.int8)
     raw = np.frombuffer(packed.data, dtype=np.uint8)
     stream = np.unpackbits(raw, count=packed.count * packed.bits, bitorder="little")
     per_code = stream.reshape(packed.count, packed.bits)
     biased = np.packbits(per_code, axis=1, bitorder="little").ravel()
-    return biased.astype(np.int64) - (1 << (packed.bits - 1))
+    return (biased - np.uint8(1 << (packed.bits - 1))).view(np.int8)

@@ -15,6 +15,10 @@ for storage.
 
 The breakpoint comes either from a closed-form estimate (``breakpoint_approx``)
 or from a grid search minimizing reconstruction MSE (``breakpoint_bruteforce``).
+
+As in the uniform module, tensors are handled a whole ``(groups, group
+size)`` matrix at a time (``quantize_rows``, ``dequantize_rows``,
+``search_breakpoints``); the one-group functions are one-row calls of them.
 """
 
 from __future__ import annotations
@@ -35,13 +39,19 @@ from .errors import (
     NonPositiveM,
 )
 from .uniform import (
-    ClipRange,
+    AFFINE,
+    KIND_BY_SCHEME,
+    SYMMETRIC_FULL,
     UniformParams,
-    affine_params,
-    symmetric_params,
+    check_scales,
+    decode,
+    encode,
+    round_half_away,
+    row_extremes,
     uniform_dequantize,
-    uniform_quantize,
 )
+from .uniform import RECORD as UNIFORM_RECORD
+from .uniform import record_params as uniform_record_params
 
 PWLQ = "pwlq"
 
@@ -57,6 +67,16 @@ RATIO_MIN = 0.05
 RATIO_MAX = 0.95
 
 DEFAULT_GRID_POINTS = 64
+
+PWLQ_KIND = 3
+# Sub-records of a piecewise record, indexed by region.
+PIECES = ("center", "neg_tail", "pos_tail")
+
+# One group's parameters: the fields of a qnt/1 piecewise record, float64 in
+# memory. ``kind`` is PWLQ_KIND, or the uniform kind of a degenerate group
+# (no nonzero value), whose uniform record then sits in ``center``.
+RECORD = np.dtype([("kind", "u1"), ("bits", "u1"), ("m", "f8"), ("p", "f8"),
+                   *((piece, UNIFORM_RECORD) for piece in PIECES)])
 
 
 @dataclass(frozen=True)
@@ -105,45 +125,158 @@ def breakpoint_approx(m: float) -> float:
 
 def pwlq_params(m: float, p: float, bits: int) -> PwlqParams:
     """Build center/tail parameter sets for max magnitude m and breakpoint p."""
+    return record_params(_records(np.array([float(m)]), np.array([float(p)]), bits)[0])
+
+
+def _records(m: np.ndarray, p: np.ndarray, bits: int) -> np.ndarray:
+    """Records of groups with max magnitudes ``m`` and breakpoints ``p``."""
     if bits < MIN_PWLQ_BITS:
         raise BitsTooSmall(f"piecewise quantization needs >= {MIN_PWLQ_BITS} bits")
-    m = float(m)
-    if not 0 < p < m:
-        raise BreakpointOutOfRange(f"need 0 < p < m, got p={p}, m={m}")
-    return PwlqParams(
-        bits=bits,
-        m=m,
-        p=float(p),
-        center=symmetric_params(p, bits, "full"),
-        neg_tail=affine_params(ClipRange(-m, -p), bits - 1),
-        pos_tail=affine_params(ClipRange(p, m), bits - 1),
-    )
+    bad = np.flatnonzero(~((0 < p) & (p < m)))
+    if bad.size:
+        g = int(bad[0])
+        raise BreakpointOutOfRange(f"group {g}: need 0 < p < m, got p={p[g]}, m={m[g]}")
+    records = np.zeros(len(m), RECORD)
+    records["kind"] = PWLQ_KIND
+    records["bits"] = bits
+    records["m"], records["p"] = m, p
+    center = records["center"]
+    center["kind"] = KIND_BY_SCHEME[SYMMETRIC_FULL]
+    center["bits"] = bits
+    center["scale"] = 2.0 * p / ((1 << bits) - 1)
+    center["beta"], center["alpha"] = -p, p
+    tail_scale = (m - p) / ((1 << (bits - 1)) - 1)
+    for piece, beta, alpha in (("neg_tail", -m, -p), ("pos_tail", p, m)):
+        tail = records[piece]
+        tail["kind"] = KIND_BY_SCHEME[AFFINE]
+        tail["bits"] = bits - 1
+        tail["scale"] = tail_scale
+        tail["zero_point"] = -round_half_away(beta / tail_scale) - (1 << (bits - 2))
+        tail["beta"], tail["alpha"] = beta, alpha
+    check_scales(center["scale"])
+    check_scales(tail_scale)
+    return records
+
+
+def _piece_table(records: np.ndarray, field: str) -> np.ndarray:
+    """(groups, 3) table of one field, columns indexed by region."""
+    return np.stack([records[piece][field] for piece in PIECES], axis=1)
+
+
+def _encode(mat: np.ndarray, records: np.ndarray, bits: int) -> tuple[np.ndarray, np.ndarray]:
+    """Region labels and per-region int8 codes of every row."""
+    p = records["p"][:, None]
+    regions = np.zeros(mat.shape, dtype=np.uint8)
+    regions[mat < -p] = NEG_TAIL
+    regions[mat > p] = POS_TAIL
+    scale = np.take_along_axis(_piece_table(records, "scale"), regions, axis=1)
+    zero_point = np.take_along_axis(_piece_table(records, "zero_point"), regions, axis=1)
+    tail = regions != CENTER
+    half, quarter = 1 << (bits - 1), 1 << (bits - 2)
+    lo = np.where(tail, np.int8(-quarter), np.int8(-half))
+    hi = np.where(tail, np.int8(quarter - 1), np.int8(half - 1))
+    return regions, encode(mat, scale, zero_point, lo, hi)
+
+
+def dequantize_rows(records: np.ndarray, regions: np.ndarray, codes: np.ndarray) -> np.ndarray:
+    """Decode region-tagged (groups, size) codes, one record per row.
+
+    A row's codes use the record of their region; a degenerate row keeps
+    its uniform record in ``center`` and all its elements in that region.
+    """
+    scale = np.take_along_axis(_piece_table(records, "scale"), regions, axis=1)
+    zero_point = np.take_along_axis(_piece_table(records, "zero_point"), regions, axis=1)
+    return decode(codes, scale, zero_point)
+
+
+def quantize_rows(mat: np.ndarray, bits: int, p: np.ndarray):
+    """Split each row of a (groups, size) matrix at its breakpoint and encode it.
+
+    ``p`` holds one breakpoint per row. A row with no nonzero value has
+    nothing to split: its ``p`` is ignored and it gets, in ``center``, the
+    degenerate affine record of :func:`convquant.uniform.quantize_rows`
+    (kind 0, s = 1, z = 0, clip range [0, 0]). Returns (records, regions,
+    int8 codes).
+    """
+    vmin, vmax = row_extremes(mat)
+    m = np.maximum(vmax, -vmin)
+    zero = m == 0
+    records = _records(np.where(zero, 1.0, m), np.where(zero, 0.5, p), bits)
+    regions, codes = _encode(mat, records, bits)
+    if zero.any():
+        records[zero] = np.zeros(1, RECORD)
+        records["bits"][zero] = bits
+        center = records["center"]
+        center["bits"][zero] = bits
+        center["scale"][zero] = 1.0
+        center["beta"][zero] = center["alpha"][zero] = vmin[zero]
+    return records, regions, codes
+
+
+def row_breakpoints(mat: np.ndarray, bits: int, mode: str,
+                    grid_points: int = DEFAULT_GRID_POINTS) -> np.ndarray:
+    """One breakpoint per row, 0 for all-zero rows.
+
+    ``mode`` is ``approx`` (:func:`breakpoint_approx`) or ``bruteforce``
+    (:func:`search_breakpoints`).
+    """
+    m = np.abs(mat).max(axis=1)
+    live = m > 0
+    p = np.zeros(len(m))
+    if mode == "approx":
+        p[live] = [breakpoint_approx(x) for x in m[live].tolist()]
+    else:
+        p[live] = search_breakpoints(mat[live], bits, grid_points)
+    return p
+
+
+def _row_mse(mat: np.ndarray, bits: int, m: np.ndarray, p: np.ndarray) -> np.ndarray:
+    records = _records(m, p, bits)
+    regions, codes = _encode(mat, records, bits)
+    diff = dequantize_rows(records, regions, codes)
+    np.subtract(mat, diff, out=diff)
+    diff *= diff
+    return diff.mean(axis=1)
+
+
+def search_breakpoints(mat: np.ndarray, bits: int,
+                       grid_points: int = DEFAULT_GRID_POINTS) -> np.ndarray:
+    """Per row, the breakpoint minimizing mean squared reconstruction error.
+
+    Candidate ratios p/m are ``grid_points`` uniformly spaced interior points
+    of (0, 1) plus the row's closed-form estimate, so the result is never
+    worse than ``breakpoint_approx``. Each candidate is scored over all rows
+    at once; ties go to the smaller breakpoint. Rows must hold a nonzero value.
+    """
+    # Row means must sum contiguous rows, so each row's MSE, and the choice
+    # it drives, matches a one-row search bit for bit.
+    mat = np.ascontiguousarray(mat)
+    m = np.abs(mat).max(axis=1)
+    grid = np.arange(1, grid_points + 1, dtype=np.float64) / (grid_points + 1)
+    best_err = np.full(len(m), np.inf)
+    best = np.zeros(len(m))
+    for ratio in grid:
+        err = _row_mse(mat, bits, m, ratio * m)
+        better = err < best_err
+        best_err[better] = err[better]
+        best[better] = ratio
+    approx = np.array([_clamped_ratio(x) for x in m.tolist()])
+    err = _row_mse(mat, bits, m, approx * m)
+    take = (err < best_err) | ((err == best_err) & (approx < best))
+    best[take] = approx[take]
+    return best * m
 
 
 def pwlq_quantize(values, bits: int, p: float) -> tuple[PwlqParams, PwlqCodes]:
-    """Route each value to its region and encode it with the region's quantizer."""
-    values = np.asarray(values, dtype=np.float64)
-    if values.size == 0:
-        raise EmptySlice("cannot quantize an empty slice")
-    if not np.all(np.isfinite(values)):
-        raise InvalidValue("slice contains NaN or infinity")
-    m = float(np.abs(values).max())
-    if m == 0:
-        raise AllZeroSlice("all values are zero; nothing to split at a breakpoint")
-    params = pwlq_params(m, p, bits)
+    """Route each value to its region and encode it with the region's quantizer.
 
-    regions = np.full(values.shape, CENTER, dtype=np.uint8)
-    regions[values < -params.p] = NEG_TAIL
-    regions[values > params.p] = POS_TAIL
-
-    codes = np.empty(values.shape, dtype=np.int64)
-    center_mask = regions == CENTER
-    codes[center_mask] = uniform_quantize(values[center_mask], params.center)
-    neg_mask = regions == NEG_TAIL
-    codes[neg_mask] = uniform_quantize(values[neg_mask], params.neg_tail)
-    pos_mask = regions == POS_TAIL
-    codes[pos_mask] = uniform_quantize(values[pos_mask], params.pos_tail)
-    return params, PwlqCodes(regions, codes)
+    A one-row call of :func:`quantize_rows`.
+    """
+    values = _nonzero_slice(values, "quantize")
+    records, regions, codes = quantize_rows(values.reshape(1, -1), bits,
+                                            np.array([float(p)]))
+    return (record_params(records[0]),
+            PwlqCodes(regions.reshape(values.shape), codes.reshape(values.shape)))
 
 
 def pwlq_dequantize(codes: PwlqCodes, params: PwlqParams) -> np.ndarray:
@@ -164,47 +297,50 @@ def pwlq_dequantize(codes: PwlqCodes, params: PwlqParams) -> np.ndarray:
 
 def breakpoint_bruteforce(values, bits: int,
                           grid_points: int = DEFAULT_GRID_POINTS) -> float:
-    """Grid-search the breakpoint minimizing mean squared reconstruction error.
-
-    Candidate ratios are ``grid_points`` uniformly spaced interior points of
-    (0, 1) plus the closed-form estimate, so the result is never worse than
-    ``breakpoint_approx``. Ties go to the smaller breakpoint.
-    """
+    """Grid-search the breakpoint of one group: a one-row call of
+    :func:`search_breakpoints`."""
     if grid_points < 3:
         raise InvalidInput(f"grid_points must be >= 3, got {grid_points}")
+    values = _nonzero_slice(values, "search")
+    return float(search_breakpoints(values.reshape(1, -1), bits, grid_points)[0])
+
+
+def _nonzero_slice(values, verb: str) -> np.ndarray:
     values = np.asarray(values, dtype=np.float64)
     if values.size == 0:
-        raise EmptySlice("cannot search an empty slice")
-    m = float(np.abs(values).max())
-    if m == 0:
+        raise EmptySlice(f"cannot {verb} an empty slice")
+    if not np.all(np.isfinite(values)):
+        raise InvalidValue("slice contains NaN or infinity")
+    if not np.any(values):
         raise AllZeroSlice("all values are zero; nothing to split at a breakpoint")
+    return values
 
-    grid = np.arange(1, grid_points + 1, dtype=np.float64) / (grid_points + 1)
-    ratios = np.unique(np.append(grid, _clamped_ratio(m)))
-    errors = np.empty(ratios.shape, dtype=np.float64)
-    for i, ratio in enumerate(ratios):
-        params, codes = pwlq_quantize(values, bits, ratio * m)
-        reconstructed = pwlq_dequantize(codes, params)
-        errors[i] = float(np.mean((values - reconstructed) ** 2))
-    return float(ratios[int(np.argmin(errors))] * m)
+
+def record_params(record):
+    """The dataclass view of one :data:`RECORD`: PwlqParams, or UniformParams
+    for a degenerate group."""
+    if record["kind"] != PWLQ_KIND:
+        return uniform_record_params(record["center"])
+    return PwlqParams(int(record["bits"]), float(record["m"]), float(record["p"]),
+                      *(uniform_record_params(record[piece]) for piece in PIECES))
 
 
 def fold_regions(codes: PwlqCodes, bits: int) -> tuple[np.ndarray, np.ndarray]:
-    """Flatten three-way regions into (tail bitmap, combined k-bit codes).
+    """Flatten three-way regions into (tail bitmap, combined k-bit int8 codes).
 
     A tail element's k-bit field is [sign bit | biased (k-1)-bit code], with
     sign 1 for the negative tail; the field is then re-biased to the signed
-    k-bit range so combined codes share the center codes' domain.
+    k-bit range so combined codes share the center codes' domain. Works on
+    arrays of any shape.
     """
     half = 1 << (bits - 1)
     quarter = 1 << (bits - 2)
     regions = np.asarray(codes.regions)
-    values = np.asarray(codes.values, dtype=np.int64)
-    tail_bits = (regions != CENTER).astype(np.uint8)
-    sign_bits = (regions == NEG_TAIL).astype(np.int64)
-    tail_field = (sign_bits << (bits - 1)) | (values + quarter)
-    combined = np.where(tail_bits.astype(bool), tail_field - half, values)
-    return tail_bits, combined.astype(np.int64)
+    values = np.asarray(codes.values).astype(np.int16)
+    tail = regions != CENTER
+    sign = (regions == NEG_TAIL).astype(np.int16) << (bits - 1)
+    combined = np.where(tail, (sign | (values + quarter)) - half, values)
+    return tail.astype(np.uint8), combined.astype(np.int8)
 
 
 def unfold_regions(tail_bits, combined, bits: int) -> PwlqCodes:
@@ -212,12 +348,12 @@ def unfold_regions(tail_bits, combined, bits: int) -> PwlqCodes:
     half = 1 << (bits - 1)
     quarter = 1 << (bits - 2)
     tail = np.asarray(tail_bits).astype(bool)
-    combined = np.asarray(combined, dtype=np.int64)
+    combined = np.asarray(combined)
     if combined.size and (combined.min() < -half or combined.max() > half - 1):
         raise CodeOutOfDomain(f"combined code outside signed {bits}-bit range")
-    field = combined + half
+    field = combined.astype(np.int16) + half
     negative = (field >> (bits - 1)).astype(bool) & tail
     tail_code = (field & (half - 1)) - quarter
     regions = np.where(tail, np.where(negative, NEG_TAIL, POS_TAIL), CENTER)
     values = np.where(tail, tail_code, combined)
-    return PwlqCodes(regions.astype(np.uint8), values.astype(np.int64))
+    return PwlqCodes(regions.astype(np.uint8), values.astype(np.int8))

@@ -15,6 +15,12 @@ scale s and the code domain are chosen:
 
 Rounding is half-away-from-zero everywhere so results are reproducible
 across platforms. All arithmetic is float64.
+
+Tensors are quantized a whole ``(groups, group size)`` matrix at a time:
+``quantize_rows`` derives one :data:`RECORD` per row and encodes every row
+in the same numpy pass, and ``dequantize_rows`` inverts it. The per-group
+functions (``quantize_slice`` and friends) are one-row calls of the same
+arithmetic.
 """
 
 from __future__ import annotations
@@ -39,6 +45,16 @@ UNIFORM_SCHEMES = (AFFINE, SYMMETRIC_RESTRICTED, SYMMETRIC_FULL)
 
 MIN_BITS = 2
 MAX_BITS = 8
+
+# Record kinds as the container stores them.
+KIND_BY_SCHEME = {AFFINE: 0, SYMMETRIC_RESTRICTED: 1, SYMMETRIC_FULL: 2}
+SCHEME_BY_KIND = {kind: scheme for scheme, kind in KIND_BY_SCHEME.items()}
+
+# One group's parameters: the fields of a qnt/1 uniform record, float64 in
+# memory (the container narrows scale and bounds to binary16 and the
+# zero-point to int16).
+RECORD = np.dtype([("kind", "u1"), ("bits", "u1"), ("scale", "f8"),
+                   ("zero_point", "f8"), ("beta", "f8"), ("alpha", "f8")])
 
 
 def round_half_away(x):
@@ -151,10 +167,6 @@ def degenerate_params(value: float, bits: int) -> UniformParams:
     return UniformParams(AFFINE, bits, scale, 0, ClipRange(value, value))
 
 
-def is_degenerate(params: UniformParams) -> bool:
-    return params.clip.beta == params.clip.alpha
-
-
 def uniform_quantize(r, params: UniformParams):
     """Encode reals to integer codes; out-of-range inputs saturate."""
     lo, hi = params.code_domain()
@@ -175,11 +187,120 @@ def uniform_dequantize(code, params: UniformParams):
     return float(out) if np.isscalar(code) else out
 
 
+def record_params(record) -> UniformParams:
+    """The dataclass view of one :data:`RECORD`."""
+    return UniformParams(SCHEME_BY_KIND[int(record["kind"])], int(record["bits"]),
+                         float(record["scale"]), int(record["zero_point"]),
+                         ClipRange(float(record["beta"]), float(record["alpha"])))
+
+
+def check_scales(scale) -> None:
+    """Raise DegenerateRange naming the first group whose scale is not positive."""
+    bad = np.flatnonzero(~(scale > 0))
+    if bad.size:
+        g = int(bad[0])
+        raise DegenerateRange(f"group {g}: scale must be positive, got {scale[g]}")
+
+
+def row_extremes(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row min and max of a (groups, size) matrix.
+
+    A reduction over +0 and -0 may return either, depending on the loop
+    numpy picks for the layout, and the sign ends up in stored clip bounds.
+    Rows whose extreme is zero therefore take it from ``row.min()`` /
+    ``row.max()``, so equal inputs give equal container bytes.
+    """
+    vmin = mat.min(axis=1)
+    vmax = mat.max(axis=1)
+    for g in np.flatnonzero(vmin == 0):
+        vmin[g] = mat[g].min()
+    for g in np.flatnonzero(vmax == 0):
+        vmax[g] = mat[g].max()
+    return vmin, vmax
+
+
+def encode(x, scale, zero_point, lo: int, hi: int) -> np.ndarray:
+    """int8 codes ``clip(round_half_away(x / scale + zero_point), lo, hi)``.
+
+    All arguments broadcast against each other.
+    """
+    q = np.divide(x, scale)
+    q += zero_point
+    t = np.abs(q)                   # round_half_away, in place
+    t += 0.5
+    np.floor(t, out=t)
+    np.copysign(t, q, out=t)
+    np.clip(t, lo, hi, out=t)
+    return t.astype(np.int8)
+
+
+def decode(codes, scale, zero_point) -> np.ndarray:
+    """``(codes - zero_point) * scale`` in float64; arguments broadcast."""
+    out = np.subtract(codes, zero_point, dtype=np.float64)
+    out *= scale
+    return out
+
+
+def quantize_rows(mat: np.ndarray, scheme: str, bits: int) -> tuple[np.ndarray, np.ndarray]:
+    """Quantize each row of a (groups, size) matrix as one group.
+
+    Affine rows use [min, max]; symmetric rows use [-max|r|, max|r|]. A row
+    of equal values v would divide by zero, so it is stored as an affine
+    record with s = |v| (1 for v = 0), z = 0 and clip range [v, v]; its one
+    code sign(v) reconstructs v exactly. Returns the rows' records and their
+    int8 codes.
+    """
+    vmin, vmax = row_extremes(mat)
+    flat = vmin == vmax
+    half = 1 << (bits - 1)
+    records = np.zeros(len(mat), RECORD)
+    records["kind"] = KIND_BY_SCHEME[scheme]
+    records["bits"] = bits
+    if scheme == AFFINE:
+        scale = (vmax - vmin) / ((1 << bits) - 1)
+        records["beta"], records["alpha"] = vmin, vmax
+    else:
+        alpha = np.maximum(np.abs(vmin), np.abs(vmax))
+        if scheme == SYMMETRIC_RESTRICTED:
+            scale = alpha / (half - 1)
+        else:
+            scale = 2.0 * alpha / ((1 << bits) - 1)
+        records["beta"], records["alpha"] = -alpha, alpha
+    scale[flat] = np.where(vmin[flat] != 0, np.abs(vmin[flat]), 1.0)
+    check_scales(scale)
+    if scheme == AFFINE:
+        records["zero_point"] = -round_half_away(vmin / scale) - half
+    records["scale"] = scale
+    records["zero_point"][flat] = 0.0
+    records["kind"][flat] = KIND_BY_SCHEME[AFFINE]
+    records["beta"][flat] = records["alpha"][flat] = vmin[flat]
+    lo, hi = code_domain(scheme, bits)
+    codes = encode(mat, scale[:, None], records["zero_point"][:, None], lo, hi)
+    return records, codes
+
+
+def dequantize_rows(records: np.ndarray, codes: np.ndarray) -> np.ndarray:
+    """Decode (groups, size) codes, one record per row.
+
+    Raises CodeOutOfDomain when a code lies outside its row's domain.
+    """
+    half = np.left_shift(1, records["bits"].astype(np.int64) - 1)
+    lo = -half + (records["kind"] == KIND_BY_SCHEME[SYMMETRIC_RESTRICTED])
+    if codes.size:
+        bad = np.flatnonzero((codes.min(axis=1) < lo) | (codes.max(axis=1) > half - 1))
+        if bad.size:
+            g = int(bad[0])
+            raise CodeOutOfDomain(
+                f"group {g}: code outside [{lo[g]}, {half[g] - 1}] for "
+                f"{SCHEME_BY_KIND[int(records['kind'][g])]} at "
+                f"{records['bits'][g]} bits")
+    return decode(codes, records["scale"][:, None], records["zero_point"][:, None])
+
+
 def quantize_slice(values, scheme: str, bits: int) -> tuple[UniformParams, np.ndarray]:
     """Quantize one group, deriving the clip range from the data.
 
-    Affine uses [min, max]; symmetric schemes use [-max|r|, max|r|]. A slice
-    of identical values takes the degenerate path and reconstructs exactly.
+    A one-row call of :func:`quantize_rows`.
     """
     if scheme not in UNIFORM_SCHEMES:
         raise InvalidValue(f"unknown scheme {scheme!r}")
@@ -189,21 +310,8 @@ def quantize_slice(values, scheme: str, bits: int) -> tuple[UniformParams, np.nd
         raise EmptySlice("cannot quantize an empty slice")
     if not np.all(np.isfinite(values)):
         raise InvalidValue("slice contains NaN or infinity")
-
-    vmin = float(values.min())
-    vmax = float(values.max())
-    if vmin == vmax:
-        params = degenerate_params(vmin, bits)
-        codes = np.full(values.shape, int(np.sign(vmin)), dtype=np.int64)
-        return params, codes
-
-    if scheme == AFFINE:
-        params = affine_params(ClipRange(vmin, vmax), bits)
-    else:
-        alpha = max(abs(vmin), abs(vmax))
-        variant = "restricted" if scheme == SYMMETRIC_RESTRICTED else "full"
-        params = symmetric_params(alpha, bits, variant)
-    return params, uniform_quantize(values, params)
+    records, codes = quantize_rows(values.reshape(1, -1), scheme, bits)
+    return record_params(records[0]), codes.reshape(values.shape)
 
 
 def dequantize_slice(codes, params: UniformParams) -> np.ndarray:

@@ -15,6 +15,8 @@ from convquant import (
     SYMMETRIC_RESTRICTED,
     MemoryModel,
     PwlqParams,
+    TensorShape,
+    WeightTensor,
     dequantize_tensor,
     quantize_tensor,
     read_container,
@@ -23,6 +25,7 @@ from convquant import (
 from convquant.errors import (
     CorruptHeader,
     OffsetOutOfBounds,
+    QuantError,
     VersionMismatch,
 )
 
@@ -224,3 +227,37 @@ class TestCorruption:
         _patch_header(path, mutate)
         with pytest.raises(CorruptHeader):
             read_container(path)
+
+
+class TestParamsBitFlips:
+    def test_single_bit_flips_raise_only_quant_errors(self, tmp_path):
+        tensors = [gaussian_tensor((8, 4, 3, 3), seed, name=f"t{seed}") for seed in range(3)]
+        zeroed = tensors[0].values.copy()
+        zeroed[:36] = 0.0  # one all-zero filter: a short uniform record among pwlq ones
+        tensors[0] = WeightTensor("t0", TensorShape(8, 4, 3, 3), zeroed)
+        path = tmp_path / "model.qnt"
+        write_container([quantize_tensor(t, FILTER_WISE, PWLQ, 4) for t in tensors],
+                        MemoryModel(), path)
+        blob = path.read_bytes()
+        newline = blob.index(b"\n")
+        header_len = int(blob[:newline].split()[1])
+        header = json.loads(blob[newline + 1:newline + 1 + header_len])
+        payload = newline + 1 + header_len
+        spans = [(payload + r["sections"]["params"][0], r["sections"]["params"][1])
+                 for r in header["tensors"]]
+
+        rng = np.random.default_rng(600)
+        rejected = 0
+        for _ in range(600):
+            start, length = spans[int(rng.integers(len(spans)))]
+            bit = int(rng.integers(length * 8))
+            flipped = bytearray(blob)
+            flipped[start + bit // 8] ^= 1 << (bit % 8)
+            path.write_bytes(bytes(flipped))
+            try:
+                loaded, _ = read_container(path)
+                for q in loaded:
+                    dequantize_tensor(q)
+            except QuantError:
+                rejected += 1
+        assert rejected > 0

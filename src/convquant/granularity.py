@@ -203,7 +203,7 @@ def _validate_method_bits(method: str, bits: int) -> None:
             f"pwlq needs at least {_pwlq.MIN_PWLQ_BITS} bits, got {bits}")
 
 
-def _error_report(values: np.ndarray, reconstructed: np.ndarray) -> ErrorReport:
+def error_report(values: np.ndarray, reconstructed: np.ndarray) -> ErrorReport:
     """MSE and max |error| over the flat row-major difference; overwrites
     ``reconstructed``."""
     diff = np.subtract(values, reconstructed, out=reconstructed)
@@ -247,7 +247,7 @@ def quantize_tensor(t: WeightTensor, scheme: str, method: str, bits: int,
         name=t.name, shape=t.shape, method=method, bits=bits, scheme=scheme,
         params=params, codes=_from_group_matrix(codes, t.shape, scheme),
         region_bits=region_bits, source_bits=t.source_precision_bits,
-        error=_error_report(t.values, reconstructed))
+        error=error_report(t.values, reconstructed))
 
 
 def dequantize_tensor(q: QuantizedTensor) -> WeightTensor:

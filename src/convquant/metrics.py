@@ -13,8 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from .errors import InvalidInput, NoViableCandidate, ShapeMismatch
 from .granularity import (
     C_SHAPE_WISE,
@@ -25,6 +23,7 @@ from .granularity import (
     ErrorReport,
     QuantizedTensor,
     dequantize_tensor,
+    error_report,
     quantize_tensor,
 )
 from .pwlq import PWLQ
@@ -82,10 +81,7 @@ def quant_error(original: WeightTensor, q: QuantizedTensor) -> ErrorReport:
             f"{original.name}: shape {original.shape.dims} vs {q.shape.dims}")
     if q.passthrough:
         return ErrorReport(0.0, 0.0, q.element_count)
-    diff = original.values - dequantize_tensor(q).values
-    return ErrorReport(float(np.mean(diff * diff)),
-                       float(np.max(np.abs(diff))),
-                       q.element_count)
+    return error_report(original.values, dequantize_tensor(q).values)
 
 
 def select_granularity(t: WeightTensor, candidates, method: str, bits: int,

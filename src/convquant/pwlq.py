@@ -40,17 +40,15 @@ from .errors import (
 )
 from .uniform import (
     AFFINE,
-    KIND_BY_SCHEME,
     SYMMETRIC_FULL,
     UniformParams,
-    check_scales,
     decode,
     encode,
-    round_half_away,
+    range_records,
     row_extremes,
-    uniform_dequantize,
 )
 from .uniform import RECORD as UNIFORM_RECORD
+from .uniform import params_record as uniform_params_record
 from .uniform import record_params as uniform_record_params
 
 PWLQ = "pwlq"
@@ -140,27 +138,23 @@ def _records(m: np.ndarray, p: np.ndarray, bits: int) -> np.ndarray:
     records["kind"] = PWLQ_KIND
     records["bits"] = bits
     records["m"], records["p"] = m, p
-    center = records["center"]
-    center["kind"] = KIND_BY_SCHEME[SYMMETRIC_FULL]
-    center["bits"] = bits
-    center["scale"] = 2.0 * p / ((1 << bits) - 1)
-    center["beta"], center["alpha"] = -p, p
-    tail_scale = (m - p) / ((1 << (bits - 1)) - 1)
-    for piece, beta, alpha in (("neg_tail", -m, -p), ("pos_tail", p, m)):
-        tail = records[piece]
-        tail["kind"] = KIND_BY_SCHEME[AFFINE]
-        tail["bits"] = bits - 1
-        tail["scale"] = tail_scale
-        tail["zero_point"] = -round_half_away(beta / tail_scale) - (1 << (bits - 2))
-        tail["beta"], tail["alpha"] = beta, alpha
-    check_scales(center["scale"])
-    check_scales(tail_scale)
+    records["center"] = range_records(SYMMETRIC_FULL, bits, -p, p)
+    records["neg_tail"] = range_records(AFFINE, bits - 1, -m, -p)
+    records["pos_tail"] = range_records(AFFINE, bits - 1, p, m)
     return records
 
 
 def _piece_table(records: np.ndarray, field: str) -> np.ndarray:
     """(groups, 3) table of one field, columns indexed by region."""
     return np.stack([records[piece][field] for piece in PIECES], axis=1)
+
+
+def _code_domain(regions: np.ndarray, bits: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per-element inclusive code bounds: k-bit center, (k-1)-bit tails."""
+    tail = regions != CENTER
+    half, quarter = 1 << (bits - 1), 1 << (bits - 2)
+    return (np.where(tail, np.int8(-quarter), np.int8(-half)),
+            np.where(tail, np.int8(quarter - 1), np.int8(half - 1)))
 
 
 def _encode(mat: np.ndarray, records: np.ndarray, bits: int) -> tuple[np.ndarray, np.ndarray]:
@@ -171,11 +165,7 @@ def _encode(mat: np.ndarray, records: np.ndarray, bits: int) -> tuple[np.ndarray
     regions[mat > p] = POS_TAIL
     scale = np.take_along_axis(_piece_table(records, "scale"), regions, axis=1)
     zero_point = np.take_along_axis(_piece_table(records, "zero_point"), regions, axis=1)
-    tail = regions != CENTER
-    half, quarter = 1 << (bits - 1), 1 << (bits - 2)
-    lo = np.where(tail, np.int8(-quarter), np.int8(-half))
-    hi = np.where(tail, np.int8(quarter - 1), np.int8(half - 1))
-    return regions, encode(mat, scale, zero_point, lo, hi)
+    return regions, encode(mat, scale, zero_point, *_code_domain(regions, bits))
 
 
 def dequantize_rows(records: np.ndarray, regions: np.ndarray, codes: np.ndarray) -> np.ndarray:
@@ -206,10 +196,7 @@ def quantize_rows(mat: np.ndarray, bits: int, p: np.ndarray):
     if zero.any():
         records[zero] = np.zeros(1, RECORD)
         records["bits"][zero] = bits
-        center = records["center"]
-        center["bits"][zero] = bits
-        center["scale"][zero] = 1.0
-        center["beta"][zero] = center["alpha"][zero] = vmin[zero]
+        records["center"][zero] = range_records(AFFINE, bits, vmin[zero], vmin[zero])
     return records, regions, codes
 
 
@@ -248,6 +235,8 @@ def search_breakpoints(mat: np.ndarray, bits: int,
     worse than ``breakpoint_approx``. Each candidate is scored over all rows
     at once; ties go to the smaller breakpoint. Rows must hold a nonzero value.
     """
+    if grid_points < 3:
+        raise InvalidInput(f"grid_points must be >= 3, got {grid_points}")
     # Row means must sum contiguous rows, so each row's MSE, and the choice
     # it drives, matches a one-row search bit for bit.
     mat = np.ascontiguousarray(mat)
@@ -280,27 +269,26 @@ def pwlq_quantize(values, bits: int, p: float) -> tuple[PwlqParams, PwlqCodes]:
 
 
 def pwlq_dequantize(codes: PwlqCodes, params: PwlqParams) -> np.ndarray:
-    """Decode region-tagged codes back to reals."""
+    """Decode region-tagged codes back to reals: a one-row call of
+    :func:`dequantize_rows`, after checking every code against its region's
+    domain."""
     regions = np.asarray(codes.regions)
     values = np.asarray(codes.values, dtype=np.int64)
     if regions.shape != values.shape:
         raise InvalidInput("regions and values must have matching shapes")
-    out = np.empty(values.shape, dtype=np.float64)
-    for region, rparams in ((CENTER, params.center),
-                            (NEG_TAIL, params.neg_tail),
-                            (POS_TAIL, params.pos_tail)):
-        mask = regions == region
-        if mask.any():
-            out[mask] = uniform_dequantize(values[mask], rparams)
-    return out
+    if not np.isin(regions, (CENTER, NEG_TAIL, POS_TAIL)).all():
+        raise InvalidInput("region labels must be CENTER, NEG_TAIL or POS_TAIL")
+    lo, hi = _code_domain(regions, params.bits)
+    if np.any((values < lo) | (values > hi)):
+        raise CodeOutOfDomain(f"code outside its region's domain at {params.bits} bits")
+    return dequantize_rows(params_record(params), regions.reshape(1, -1),
+                           values.reshape(1, -1)).reshape(values.shape)
 
 
 def breakpoint_bruteforce(values, bits: int,
                           grid_points: int = DEFAULT_GRID_POINTS) -> float:
     """Grid-search the breakpoint of one group: a one-row call of
     :func:`search_breakpoints`."""
-    if grid_points < 3:
-        raise InvalidInput(f"grid_points must be >= 3, got {grid_points}")
     values = _nonzero_slice(values, "search")
     return float(search_breakpoints(values.reshape(1, -1), bits, grid_points)[0])
 
@@ -323,6 +311,16 @@ def record_params(record):
         return uniform_record_params(record["center"])
     return PwlqParams(int(record["bits"]), float(record["m"]), float(record["p"]),
                       *(uniform_record_params(record[piece]) for piece in PIECES))
+
+
+def params_record(params: PwlqParams) -> np.ndarray:
+    """The one-element :data:`RECORD` array of a PwlqParams."""
+    record = np.zeros(1, RECORD)
+    record["kind"], record["bits"] = PWLQ_KIND, params.bits
+    record["m"], record["p"] = params.m, params.p
+    for piece in PIECES:
+        record[piece] = uniform_params_record(getattr(params, piece))
+    return record
 
 
 def fold_regions(codes: PwlqCodes, bits: int) -> tuple[np.ndarray, np.ndarray]:

@@ -128,9 +128,7 @@ def affine_params(clip_range: ClipRange, bits: int) -> UniformParams:
     beta, alpha = clip_range.beta, clip_range.alpha
     if beta == alpha:
         raise DegenerateRange(f"affine range is a point: [{beta}, {alpha}]")
-    scale = (alpha - beta) / ((1 << bits) - 1)
-    zero_point = int(-round_half_away(beta / scale)) - (1 << (bits - 1))
-    return UniformParams(AFFINE, bits, scale, zero_point, clip_range)
+    return _one_group(AFFINE, bits, beta, alpha)
 
 
 def symmetric_params(alpha: float, bits: int, variant: str) -> UniformParams:
@@ -144,15 +142,10 @@ def symmetric_params(alpha: float, bits: int, variant: str) -> UniformParams:
         raise InvalidBounds(f"alpha must be non-negative, got {alpha}")
     if alpha == 0:
         raise DegenerateRange("alpha = 0 admits no scale")
-    if variant == "restricted":
-        scheme = SYMMETRIC_RESTRICTED
-        scale = alpha / ((1 << (bits - 1)) - 1)
-    elif variant == "full":
-        scheme = SYMMETRIC_FULL
-        scale = 2.0 * alpha / ((1 << bits) - 1)
-    else:
+    schemes = {"restricted": SYMMETRIC_RESTRICTED, "full": SYMMETRIC_FULL}
+    if variant not in schemes:
         raise InvalidValue(f"unknown symmetric variant {variant!r}")
-    return UniformParams(scheme, bits, scale, 0, ClipRange(-alpha, alpha))
+    return _one_group(schemes[variant], bits, -alpha, alpha)
 
 
 def degenerate_params(value: float, bits: int) -> UniformParams:
@@ -163,27 +156,29 @@ def degenerate_params(value: float, bits: int) -> UniformParams:
     the single code sign(value), which reconstructs the value exactly.
     """
     _check_bits(bits)
-    scale = abs(value) if value != 0 else 1.0
-    return UniformParams(AFFINE, bits, scale, 0, ClipRange(value, value))
+    return _one_group(AFFINE, bits, value, value)
+
+
+def _one_group(scheme: str, bits: int, vmin: float, vmax: float) -> UniformParams:
+    return record_params(range_records(scheme, bits, np.array([vmin], dtype=np.float64),
+                                       np.array([vmax], dtype=np.float64))[0])
 
 
 def uniform_quantize(r, params: UniformParams):
     """Encode reals to integer codes; out-of-range inputs saturate."""
     lo, hi = params.code_domain()
-    codes = clip(round_half_away(np.asarray(r, dtype=np.float64) / params.scale
-                                 + params.zero_point), lo, hi)
-    codes = codes.astype(np.int64)
-    return int(codes) if np.isscalar(r) else codes
+    flat = np.asarray(r, dtype=np.float64).reshape(-1)
+    codes = encode(flat, params.scale, params.zero_point, lo, hi).astype(np.int64)
+    return int(codes[0]) if np.isscalar(r) else codes.reshape(np.shape(r))
 
 
 def uniform_dequantize(code, params: UniformParams):
-    """Decode integer codes back to reals: (code - z) * s."""
+    """Decode integer codes back to reals: (code - z) * s.
+
+    A one-row call of :func:`dequantize_rows`.
+    """
     codes = np.asarray(code, dtype=np.int64)
-    lo, hi = params.code_domain()
-    if codes.size and (codes.min() < lo or codes.max() > hi):
-        raise CodeOutOfDomain(
-            f"code outside [{lo}, {hi}] for {params.scheme} at {params.bits} bits")
-    out = (codes - params.zero_point) * np.float64(params.scale)
+    out = dequantize_rows(params_record(params), codes.reshape(1, -1)).reshape(codes.shape)
     return float(out) if np.isscalar(code) else out
 
 
@@ -192,6 +187,12 @@ def record_params(record) -> UniformParams:
     return UniformParams(SCHEME_BY_KIND[int(record["kind"])], int(record["bits"]),
                          float(record["scale"]), int(record["zero_point"]),
                          ClipRange(float(record["beta"]), float(record["alpha"])))
+
+
+def params_record(params: UniformParams) -> np.ndarray:
+    """The one-element :data:`RECORD` array of a UniformParams."""
+    return np.array([(KIND_BY_SCHEME[params.scheme], params.bits, params.scale,
+                      params.zero_point, params.clip.beta, params.clip.alpha)], RECORD)
 
 
 def check_scales(scale) -> None:
@@ -241,19 +242,18 @@ def decode(codes, scale, zero_point) -> np.ndarray:
     return out
 
 
-def quantize_rows(mat: np.ndarray, scheme: str, bits: int) -> tuple[np.ndarray, np.ndarray]:
-    """Quantize each row of a (groups, size) matrix as one group.
+def range_records(scheme: str, bits: int, vmin: np.ndarray, vmax: np.ndarray) -> np.ndarray:
+    """One record per group, for groups whose values span [vmin, vmax].
 
-    Affine rows use [min, max]; symmetric rows use [-max|r|, max|r|]. A row
-    of equal values v would divide by zero, so it is stored as an affine
-    record with s = |v| (1 for v = 0), z = 0 and clip range [v, v]; its one
-    code sign(v) reconstructs v exactly. Returns the rows' records and their
-    int8 codes.
+    Affine groups use [vmin, vmax]; symmetric groups use [-max|r|, max|r|].
+    A group of equal values v would divide by zero, so it is stored as an
+    affine record with s = |v| (1 for v = 0), z = 0 and clip range [v, v];
+    its one code sign(v) reconstructs v exactly. Raises DegenerateRange
+    naming the first group whose scale is not positive.
     """
-    vmin, vmax = row_extremes(mat)
     flat = vmin == vmax
     half = 1 << (bits - 1)
-    records = np.zeros(len(mat), RECORD)
+    records = np.zeros(len(vmin), RECORD)
     records["kind"] = KIND_BY_SCHEME[scheme]
     records["bits"] = bits
     if scheme == AFFINE:
@@ -274,8 +274,17 @@ def quantize_rows(mat: np.ndarray, scheme: str, bits: int) -> tuple[np.ndarray, 
     records["zero_point"][flat] = 0.0
     records["kind"][flat] = KIND_BY_SCHEME[AFFINE]
     records["beta"][flat] = records["alpha"][flat] = vmin[flat]
+    return records
+
+
+def quantize_rows(mat: np.ndarray, scheme: str, bits: int) -> tuple[np.ndarray, np.ndarray]:
+    """Quantize each row of a (groups, size) matrix as one group, its clip
+    range taken from the row (:func:`range_records`). Returns the rows'
+    records and their int8 codes.
+    """
+    records = range_records(scheme, bits, *row_extremes(mat))
     lo, hi = code_domain(scheme, bits)
-    codes = encode(mat, scale[:, None], records["zero_point"][:, None], lo, hi)
+    codes = encode(mat, records["scale"][:, None], records["zero_point"][:, None], lo, hi)
     return records, codes
 
 

@@ -98,6 +98,17 @@ class TestQuantizeCommand:
         assert not out.exists()
         assert not (tmp_path / "model.qnt.tmp").exists()
 
+    @pytest.mark.parametrize("grid_points", [2, 0, -1])
+    def test_bruteforce_rejects_small_grid(self, tmp_path, capsys, grid_points):
+        manifest = synthetic_model(tmp_path, include_1x1=False)
+        out = tmp_path / "model.qnt"
+        rc = main(["quantize", "--manifest", str(manifest), "--method", "pwlq",
+                   "--granularity", "filter", "--breakpoint", "bruteforce",
+                   "--grid-points", str(grid_points), "--out", str(out)])
+        assert rc == 1
+        assert "grid_points must be >= 3" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_report_is_deterministic(self, tmp_path):
         manifest = synthetic_model(tmp_path)
         a, b = tmp_path / "a.json", tmp_path / "b.json"

@@ -22,6 +22,7 @@ from convquant.errors import (
     AllZeroSlice,
     BitsTooSmall,
     BreakpointOutOfRange,
+    CodeOutOfDomain,
     EmptySlice,
     InvalidInput,
     NonPositiveM,
@@ -125,6 +126,20 @@ class TestPwlqDequantize:
         params = pwlq_params(1.0, 0.385, 4)
         out = pwlq_dequantize(PwlqCodes(np.array([CENTER]), np.array([7])), params)
         assert out[0] == 0.35933333333333334
+
+    def test_code_outside_its_region_domain(self):
+        params = pwlq_params(1.0, 0.385, 4)
+        # 3-bit tail codes stop at 3; the 4-bit center goes down to -8.
+        pwlq_dequantize(PwlqCodes(np.array([CENTER]), np.array([-8])), params)
+        with pytest.raises(CodeOutOfDomain):
+            pwlq_dequantize(PwlqCodes(np.array([CENTER, POS_TAIL]), np.array([0, 4])), params)
+        with pytest.raises(CodeOutOfDomain):
+            pwlq_dequantize(PwlqCodes(np.array([NEG_TAIL]), np.array([-5])), params)
+
+    def test_unknown_region_label(self):
+        params = pwlq_params(1.0, 0.385, 4)
+        with pytest.raises(InvalidInput):
+            pwlq_dequantize(PwlqCodes(np.array([3]), np.array([0])), params)
 
 
 class TestRegions:

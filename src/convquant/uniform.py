@@ -266,6 +266,9 @@ def range_records(scheme: str, bits: int, vmin: np.ndarray, vmax: np.ndarray) ->
         else:
             scale = 2.0 * alpha / ((1 << bits) - 1)
         records["beta"], records["alpha"] = -alpha, alpha
+    # A range too narrow for any positive float64 step (its step underflows
+    # to 0) takes the smallest one, which still spans it within the domain.
+    scale = np.maximum(scale, np.finfo(np.float64).smallest_subnormal)
     scale[flat] = np.where(vmin[flat] != 0, np.abs(vmin[flat]), 1.0)
     check_scales(scale)
     if scheme == AFFINE:

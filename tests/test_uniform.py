@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from convquant import (
     AFFINE,
@@ -232,6 +232,7 @@ class TestProperties:
 
     @given(values=st.lists(st.floats(-5, 5), min_size=2, max_size=40),
            bits=st.integers(2, 8))
+    @example(values=[0.0, 5e-324], bits=2)  # the step underflows to 0
     @settings(max_examples=200, deadline=None)
     def test_slice_codes_in_domain_and_endpoints(self, values, bits):
         params, codes = quantize_slice(values, AFFINE, bits)

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 
 import numpy as np
@@ -117,6 +118,93 @@ class TestQuantizeCommand:
                        "--out", str(tmp_path / "m.qnt"), "--report", str(report_path)])
             assert rc == 0
         assert a.read_text() == b.read_text()
+
+
+def frozen_model(dir_path):
+    """A seeded f16 model: 3x3, 5x5 and 1x1 convs and a bn tensor. The first
+    conv has one all-zero filter and one all-zero input channel, so filter-,
+    f-shape- and c-shape-wise grouping all meet all-zero groups; the 5x5
+    conv's input channels differ in scale, which favours f-shape groups."""
+    rng = np.random.default_rng(5)
+    tensors = []
+    for i, shape in enumerate([(8, 4, 3, 3), (16, 8, 3, 3), (2, 16, 5, 5), (16, 16, 1, 1)]):
+        values = rng.normal(0, 0.08, size=shape)
+        if i == 0:
+            values[2] = 0.0
+            values[:, 1] = 0.0
+        if i == 2:
+            values *= np.logspace(-2, 0.5, 16)[None, :, None, None]
+        tensors.append((f"conv{i}.weight", shape, values.reshape(-1), "f16"))
+    tensors.append(("bn0.weight", (16,), rng.normal(1, 0.1, 16), "f16"))
+    return write_manifest(dir_path, tensors)
+
+
+def _sha256_dir(path):
+    digest = hashlib.sha256()
+    for f in sorted(path.iterdir()):
+        digest.update(f.name.encode() + b"\0" + f.read_bytes())
+    return digest.hexdigest()
+
+
+# SHA-256 of the container, the report, the dequantized manifest with its
+# binaries and the two commands' stdout for each run of frozen_model, recorded
+# before the one-group API was removed. A change that means to keep the output
+# format must keep them.
+FROZEN_OUTPUTS = {
+    "affine-fshape": (
+        ["--method", "affine", "--granularity", "fshape"],
+        "3df705b8857de80a4609f0e3ff983c3602e40b41ac4716d1bfb68013c0abb58e",
+        "120b7cfc7087b2a32340616579210b2ad3531051f5fca0a2e1b55b7fe4818a0a",
+        "4e8b9e24fd3517ad1486a3bfea5727081e48ee39bc226891fdbbddf151dcdd1e",
+        "ed51b49cf35a630a7efca560d4750b62784422843eacc029ba81a843a724a8e1"),
+    "sym-restricted-auto3": (
+        ["--method", "sym-restricted", "--granularity", "auto3", "--bits", "3"],
+        "22accde5965e7fbcbdeaeb7455ac53ef094627041260f3057635414710da53cc",
+        "1b62b9f4839b34ae6bf0aeb30bdee7812463b76882d3c79089e59b3420b0a407",
+        "f30b81652f5563af175cf914f1fdb5cad6a2ced87bcf4a4280e330f9ad468495",
+        "4bdaa7073717d0eb2eb6370cda6306fbd90a03915adf0425462d800ece8da555"),
+    "sym-full-fshape": (
+        ["--method", "sym-full", "--granularity", "fshape", "--bits", "5"],
+        "2090cfc4426f1158537ef70abc70c832f8398b8403c3de5850203ef200ed67dd",
+        "3bc6bca1d1f0532580ac35fdf3910d100d1b6f2169307427d3e27b2c7e7a2cb5",
+        "b260d56e8ab35922b336b8421ab30d79f6d313be90b91987d7f5404edffdb3d3",
+        "e2fa13101e69c93e1a00908b5ca416a5e27df161cc7a002f2e02f995036e2e27"),
+    "pwlq-auto3": (
+        ["--method", "pwlq", "--granularity", "auto3"],
+        "10659935042d90158e36dd13bc5502d8070871b886204d3cd81e1a20c8402aac",
+        "a57e0b068fba865eb17779bcf9d5d287042745ba91ebc300490485179c764842",
+        "ba07673bc8e1b47d7e76f76eef3fd14e9ea11ca6b47f1c5aaf3d6f272847daa1",
+        "3447bafcd20fbadb9fe50aa20b45414a1bb325420148b2a0a3a2b7573df72917"),
+    "pwlq-bruteforce-fshape": (
+        ["--method", "pwlq", "--granularity", "fshape", "--breakpoint", "bruteforce",
+         "--grid-points", "16", "--bits", "6"],
+        "a9996e5da93f78e1e88a71c12ad9f191ceb9df4701197b825ae652edb60968a4",
+        "3b8da49b8fd64881707235aa31f70d6f6c27eaf7f1ff86366ee0168e0affc943",
+        "5933311f09dc419ee562134ab6c64b758d2fc2dcdf73a6b4bb45ed98346e88b7",
+        "b598af0b432a7fbc9a55b10699303465e0b8fcebac165bc7a0df9945c80bd833"),
+    "affine-channel": (
+        ["--method", "affine", "--granularity", "channel", "--bits", "8"],
+        "76016306230eaef624a3af372db8a7d5349daf0a5f71bf362ab54031358d0eb5",
+        "393176ae79c92a663f1d09c66aaf9773be45e7e15be6ab4f14506c0073afe837",
+        "08d0d4fa728dc5cb480b515f617ca27c6951641c5bcf46dc5bcab5fb1b92b6f8",
+        "3bba0f0c9d47e79f27ee05e6e1019fa84a73a542bd5e7d01c126f2ea28ded0e2"),
+}
+
+
+class TestFrozenOutputs:
+    @pytest.mark.parametrize("run", sorted(FROZEN_OUTPUTS))
+    def test_outputs_match_recorded_hashes(self, tmp_path, monkeypatch, capsys, run):
+        flags, container_sha, report_sha, dequantized_sha, stdout_sha = FROZEN_OUTPUTS[run]
+        frozen_model(tmp_path)
+        monkeypatch.chdir(tmp_path)  # the report records the manifest path
+        assert main(["quantize", "--manifest", "model.json", "--exclude", "*bn*",
+                     *flags, "--out", "m.qnt", "--report", "r.json"]) == 0
+        assert main(["dequantize", "m.qnt", "out/model.json"]) == 0
+        assert hashlib.sha256((tmp_path / "m.qnt").read_bytes()).hexdigest() == container_sha
+        assert hashlib.sha256((tmp_path / "r.json").read_bytes()).hexdigest() == report_sha
+        assert _sha256_dir(tmp_path / "out") == dequantized_sha
+        stdout = capsys.readouterr().out.encode()
+        assert hashlib.sha256(stdout).hexdigest() == stdout_sha
 
 
 class TestDequantizeCommand:

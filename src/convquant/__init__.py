@@ -22,32 +22,16 @@ from .uniform import (
     AFFINE,
     SYMMETRIC_FULL,
     SYMMETRIC_RESTRICTED,
-    ClipRange,
-    UniformParams,
-    affine_params,
-    clip,
     code_domain,
-    degenerate_params,
-    dequantize_slice,
-    quantize_slice,
     round_half_away,
-    symmetric_params,
-    uniform_dequantize,
-    uniform_quantize,
 )
 from .pwlq import (
     CENTER,
     NEG_TAIL,
     POS_TAIL,
     PWLQ,
-    PwlqCodes,
-    PwlqParams,
     breakpoint_approx,
-    breakpoint_bruteforce,
     fold_regions,
-    pwlq_dequantize,
-    pwlq_params,
-    pwlq_quantize,
     unfold_regions,
 )
 from .granularity import (
@@ -67,7 +51,6 @@ from .granularity import (
 )
 from .metrics import (
     ErrorReport,
-    FigureOfMerit,
     MemoryModel,
     baseline_bytes,
     figure_of_merit,
@@ -86,22 +69,18 @@ __all__ = [
     "ModelWeights", "TensorShape", "WeightTensor", "element_index",
     "load_manifest", "resolve_exclusions", "save_manifest",
     # uniform
-    "AFFINE", "SYMMETRIC_FULL", "SYMMETRIC_RESTRICTED", "ClipRange",
-    "UniformParams", "affine_params", "clip", "code_domain",
-    "degenerate_params", "dequantize_slice", "quantize_slice",
-    "round_half_away", "symmetric_params", "uniform_dequantize",
-    "uniform_quantize",
+    "AFFINE", "SYMMETRIC_FULL", "SYMMETRIC_RESTRICTED", "code_domain",
+    "round_half_away",
     # pwlq
-    "CENTER", "NEG_TAIL", "POS_TAIL", "PWLQ", "PwlqCodes", "PwlqParams",
-    "breakpoint_approx", "breakpoint_bruteforce", "fold_regions",
-    "pwlq_dequantize", "pwlq_params", "pwlq_quantize", "unfold_regions",
+    "CENTER", "NEG_TAIL", "POS_TAIL", "PWLQ", "breakpoint_approx",
+    "fold_regions", "unfold_regions",
     # granularity
     "C_SHAPE_WISE", "CHANNEL_WISE", "F_SHAPE_WISE", "FILTER_WISE",
     "GRANULARITIES", "LAYER_WISE", "METHODS", "GroupPartition",
     "QuantizedTensor", "dequantize_tensor", "make_passthrough", "partition",
     "quantize_tensor",
     # metrics
-    "ErrorReport", "FigureOfMerit", "MemoryModel", "baseline_bytes",
+    "ErrorReport", "MemoryModel", "baseline_bytes",
     "figure_of_merit", "memory_bytes", "memory_saving_ratio", "quant_error",
     "select_granularity",
     # packing / container

@@ -22,7 +22,7 @@ from pathlib import Path
 
 from . import __version__
 from .container import read_container, write_container
-from .errors import InvalidRange, QuantError
+from .errors import IncompatibleBits, InvalidRange, QuantError
 from .granularity import (
     C_SHAPE_WISE,
     CHANNEL_WISE,
@@ -43,7 +43,7 @@ from .metrics import (
 )
 from .pwlq import PWLQ
 from .tensor_store import ModelWeights, load_manifest, save_manifest
-from .uniform import AFFINE, SYMMETRIC_FULL, SYMMETRIC_RESTRICTED
+from .uniform import AFFINE, SYMMETRIC_FULL, SYMMETRIC_RESTRICTED, check_bits
 
 METHOD_FLAGS = {
     "affine": AFFINE,
@@ -78,11 +78,10 @@ def _memory_model(args) -> MemoryModel:
 
 def _quantize_one(tensor, excluded, method, bits, granularity, breakpoint_mode,
                   grid_points):
-    """Returns (QuantizedTensor, ErrorReport, excluded flag); the error is the
-    one measured while quantizing, so no tensor is decoded again here."""
+    """Returns (QuantizedTensor, excluded flag). The tensor carries the error
+    measured while quantizing, so no tensor is decoded again here."""
     if tensor.name in excluded:
-        q = make_passthrough(tensor, LAYER_WISE, method, bits)
-        return q, q.error, True
+        return make_passthrough(tensor, LAYER_WISE, method, bits), True
     if granularity in AUTO_CANDIDATES:
         _, q = select_granularity(tensor, AUTO_CANDIDATES[granularity], method,
                                   bits, breakpoint_mode=breakpoint_mode,
@@ -90,7 +89,7 @@ def _quantize_one(tensor, excluded, method, bits, granularity, breakpoint_mode,
     else:
         q = quantize_tensor(tensor, GRANULARITY_FLAGS[granularity], method, bits,
                             breakpoint_mode=breakpoint_mode, grid_points=grid_points)
-    return q, q.error, False
+    return q, False
 
 
 def _quantize_model(model: ModelWeights, method: str, bits: int, granularity: str,
@@ -101,11 +100,11 @@ def _quantize_model(model: ModelWeights, method: str, bits: int, granularity: st
 
 
 def _totals(results, mm: MemoryModel) -> dict:
-    quantized = [q for q, _, _ in results]
+    quantized = [q for q, _ in results]
     codes_only = mm.with_region_bits(False)
     physical = mm.with_region_bits(True)
     element_count = sum(q.element_count for q in quantized)
-    sse = sum(report.mse * report.element_count for _, report, _ in results)
+    sse = sum(q.error.mse * q.error.element_count for q in quantized)
     return {
         "element_count": element_count,
         "baseline_bytes": sum(baseline_bytes(q, mm) for q in quantized),
@@ -117,9 +116,9 @@ def _totals(results, mm: MemoryModel) -> dict:
     }
 
 
-def _write_report(path, args, model, results, mm) -> None:
+def _write_report(path, args, results, mm) -> None:
     tensors = []
-    for (q, report, was_excluded), tensor in zip(results, model.tensors):
+    for q, was_excluded in results:
         tensors.append({
             "name": q.name,
             "shape": list(q.shape.dims),
@@ -128,8 +127,8 @@ def _write_report(path, args, model, results, mm) -> None:
             "scheme": q.scheme,
             "method": q.method,
             "bits": q.bits,
-            "mse": report.mse,
-            "max_abs": report.max_abs,
+            "mse": q.error.mse,
+            "max_abs": q.error.max_abs,
             "bytes": memory_bytes(q, mm),
             "baseline_bytes": baseline_bytes(q, mm),
         })
@@ -169,12 +168,12 @@ def cmd_quantize(args) -> int:
         results = _quantize_model(model, METHOD_FLAGS[args.method], args.bits,
                                   args.granularity, args.breakpoint,
                                   args.grid_points)
-        write_container([q for q, _, _ in results], mm, args.out)
+        write_container([q for q, _ in results], mm, args.out)
         written.append(args.out)
         read_container(args.out)  # exit 0 only once the output verifies readable
         if args.report:
             written.append(args.report)
-            _write_report(args.report, args, model, results, mm)
+            _write_report(args.report, args, results, mm)
             json.loads(Path(args.report).read_text("utf-8"))
         totals = _totals(results, mm)
         print(f"quantized {len(results)} tensors: "
@@ -192,11 +191,13 @@ def cmd_dequantize(args) -> int:
     created = []
     try:
         tensors, _ = read_container(args.container)
-        reconstructed = [dequantize_tensor(q) for q in tensors]
-        model = ModelWeights(reconstructed)
+        model = ModelWeights([dequantize_tensor(q) for q in tensors])
+        count = len(model.tensors)
+        del tensors  # free the codes before the export is written
         created = save_manifest(model, args.out_manifest)
+        del model  # and the decoded weights before it is read back
         load_manifest(args.out_manifest)  # verify the export reads back
-        print(f"wrote {len(reconstructed)} tensors to {args.out_manifest}")
+        print(f"wrote {count} tensors to {args.out_manifest}")
         return 0
     except (QuantError, OSError) as exc:
         _cleanup(created)
@@ -210,10 +211,10 @@ def _parse_bits_range(text: str, method: str) -> range:
         lo, hi = int(lo_text), int(hi_text)
     except ValueError as exc:
         raise InvalidRange(f"bits range must look like LO:HI, got {text!r}") from exc
-    floor = 3 if method == "pwlq" else 2
-    if not (floor <= lo <= hi <= 8):
-        raise InvalidRange(
-            f"bits range {lo}:{hi} outside [{floor}, 8] for method {method}")
+    if lo > hi:
+        raise InvalidRange(f"bits range {lo}:{hi} is empty")
+    for bits in (lo, hi):
+        check_bits(bits, METHOD_FLAGS[method] == PWLQ, InvalidRange, f"bits range {text}")
     return range(lo, hi + 1)
 
 
@@ -321,10 +322,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _validate(parser, args) -> None:
     if args.command == "quantize":
-        if not 2 <= args.bits <= 8:
-            parser.error(f"--bits {args.bits} outside [2, 8]")
-        if args.method == "pwlq" and args.bits < 3:
-            parser.error("pwlq needs --bits >= 3 (tails use k-1 bits)")
+        try:
+            check_bits(args.bits, METHOD_FLAGS[args.method] == PWLQ)
+        except IncompatibleBits as exc:
+            parser.error(f"--bits: {exc}")
 
 
 def main(argv=None) -> int:

@@ -49,7 +49,7 @@ from .packing import PackedCodes, pack_codes, unpack_codes
 from .pwlq import PIECES, PWLQ, PWLQ_KIND
 from .pwlq import RECORD as PWLQ_RECORD
 from .tensor_store import TensorShape
-from .uniform import AFFINE, KIND_BY_SCHEME, SYMMETRIC_FULL
+from .uniform import AFFINE, KIND_BY_SCHEME, SYMMETRIC_FULL, check_bits
 from .uniform import RECORD as UNIFORM_RECORD
 
 FORMAT_VERSION = "qnt/1"
@@ -183,6 +183,7 @@ def write_container(tensors, memory_model: MemoryModel, path) -> None:
         return [start, len(data)]
 
     for q in tensors:
+        check_bits(q.bits, q.method == PWLQ, InvalidInput, q.name)
         record = {
             "name": q.name,
             "shape": list(q.shape.dims),
@@ -315,8 +316,7 @@ def _read_record(record, payload: bytes, claimed: list) -> QuantizedTensor:
     if (not isinstance(shape_raw, list) or len(shape_raw) != 4
             or not all(isinstance(d, int) and d >= 1 for d in shape_raw)):
         raise CorruptHeader(f"{name}: malformed shape {shape_raw!r}")
-    if not isinstance(bits, int) or not 2 <= bits <= 8:
-        raise CorruptHeader(f"{name}: bad bit width {bits!r}")
+    check_bits(bits, method == PWLQ, CorruptHeader, name)
     if not isinstance(group_count, int) or group_count < 0:
         raise CorruptHeader(f"{name}: bad group count {group_count!r}")
     if source_bits not in (16, 32):

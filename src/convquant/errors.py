@@ -38,20 +38,12 @@ class IndexOutOfRange(QuantError):
 
 # --- uniform quantization ---
 
-class InvalidBounds(QuantError):
-    """Lower bound exceeds upper bound."""
-
-
 class DegenerateRange(QuantError):
     """Clip range has zero width, so no scale can be derived."""
 
 
 class CodeOutOfDomain(QuantError):
     """Integer code outside the scheme's code domain."""
-
-
-class EmptySlice(QuantError):
-    """Quantization requested for an empty value array."""
 
 
 class IncompatibleBits(QuantError):
@@ -62,10 +54,6 @@ class IncompatibleBits(QuantError):
 
 class NonPositiveM(QuantError):
     """Tail bound m must be strictly positive."""
-
-
-class AllZeroSlice(QuantError):
-    """Breakpoint search needs at least one nonzero value."""
 
 
 class BreakpointOutOfRange(QuantError):

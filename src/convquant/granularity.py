@@ -24,10 +24,10 @@ import numpy as np
 
 from . import pwlq as _pwlq
 from . import uniform as _uniform
-from .errors import CodeOutOfDomain, CorruptCodes, IncompatibleBits, InvalidInput
-from .pwlq import PWLQ, PwlqCodes
+from .errors import CodeOutOfDomain, CorruptCodes, InvalidInput
+from .pwlq import PWLQ
 from .tensor_store import TensorShape, WeightTensor, element_index
-from .uniform import MAX_BITS, MIN_BITS, UNIFORM_SCHEMES
+from .uniform import UNIFORM_SCHEMES, check_bits
 
 LAYER_WISE = "layer-wise"
 FILTER_WISE = "filter-wise"
@@ -174,15 +174,6 @@ class QuantizedTensor:
     def element_count(self) -> int:
         return self.shape.element_count
 
-    @property
-    def group_params(self) -> list:
-        """Per-group UniformParams / PwlqParams built from ``params`` (read-only)."""
-        if self.params is None:
-            return []
-        to_params = (_pwlq.record_params if self.method == PWLQ
-                     else _uniform.record_params)
-        return [to_params(record) for record in self.params]
-
 
 def make_passthrough(t: WeightTensor, scheme: str, method: str, bits: int) -> QuantizedTensor:
     """Wrap a tensor that stays at source precision."""
@@ -196,11 +187,7 @@ def make_passthrough(t: WeightTensor, scheme: str, method: str, bits: int) -> Qu
 def _validate_method_bits(method: str, bits: int) -> None:
     if method not in METHODS:
         raise InvalidInput(f"unknown method {method!r}")
-    if not MIN_BITS <= bits <= MAX_BITS:
-        raise IncompatibleBits(f"bit width {bits} outside [{MIN_BITS}, {MAX_BITS}]")
-    if method == PWLQ and bits < _pwlq.MIN_PWLQ_BITS:
-        raise IncompatibleBits(
-            f"pwlq needs at least {_pwlq.MIN_PWLQ_BITS} bits, got {bits}")
+    check_bits(bits, piecewise=method == PWLQ)
 
 
 def error_report(values: np.ndarray, reconstructed: np.ndarray) -> ErrorReport:
@@ -235,7 +222,7 @@ def quantize_tensor(t: WeightTensor, scheme: str, method: str, bits: int,
         p = _pwlq.row_breakpoints(mat, bits, breakpoint_mode, grid_points)
         params, regions, codes = _pwlq.quantize_rows(mat, bits, p)
         reconstructed = _pwlq.dequantize_rows(params, regions, codes)
-        tail_bits, codes = _pwlq.fold_regions(PwlqCodes(regions, codes), bits)
+        tail_bits, codes = _pwlq.fold_regions(regions, codes, bits)
         region_bits = _from_group_matrix(tail_bits, t.shape, scheme)
     else:
         params, codes = _uniform.quantize_rows(mat, method, bits)
@@ -269,8 +256,8 @@ def dequantize_tensor(q: QuantizedTensor) -> WeightTensor:
             # Degenerate groups decode uniformly, whatever their region bits say.
             tail = (_as_group_matrix(q.region_bits, q.shape, q.scheme).astype(bool)
                     & (q.params["kind"] == _pwlq.PWLQ_KIND)[:, None])
-            codes = _pwlq.unfold_regions(tail, code_mat, q.bits)
-            out = _pwlq.dequantize_rows(q.params, codes.regions, codes.values)
+            regions, codes = _pwlq.unfold_regions(tail, code_mat, q.bits)
+            out = _pwlq.dequantize_rows(q.params, regions, codes)
         else:
             out = _uniform.dequantize_rows(q.params, code_mat)
     except CodeOutOfDomain as exc:

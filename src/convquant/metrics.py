@@ -62,18 +62,6 @@ class MemoryModel:
         return replace(self, charge_region_bits=charge)
 
 
-@dataclass(frozen=True)
-class FigureOfMerit:
-    """Memory saving discounted by accuracy loss in percentage points."""
-
-    memory_saving: float
-    accuracy_loss_pct: float
-
-    @property
-    def value(self) -> float:
-        return figure_of_merit(self.memory_saving, self.accuracy_loss_pct)
-
-
 def quant_error(original: WeightTensor, q: QuantizedTensor) -> ErrorReport:
     """MSE and max absolute error between a tensor and its reconstruction."""
     if original.shape != q.shape:

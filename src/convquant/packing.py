@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CodeOutOfDomain, InvalidInput, TruncatedData
-from .uniform import MAX_BITS, MIN_BITS
+from .uniform import check_bits
 
 
 def _packed_length(count: int, bits: int) -> int:
@@ -32,8 +32,7 @@ class PackedCodes:
     data: bytes
 
     def __post_init__(self):
-        if not MIN_BITS <= self.bits <= MAX_BITS:
-            raise InvalidInput(f"bit width {self.bits} outside [{MIN_BITS}, {MAX_BITS}]")
+        check_bits(self.bits, error=InvalidInput)
         if self.count < 0:
             raise InvalidInput("count must be non-negative")
         expected = _packed_length(self.count, self.bits)
@@ -47,8 +46,7 @@ class PackedCodes:
 
 def pack_codes(codes, bits: int) -> PackedCodes:
     """Pack signed codes in [-2^(k-1), 2^(k-1)-1] into a byte stream."""
-    if not MIN_BITS <= bits <= MAX_BITS:
-        raise InvalidInput(f"bit width {bits} outside [{MIN_BITS}, {MAX_BITS}]")
+    check_bits(bits, error=InvalidInput)
     codes = np.asarray(codes)
     if codes.dtype != np.int8:
         codes = codes.astype(np.int64)

@@ -14,50 +14,44 @@ three-way region plus tail sign into one k-bit code and a single tail bit
 for storage.
 
 The breakpoint comes either from a closed-form estimate (``breakpoint_approx``)
-or from a grid search minimizing reconstruction MSE (``breakpoint_bruteforce``).
+or from a grid search minimizing reconstruction MSE (``search_breakpoints``).
 
-As in the uniform module, tensors are handled a whole ``(groups, group
-size)`` matrix at a time (``quantize_rows``, ``dequantize_rows``,
-``search_breakpoints``); the one-group functions are one-row calls of them.
+As in the uniform module, a tensor is handled a whole ``(groups, group
+size)`` matrix at a time, one group per row: ``quantize_rows`` builds one
+:data:`RECORD` per row and encodes every row, ``dequantize_rows`` decodes
+them, and ``search_breakpoints`` scores each candidate breakpoint over all
+rows at once.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (
-    AllZeroSlice,
     BitsTooSmall,
     BreakpointOutOfRange,
     CodeOutOfDomain,
-    EmptySlice,
     InvalidInput,
-    InvalidValue,
     NonPositiveM,
 )
 from .uniform import (
     AFFINE,
     SYMMETRIC_FULL,
-    UniformParams,
+    check_bits,
     decode,
     encode,
     range_records,
     row_extremes,
 )
 from .uniform import RECORD as UNIFORM_RECORD
-from .uniform import params_record as uniform_params_record
-from .uniform import record_params as uniform_record_params
 
 PWLQ = "pwlq"
 
 CENTER = 0
 NEG_TAIL = 1
 POS_TAIL = 2
-
-MIN_PWLQ_BITS = 3
 
 # Bounds on p/m keeping both regions non-empty even where the closed-form
 # estimate leaves (0, 1).
@@ -77,33 +71,6 @@ RECORD = np.dtype([("kind", "u1"), ("bits", "u1"), ("m", "f8"), ("p", "f8"),
                    *((piece, UNIFORM_RECORD) for piece in PIECES)])
 
 
-@dataclass(frozen=True)
-class PwlqParams:
-    """Breakpoint plus the three embedded uniform parameter sets."""
-
-    bits: int
-    m: float
-    p: float
-    center: UniformParams
-    neg_tail: UniformParams
-    pos_tail: UniformParams
-
-
-@dataclass
-class PwlqCodes:
-    """Per-element region labels (CENTER / NEG_TAIL / POS_TAIL) and codes.
-
-    Center elements carry a k-bit symmetric code; tail elements carry the
-    (k-1)-bit affine code of their tail.
-    """
-
-    regions: np.ndarray
-    values: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-
 def _clamped_ratio(m: float) -> float:
     ratio = math.log(0.8614 * m + 0.6079) / m
     return min(max(ratio, RATIO_MIN), RATIO_MAX)
@@ -121,15 +88,9 @@ def breakpoint_approx(m: float) -> float:
     return m * _clamped_ratio(m)
 
 
-def pwlq_params(m: float, p: float, bits: int) -> PwlqParams:
-    """Build center/tail parameter sets for max magnitude m and breakpoint p."""
-    return record_params(_records(np.array([float(m)]), np.array([float(p)]), bits)[0])
-
-
 def _records(m: np.ndarray, p: np.ndarray, bits: int) -> np.ndarray:
     """Records of groups with max magnitudes ``m`` and breakpoints ``p``."""
-    if bits < MIN_PWLQ_BITS:
-        raise BitsTooSmall(f"piecewise quantization needs >= {MIN_PWLQ_BITS} bits")
+    check_bits(bits, piecewise=True, error=BitsTooSmall)
     bad = np.flatnonzero(~((0 < p) & (p < m)))
     if bad.size:
         g = int(bad[0])
@@ -144,28 +105,25 @@ def _records(m: np.ndarray, p: np.ndarray, bits: int) -> np.ndarray:
     return records
 
 
-def _piece_table(records: np.ndarray, field: str) -> np.ndarray:
-    """(groups, 3) table of one field, columns indexed by region."""
-    return np.stack([records[piece][field] for piece in PIECES], axis=1)
-
-
-def _code_domain(regions: np.ndarray, bits: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-element inclusive code bounds: k-bit center, (k-1)-bit tails."""
-    tail = regions != CENTER
-    half, quarter = 1 << (bits - 1), 1 << (bits - 2)
-    return (np.where(tail, np.int8(-quarter), np.int8(-half)),
-            np.where(tail, np.int8(quarter - 1), np.int8(half - 1)))
+def _region_params(records: np.ndarray, regions: np.ndarray):
+    """Per-element scale and zero-point, taken from each element's region piece."""
+    return tuple(np.take_along_axis(np.stack([records[piece][field] for piece in PIECES],
+                                             axis=1), regions, axis=1)
+                 for field in ("scale", "zero_point"))
 
 
 def _encode(mat: np.ndarray, records: np.ndarray, bits: int) -> tuple[np.ndarray, np.ndarray]:
-    """Region labels and per-region int8 codes of every row."""
+    """Region labels and per-region int8 codes of every row: k-bit center
+    codes, (k-1)-bit tail codes."""
     p = records["p"][:, None]
     regions = np.zeros(mat.shape, dtype=np.uint8)
     regions[mat < -p] = NEG_TAIL
     regions[mat > p] = POS_TAIL
-    scale = np.take_along_axis(_piece_table(records, "scale"), regions, axis=1)
-    zero_point = np.take_along_axis(_piece_table(records, "zero_point"), regions, axis=1)
-    return regions, encode(mat, scale, zero_point, *_code_domain(regions, bits))
+    tail = regions != CENTER
+    half, quarter = 1 << (bits - 1), 1 << (bits - 2)
+    lo = np.where(tail, np.int8(-quarter), np.int8(-half))
+    hi = np.where(tail, np.int8(quarter - 1), np.int8(half - 1))
+    return regions, encode(mat, *_region_params(records, regions), lo, hi)
 
 
 def dequantize_rows(records: np.ndarray, regions: np.ndarray, codes: np.ndarray) -> np.ndarray:
@@ -174,9 +132,7 @@ def dequantize_rows(records: np.ndarray, regions: np.ndarray, codes: np.ndarray)
     A row's codes use the record of their region; a degenerate row keeps
     its uniform record in ``center`` and all its elements in that region.
     """
-    scale = np.take_along_axis(_piece_table(records, "scale"), regions, axis=1)
-    zero_point = np.take_along_axis(_piece_table(records, "zero_point"), regions, axis=1)
-    return decode(codes, scale, zero_point)
+    return decode(codes, *_region_params(records, regions))
 
 
 def quantize_rows(mat: np.ndarray, bits: int, p: np.ndarray):
@@ -256,93 +212,28 @@ def search_breakpoints(mat: np.ndarray, bits: int,
     return best * m
 
 
-def pwlq_quantize(values, bits: int, p: float) -> tuple[PwlqParams, PwlqCodes]:
-    """Route each value to its region and encode it with the region's quantizer.
+def fold_regions(regions, values, bits: int) -> tuple[np.ndarray, np.ndarray]:
+    """Flatten per-element region labels (CENTER / NEG_TAIL / POS_TAIL) and
+    codes into (tail bitmap, combined k-bit int8 codes).
 
-    A one-row call of :func:`quantize_rows`.
-    """
-    values = _nonzero_slice(values, "quantize")
-    records, regions, codes = quantize_rows(values.reshape(1, -1), bits,
-                                            np.array([float(p)]))
-    return (record_params(records[0]),
-            PwlqCodes(regions.reshape(values.shape), codes.reshape(values.shape)))
-
-
-def pwlq_dequantize(codes: PwlqCodes, params: PwlqParams) -> np.ndarray:
-    """Decode region-tagged codes back to reals: a one-row call of
-    :func:`dequantize_rows`, after checking every code against its region's
-    domain."""
-    regions = np.asarray(codes.regions)
-    values = np.asarray(codes.values, dtype=np.int64)
-    if regions.shape != values.shape:
-        raise InvalidInput("regions and values must have matching shapes")
-    if not np.isin(regions, (CENTER, NEG_TAIL, POS_TAIL)).all():
-        raise InvalidInput("region labels must be CENTER, NEG_TAIL or POS_TAIL")
-    lo, hi = _code_domain(regions, params.bits)
-    if np.any((values < lo) | (values > hi)):
-        raise CodeOutOfDomain(f"code outside its region's domain at {params.bits} bits")
-    return dequantize_rows(params_record(params), regions.reshape(1, -1),
-                           values.reshape(1, -1)).reshape(values.shape)
-
-
-def breakpoint_bruteforce(values, bits: int,
-                          grid_points: int = DEFAULT_GRID_POINTS) -> float:
-    """Grid-search the breakpoint of one group: a one-row call of
-    :func:`search_breakpoints`."""
-    values = _nonzero_slice(values, "search")
-    return float(search_breakpoints(values.reshape(1, -1), bits, grid_points)[0])
-
-
-def _nonzero_slice(values, verb: str) -> np.ndarray:
-    values = np.asarray(values, dtype=np.float64)
-    if values.size == 0:
-        raise EmptySlice(f"cannot {verb} an empty slice")
-    if not np.all(np.isfinite(values)):
-        raise InvalidValue("slice contains NaN or infinity")
-    if not np.any(values):
-        raise AllZeroSlice("all values are zero; nothing to split at a breakpoint")
-    return values
-
-
-def record_params(record):
-    """The dataclass view of one :data:`RECORD`: PwlqParams, or UniformParams
-    for a degenerate group."""
-    if record["kind"] != PWLQ_KIND:
-        return uniform_record_params(record["center"])
-    return PwlqParams(int(record["bits"]), float(record["m"]), float(record["p"]),
-                      *(uniform_record_params(record[piece]) for piece in PIECES))
-
-
-def params_record(params: PwlqParams) -> np.ndarray:
-    """The one-element :data:`RECORD` array of a PwlqParams."""
-    record = np.zeros(1, RECORD)
-    record["kind"], record["bits"] = PWLQ_KIND, params.bits
-    record["m"], record["p"] = params.m, params.p
-    for piece in PIECES:
-        record[piece] = uniform_params_record(getattr(params, piece))
-    return record
-
-
-def fold_regions(codes: PwlqCodes, bits: int) -> tuple[np.ndarray, np.ndarray]:
-    """Flatten three-way regions into (tail bitmap, combined k-bit int8 codes).
-
-    A tail element's k-bit field is [sign bit | biased (k-1)-bit code], with
-    sign 1 for the negative tail; the field is then re-biased to the signed
-    k-bit range so combined codes share the center codes' domain. Works on
-    arrays of any shape.
+    Center elements carry a k-bit symmetric code and tail elements the
+    (k-1)-bit affine code of their tail. A tail element's k-bit field is
+    [sign bit | biased (k-1)-bit code], with sign 1 for the negative tail;
+    the field is then re-biased to the signed k-bit range so combined codes
+    share the center codes' domain. Works on arrays of any shape.
     """
     half = 1 << (bits - 1)
     quarter = 1 << (bits - 2)
-    regions = np.asarray(codes.regions)
-    values = np.asarray(codes.values).astype(np.int16)
+    regions = np.asarray(regions)
+    values = np.asarray(values).astype(np.int16)
     tail = regions != CENTER
     sign = (regions == NEG_TAIL).astype(np.int16) << (bits - 1)
     combined = np.where(tail, (sign | (values + quarter)) - half, values)
     return tail.astype(np.uint8), combined.astype(np.int8)
 
 
-def unfold_regions(tail_bits, combined, bits: int) -> PwlqCodes:
-    """Inverse of fold_regions."""
+def unfold_regions(tail_bits, combined, bits: int) -> tuple[np.ndarray, np.ndarray]:
+    """Inverse of fold_regions: (uint8 region labels, int8 codes)."""
     half = 1 << (bits - 1)
     quarter = 1 << (bits - 2)
     tail = np.asarray(tail_bits).astype(bool)
@@ -354,4 +245,4 @@ def unfold_regions(tail_bits, combined, bits: int) -> PwlqCodes:
     tail_code = (field & (half - 1)) - quarter
     regions = np.where(tail, np.where(negative, NEG_TAIL, POS_TAIL), CENTER)
     values = np.where(tail, tail_code, combined)
-    return PwlqCodes(regions.astype(np.uint8), values.astype(np.int8))
+    return regions.astype(np.uint8), values.astype(np.int8)

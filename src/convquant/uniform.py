@@ -16,27 +16,18 @@ scale s and the code domain are chosen:
 Rounding is half-away-from-zero everywhere so results are reproducible
 across platforms. All arithmetic is float64.
 
-Tensors are quantized a whole ``(groups, group size)`` matrix at a time:
-``quantize_rows`` derives one :data:`RECORD` per row and encodes every row
-in the same numpy pass, and ``dequantize_rows`` inverts it. The per-group
-functions (``quantize_slice`` and friends) are one-row calls of the same
-arithmetic.
+Tensors are quantized a whole ``(groups, group size)`` matrix at a time,
+one group per row: ``range_records`` derives one :data:`RECORD` per group
+from its value range, ``encode`` and ``decode`` map values to codes and
+back with broadcast per-row parameters, and ``quantize_rows`` /
+``dequantize_rows`` run the whole pass over a group matrix.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import (
-    CodeOutOfDomain,
-    DegenerateRange,
-    EmptySlice,
-    IncompatibleBits,
-    InvalidBounds,
-    InvalidValue,
-)
+from .errors import CodeOutOfDomain, DegenerateRange, IncompatibleBits
 
 AFFINE = "affine"
 SYMMETRIC_RESTRICTED = "symmetric-restricted"
@@ -45,6 +36,8 @@ UNIFORM_SCHEMES = (AFFINE, SYMMETRIC_RESTRICTED, SYMMETRIC_FULL)
 
 MIN_BITS = 2
 MAX_BITS = 8
+# Piecewise quantization codes its tails with k - 1 bits.
+MIN_PIECEWISE_BITS = 3
 
 # Record kinds as the container stores them.
 KIND_BY_SCHEME = {AFFINE: 0, SYMMETRIC_RESTRICTED: 1, SYMMETRIC_FULL: 2}
@@ -63,13 +56,6 @@ def round_half_away(x):
     return np.copysign(np.floor(np.abs(x) + 0.5), x)
 
 
-def clip(r, lo: float, hi: float):
-    """Saturate r (scalar or array) to [lo, hi]."""
-    if lo > hi:
-        raise InvalidBounds(f"clip bounds inverted: lo={lo} > hi={hi}")
-    return np.minimum(np.maximum(r, lo), hi)
-
-
 def code_domain(scheme: str, bits: int) -> tuple[int, int]:
     """Inclusive [lo, hi] integer code domain for a scheme at a bit width."""
     half = 1 << (bits - 1)
@@ -78,129 +64,19 @@ def code_domain(scheme: str, bits: int) -> tuple[int, int]:
     return -half, half - 1
 
 
-def _check_bits(bits: int) -> None:
-    if not MIN_BITS <= bits <= MAX_BITS:
-        raise IncompatibleBits(f"bit width {bits} outside [{MIN_BITS}, {MAX_BITS}]")
+def check_bits(bits, piecewise: bool = False, error=IncompatibleBits,
+               name: str | None = None) -> None:
+    """Raise ``error`` unless ``bits`` is a supported code width.
 
-
-@dataclass(frozen=True)
-class ClipRange:
-    """Permissible input interval; values outside saturate to the nearer bound."""
-
-    beta: float
-    alpha: float
-
-    def __post_init__(self):
-        if self.beta > self.alpha:
-            raise InvalidBounds(f"beta={self.beta} > alpha={self.alpha}")
-
-    @property
-    def width(self) -> float:
-        return self.alpha - self.beta
-
-
-@dataclass(frozen=True)
-class UniformParams:
-    """Everything needed to encode or decode one group of values."""
-
-    scheme: str
-    bits: int
-    scale: float
-    zero_point: int
-    clip: ClipRange
-
-    def __post_init__(self):
-        if self.scheme not in UNIFORM_SCHEMES:
-            raise InvalidValue(f"unknown scheme {self.scheme!r}")
-        _check_bits(self.bits)
-        if not self.scale > 0:
-            raise DegenerateRange(f"scale must be positive, got {self.scale}")
-        if self.scheme != AFFINE and self.zero_point != 0:
-            raise InvalidValue("symmetric schemes require zero_point == 0")
-
-    def code_domain(self) -> tuple[int, int]:
-        return code_domain(self.scheme, self.bits)
-
-
-def affine_params(clip_range: ClipRange, bits: int) -> UniformParams:
-    """Derive affine scale and zero-point for a strict range beta < alpha."""
-    _check_bits(bits)
-    beta, alpha = clip_range.beta, clip_range.alpha
-    if beta == alpha:
-        raise DegenerateRange(f"affine range is a point: [{beta}, {alpha}]")
-    return _one_group(AFFINE, bits, beta, alpha)
-
-
-def symmetric_params(alpha: float, bits: int, variant: str) -> UniformParams:
-    """Derive symmetric-scheme parameters for the range [-alpha, alpha].
-
-    ``variant`` is "restricted" (discard the most negative code) or "full"
-    (use the whole code domain).
+    This is the one bit-width rule: MIN_BITS to MAX_BITS, and at least
+    MIN_PIECEWISE_BITS for piecewise quantization. ``name`` prefixes the
+    message.
     """
-    _check_bits(bits)
-    if alpha < 0:
-        raise InvalidBounds(f"alpha must be non-negative, got {alpha}")
-    if alpha == 0:
-        raise DegenerateRange("alpha = 0 admits no scale")
-    schemes = {"restricted": SYMMETRIC_RESTRICTED, "full": SYMMETRIC_FULL}
-    if variant not in schemes:
-        raise InvalidValue(f"unknown symmetric variant {variant!r}")
-    return _one_group(schemes[variant], bits, -alpha, alpha)
-
-
-def degenerate_params(value: float, bits: int) -> UniformParams:
-    """Parameters for a group whose values are all equal.
-
-    The normal scale formula divides by zero, so the group is stored as an
-    affine quantizer with s = |value| (or 1 when the value is 0), z = 0 and
-    the single code sign(value), which reconstructs the value exactly.
-    """
-    _check_bits(bits)
-    return _one_group(AFFINE, bits, value, value)
-
-
-def _one_group(scheme: str, bits: int, vmin: float, vmax: float) -> UniformParams:
-    return record_params(range_records(scheme, bits, np.array([vmin], dtype=np.float64),
-                                       np.array([vmax], dtype=np.float64))[0])
-
-
-def uniform_quantize(r, params: UniformParams):
-    """Encode reals to integer codes; out-of-range inputs saturate."""
-    lo, hi = params.code_domain()
-    flat = np.asarray(r, dtype=np.float64).reshape(-1)
-    codes = encode(flat, params.scale, params.zero_point, lo, hi).astype(np.int64)
-    return int(codes[0]) if np.isscalar(r) else codes.reshape(np.shape(r))
-
-
-def uniform_dequantize(code, params: UniformParams):
-    """Decode integer codes back to reals: (code - z) * s.
-
-    A one-row call of :func:`dequantize_rows`.
-    """
-    codes = np.asarray(code, dtype=np.int64)
-    out = dequantize_rows(params_record(params), codes.reshape(1, -1)).reshape(codes.shape)
-    return float(out) if np.isscalar(code) else out
-
-
-def record_params(record) -> UniformParams:
-    """The dataclass view of one :data:`RECORD`."""
-    return UniformParams(SCHEME_BY_KIND[int(record["kind"])], int(record["bits"]),
-                         float(record["scale"]), int(record["zero_point"]),
-                         ClipRange(float(record["beta"]), float(record["alpha"])))
-
-
-def params_record(params: UniformParams) -> np.ndarray:
-    """The one-element :data:`RECORD` array of a UniformParams."""
-    return np.array([(KIND_BY_SCHEME[params.scheme], params.bits, params.scale,
-                      params.zero_point, params.clip.beta, params.clip.alpha)], RECORD)
-
-
-def check_scales(scale) -> None:
-    """Raise DegenerateRange naming the first group whose scale is not positive."""
-    bad = np.flatnonzero(~(scale > 0))
-    if bad.size:
-        g = int(bad[0])
-        raise DegenerateRange(f"group {g}: scale must be positive, got {scale[g]}")
+    floor = MIN_PIECEWISE_BITS if piecewise else MIN_BITS
+    if not (isinstance(bits, (int, np.integer)) and floor <= bits <= MAX_BITS):
+        where = f"{name}: " if name else ""
+        method = " for pwlq" if piecewise else ""
+        raise error(f"{where}bit width {bits!r} outside [{floor}, {MAX_BITS}]{method}")
 
 
 def row_extremes(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -270,7 +146,10 @@ def range_records(scheme: str, bits: int, vmin: np.ndarray, vmax: np.ndarray) ->
     # to 0) takes the smallest one, which still spans it within the domain.
     scale = np.maximum(scale, np.finfo(np.float64).smallest_subnormal)
     scale[flat] = np.where(vmin[flat] != 0, np.abs(vmin[flat]), 1.0)
-    check_scales(scale)
+    bad = np.flatnonzero(~(scale > 0))
+    if bad.size:
+        g = int(bad[0])
+        raise DegenerateRange(f"group {g}: scale must be positive, got {scale[g]}")
     if scheme == AFFINE:
         records["zero_point"] = -round_half_away(vmin / scale) - half
     records["scale"] = scale
@@ -307,26 +186,3 @@ def dequantize_rows(records: np.ndarray, codes: np.ndarray) -> np.ndarray:
                 f"{SCHEME_BY_KIND[int(records['kind'][g])]} at "
                 f"{records['bits'][g]} bits")
     return decode(codes, records["scale"][:, None], records["zero_point"][:, None])
-
-
-def quantize_slice(values, scheme: str, bits: int) -> tuple[UniformParams, np.ndarray]:
-    """Quantize one group, deriving the clip range from the data.
-
-    A one-row call of :func:`quantize_rows`.
-    """
-    if scheme not in UNIFORM_SCHEMES:
-        raise InvalidValue(f"unknown scheme {scheme!r}")
-    _check_bits(bits)
-    values = np.asarray(values, dtype=np.float64)
-    if values.size == 0:
-        raise EmptySlice("cannot quantize an empty slice")
-    if not np.all(np.isfinite(values)):
-        raise InvalidValue("slice contains NaN or infinity")
-    records, codes = quantize_rows(values.reshape(1, -1), scheme, bits)
-    return record_params(records[0]), codes.reshape(values.shape)
-
-
-def dequantize_slice(codes, params: UniformParams) -> np.ndarray:
-    """Decode one group; degenerate groups reconstruct their constant exactly
-    because sign(v) * |v| == v."""
-    return uniform_dequantize(codes, params)

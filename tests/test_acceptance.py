@@ -24,15 +24,10 @@ from convquant import (
     SYMMETRIC_RESTRICTED,
     CENTER,
     POS_TAIL,
-    ClipRange,
     MemoryModel,
-    PwlqCodes,
     TensorShape,
     WeightTensor,
-    affine_params,
     breakpoint_approx,
-    breakpoint_bruteforce,
-    dequantize_slice,
     dequantize_tensor,
     element_index,
     figure_of_merit,
@@ -40,24 +35,17 @@ from convquant import (
     memory_bytes,
     memory_saving_ratio,
     pack_codes,
-    pwlq_dequantize,
-    pwlq_params,
-    pwlq_quantize,
     quant_error,
-    quantize_slice,
     quantize_tensor,
     read_container,
     resolve_exclusions,
     select_granularity,
-    symmetric_params,
-    uniform_dequantize,
-    uniform_quantize,
     unpack_codes,
     write_container,
 )
+from convquant import pwlq, uniform
 from convquant.cli import main
 from convquant.granularity import partition
-from convquant.pwlq import PwlqParams
 
 from conftest import gaussian_tensor, write_manifest
 import scalar_oracle as oracle
@@ -68,13 +56,13 @@ def report(criterion: int, detail: str) -> None:
 
 
 def slice_mse(values, scheme, bits):
-    params, codes = quantize_slice(values, scheme, bits)
-    return float(np.mean((values - dequantize_slice(codes, params)) ** 2))
+    records, codes = uniform.quantize_rows(values[None], scheme, bits)
+    return float(np.mean((values - uniform.dequantize_rows(records, codes)[0]) ** 2))
 
 
 def pwlq_mse(values, bits, p):
-    params, codes = pwlq_quantize(values, bits, p)
-    return float(np.mean((values - pwlq_dequantize(codes, params)) ** 2))
+    records, regions, codes = pwlq.quantize_rows(values[None], bits, np.array([p]))
+    return float(np.mean((values - pwlq.dequantize_rows(records, regions, codes)[0]) ** 2))
 
 
 # ---------------------------------------------------------------------------
@@ -96,56 +84,60 @@ def scalar_cases():
          oracle.resolve_exclusions(["conv1", "bn1"], ["bn*"]),
          ["bn1"], sorted(resolve_exclusions(["conv1", "bn1"], ["bn*"])))
 
-    p_a4 = affine_params(ClipRange(-1.0, 1.0), 4)
+    minus_one, zero, one = np.array([-1.0]), np.array([0.0]), np.array([1.0])
+    p_a4 = uniform.range_records(AFFINE, 4, minus_one, one)[0]
+    p_a8 = uniform.range_records(AFFINE, 8, zero, one)[0]
     case("affine scale [-1,1] k4", oracle.affine_params(-1.0, 1.0, 4)[0],
-         0.13333333333333333, p_a4.scale)
+         0.13333333333333333, p_a4["scale"])
     case("affine zero-point [-1,1] k4", oracle.affine_params(-1.0, 1.0, 4)[1],
-         0, p_a4.zero_point)
-    p_a8 = affine_params(ClipRange(0.0, 1.0), 8)
+         0, p_a4["zero_point"])
     case("affine scale [0,1] k8", oracle.affine_params(0.0, 1.0, 8)[0],
-         0.00392156862745098, p_a8.scale)
+         0.00392156862745098, p_a8["scale"])
     case("affine zero-point [0,1] k8", oracle.affine_params(0.0, 1.0, 8)[1],
-         -128, p_a8.zero_point)
+         -128, p_a8["zero_point"])
     case("symmetric restricted scale", oracle.symmetric_scale(1.0, 8, "restricted"),
-         0.007874015748031496, symmetric_params(1.0, 8, "restricted").scale)
+         0.007874015748031496,
+         uniform.range_records(SYMMETRIC_RESTRICTED, 8, minus_one, one)["scale"][0])
     case("symmetric full scale", oracle.symmetric_scale(1.0, 8, "full"),
-         0.00784313725490196, symmetric_params(1.0, 8, "full").scale)
+         0.00784313725490196,
+         uniform.range_records(SYMMETRIC_FULL, 8, minus_one, one)["scale"][0])
 
     case("quantize 0.5 at affine k4",
          oracle.quantize(0.5, *oracle.affine_params(-1.0, 1.0, 4), -8, 7),
-         4, uniform_quantize(0.5, p_a4))
+         4, int(uniform.encode(np.array([0.5]), p_a4["scale"], p_a4["zero_point"],
+                               -8, 7)[0]))
     case("dequantize code 4",
          oracle.dequantize(4, *oracle.affine_params(-1.0, 1.0, 4)),
-         0.5333333333333333, uniform_dequantize(4, p_a4))
+         0.5333333333333333, uniform.dequantize_rows(p_a4[None], np.array([[4]]))[0, 0])
 
-    _, codes3 = quantize_slice([-1.0, 0.0, 1.0], AFFINE, 4)
+    _, codes3 = uniform.quantize_rows(np.array([[-1.0, 0.0, 1.0]]), AFFINE, 4)
     case("slice [-1,0,1] codes", oracle.quantize_slice_affine([-1.0, 0.0, 1.0], 4)[2],
-         [-8, 0, 7], codes3.tolist())
+         [-8, 0, 7], codes3[0].tolist())
 
-    params2, codes2 = quantize_slice([0.0, 0.25, 0.5, 1.0], AFFINE, 2)
+    params2, codes2 = uniform.quantize_rows(np.array([[0.0, 0.25, 0.5, 1.0]]), AFFINE, 2)
     os2, oz2, oc2 = oracle.quantize_slice_affine([0.0, 0.25, 0.5, 1.0], 2)
-    case("slice 2-bit codes", oc2, [-2, -1, -1, 1], codes2.tolist())
+    case("slice 2-bit codes", oc2, [-2, -1, -1, 1], codes2[0].tolist())
     case("slice 2-bit dequant", [oracle.dequantize(c, os2, oz2) for c in oc2],
          [0.0, 0.3333333333333333, 0.3333333333333333, 1.0],
-         dequantize_slice(codes2, params2).tolist())
+         uniform.dequantize_rows(params2, codes2)[0].tolist())
 
     case("breakpoint approx m=1", oracle.breakpoint_approx(1.0),
          0.3847860968997636, breakpoint_approx(1.0))
     case("breakpoint approx m=0.1 clamps", oracle.breakpoint_approx(0.1),
          0.005000000000000001, breakpoint_approx(0.1))
 
-    pw = pwlq_params(1.0, 0.385, 4)
-    _, pcodes = pwlq_quantize(np.array([0.9, -1.0]), 4, 0.385)
+    # m = max|r| = 1 and p = 0.385 for the group [0.9, -1.0].
+    pw, pregions, pcodes = pwlq.quantize_rows(np.array([[0.9, -1.0]]), 4, np.array([0.385]))
     case("pwlq tail region of 0.9", oracle.pwlq_encode(0.9, 4, 1.0, 0.385)[0] == "pos",
-         True, bool(pcodes.regions[0] == POS_TAIL))
+         True, bool(pregions[0, 0] == POS_TAIL))
     case("pwlq tail code of 0.9", oracle.pwlq_encode(0.9, 4, 1.0, 0.385)[1],
-         2, int(pcodes.values[0]))
+         2, int(pcodes[0, 0]))
     case("pwlq decode (pos,2)", oracle.pwlq_decode("pos", 2, 4, 1.0, 0.385),
          0.8785714285714286,
-         float(pwlq_dequantize(PwlqCodes(np.array([POS_TAIL]), np.array([2])), pw)[0]))
+         float(pwlq.dequantize_rows(pw, np.array([[POS_TAIL]]), np.array([[2]]))[0, 0]))
     case("pwlq decode (center,7)", oracle.pwlq_decode("center", 7, 4, 1.0, 0.385),
          0.35933333333333334,
-         float(pwlq_dequantize(PwlqCodes(np.array([CENTER]), np.array([7])), pw)[0]))
+         float(pwlq.dequantize_rows(pw, np.array([[CENTER]]), np.array([[7]]))[0, 0]))
 
     part = partition(t2345, F_SHAPE_WISE)
     case("f-shape group count",
@@ -158,7 +150,7 @@ def scalar_cases():
     og1 = oracle.quantize_slice_affine([3.0, 4.0], 2)
     case("filter-wise group params", [og0[:2], og1[:2]],
          [(0.3333333333333333, -5), (0.3333333333333333, -11)],
-         [(p.scale, p.zero_point) for p in q.group_params])
+         q.params[["scale", "zero_point"]].tolist())
     case("filter-wise codes", og0[2] + og1[2], [-2, 1, -2, 1], q.codes.tolist())
     rec = [oracle.dequantize(c, *og0[:2]) for c in og0[2]] + \
           [oracle.dequantize(c, *og1[:2]) for c in og1[2]]
@@ -216,17 +208,16 @@ def test_criterion_02_round_trip_bound():
         if scheme == AFFINE:
             beta = float(rng.uniform(-6, 6))
             alpha = beta + float(rng.uniform(1e-3, 8))
-            params = affine_params(ClipRange(beta, alpha), bits)
         else:
             alpha = float(rng.uniform(1e-3, 8))
             beta = -alpha
-            variant = "restricted" if scheme == SYMMETRIC_RESTRICTED else "full"
-            params = symmetric_params(alpha, bits, variant)
+        params = uniform.range_records(scheme, bits, np.array([beta]), np.array([alpha]))
         values = rng.uniform(beta, alpha, size=200)
-        codes = uniform_quantize(values, params)
-        err = np.abs(uniform_dequantize(codes, params) - values)
+        codes = uniform.encode(values, params["scale"], params["zero_point"],
+                               *uniform.code_domain(scheme, bits))
+        err = np.abs(uniform.dequantize_rows(params, codes[None])[0] - values)
         total += values.size
-        violations += int(np.sum(err > params.scale))
+        violations += int(np.sum(err > params["scale"]))
     assert total == 100_000
     assert violations == 0
     report(2, f"{total} cases, 0 violations of |dq(q(r)) - r| <= s")
@@ -252,14 +243,16 @@ def _mixed_five_tensor_model():
 
 
 def _assert_field_exact_post_f16(orig, back):
-    def f16(x):
-        return float(np.float16(x))
-
-    def check_uniform(a, b):
-        assert (b.scheme, b.bits, b.zero_point) == (a.scheme, a.bits, a.zero_point)
-        assert b.scale == f16(a.scale)
-        assert b.clip.beta == f16(a.clip.beta)
-        assert b.clip.alpha == f16(a.clip.alpha)
+    def check_records(a, b):
+        # Kind, bits and zero-points exact; scales, bounds, m and p as binary16.
+        assert b.dtype == a.dtype
+        for field in a.dtype.names:
+            if a.dtype[field].names:
+                check_records(a[field], b[field])
+            elif field in ("kind", "bits", "zero_point"):
+                assert np.array_equal(b[field], a[field])
+            else:
+                assert np.array_equal(b[field], a[field].astype(np.float16).astype(np.float64))
 
     assert (back.name, back.shape, back.method, back.scheme, back.bits,
             back.passthrough, back.source_bits) == (
@@ -271,15 +264,7 @@ def _assert_field_exact_post_f16(orig, back):
     assert np.array_equal(back.codes, orig.codes)
     if orig.method == PWLQ:
         assert np.array_equal(back.region_bits, orig.region_bits)
-    for a, b in zip(orig.group_params, back.group_params):
-        if isinstance(a, PwlqParams):
-            assert isinstance(b, PwlqParams)
-            assert b.bits == a.bits and b.m == f16(a.m) and b.p == f16(a.p)
-            check_uniform(a.center, b.center)
-            check_uniform(a.neg_tail, b.neg_tail)
-            check_uniform(a.pos_tail, b.pos_tail)
-        else:
-            check_uniform(a, b)
+    check_records(orig.params, back.params)
 
 
 def test_criterion_03_packing_and_container(tmp_path):
@@ -314,7 +299,7 @@ def gaussian_breakpoint_study():
         m = float(np.abs(values).max())
         mse_affine = slice_mse(values, AFFINE, 4)
         mse_approx = pwlq_mse(values, 4, breakpoint_approx(m))
-        mse_grid = pwlq_mse(values, 4, breakpoint_bruteforce(values, 4))
+        mse_grid = pwlq_mse(values, 4, pwlq.search_breakpoints(values[None], 4)[0])
         rows.append((mse_affine, mse_approx, mse_grid))
     return rows
 

@@ -73,7 +73,7 @@ class TestQuantizeCommand:
         with pytest.raises(SystemExit) as err:
             main(["quantize", "--manifest", str(manifest), "--method", "pwlq",
                   "--bits", "2", "--out", str(tmp_path / "x.qnt")])
-        assert err.value.code != 0
+        assert err.value.code == 2
 
     def test_failure_removes_partial_outputs(self, tmp_path, capsys):
         manifest = synthetic_model(tmp_path)

@@ -14,7 +14,6 @@ from convquant import (
     SYMMETRIC_FULL,
     SYMMETRIC_RESTRICTED,
     MemoryModel,
-    PwlqParams,
     TensorShape,
     WeightTensor,
     dequantize_tensor,
@@ -24,6 +23,7 @@ from convquant import (
 )
 from convquant.errors import (
     CorruptHeader,
+    InvalidInput,
     OffsetOutOfBounds,
     QuantError,
     VersionMismatch,
@@ -32,8 +32,8 @@ from convquant.errors import (
 from conftest import gaussian_tensor
 
 
-def f16(x: float) -> float:
-    return float(np.float16(x))
+def f16(x):
+    return np.asarray(x).astype(np.float16).astype(np.float64)
 
 
 def mixed_model():
@@ -50,20 +50,15 @@ def mixed_model():
 
 
 def assert_params_equal_post_f16(written, loaded):
-    if isinstance(written, PwlqParams):
-        assert isinstance(loaded, PwlqParams)
-        assert loaded.bits == written.bits
-        assert loaded.m == f16(written.m)
-        assert loaded.p == f16(written.p)
-        for name in ("center", "neg_tail", "pos_tail"):
-            assert_params_equal_post_f16(getattr(written, name), getattr(loaded, name))
-    else:
-        assert loaded.scheme == written.scheme
-        assert loaded.bits == written.bits
-        assert loaded.zero_point == written.zero_point
-        assert loaded.scale == f16(written.scale)
-        assert loaded.clip.beta == f16(written.clip.beta)
-        assert loaded.clip.alpha == f16(written.clip.alpha)
+    """Kind, bits and zero-points exact; scales, bounds, m and p as binary16."""
+    assert loaded.dtype == written.dtype
+    for field in written.dtype.names:
+        if written.dtype[field].names:
+            assert_params_equal_post_f16(written[field], loaded[field])
+        elif field in ("kind", "bits", "zero_point"):
+            assert np.array_equal(loaded[field], written[field])
+        else:
+            assert np.array_equal(loaded[field], f16(written[field]))
 
 
 class TestRoundTrip:
@@ -91,8 +86,7 @@ class TestRoundTrip:
             if orig.method == PWLQ:
                 assert np.array_equal(back.region_bits, orig.region_bits)
             assert back.group_count == orig.group_count
-            for wp, lp in zip(orig.group_params, back.group_params):
-                assert_params_equal_post_f16(wp, lp)
+            assert_params_equal_post_f16(orig.params, back.params)
 
     def test_loaded_tensors_decode(self, tmp_path):
         tensors = mixed_model()
@@ -261,3 +255,39 @@ class TestParamsBitFlips:
             except QuantError:
                 rejected += 1
         assert rejected > 0
+
+
+def one_zero_pwlq_tensor():
+    """A one-weight all-zero tensor, pwlq layer-wise at 3 bits: one degenerate
+    record and one code byte, which is one byte at 2 bits too."""
+    t = WeightTensor("z", TensorShape(1, 1, 1, 1), np.zeros(1))
+    return quantize_tensor(t, LAYER_WISE, PWLQ, 3)
+
+
+class TestBitWidths:
+    def test_writer_rejects_pwlq_below_three_bits(self, tmp_path):
+        q = one_zero_pwlq_tensor()
+        q.bits = 2
+        q.params["bits"] = 2
+        q.params["center"]["bits"] = 2
+        path = tmp_path / "model.qnt"
+        with pytest.raises(InvalidInput):
+            write_container([q], MemoryModel(), path)
+        assert not path.exists()
+
+    def test_reader_rejects_pwlq_below_three_bits(self, tmp_path):
+        path = tmp_path / "model.qnt"
+        write_container([one_zero_pwlq_tensor()], MemoryModel(), path)
+        blob = bytearray(path.read_bytes())
+        newline = blob.index(b"\n")
+        header_len = int(blob[:newline].split()[1])
+        payload = newline + 1 + header_len
+        sections = json.loads(blob[newline + 1:payload])["tensors"][0]["sections"]
+        params = payload + sections["params"][0]
+        codes = payload + sections["codes"][0]
+        assert (blob[params + 1], blob[codes]) == (3, 4)  # bits; code 0 biased by 4
+        blob[params + 1], blob[codes] = 2, 2             # the same group at 2 bits
+        path.write_bytes(bytes(blob))
+        _patch_header(path, lambda header: header["tensors"][0].update(bits=2))
+        with pytest.raises(CorruptHeader):
+            read_container(path)

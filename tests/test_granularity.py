@@ -11,9 +11,7 @@ from convquant import (
     GRANULARITIES,
     LAYER_WISE,
     PWLQ,
-    PwlqParams,
     TensorShape,
-    UniformParams,
     WeightTensor,
     dequantize_tensor,
     partition,
@@ -21,6 +19,8 @@ from convquant import (
 )
 from convquant.errors import CorruptCodes, IncompatibleBits, InvalidInput
 from convquant.granularity import _as_group_matrix, _from_group_matrix
+from convquant.pwlq import PWLQ_KIND
+from convquant.uniform import KIND_BY_SCHEME
 
 from conftest import gaussian_tensor
 import scalar_oracle as oracle
@@ -123,7 +123,7 @@ class TestQuantizeTensor:
         t = WeightTensor("t", TensorShape(2, 1, 1, 2), np.array([1.0, 2.0, 3.0, 4.0]))
         q = quantize_tensor(t, FILTER_WISE, AFFINE, 2)
         assert q.codes.tolist() == [-2, 1, -2, 1]
-        assert [(p.scale, p.zero_point) for p in q.group_params] == [
+        assert q.params[["scale", "zero_point"]].tolist() == [
             (0.3333333333333333, -5), (0.3333333333333333, -11)]
         rec = dequantize_tensor(q)
         assert rec.values.tolist() == [1.0, 2.0, 3.0, 4.0]
@@ -162,24 +162,23 @@ class TestQuantizeTensor:
         t = gaussian_tensor((4, 4, 3, 3), seed=4)
         q = quantize_tensor(t, FILTER_WISE, PWLQ, 4)
         assert q.region_bits is not None and len(q.region_bits) == 144
-        assert all(isinstance(p, PwlqParams) for p in q.group_params)
+        assert np.all(q.params["kind"] == PWLQ_KIND)
         rec = dequantize_tensor(q)
-        worst = max(max(p.center.scale, p.pos_tail.scale) for p in q.group_params)
+        worst = max(q.params["center"]["scale"].max(), q.params["pos_tail"]["scale"].max())
         assert np.max(np.abs(rec.values - t.values)) <= worst + 1e-12
 
     def test_pwlq_all_zero_group_degenerates_to_uniform(self):
         values = np.concatenate([np.zeros(9), np.random.default_rng(5).normal(size=9)])
         t = WeightTensor("t", TensorShape(2, 1, 3, 3), values)
         q = quantize_tensor(t, FILTER_WISE, PWLQ, 4)
-        assert isinstance(q.group_params[0], UniformParams)
-        assert isinstance(q.group_params[1], PwlqParams)
+        assert q.params["kind"].tolist() == [KIND_BY_SCHEME[AFFINE], PWLQ_KIND]
         rec = dequantize_tensor(q)
         assert rec.values[:9].tolist() == [0.0] * 9
 
     def test_pwlq_constant_nonzero_group_routes_to_tail(self):
         t = WeightTensor("t", TensorShape(1, 1, 2, 2), np.full(4, 0.25))
         q = quantize_tensor(t, LAYER_WISE, PWLQ, 4)
-        assert isinstance(q.group_params[0], PwlqParams)
+        assert q.params["kind"][0] == PWLQ_KIND
         assert np.all(q.region_bits == 1)
 
     @pytest.mark.parametrize("scheme", GRANULARITIES)
@@ -188,7 +187,7 @@ class TestQuantizeTensor:
         q = quantize_tensor(t, scheme, AFFINE, 4)
         if q.passthrough:
             return
-        bound = max(p.scale for p in q.group_params)
+        bound = q.params["scale"].max()
         err = np.abs(dequantize_tensor(q).values - t.values)
         assert np.max(err) <= bound + 1e-12
 
@@ -198,7 +197,7 @@ class TestQuantizeTensor:
         b = quantize_tensor(t, C_SHAPE_WISE, PWLQ, 4)
         assert np.array_equal(a.codes, b.codes)
         assert np.array_equal(a.region_bits, b.region_bits)
-        assert a.group_params == b.group_params
+        assert np.array_equal(a.params, b.params)
 
 
 class TestDequantizeTensor:

@@ -91,5 +91,6 @@ def test_batched_search_matches_one_row_searches(mat, bits):
     if not live.any():
         return
     batched = pwlq.search_breakpoints(mat[live], bits, grid_points=8)
-    one_by_one = [pwlq.breakpoint_bruteforce(row, bits, grid_points=8) for row in mat[live]]
+    one_by_one = [pwlq.search_breakpoints(row[None], bits, grid_points=8)[0]
+                  for row in mat[live]]
     assert batched.tolist() == one_by_one

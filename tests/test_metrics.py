@@ -201,12 +201,6 @@ class TestFigureOfMerit:
         assert figure_of_merit(3.86, 1.0) == 1.93
         assert figure_of_merit(3.92, 2.5) == pytest.approx(1.12, abs=5e-3)
 
-    def test_dataclass_view(self):
-        from convquant import FigureOfMerit
-        fom = FigureOfMerit(memory_saving=3.86, accuracy_loss_pct=1.0)
-        assert fom.value == 1.93
-        assert fom.value <= fom.memory_saving
-
     def test_zero_loss_identity(self):
         assert figure_of_merit(4.0, 0.0) == 4.0
 

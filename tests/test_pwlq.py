@@ -7,38 +7,33 @@ from convquant import (
     CENTER,
     NEG_TAIL,
     POS_TAIL,
-    PwlqCodes,
     breakpoint_approx,
-    breakpoint_bruteforce,
     fold_regions,
-    pwlq_dequantize,
-    pwlq_params,
-    pwlq_quantize,
-    quantize_slice,
-    dequantize_slice,
     unfold_regions,
 )
+from convquant import uniform
 from convquant.errors import (
-    AllZeroSlice,
     BitsTooSmall,
     BreakpointOutOfRange,
     CodeOutOfDomain,
-    EmptySlice,
     InvalidInput,
     NonPositiveM,
 )
+from convquant.pwlq import dequantize_rows, quantize_rows, search_breakpoints
 
 import scalar_oracle as oracle
 
 
 def qdq_mse(values, bits, p):
-    params, codes = pwlq_quantize(values, bits, p)
-    return float(np.mean((values - pwlq_dequantize(codes, params)) ** 2))
+    mat = np.asarray(values, dtype=np.float64)[None]
+    records, regions, codes = quantize_rows(mat, bits, np.array([p]))
+    return float(np.mean((mat - dequantize_rows(records, regions, codes)) ** 2))
 
 
 def affine_mse(values, bits):
-    params, codes = quantize_slice(values, AFFINE, bits)
-    return float(np.mean((values - dequantize_slice(codes, params)) ** 2))
+    mat = np.asarray(values, dtype=np.float64)[None]
+    records, codes = uniform.quantize_rows(mat, AFFINE, bits)
+    return float(np.mean((mat - uniform.dequantize_rows(records, codes)) ** 2))
 
 
 class TestBreakpointApprox:
@@ -67,79 +62,76 @@ class TestBreakpointApprox:
 
 class TestPwlqQuantize:
     def test_zero_is_center_code_zero(self):
-        params, codes = pwlq_quantize([0.0, 1.0], 4, 0.385)
-        assert codes.regions[0] == CENTER
-        assert codes.values[0] == 0
+        _, regions, codes = quantize_rows(np.array([[0.0, 1.0]]), 4, np.array([0.385]))
+        assert regions[0, 0] == CENTER
+        assert codes[0, 0] == 0
 
     def test_positive_tail_example(self):
         assert oracle.pwlq_encode(0.9, 4, 1.0, 0.385) == ("pos", 2)
-        params, codes = pwlq_quantize([0.9, -1.0], 4, 0.385)
-        assert codes.regions.tolist() == [POS_TAIL, NEG_TAIL]
-        assert codes.values[0] == 2
-        assert params.pos_tail.scale == 0.08785714285714286
-        assert params.pos_tail.zero_point == -8
-        assert params.neg_tail.zero_point == 7
-        rec = pwlq_dequantize(codes, params)
-        assert rec[0] == 0.8785714285714286
+        records, regions, codes = quantize_rows(np.array([[0.9, -1.0]]), 4,
+                                                np.array([0.385]))
+        assert regions.tolist() == [[POS_TAIL, NEG_TAIL]]
+        assert codes[0, 0] == 2
+        assert records["pos_tail"]["scale"][0] == 0.08785714285714286
+        assert records["pos_tail"]["zero_point"][0] == -8
+        assert records["neg_tail"]["zero_point"][0] == 7
+        rec = dequantize_rows(records, regions, codes)
+        assert rec[0, 0] == 0.8785714285714286
 
     def test_boundary_belongs_to_center(self):
-        params, codes = pwlq_quantize([0.385, 1.0], 4, 0.385)
-        assert codes.regions[0] == CENTER
+        _, regions, _ = quantize_rows(np.array([[0.385, 1.0]]), 4, np.array([0.385]))
+        assert regions[0, 0] == CENTER
 
     def test_breakpoint_bounds(self):
         with pytest.raises(BreakpointOutOfRange):
-            pwlq_quantize([1.0, -1.0], 4, 0.0)
+            quantize_rows(np.array([[1.0, -1.0]]), 4, np.array([0.0]))
         with pytest.raises(BreakpointOutOfRange):
-            pwlq_quantize([1.0, -1.0], 4, 1.0)
+            quantize_rows(np.array([[1.0, -1.0]]), 4, np.array([1.0]))
 
     def test_bits_too_small(self):
         with pytest.raises(BitsTooSmall):
-            pwlq_quantize([1.0, -1.0], 2, 0.5)
-
-    def test_empty_and_all_zero(self):
-        with pytest.raises(EmptySlice):
-            pwlq_quantize([], 4, 0.5)
-        with pytest.raises(AllZeroSlice):
-            pwlq_quantize([0.0, 0.0], 4, 0.5)
+            quantize_rows(np.array([[1.0, -1.0]]), 2, np.array([0.5]))
 
     def test_embedded_params_shape(self):
-        params = pwlq_params(1.0, 0.385, 4)
-        assert params.center.bits == 4 and params.center.zero_point == 0
-        assert params.neg_tail.bits == 3 and params.pos_tail.bits == 3
-        assert params.center.scale == 0.051333333333333335
+        records, _, _ = quantize_rows(np.array([[1.0, -1.0]]), 4, np.array([0.385]))
+        center = records["center"][0]
+        assert center["bits"] == 4 and center["zero_point"] == 0
+        assert records["neg_tail"]["bits"][0] == 3 and records["pos_tail"]["bits"][0] == 3
+        assert center["scale"] == 0.051333333333333335
+
+
+# One group with m = 1 and p = 0.385, as the decode examples below assume.
+RECORDS, _, _ = quantize_rows(np.array([[1.0, -1.0]]), 4, np.array([0.385]))
 
 
 class TestPwlqDequantize:
     def test_center_zero(self):
-        params = pwlq_params(1.0, 0.385, 4)
-        out = pwlq_dequantize(PwlqCodes(np.array([CENTER]), np.array([0])), params)
-        assert out[0] == 0.0
+        out = dequantize_rows(RECORDS, np.array([[CENTER]]), np.array([[0]]))
+        assert out[0, 0] == 0.0
 
     def test_positive_tail_code(self):
         assert oracle.pwlq_decode("pos", 2, 4, 1.0, 0.385) == 0.8785714285714286
-        params = pwlq_params(1.0, 0.385, 4)
-        out = pwlq_dequantize(PwlqCodes(np.array([POS_TAIL]), np.array([2])), params)
-        assert out[0] == 0.8785714285714286
+        out = dequantize_rows(RECORDS, np.array([[POS_TAIL]]), np.array([[2]]))
+        assert out[0, 0] == 0.8785714285714286
 
     def test_center_code_seven(self):
         assert oracle.pwlq_decode("center", 7, 4, 1.0, 0.385) == 0.35933333333333334
-        params = pwlq_params(1.0, 0.385, 4)
-        out = pwlq_dequantize(PwlqCodes(np.array([CENTER]), np.array([7])), params)
-        assert out[0] == 0.35933333333333334
+        out = dequantize_rows(RECORDS, np.array([[CENTER]]), np.array([[7]]))
+        assert out[0, 0] == 0.35933333333333334
 
     def test_code_outside_its_region_domain(self):
-        params = pwlq_params(1.0, 0.385, 4)
-        # 3-bit tail codes stop at 3; the 4-bit center goes down to -8.
-        pwlq_dequantize(PwlqCodes(np.array([CENTER]), np.array([-8])), params)
+        # Stored codes reach decode through unfold_regions: every signed 4-bit
+        # combined code unfolds into its region's domain (3-bit tails stop at
+        # 3, the 4-bit center goes down to -8), and anything wider is refused.
+        combined = np.arange(-8, 8)
+        for tail in (0, 1):
+            regions, codes = unfold_regions(np.full(16, tail), combined, 4)
+            lo, hi = (-4, 3) if tail else (-8, 7)
+            assert codes.min() == lo and codes.max() == hi
         with pytest.raises(CodeOutOfDomain):
-            pwlq_dequantize(PwlqCodes(np.array([CENTER, POS_TAIL]), np.array([0, 4])), params)
+            unfold_regions(np.array([0, 1]), np.array([0, 8]), 4)
         with pytest.raises(CodeOutOfDomain):
-            pwlq_dequantize(PwlqCodes(np.array([NEG_TAIL]), np.array([-5])), params)
-
-    def test_unknown_region_label(self):
-        params = pwlq_params(1.0, 0.385, 4)
-        with pytest.raises(InvalidInput):
-            pwlq_dequantize(PwlqCodes(np.array([3]), np.array([0])), params)
+            unfold_regions(np.array([1]), np.array([-9]), 4)
 
 
 class TestRegions:
@@ -155,11 +147,10 @@ class TestRegions:
         p = ratio * m
         if not 0 < p < m:
             return
-        params, codes = pwlq_quantize(values, bits, p)
-        center = codes.regions == CENTER
-        assert np.array_equal(center, np.abs(values) <= p)
-        assert np.array_equal(codes.regions == NEG_TAIL, values < -p)
-        assert np.array_equal(codes.regions == POS_TAIL, values > p)
+        _, regions, _ = quantize_rows(values[None], bits, np.array([p]))
+        assert np.array_equal(regions[0] == CENTER, np.abs(values) <= p)
+        assert np.array_equal(regions[0] == NEG_TAIL, values < -p)
+        assert np.array_equal(regions[0] == POS_TAIL, values > p)
 
     @given(seed=st.integers(0, 2**32 - 1), bits=st.integers(3, 8))
     @settings(max_examples=60, deadline=None)
@@ -168,15 +159,17 @@ class TestRegions:
         values = rng.normal(size=500)
         m = float(np.abs(values).max())
         p = breakpoint_approx(m)
-        params, codes = pwlq_quantize(values, bits, p)
-        rec = pwlq_dequantize(codes, params)
-        center = codes.regions == CENTER
+        records, regions, codes = quantize_rows(values[None], bits, np.array([p]))
+        rec = dequantize_rows(records, regions, codes)[0]
+        center = regions[0] == CENTER
         tail = ~center
+        center_step = records["center"]["scale"][0]
+        tail_step = records["pos_tail"]["scale"][0]
         # Decoded values stay inside their piece, within one rounding step.
-        assert np.all(np.abs(rec[center]) <= p + params.center.scale)
+        assert np.all(np.abs(rec[center]) <= p + center_step)
         if tail.any():
-            assert np.all(np.abs(rec[tail]) >= p - params.pos_tail.scale)
-            assert np.all(np.abs(rec[tail]) <= m + params.pos_tail.scale)
+            assert np.all(np.abs(rec[tail]) >= p - tail_step)
+            assert np.all(np.abs(rec[tail]) <= m + tail_step)
 
     @given(seed=st.integers(0, 2**32 - 1), bits=st.integers(3, 8))
     @settings(max_examples=60, deadline=None)
@@ -184,10 +177,10 @@ class TestRegions:
         rng = np.random.default_rng(seed)
         values = rng.normal(size=500)
         p = breakpoint_approx(float(np.abs(values).max()))
-        params, codes = pwlq_quantize(values, bits, p)
-        err = np.abs(pwlq_dequantize(codes, params) - values)
-        step = np.where(codes.regions == CENTER,
-                        params.center.scale, params.pos_tail.scale)
+        records, regions, codes = quantize_rows(values[None], bits, np.array([p]))
+        err = np.abs(dequantize_rows(records, regions, codes)[0] - values)
+        step = np.where(regions[0] == CENTER,
+                        records["center"]["scale"][0], records["pos_tail"]["scale"][0])
         assert np.all(err <= step + 1e-12)
 
 
@@ -205,14 +198,14 @@ class TestFoldUnfold:
                 values.append(raw % (2 * half) - half)
             else:
                 values.append(raw % (2 * quarter) - quarter)
-        codes = PwlqCodes(np.array(regions, dtype=np.uint8),
-                          np.array(values, dtype=np.int64))
-        tail_bits, combined = fold_regions(codes, bits)
+        regions = np.array(regions, dtype=np.uint8)
+        values = np.array(values, dtype=np.int64)
+        tail_bits, combined = fold_regions(regions, values, bits)
         assert combined.min() >= -half and combined.max() <= half - 1
-        assert np.array_equal(tail_bits.astype(bool), codes.regions != CENTER)
-        back = unfold_regions(tail_bits, combined, bits)
-        assert np.array_equal(back.regions, codes.regions)
-        assert np.array_equal(back.values, codes.values)
+        assert np.array_equal(tail_bits.astype(bool), regions != CENTER)
+        back_regions, back_values = unfold_regions(tail_bits, combined, bits)
+        assert np.array_equal(back_regions, regions)
+        assert np.array_equal(back_values, values)
 
 
 class TestBruteforce:
@@ -222,12 +215,12 @@ class TestBruteforce:
         cands = sorted({0.25, 0.5, 0.75, oracle.breakpoint_approx(1.0)})
         best = min(cands, key=lambda r: (oracle.pwlq_mse([1.0, -1.0], 4, r), r))
         assert best == 0.5
-        assert breakpoint_bruteforce([1.0, -1.0], 4, grid_points=3) == 0.5
+        assert search_breakpoints(np.array([[1.0, -1.0]]), 4, grid_points=3).tolist() == [0.5]
 
     def test_never_worse_than_approx(self):
         rng = np.random.default_rng(11)
         values = rng.normal(size=4000)
-        p_grid = breakpoint_bruteforce(values, 4)
+        p_grid = search_breakpoints(values[None], 4)[0]
         assert qdq_mse(values, 4, p_grid) <= qdq_mse(
             values, 4, breakpoint_approx(float(np.abs(values).max())))
 
@@ -238,16 +231,12 @@ class TestBruteforce:
         rng = np.random.default_rng(3)
         values = rng.uniform(-1.0, 1.0, size=20000)
         m = float(np.abs(values).max())
-        ratio = breakpoint_bruteforce(values, 4) / m
+        ratio = search_breakpoints(values[None], 4)[0] / m
         assert 0.4 < ratio < 0.65
 
     def test_argument_validation(self):
         with pytest.raises(InvalidInput):
-            breakpoint_bruteforce([1.0, -1.0], 4, grid_points=2)
-        with pytest.raises(EmptySlice):
-            breakpoint_bruteforce([], 4)
-        with pytest.raises(AllZeroSlice):
-            breakpoint_bruteforce([0.0], 4)
+            search_breakpoints(np.array([[1.0, -1.0]]), 4, grid_points=2)
 
 
 class TestAgainstUniformQuantization:

@@ -148,9 +148,22 @@ def _sha256_dir(path):
 
 # SHA-256 of the container, the report, the dequantized manifest with its
 # binaries and the two commands' stdout for each run of frozen_model, recorded
-# before the one-group API was removed. A change that means to keep the output
-# format must keep them.
+# before the one-group API was removed (the layer- and filter-wise runs before
+# the group layouts moved into one table). A change that means to keep the
+# output format must keep them.
 FROZEN_OUTPUTS = {
+    "affine-layer": (
+        ["--method", "affine", "--granularity", "layer"],
+        "d8674cd9053185567502c15b9645e7400d34dffa7c2aad4328311b9f584f1665",
+        "5675ff223c9b762358110593acf6749b602d011a3daa4951ca404e23767f4f86",
+        "c0437ab9d0beaf64659c514f9055427d96176bdf2a7bb943e9cb09c1d6932b6d",
+        "105c3da2f83d7ac99f7bd8cef6ac4a8dffcc54f605a203d9a42de45b7ac07368"),
+    "sym-full-filter": (
+        ["--method", "sym-full", "--granularity", "filter"],
+        "9b1bbad150b86408508c1128b96ab4343958584b5d2657b191b2df92b73c68cc",
+        "b6189c3f2b79ea0fc94e5b99fa346a27c5e5e4dffe57bdd52288e958115e5150",
+        "ed1020bb9df53d3f4028b2ce133a96fd969caab7ff24ecc14c61c7ebfe40fe9f",
+        "1d1596ad5f9aa2a1dc89f5b8689408a4bd2f858b4342a123d2b273514026e8b0"),
     "affine-fshape": (
         ["--method", "affine", "--granularity", "fshape"],
         "3df705b8857de80a4609f0e3ff983c3602e40b41ac4716d1bfb68013c0abb58e",

@@ -42,11 +42,9 @@ from .granularity import (
     GRANULARITIES,
     LAYER_WISE,
     METHODS,
-    GroupPartition,
     QuantizedTensor,
     dequantize_tensor,
     make_passthrough,
-    partition,
     quantize_tensor,
 )
 from .metrics import (
@@ -76,9 +74,8 @@ __all__ = [
     "fold_regions", "unfold_regions",
     # granularity
     "C_SHAPE_WISE", "CHANNEL_WISE", "F_SHAPE_WISE", "FILTER_WISE",
-    "GRANULARITIES", "LAYER_WISE", "METHODS", "GroupPartition",
-    "QuantizedTensor", "dequantize_tensor", "make_passthrough", "partition",
-    "quantize_tensor",
+    "GRANULARITIES", "LAYER_WISE", "METHODS", "QuantizedTensor",
+    "dequantize_tensor", "make_passthrough", "quantize_tensor",
     # metrics
     "ErrorReport", "MemoryModel", "baseline_bytes",
     "figure_of_merit", "memory_bytes", "memory_saving_ratio", "quant_error",

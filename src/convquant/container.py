@@ -43,7 +43,7 @@ from .errors import (
     OffsetOutOfBounds,
     VersionMismatch,
 )
-from .granularity import GRANULARITIES, METHODS, QuantizedTensor, partition
+from .granularity import GRANULARITIES, METHODS, QuantizedTensor, group_count
 from .metrics import MemoryModel
 from .packing import PackedCodes, pack_codes, unpack_codes
 from .pwlq import PIECES, PWLQ, PWLQ_KIND
@@ -305,7 +305,7 @@ def _read_record(record, payload: bytes, claimed: list) -> QuantizedTensor:
         method = record["method"]
         scheme = record["scheme"]
         bits = record["bits"]
-        group_count = record["group_count"]
+        groups = record["group_count"]
         passthrough = record["passthrough"]
         source_bits = record["source_bits"]
         sections = record["sections"]
@@ -317,8 +317,8 @@ def _read_record(record, payload: bytes, claimed: list) -> QuantizedTensor:
             or not all(isinstance(d, int) and d >= 1 for d in shape_raw)):
         raise CorruptHeader(f"{name}: malformed shape {shape_raw!r}")
     check_bits(bits, method == PWLQ, CorruptHeader, name)
-    if not isinstance(group_count, int) or group_count < 0:
-        raise CorruptHeader(f"{name}: bad group count {group_count!r}")
+    if not isinstance(groups, int) or groups < 0:
+        raise CorruptHeader(f"{name}: bad group count {groups!r}")
     if source_bits not in (16, 32):
         raise CorruptHeader(f"{name}: bad source precision {source_bits!r}")
     if not isinstance(sections, dict):
@@ -338,11 +338,11 @@ def _read_record(record, payload: bytes, claimed: list) -> QuantizedTensor:
                                scheme=scheme, passthrough=True, values=values,
                                source_bits=source_bits)
 
-    if group_count != partition(shape, scheme).group_count:
-        raise CorruptHeader(f"{name}: {group_count} groups for a {scheme} "
+    if groups != group_count(shape, scheme):
+        raise CorruptHeader(f"{name}: {groups} groups for a {scheme} "
                             f"{shape.dims} tensor")
     off, length = _section(sections, "params", len(payload), claimed)
-    params = _unpack_params(name, payload[off:off + length], group_count, method, bits)
+    params = _unpack_params(name, payload[off:off + length], groups, method, bits)
 
     off, length = _section(sections, "codes", len(payload), claimed)
     expected = -(-count * bits // 8)

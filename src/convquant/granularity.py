@@ -18,6 +18,7 @@ precision instead.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +27,7 @@ from . import pwlq as _pwlq
 from . import uniform as _uniform
 from .errors import CodeOutOfDomain, CorruptCodes, InvalidInput
 from .pwlq import PWLQ
-from .tensor_store import TensorShape, WeightTensor, element_index
+from .tensor_store import TensorShape, WeightTensor
 from .uniform import UNIFORM_SCHEMES, check_bits
 
 LAYER_WISE = "layer-wise"
@@ -34,99 +35,54 @@ FILTER_WISE = "filter-wise"
 CHANNEL_WISE = "channel-wise"
 F_SHAPE_WISE = "f-shape-wise"
 C_SHAPE_WISE = "c-shape-wise"
-GRANULARITIES = (LAYER_WISE, FILTER_WISE, CHANNEL_WISE, F_SHAPE_WISE, C_SHAPE_WISE)
+
+# Each granularity's groups over the (n, c, h*w) view of a tensor: the axes
+# that index a group, then the axes that run through it in flat order.
+GROUP_LAYOUT = {
+    LAYER_WISE: ((), (0, 1, 2)),
+    FILTER_WISE: ((0,), (1, 2)),
+    CHANNEL_WISE: ((0, 1), (2,)),
+    F_SHAPE_WISE: ((1, 2), (0,)),
+    C_SHAPE_WISE: ((0, 2), (1,)),
+}
+GRANULARITIES = tuple(GROUP_LAYOUT)
 
 METHODS = UNIFORM_SCHEMES + (PWLQ,)
 
 BREAKPOINT_MODES = ("approx", "bruteforce")
 
 
-def _group_count(shape: TensorShape, scheme: str) -> int:
+def _view_dims(shape: TensorShape) -> tuple[int, int, int]:
     n, c, h, w = shape.dims
-    return {
-        LAYER_WISE: 1,
-        FILTER_WISE: n,
-        CHANNEL_WISE: n * c,
-        F_SHAPE_WISE: c * h * w,
-        C_SHAPE_WISE: n * h * w,
-    }[scheme]
+    return n, c, h * w
 
 
-@dataclass(frozen=True)
-class GroupPartition:
-    """Total, disjoint mapping from coordinates to group ids for one scheme."""
-
-    scheme: str
-    shape: TensorShape
-    group_count: int
-
-    @property
-    def group_size(self) -> int:
-        return self.shape.element_count // self.group_count
-
-    def group_of(self, n: int, c: int, h: int, w: int) -> int:
-        _, C, H, W = self.shape.dims
-        element_index(self.shape, n, c, h, w)  # bounds check
-        if self.scheme == LAYER_WISE:
-            return 0
-        if self.scheme == FILTER_WISE:
-            return n
-        if self.scheme == CHANNEL_WISE:
-            return n * C + c
-        if self.scheme == F_SHAPE_WISE:
-            return (c * H + h) * W + w
-        return (n * H + h) * W + w
-
-    def group_ids(self) -> np.ndarray:
-        """Group id of every element in row-major order."""
-        n, c, h, w = self.shape.dims
-        flat = np.arange(self.shape.element_count, dtype=np.int64)
-        chw = c * h * w
-        hw = h * w
-        if self.scheme == LAYER_WISE:
-            return np.zeros_like(flat)
-        if self.scheme == FILTER_WISE:
-            return flat // chw
-        if self.scheme == CHANNEL_WISE:
-            return flat // hw
-        if self.scheme == F_SHAPE_WISE:
-            return flat % chw
-        return (flat // chw) * hw + flat % hw
-
-
-def partition(shape: TensorShape, scheme: str) -> GroupPartition:
-    if scheme not in GRANULARITIES:
+def group_count(shape: TensorShape, scheme: str) -> int:
+    """Number of groups of a tensor under a granularity."""
+    if scheme not in GROUP_LAYOUT:
         raise InvalidInput(f"unknown granularity {scheme!r}")
-    return GroupPartition(scheme, shape, _group_count(shape, scheme))
+    dims = _view_dims(shape)
+    return math.prod(dims[axis] for axis in GROUP_LAYOUT[scheme][0])
 
 
 def _as_group_matrix(flat: np.ndarray, shape: TensorShape, scheme: str) -> np.ndarray:
     """Reshape a flat row-major array to (group_count, group_size).
 
     Row g holds group g's elements in ascending flat-index order, so min/max
-    and code assignment are reproducible.
+    and code assignment are reproducible. The result is a view wherever the
+    layout allows one.
     """
-    n, c, h, w = shape.dims
-    if scheme == LAYER_WISE:
-        return flat.reshape(1, -1)
-    if scheme == FILTER_WISE:
-        return flat.reshape(n, c * h * w)
-    if scheme == CHANNEL_WISE:
-        return flat.reshape(n * c, h * w)
-    if scheme == F_SHAPE_WISE:
-        return flat.reshape(n, c * h * w).T
-    return flat.reshape(n, c, h * w).transpose(0, 2, 1).reshape(n * h * w, c)
+    order = sum(GROUP_LAYOUT[scheme], ())
+    return (flat.reshape(_view_dims(shape)).transpose(order)
+            .reshape(group_count(shape, scheme), -1))
 
 
 def _from_group_matrix(mat: np.ndarray, shape: TensorShape, scheme: str) -> np.ndarray:
     """Inverse of _as_group_matrix; returns a flat row-major array."""
-    n, c, h, w = shape.dims
-    if scheme in (LAYER_WISE, FILTER_WISE, CHANNEL_WISE):
-        return np.ascontiguousarray(mat).reshape(-1)
-    if scheme == F_SHAPE_WISE:
-        return np.ascontiguousarray(mat.T).reshape(-1)
-    return np.ascontiguousarray(
-        mat.reshape(n, h * w, c).transpose(0, 2, 1)).reshape(-1)
+    order = sum(GROUP_LAYOUT[scheme], ())
+    dims = _view_dims(shape)
+    grouped = mat.reshape([dims[axis] for axis in order]).transpose(np.argsort(order))
+    return np.ascontiguousarray(grouped).reshape(-1)
 
 
 @dataclass(frozen=True)
@@ -243,7 +199,7 @@ def dequantize_tensor(q: QuantizedTensor) -> WeightTensor:
         return WeightTensor(q.name, q.shape, q.values.copy(), q.source_bits)
     if q.codes is None or len(q.codes) != q.element_count:
         raise CorruptCodes(f"{q.name}: code array missing or wrong length")
-    expected_groups = _group_count(q.shape, q.scheme)
+    expected_groups = group_count(q.shape, q.scheme)
     if q.group_count != expected_groups:
         raise CorruptCodes(
             f"{q.name}: {q.group_count} parameter sets for {expected_groups} groups")

@@ -45,7 +45,7 @@ from convquant import (
 )
 from convquant import pwlq, uniform
 from convquant.cli import main
-from convquant.granularity import partition
+from convquant.granularity import group_count
 
 from conftest import gaussian_tensor, write_manifest
 import scalar_oracle as oracle
@@ -139,10 +139,9 @@ def scalar_cases():
          0.35933333333333334,
          float(pwlq.dequantize_rows(pw, np.array([[CENTER]]), np.array([[7]]))[0, 0]))
 
-    part = partition(t2345, F_SHAPE_WISE)
     case("f-shape group count",
          len({(c, h, w) for c in range(3) for h in range(4) for w in range(5)}),
-         60, part.group_count)
+         60, group_count(t2345, F_SHAPE_WISE))
 
     t = WeightTensor("t", TensorShape(2, 1, 1, 2), np.array([1.0, 2.0, 3.0, 4.0]))
     q = quantize_tensor(t, FILTER_WISE, AFFINE, 2)

@@ -14,11 +14,11 @@ from convquant import (
     TensorShape,
     WeightTensor,
     dequantize_tensor,
-    partition,
+    element_index,
     quantize_tensor,
 )
 from convquant.errors import CorruptCodes, IncompatibleBits, InvalidInput
-from convquant.granularity import _as_group_matrix, _from_group_matrix
+from convquant.granularity import _as_group_matrix, _from_group_matrix, group_count
 from convquant.pwlq import PWLQ_KIND
 from convquant.uniform import KIND_BY_SCHEME
 
@@ -37,57 +37,50 @@ def expected_group_count(dims, scheme):
 
 class TestPartition:
     def test_layer_wise_single_group(self):
-        assert partition(TensorShape(2, 3, 4, 5), LAYER_WISE).group_count == 1
+        assert group_count(TensorShape(2, 3, 4, 5), LAYER_WISE) == 1
 
     def test_f_shape_group_count_and_size(self):
         # Enumeration oracle: distinct (c, h, w) tuples.
-        dims = (2, 3, 4, 5)
+        shape = TensorShape(2, 3, 4, 5)
         distinct = {(c, h, w) for c in range(3) for h in range(4) for w in range(5)}
         assert len(distinct) == 60
-        part = partition(TensorShape(*dims), F_SHAPE_WISE)
-        assert part.group_count == 60
-        assert part.group_size == 2
+        assert group_count(shape, F_SHAPE_WISE) == 60
+        assert shape.element_count // group_count(shape, F_SHAPE_WISE) == 2
 
     def test_channel_wise_on_1x1_kernels(self):
-        part = partition(TensorShape(64, 64, 1, 1), CHANNEL_WISE)
-        assert part.group_count == 4096
-        assert part.group_size == 1
+        shape = TensorShape(64, 64, 1, 1)
+        assert group_count(shape, CHANNEL_WISE) == 4096
+        assert shape.element_count // group_count(shape, CHANNEL_WISE) == 1
 
     def test_unknown_scheme(self):
         with pytest.raises(InvalidInput):
-            partition(TensorShape(1, 1, 1, 1), "per-banana")
+            group_count(TensorShape(1, 1, 1, 1), "per-banana")
 
     def test_group_counts_on_a_thousand_random_shapes(self):
         rng = np.random.default_rng(123)
         for _ in range(1000):
             dims = tuple(int(d) for d in rng.integers(1, 65, size=4))
             scheme = GRANULARITIES[int(rng.integers(len(GRANULARITIES)))]
-            part = partition(TensorShape(*dims), scheme)
-            assert part.group_count == expected_group_count(dims, scheme)
-            assert part.group_count * part.group_size == part.shape.element_count
+            count = group_count(TensorShape(*dims), scheme)
+            assert count == expected_group_count(dims, scheme)
+            assert TensorShape(*dims).element_count % count == 0
 
     @given(dims=shapes, scheme=st.sampled_from(GRANULARITIES))
     @settings(max_examples=100, deadline=None)
     def test_group_ids_cover_and_balance(self, dims, scheme):
-        part = partition(TensorShape(*dims), scheme)
-        assert part.group_count == expected_group_count(dims, scheme)
-        ids = part.group_ids()
-        assert len(ids) == part.shape.element_count
-        counts = np.bincount(ids, minlength=part.group_count)
-        assert np.all(counts == part.group_size)
+        shape = TensorShape(*dims)
+        count = expected_group_count(dims, scheme)
+        assert group_count(shape, scheme) == count
+        mat = _as_group_matrix(np.arange(shape.element_count), shape, scheme)
+        assert mat.shape == (count, shape.element_count // count)
+        assert np.array_equal(np.sort(mat, axis=None), np.arange(shape.element_count))
 
-    @given(dims=shapes, scheme=st.sampled_from(GRANULARITIES))
-    @settings(max_examples=50, deadline=None)
-    def test_group_of_matches_group_ids(self, dims, scheme):
-        from convquant import element_index
-        part = partition(TensorShape(*dims), scheme)
-        ids = part.group_ids()
-        for n in range(dims[0]):
-            for c in range(dims[1]):
-                for h in range(dims[2]):
-                    for w in range(dims[3]):
-                        flat = element_index(part.shape, n, c, h, w)
-                        assert part.group_of(n, c, h, w) == ids[flat]
+
+def reference_group(dims, scheme, n, c, h, w):
+    """Group id of element (n, c, h, w), from the granularity definitions."""
+    _, C, H, W = dims
+    return {LAYER_WISE: 0, FILTER_WISE: n, CHANNEL_WISE: n * C + c,
+            F_SHAPE_WISE: (c * H + h) * W + w, C_SHAPE_WISE: (n * H + h) * W + w}[scheme]
 
 
 class TestGatherScatter:
@@ -97,20 +90,22 @@ class TestGatherScatter:
         shape = TensorShape(*dims)
         flat = np.arange(shape.element_count)
         mat = _as_group_matrix(flat, shape, scheme)
-        part = partition(shape, scheme)
-        assert mat.shape == (part.group_count, part.group_size)
+        count = group_count(shape, scheme)
+        assert mat.shape == (count, shape.element_count // count)
         assert np.array_equal(_from_group_matrix(mat, shape, scheme), flat)
 
     @given(dims=shapes, scheme=st.sampled_from(GRANULARITIES))
     @settings(max_examples=50, deadline=None)
     def test_rows_are_groups_in_ascending_flat_order(self, dims, scheme):
         shape = TensorShape(*dims)
-        part = partition(shape, scheme)
-        ids = part.group_ids()
+        members = {}
+        for n, c, h, w in np.ndindex(*dims):
+            g = reference_group(dims, scheme, n, c, h, w)
+            members.setdefault(g, []).append(element_index(shape, n, c, h, w))
         mat = _as_group_matrix(np.arange(shape.element_count), shape, scheme)
-        for g in range(part.group_count):
-            expected = np.flatnonzero(ids == g)
-            assert np.array_equal(np.asarray(mat[g]), expected)
+        assert len(mat) == len(members)
+        for g, expected in members.items():
+            assert np.array_equal(np.asarray(mat[g]), sorted(expected))
 
 
 class TestQuantizeTensor:

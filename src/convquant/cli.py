@@ -17,7 +17,9 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from . import __version__
@@ -140,13 +142,7 @@ def _write_report(path, args, results, mm) -> None:
             "bits": args.bits,
             "granularity": args.granularity,
             "breakpoint": args.breakpoint,
-            "memory_model": {
-                "baseline_bits_per_element": mm.baseline_bits_per_element,
-                "param_bytes_affine": mm.param_bytes_affine,
-                "param_bytes_symmetric": mm.param_bytes_symmetric,
-                "param_bytes_pwlq": mm.param_bytes_pwlq,
-                "charge_region_bits": mm.charge_region_bits,
-            },
+            "memory_model": asdict(mm),
         },
         "tensors": tensors,
         "totals": _totals(results, mm),
@@ -223,8 +219,14 @@ def _load_loss_file(path) -> dict[int, float]:
         doc = json.loads(Path(path).read_text("utf-8"))
         if not isinstance(doc, dict):
             raise ValueError("top level must be an object")
-        return {int(k): float(v) for k, v in doc.items()}
-    except (json.JSONDecodeError, ValueError) as exc:
+        losses = {}
+        for key, loss in doc.items():
+            if (isinstance(loss, bool) or not isinstance(loss, (int, float))
+                    or not math.isfinite(loss)):
+                raise ValueError(f"loss for {key!r} is {loss!r}, not a finite number")
+            losses[int(key)] = float(loss)
+        return losses
+    except (ValueError, OverflowError) as exc:
         raise InvalidRange(f"loss file must map bit widths to accuracy "
                            f"loss percentages: {exc}") from exc
 

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import json
 import os
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -48,7 +49,7 @@ from .metrics import MemoryModel
 from .packing import PackedCodes, pack_codes, unpack_codes
 from .pwlq import PIECES, PWLQ, PWLQ_KIND
 from .pwlq import RECORD as PWLQ_RECORD
-from .tensor_store import TensorShape
+from .tensor_store import NUMPY_DTYPES, TensorShape
 from .uniform import AFFINE, KIND_BY_SCHEME, SYMMETRIC_FULL, check_bits
 from .uniform import RECORD as UNIFORM_RECORD
 
@@ -61,9 +62,6 @@ _UNIFORM_DISK = np.dtype([("kind", "u1"), ("bits", "u1"), ("scale", "<f2"),
 _PWLQ_DISK = np.dtype([("kind", "u1"), ("bits", "u1"), ("m", "<f2"), ("p", "<f2"),
                        *((piece, _UNIFORM_DISK) for piece in PIECES)])
 _CENTER_OFFSET = _PWLQ_DISK.fields["center"][1]
-
-_MM_FIELDS = ("baseline_bits_per_element", "param_bytes_affine",
-              "param_bytes_symmetric", "param_bytes_pwlq", "charge_region_bits")
 
 
 def _invalid_uniform(records: np.ndarray, kinds, bits: int) -> np.ndarray:
@@ -196,9 +194,9 @@ def write_container(tensors, memory_model: MemoryModel, path) -> None:
             "sections": {},
         }
         if q.passthrough:
-            dtype = np.dtype("<f2") if q.source_bits == 16 else np.dtype("<f4")
             record["sections"]["raw"] = add_section(
-                np.asarray(q.values, dtype=np.float64).astype(dtype).tobytes())
+                np.asarray(q.values, dtype=np.float64)
+                .astype(NUMPY_DTYPES[q.source_bits]).tobytes())
         else:
             record["sections"]["params"] = add_section(_pack_params(q))
             record["sections"]["codes"] = add_section(pack_codes(q.codes, q.bits).data)
@@ -210,7 +208,7 @@ def write_container(tensors, memory_model: MemoryModel, path) -> None:
 
     header = {
         "format": FORMAT_VERSION,
-        "memory_model": {name: getattr(memory_model, name) for name in _MM_FIELDS},
+        "memory_model": asdict(memory_model),
         "payload_size": len(payload),
         "tensors": records,
     }
@@ -273,8 +271,9 @@ def read_container(path) -> tuple[list[QuantizedTensor], MemoryModel]:
             f"payload is {len(payload)} bytes, header declares {header.get('payload_size')}")
 
     mm_raw = header.get("memory_model")
-    if not isinstance(mm_raw, dict) or set(mm_raw) != set(_MM_FIELDS):
-        raise CorruptHeader(f"memory_model must carry exactly {_MM_FIELDS}")
+    mm_fields = [f.name for f in fields(MemoryModel)]
+    if not isinstance(mm_raw, dict) or set(mm_raw) != set(mm_fields):
+        raise CorruptHeader(f"memory_model must carry exactly {mm_fields}")
     try:
         memory_model = MemoryModel(**mm_raw)
     except (TypeError, InvalidInput) as exc:
@@ -319,7 +318,7 @@ def _read_record(record, payload: bytes, claimed: list) -> QuantizedTensor:
     check_bits(bits, method == PWLQ, CorruptHeader, name)
     if not isinstance(groups, int) or groups < 0:
         raise CorruptHeader(f"{name}: bad group count {groups!r}")
-    if source_bits not in (16, 32):
+    if not isinstance(source_bits, int) or source_bits not in NUMPY_DTYPES:
         raise CorruptHeader(f"{name}: bad source precision {source_bits!r}")
     if not isinstance(sections, dict):
         raise CorruptHeader(f"{name}: sections must be an object")
@@ -328,11 +327,10 @@ def _read_record(record, payload: bytes, claimed: list) -> QuantizedTensor:
 
     if passthrough:
         off, length = _section(sections, "raw", len(payload), claimed)
-        width = 2 if source_bits == 16 else 4
-        if length != count * width:
+        dtype = NUMPY_DTYPES[source_bits]
+        if length != count * dtype.itemsize:
             raise CorruptHeader(f"{name}: raw section is {length} bytes for "
                                 f"{count} x {source_bits}-bit values")
-        dtype = np.dtype("<f2") if source_bits == 16 else np.dtype("<f4")
         values = np.frombuffer(payload[off:off + length], dtype=dtype).astype(np.float64)
         return QuantizedTensor(name=name, shape=shape, method=method, bits=bits,
                                scheme=scheme, passthrough=True, values=values,

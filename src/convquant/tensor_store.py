@@ -38,7 +38,8 @@ from .errors import (
 )
 
 DTYPE_BITS = {"f16": 16, "f32": 32}
-_NUMPY_DTYPES = {16: np.dtype("<f2"), 32: np.dtype("<f4")}
+# Source precision in bits -> little-endian numpy dtype.
+NUMPY_DTYPES = {16: np.dtype("<f2"), 32: np.dtype("<f4")}
 
 
 @dataclass(frozen=True)
@@ -80,7 +81,7 @@ class WeightTensor:
                 f"{self.name}: {self.values.size} values for shape {self.shape.dims}")
         if not np.all(np.isfinite(self.values)):
             raise InvalidValue(f"{self.name}: non-finite value in weight data")
-        if self.source_precision_bits not in _NUMPY_DTYPES:
+        if self.source_precision_bits not in NUMPY_DTYPES:
             raise ManifestError(
                 f"{self.name}: unsupported source precision {self.source_precision_bits}")
 
@@ -175,7 +176,7 @@ def load_manifest(manifest_path, extra_exclude=()) -> ModelWeights:
             raise ShapeMismatch(
                 f"{name}: {len(data)} bytes on disk, shape {shape.dims} at "
                 f"{bits}-bit needs {expected}")
-        values = np.frombuffer(data, dtype=_NUMPY_DTYPES[bits]).astype(np.float64)
+        values = np.frombuffer(data, dtype=NUMPY_DTYPES[bits]).astype(np.float64)
         tensors.append(WeightTensor(name, shape, values, bits))
 
     excluded = resolve_exclusions([t.name for t in tensors], patterns)
@@ -190,32 +191,38 @@ def save_manifest(model: ModelWeights, manifest_path) -> list[Path]:
     """Write a manifest plus raw binaries; returns every path created.
 
     Values are stored at each tensor's source precision, so a freshly loaded
-    model writes back byte-identically.
+    model writes back byte-identically. If a write fails, the files already
+    written are removed before the error propagates.
     """
     path = Path(manifest_path)
     path.parent.mkdir(parents=True, exist_ok=True)
     entries = []
     written = []
     used = set()
-    for tensor in model.tensors:
-        stem = _file_stem(tensor.name)
-        file_rel = f"{stem}.bin"
-        serial = 1
-        while file_rel in used:
-            file_rel = f"{stem}.{serial}.bin"
-            serial += 1
-        used.add(file_rel)
-        dtype = _NUMPY_DTYPES[tensor.source_precision_bits]
-        data_path = path.parent / file_rel
-        data_path.write_bytes(tensor.values.astype(dtype).tobytes())
-        written.append(data_path)
-        entries.append({
-            "name": tensor.name,
-            "shape": list(tensor.shape.dims),
-            "dtype": "f16" if tensor.source_precision_bits == 16 else "f32",
-            "file": file_rel,
-        })
-    doc = {"exclude": sorted(model.excluded), "tensors": entries}
-    path.write_text(json.dumps(doc, indent=1) + "\n", "utf-8")
-    written.append(path)
+    try:
+        for tensor in model.tensors:
+            stem = _file_stem(tensor.name)
+            file_rel = f"{stem}.bin"
+            serial = 1
+            while file_rel in used:
+                file_rel = f"{stem}.{serial}.bin"
+                serial += 1
+            used.add(file_rel)
+            dtype = NUMPY_DTYPES[tensor.source_precision_bits]
+            data_path = path.parent / file_rel
+            data_path.write_bytes(tensor.values.astype(dtype).tobytes())
+            written.append(data_path)
+            entries.append({
+                "name": tensor.name,
+                "shape": list(tensor.shape.dims),
+                "dtype": "f16" if tensor.source_precision_bits == 16 else "f32",
+                "file": file_rel,
+            })
+        doc = {"exclude": sorted(model.excluded), "tensors": entries}
+        path.write_text(json.dumps(doc, indent=1) + "\n", "utf-8")
+        written.append(path)
+    except BaseException:
+        for p in written:
+            p.unlink(missing_ok=True)
+        raise
     return written

@@ -247,6 +247,17 @@ class TestDequantizeCommand:
         assert main(["dequantize", str(container), str(out_manifest)]) == 0
         assert (tmp_path / "out" / "proj.bin").read_bytes() == raw.tobytes()
 
+    def test_failed_save_leaves_no_partial_output(self, tmp_path, capsys):
+        manifest = synthetic_model(tmp_path, include_1x1=False)
+        container = tmp_path / "m.qnt"
+        assert main(["quantize", "--manifest", str(manifest), "--out", str(container)]) == 0
+        out = tmp_path / "out"
+        (out / "conv1.weight.bin").mkdir(parents=True)  # the second tensor cannot be written
+        rc = main(["dequantize", str(container), str(out / "model.json")])
+        assert rc == 1
+        assert "error:" in capsys.readouterr().err
+        assert [p.name for p in out.iterdir()] == ["conv1.weight.bin"]
+
     def test_corrupt_container_fails_cleanly(self, tmp_path, capsys):
         bad = tmp_path / "bad.qnt"
         bad.write_bytes(b"qnt/1 9999\n{}")
@@ -288,6 +299,19 @@ class TestSweepCommand:
                    "--bits", "2:8"])
         assert rc == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ['{"4": null}', '{"4": [1]}', '{"4": NaN}',
+                                      '{"4": Infinity}', '{"4": "1.0"}', '{"4": true}'])
+    def test_loss_file_needs_finite_numbers(self, tmp_path, capsys, text):
+        manifest = synthetic_model(tmp_path, include_1x1=False)
+        loss_file = tmp_path / "loss.json"
+        loss_file.write_text(text)
+        out = tmp_path / "sweep.csv"
+        rc = main(["sweep", "--manifest", str(manifest), "--bits", "4:4",
+                   "--loss-file", str(loss_file), "--out", str(out)])
+        assert rc == 1
+        assert "loss file" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_stdout_output(self, tmp_path, capsys):
         manifest = synthetic_model(tmp_path, include_1x1=False)

@@ -196,6 +196,17 @@ class TestCorruption:
         with pytest.raises(OffsetOutOfBounds):
             read_container(path)
 
+    @pytest.mark.parametrize("source_bits", [8, [16], "16", None])
+    def test_bad_source_precision(self, tmp_path, source_bits):
+        path = _write_sample(tmp_path)
+
+        def mutate(header):
+            header["tensors"][0]["source_bits"] = source_bits
+
+        _patch_header(path, mutate)
+        with pytest.raises(CorruptHeader):
+            read_container(path)
+
     def test_payload_size_mismatch(self, tmp_path):
         path = _write_sample(tmp_path)
         path.write_bytes(path.read_bytes() + b"\x00")

@@ -140,12 +140,6 @@ def make_passthrough(t: WeightTensor, scheme: str, method: str, bits: int) -> Qu
         error=ErrorReport(0.0, 0.0, t.shape.element_count))
 
 
-def _validate_method_bits(method: str, bits: int) -> None:
-    if method not in METHODS:
-        raise InvalidInput(f"unknown method {method!r}")
-    check_bits(bits, piecewise=method == PWLQ)
-
-
 def error_report(values: np.ndarray, reconstructed: np.ndarray) -> ErrorReport:
     """MSE and max |error| over the flat row-major difference; overwrites
     ``reconstructed``."""
@@ -163,7 +157,9 @@ def quantize_tensor(t: WeightTensor, scheme: str, method: str, bits: int,
     would hold a single weight and the layer cannot be usefully quantized at
     this granularity. The result carries its reconstruction error.
     """
-    _validate_method_bits(method, bits)
+    if method not in METHODS:
+        raise InvalidInput(f"unknown method {method!r}")
+    check_bits(bits, piecewise=method == PWLQ)
     if scheme not in GRANULARITIES:
         raise InvalidInput(f"unknown granularity {scheme!r}")
     if breakpoint_mode not in BREAKPOINT_MODES:

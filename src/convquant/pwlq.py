@@ -13,8 +13,9 @@ region flag besides its integer code; ``fold_regions`` compresses the
 three-way region plus tail sign into one k-bit code and a single tail bit
 for storage.
 
-The breakpoint comes either from a closed-form estimate (``breakpoint_approx``)
-or from a grid search minimizing reconstruction MSE (``search_breakpoints``).
+The breakpoint comes either from a closed-form estimate (``breakpoint_approx``,
+applied to m in units of the group's RMS) or from a grid search minimizing
+reconstruction MSE (``search_breakpoints``).
 
 As in the uniform module, a tensor is handled a whole ``(groups, group
 size)`` matrix at a time, one group per row: ``quantize_rows`` builds one
@@ -24,8 +25,6 @@ rows at once.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -71,21 +70,30 @@ RECORD = np.dtype([("kind", "u1"), ("bits", "u1"), ("m", "f8"), ("p", "f8"),
                    *((piece, UNIFORM_RECORD) for piece in PIECES)])
 
 
-def _clamped_ratio(m: float) -> float:
-    ratio = math.log(0.8614 * m + 0.6079) / m
-    return min(max(ratio, RATIO_MIN), RATIO_MAX)
+def _clamped_ratio(m):
+    """Closed-form p/m for max magnitude ``m``, clamped to [RATIO_MIN, RATIO_MAX]."""
+    return np.clip(np.log(0.8614 * m + 0.6079) / m, RATIO_MIN, RATIO_MAX)
 
 
 def breakpoint_approx(m: float) -> float:
     """Closed-form breakpoint estimate for bell-shaped data with max-magnitude m.
 
-    The estimate ln(0.8614 * m + 0.6079) is non-positive for m below ~0.455,
-    so the implied ratio p/m is clamped to [0.05, 0.95] to keep both regions
-    alive for any input scale.
+    ``m`` is in units of the data's RMS: the estimate was fitted to
+    unit-variance bell curves. It is ln(0.8614 * m + 0.6079), which is
+    non-positive for m below ~0.455, so the implied ratio p/m is clamped to
+    [0.05, 0.95] to keep both regions alive.
     """
     if not m > 0:
         raise NonPositiveM(f"m must be positive, got {m}")
-    return m * _clamped_ratio(m)
+    return float(m * _clamped_ratio(m))
+
+
+def _approx_ratios(mat: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """Closed-form p/m of every row, with its max magnitude ``m`` in units of
+    the row's RMS; scaling a row by a power of two leaves its ratio unchanged.
+    All-zero rows (m = 0) get the ratio at m = 1."""
+    rms = np.sqrt(np.mean(mat * mat, axis=1))
+    return _clamped_ratio(np.divide(m, rms, out=np.ones_like(m), where=m > 0))
 
 
 def _records(m: np.ndarray, p: np.ndarray, bits: int) -> np.ndarray:
@@ -160,16 +168,16 @@ def row_breakpoints(mat: np.ndarray, bits: int, mode: str,
                     grid_points: int = DEFAULT_GRID_POINTS) -> np.ndarray:
     """One breakpoint per row, 0 for all-zero rows.
 
-    ``mode`` is ``approx`` (:func:`breakpoint_approx`) or ``bruteforce``
+    ``mode`` is ``approx`` (the closed form of :func:`breakpoint_approx`,
+    with m in units of the row's RMS) or ``bruteforce``
     (:func:`search_breakpoints`).
     """
     m = np.abs(mat).max(axis=1)
+    if mode == "approx":
+        return m * _approx_ratios(mat, m)
     live = m > 0
     p = np.zeros(len(m))
-    if mode == "approx":
-        p[live] = [breakpoint_approx(x) for x in m[live].tolist()]
-    else:
-        p[live] = search_breakpoints(mat[live], bits, grid_points)
+    p[live] = search_breakpoints(mat[live], bits, grid_points)
     return p
 
 
@@ -188,7 +196,7 @@ def search_breakpoints(mat: np.ndarray, bits: int,
 
     Candidate ratios p/m are ``grid_points`` uniformly spaced interior points
     of (0, 1) plus the row's closed-form estimate, so the result is never
-    worse than ``breakpoint_approx``. Each candidate is scored over all rows
+    worse than ``row_breakpoints(mat, bits, "approx")``. Each candidate is scored over all rows
     at once; ties go to the smaller breakpoint. Rows must hold a nonzero value.
     """
     if grid_points < 3:
@@ -205,7 +213,7 @@ def search_breakpoints(mat: np.ndarray, bits: int,
         better = err < best_err
         best_err[better] = err[better]
         best[better] = ratio
-    approx = np.array([_clamped_ratio(x) for x in m.tolist()])
+    approx = _approx_ratios(mat, m)
     err = _row_mse(mat, bits, m, approx * m)
     take = (err < best_err) | ((err == best_err) & (approx < best))
     best[take] = approx[take]

@@ -295,9 +295,8 @@ def gaussian_breakpoint_study():
     for seed in range(100):
         rng = np.random.default_rng(seed)
         values = rng.normal(size=10_000)
-        m = float(np.abs(values).max())
         mse_affine = slice_mse(values, AFFINE, 4)
-        mse_approx = pwlq_mse(values, 4, breakpoint_approx(m))
+        mse_approx = pwlq_mse(values, 4, pwlq.row_breakpoints(values[None], 4, "approx")[0])
         mse_grid = pwlq_mse(values, 4, pwlq.search_breakpoints(values[None], 4)[0])
         rows.append((mse_affine, mse_approx, mse_grid))
     return rows

@@ -88,7 +88,7 @@ class TestQuantizeCommand:
         # A near-dead filter's pwlq center scale underflows binary16 to zero.
         rng = np.random.default_rng(4)
         values = rng.normal(0, 0.05, size=16 * 16 * 9)
-        values[5 * 144:6 * 144] = rng.normal(0, 1e-6, size=144)
+        values[5 * 144:6 * 144] = rng.normal(0, 1e-7, size=144)
         manifest = write_manifest(tmp_path, [("conv.dead", (16, 16, 3, 3), values, "f16")])
         out = tmp_path / "model.qnt"
         rc = main(["quantize", "--manifest", str(manifest), "--method", "pwlq",
@@ -149,8 +149,9 @@ def _sha256_dir(path):
 # SHA-256 of the container, the report, the dequantized manifest with its
 # binaries and the two commands' stdout for each run of frozen_model, recorded
 # before the one-group API was removed (the layer- and filter-wise runs before
-# the group layouts moved into one table). A change that means to keep the
-# output format must keep them.
+# the group layouts moved into one table, the two pwlq runs after the
+# closed-form breakpoint began to take m in units of the group's RMS). A
+# change that means to keep the output format must keep them.
 FROZEN_OUTPUTS = {
     "affine-layer": (
         ["--method", "affine", "--granularity", "layer"],
@@ -184,17 +185,17 @@ FROZEN_OUTPUTS = {
         "e2fa13101e69c93e1a00908b5ca416a5e27df161cc7a002f2e02f995036e2e27"),
     "pwlq-auto3": (
         ["--method", "pwlq", "--granularity", "auto3"],
-        "10659935042d90158e36dd13bc5502d8070871b886204d3cd81e1a20c8402aac",
-        "a57e0b068fba865eb17779bcf9d5d287042745ba91ebc300490485179c764842",
-        "ba07673bc8e1b47d7e76f76eef3fd14e9ea11ca6b47f1c5aaf3d6f272847daa1",
-        "3447bafcd20fbadb9fe50aa20b45414a1bb325420148b2a0a3a2b7573df72917"),
+        "a71e8d3642a5402b1f4a8d982374d9c26139cda81bbab1f801bbc7e23eb25ae3",
+        "0be1899cc1e92a1e300d6901d04e8d01762916b3126f3568b4be58eb4a804d3b",
+        "f389deef07c1462fdd8a40e78da9d2a14069210a3d0af08a4d77c056af7a1559",
+        "7e1aa2235a16593ee0ef23efee75f5d297ea9d9aa9283ae01847907efc850cd3"),
     "pwlq-bruteforce-fshape": (
         ["--method", "pwlq", "--granularity", "fshape", "--breakpoint", "bruteforce",
          "--grid-points", "16", "--bits", "6"],
-        "a9996e5da93f78e1e88a71c12ad9f191ceb9df4701197b825ae652edb60968a4",
-        "3b8da49b8fd64881707235aa31f70d6f6c27eaf7f1ff86366ee0168e0affc943",
-        "5933311f09dc419ee562134ab6c64b758d2fc2dcdf73a6b4bb45ed98346e88b7",
-        "b598af0b432a7fbc9a55b10699303465e0b8fcebac165bc7a0df9945c80bd833"),
+        "9d64a7f707ef827547f79dd2bd5027eedf3289a988d0d4ee62d7941132d7680a",
+        "4836720919c16c3fb0672256080ff54c03b2dcb65771f00e2f69542c1f16e2ad",
+        "6ed4398a3767b09caf3cb61d404adb1e149ee87bfb7b43dfa239326d95243e76",
+        "183ff435eca23722a97009d2e50c3b465c99fac469955a8456192ea7fde49c63"),
     "affine-channel": (
         ["--method", "affine", "--granularity", "channel", "--bits", "8"],
         "76016306230eaef624a3af372db8a7d5349daf0a5f71bf362ab54031358d0eb5",

@@ -5,10 +5,13 @@ from hypothesis import given, settings, strategies as st
 from convquant import (
     AFFINE,
     CENTER,
+    FILTER_WISE,
     NEG_TAIL,
     POS_TAIL,
+    PWLQ,
     breakpoint_approx,
     fold_regions,
+    quantize_tensor,
     unfold_regions,
 )
 from convquant import uniform
@@ -19,8 +22,14 @@ from convquant.errors import (
     InvalidInput,
     NonPositiveM,
 )
-from convquant.pwlq import dequantize_rows, quantize_rows, search_breakpoints
+from convquant.pwlq import (
+    dequantize_rows,
+    quantize_rows,
+    row_breakpoints,
+    search_breakpoints,
+)
 
+from conftest import gaussian_tensor
 import scalar_oracle as oracle
 
 
@@ -58,6 +67,25 @@ class TestBreakpointApprox:
         for m in (0.01, 0.3, 1.0, 2.0, 4.0, 50.0, 1000.0):
             p = breakpoint_approx(m)
             assert 0.05 * m <= p <= 0.95 * m
+
+
+class TestRowBreakpoints:
+    @pytest.mark.parametrize("mode", ["approx", "bruteforce"])
+    def test_power_of_two_scaling_scales_only_the_breakpoint(self, mode):
+        # The closed form sees m in units of the row's RMS, so scaling a row
+        # by 2^j scales its breakpoint by exactly 2^j and keeps its codes.
+        rng = np.random.default_rng(21)
+        mat = rng.normal(0, 0.02, size=(16, 72))
+        mat[3] = 0.0
+        p = row_breakpoints(mat, 4, mode, grid_points=16)
+        _, regions, codes = quantize_rows(mat, 4, p)
+        for j in (-6, -1, 3, 9):
+            scaled = mat * 2.0 ** j
+            p_j = row_breakpoints(scaled, 4, mode, grid_points=16)
+            assert np.array_equal(p_j, p * 2.0 ** j)
+            _, regions_j, codes_j = quantize_rows(scaled, 4, p_j)
+            assert np.array_equal(regions_j, regions)
+            assert np.array_equal(codes_j, codes)
 
 
 class TestPwlqQuantize:
@@ -249,3 +277,11 @@ class TestAgainstUniformQuantization:
             if qdq_mse(values, 4, p) < affine_mse(values, 4):
                 wins += 1
         assert wins >= 19
+
+    def test_filter_wise_beats_affine_on_conv_sized_weights(self):
+        # At std 0.02 every group's max magnitude is far below 1; the
+        # breakpoint must still leave most weights in the dense center.
+        t = gaussian_tensor((256, 64, 3, 3), seed=0, scale=0.02)
+        piecewise = quantize_tensor(t, FILTER_WISE, PWLQ, 4)
+        affine = quantize_tensor(t, FILTER_WISE, AFFINE, 4)
+        assert piecewise.error.mse < affine.error.mse

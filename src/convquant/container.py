@@ -128,7 +128,7 @@ def _pack_params(q: QuantizedTensor) -> bytes:
     return rows[keep].tobytes()
 
 
-def _record_starts(buf: bytes, group_count: int) -> np.ndarray:
+def _record_starts(buf: memoryview, group_count: int) -> np.ndarray:
     """Offsets of a pwlq params section's records, which vary in size."""
     if len(buf) == group_count * _PWLQ_DISK.itemsize:
         return np.arange(group_count) * _PWLQ_DISK.itemsize
@@ -144,7 +144,7 @@ def _record_starts(buf: bytes, group_count: int) -> np.ndarray:
     return starts
 
 
-def _unpack_params(name: str, buf: bytes, group_count: int, method: str,
+def _unpack_params(name: str, buf: memoryview, group_count: int, method: str,
                    bits: int) -> np.ndarray:
     """Parse a params section into in-memory records; CorruptHeader unless
     every record is valid."""
@@ -265,7 +265,7 @@ def read_container(path) -> tuple[list[QuantizedTensor], MemoryModel]:
     if not isinstance(header, dict) or header.get("format") != FORMAT_VERSION:
         raise CorruptHeader("header format field missing or wrong")
 
-    payload = blob[header_start + header_len:]
+    payload = memoryview(blob)[header_start + header_len:]   # sections are views, not copies
     if header.get("payload_size") != len(payload):
         raise CorruptHeader(
             f"payload is {len(payload)} bytes, header declares {header.get('payload_size')}")
@@ -295,7 +295,7 @@ def read_container(path) -> tuple[list[QuantizedTensor], MemoryModel]:
     return tensors, memory_model
 
 
-def _read_record(record, payload: bytes, claimed: list) -> QuantizedTensor:
+def _read_record(record, payload: memoryview, claimed: list) -> QuantizedTensor:
     if not isinstance(record, dict):
         raise CorruptHeader(f"tensor record must be an object, got {record!r}")
     try:

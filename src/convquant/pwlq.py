@@ -91,9 +91,16 @@ def breakpoint_approx(m: float) -> float:
 def _approx_ratios(mat: np.ndarray, m: np.ndarray) -> np.ndarray:
     """Closed-form p/m of every row, with its max magnitude ``m`` in units of
     the row's RMS; scaling a row by a power of two leaves its ratio unchanged.
-    All-zero rows (m = 0) get the ratio at m = 1."""
-    rms = np.sqrt(np.mean(mat * mat, axis=1))
-    return _clamped_ratio(np.divide(m, rms, out=np.ones_like(m), where=m > 0))
+    All-zero rows (m = 0) get the ratio at m = 1.
+
+    Each row is first scaled exactly by a power of two to a max magnitude in
+    [0.5, 1), so that squaring tiny values cannot underflow the RMS to 0."""
+    e = np.frexp(m)[1]
+    scaled = np.ldexp(mat, -e[:, None])
+    scaled *= scaled
+    rms = np.sqrt(scaled.mean(axis=1))
+    return _clamped_ratio(np.divide(np.ldexp(m, -e), rms, out=np.ones_like(m),
+                                    where=m > 0))
 
 
 def _records(m: np.ndarray, p: np.ndarray, bits: int) -> np.ndarray:

@@ -95,3 +95,33 @@ class TestRoundTrip:
         spare = len(packed.data) * 8 - used
         if spare:
             assert packed.data[-1] >> (8 - spare) == 0
+
+
+class TestBlockEdges:
+    """Eight k-bit codes fill k bytes; every count around a block edge, each bit width."""
+
+    @pytest.mark.parametrize("bits", range(2, 9))
+    def test_every_count_to_three_blocks(self, bits):
+        rng = np.random.default_rng(bits)
+        half = 1 << (bits - 1)
+        for count in range(25):
+            codes = rng.integers(-half, half, size=count)
+            codes[:2] = [-half, half - 1][:count]      # both domain ends
+            expected = oracle.pack_bits(codes.tolist(), bits)
+            for given_codes in (codes, codes.astype(np.int8)):
+                packed = pack_codes(given_codes, bits)
+                assert packed.data == expected
+                out = unpack_codes(packed)
+                assert out.dtype == np.int8
+                assert out.tolist() == codes.tolist()
+
+    @pytest.mark.parametrize("bits", range(2, 9))
+    def test_non_contiguous_input(self, bits):
+        half = 1 << (bits - 1)
+        codes = np.random.default_rng(bits).integers(-half, half, size=(7, 6))
+        for view in (codes.ravel()[1::5], codes.T[1], codes[::-3, 1]):
+            assert not view.flags.c_contiguous
+            flat = view.tolist()
+            packed = pack_codes(view, bits)
+            assert packed.data == oracle.pack_bits(flat, bits)
+            assert unpack_codes(packed).tolist() == flat

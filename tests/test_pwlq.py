@@ -9,6 +9,8 @@ from convquant import (
     NEG_TAIL,
     POS_TAIL,
     PWLQ,
+    TensorShape,
+    WeightTensor,
     breakpoint_approx,
     fold_regions,
     quantize_tensor,
@@ -86,6 +88,16 @@ class TestRowBreakpoints:
             _, regions_j, codes_j = quantize_rows(scaled, 4, p_j)
             assert np.array_equal(regions_j, regions)
             assert np.array_equal(codes_j, codes)
+
+    def test_tiny_float64_groups_keep_their_ratio(self):
+        # Squares of values near 1e-300 underflow to 0, so the RMS must come
+        # from each row scaled exactly by a power of two: the breakpoints are
+        # those of the same tensor at unit scale, scaled back.
+        values = np.random.default_rng(8).normal(0.0, 1e-300, size=4 * 4 * 3 * 3)
+        q = quantize_tensor(WeightTensor("tiny", TensorShape(4, 4, 3, 3), values),
+                            FILTER_WISE, PWLQ, 4)
+        unit = row_breakpoints(values.reshape(4, 36) * 2.0 ** 996, 4, "approx")
+        assert np.array_equal(q.params["p"], unit * 2.0 ** -996)
 
 
 class TestPwlqQuantize:

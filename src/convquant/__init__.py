@@ -14,6 +14,8 @@ from .tensor_store import (
     TensorShape,
     WeightTensor,
     element_index,
+    export_manifest,
+    iter_manifest,
     load_manifest,
     resolve_exclusions,
     save_manifest,
@@ -58,14 +60,15 @@ from .metrics import (
     select_granularity,
 )
 from .packing import PackedCodes, pack_codes, unpack_codes
-from .container import FORMAT_VERSION, read_container, write_container
+from .container import FORMAT_VERSION, open_container, read_container, write_container
 
 __all__ = [
     "__version__",
     "QuantError",
     # tensor store
     "ModelWeights", "TensorShape", "WeightTensor", "element_index",
-    "load_manifest", "resolve_exclusions", "save_manifest",
+    "export_manifest", "iter_manifest", "load_manifest", "resolve_exclusions",
+    "save_manifest",
     # uniform
     "AFFINE", "SYMMETRIC_FULL", "SYMMETRIC_RESTRICTED", "code_domain",
     "round_half_away",
@@ -82,5 +85,5 @@ __all__ = [
     "select_granularity",
     # packing / container
     "PackedCodes", "pack_codes", "unpack_codes",
-    "FORMAT_VERSION", "read_container", "write_container",
+    "FORMAT_VERSION", "open_container", "read_container", "write_container",
 ]

@@ -23,8 +23,8 @@ from dataclasses import asdict
 from pathlib import Path
 
 from . import __version__
-from .container import read_container, write_container
-from .errors import IncompatibleBits, InvalidRange, QuantError
+from .container import open_container, write_container
+from .errors import IncompatibleBits, InvalidInput, InvalidRange, QuantError
 from .granularity import (
     C_SHAPE_WISE,
     CHANNEL_WISE,
@@ -40,11 +40,10 @@ from .metrics import (
     baseline_bytes,
     figure_of_merit,
     memory_bytes,
-    memory_saving_ratio,
     select_granularity,
 )
 from .pwlq import PWLQ
-from .tensor_store import ModelWeights, load_manifest, save_manifest
+from .tensor_store import export_manifest, iter_manifest
 from .uniform import AFFINE, SYMMETRIC_FULL, SYMMETRIC_RESTRICTED, check_bits
 
 METHOD_FLAGS = {
@@ -78,62 +77,66 @@ def _memory_model(args) -> MemoryModel:
     )
 
 
-def _quantize_one(tensor, excluded, method, bits, granularity, breakpoint_mode,
-                  grid_points):
+def _quantize_one(tensor, excluded, args, bits):
     """Returns (QuantizedTensor, excluded flag). The tensor carries the error
     measured while quantizing, so no tensor is decoded again here."""
+    method = METHOD_FLAGS[args.method]
     if tensor.name in excluded:
         return make_passthrough(tensor, LAYER_WISE, method, bits), True
-    if granularity in AUTO_CANDIDATES:
-        _, q = select_granularity(tensor, AUTO_CANDIDATES[granularity], method,
-                                  bits, breakpoint_mode=breakpoint_mode,
-                                  grid_points=grid_points)
+    if args.granularity in AUTO_CANDIDATES:
+        _, q = select_granularity(tensor, AUTO_CANDIDATES[args.granularity], method,
+                                  bits, breakpoint_mode=args.breakpoint,
+                                  grid_points=args.grid_points)
     else:
-        q = quantize_tensor(tensor, GRANULARITY_FLAGS[granularity], method, bits,
-                            breakpoint_mode=breakpoint_mode, grid_points=grid_points)
+        q = quantize_tensor(tensor, GRANULARITY_FLAGS[args.granularity], method, bits,
+                            breakpoint_mode=args.breakpoint, grid_points=args.grid_points)
     return q, False
 
 
-def _quantize_model(model: ModelWeights, method: str, bits: int, granularity: str,
-                    breakpoint_mode: str, grid_points: int):
-    """Quantize every tensor, in manifest order."""
-    return [_quantize_one(t, model.excluded, method, bits, granularity,
-                          breakpoint_mode, grid_points) for t in model.tensors]
+def _policies(mm: MemoryModel) -> tuple[MemoryModel, MemoryModel, MemoryModel]:
+    """The report's memory model, then it without and with region bits charged."""
+    return mm, mm.with_region_bits(False), mm.with_region_bits(True)
 
 
-def _totals(results, mm: MemoryModel) -> dict:
-    quantized = [q for q, _ in results]
-    codes_only = mm.with_region_bits(False)
-    physical = mm.with_region_bits(True)
-    element_count = sum(q.element_count for q in quantized)
-    sse = sum(q.error.mse * q.error.element_count for q in quantized)
+def _summary(q, was_excluded: bool, policies) -> tuple[dict, int, int, int]:
+    """One tensor's report entry, element count, and bytes without and with
+    region bits charged: all that the report and the totals need of it."""
+    mm, codes_only, physical = policies
+    entry = {
+        "name": q.name,
+        "shape": list(q.shape.dims),
+        "excluded": was_excluded,
+        "passthrough": q.passthrough,
+        "scheme": q.scheme,
+        "method": q.method,
+        "bits": q.bits,
+        "mse": q.error.mse,
+        "max_abs": q.error.max_abs,
+        "bytes": memory_bytes(q, mm),
+        "baseline_bytes": baseline_bytes(q, mm),
+    }
+    return entry, q.element_count, memory_bytes(q, codes_only), memory_bytes(q, physical)
+
+
+def _totals(rows) -> dict:
+    """Whole-model totals from the summary rows, summed in manifest order."""
+    if not rows:
+        raise InvalidInput("the model has no tensors")
+    entries, counts, codes_only, physical = zip(*rows)
+    base = sum(entry["baseline_bytes"] for entry in entries)
+    sse = sum(entry["mse"] * count for entry, count in zip(entries, counts))
     return {
-        "element_count": element_count,
-        "baseline_bytes": sum(baseline_bytes(q, mm) for q in quantized),
-        "bytes": sum(memory_bytes(q, codes_only) for q in quantized),
-        "bytes_with_region_bits": sum(memory_bytes(q, physical) for q in quantized),
-        "memory_saving": memory_saving_ratio(quantized, codes_only),
-        "memory_saving_with_region_bits": memory_saving_ratio(quantized, physical),
-        "mse": sse / element_count if element_count else 0.0,
+        "element_count": sum(counts),
+        "baseline_bytes": base,
+        "bytes": sum(codes_only),
+        "bytes_with_region_bits": sum(physical),
+        "memory_saving": base / sum(codes_only),
+        "memory_saving_with_region_bits": base / sum(physical),
+        "mse": sse / sum(counts),
     }
 
 
-def _write_report(path, args, results, mm) -> None:
-    tensors = []
-    for q, was_excluded in results:
-        tensors.append({
-            "name": q.name,
-            "shape": list(q.shape.dims),
-            "excluded": was_excluded,
-            "passthrough": q.passthrough,
-            "scheme": q.scheme,
-            "method": q.method,
-            "bits": q.bits,
-            "mse": q.error.mse,
-            "max_abs": q.error.max_abs,
-            "bytes": memory_bytes(q, mm),
-            "baseline_bytes": baseline_bytes(q, mm),
-        })
+def _write_report(path, args, rows, totals, mm) -> None:
     doc = {
         "tool": {"name": "convquant", "version": __version__},
         "config": {
@@ -144,8 +147,8 @@ def _write_report(path, args, results, mm) -> None:
             "breakpoint": args.breakpoint,
             "memory_model": asdict(mm),
         },
-        "tensors": tensors,
-        "totals": _totals(results, mm),
+        "tensors": [entry for entry, *_ in rows],
+        "totals": totals,
     }
     Path(path).write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n", "utf-8")
 
@@ -156,23 +159,30 @@ def _cleanup(paths) -> None:
             Path(p).unlink(missing_ok=True)
 
 
+def _quantized(tensors, excluded, args, mm, rows):
+    """Quantize tensors one at a time, appending each one's summary row."""
+    policies = _policies(mm)
+    for tensor in tensors:
+        q, was_excluded = _quantize_one(tensor, excluded, args, args.bits)
+        rows.append(_summary(q, was_excluded, policies))
+        yield q
+
+
 def cmd_quantize(args) -> int:
     written = []
     try:
-        model = load_manifest(args.manifest, extra_exclude=args.exclude)
+        excluded, tensors = iter_manifest(args.manifest, extra_exclude=args.exclude)
         mm = _memory_model(args)
-        results = _quantize_model(model, METHOD_FLAGS[args.method], args.bits,
-                                  args.granularity, args.breakpoint,
-                                  args.grid_points)
-        write_container([q for q, _ in results], mm, args.out)
+        rows = []
+        # Reads the finished container back before it replaces --out.
+        write_container(_quantized(tensors, excluded, args, mm, rows), mm, args.out)
         written.append(args.out)
-        read_container(args.out)  # exit 0 only once the output verifies readable
+        totals = _totals(rows)
         if args.report:
             written.append(args.report)
-            _write_report(args.report, args, results, mm)
+            _write_report(args.report, args, rows, totals, mm)
             json.loads(Path(args.report).read_text("utf-8"))
-        totals = _totals(results, mm)
-        print(f"quantized {len(results)} tensors: "
+        print(f"quantized {len(rows)} tensors: "
               f"saving {totals['memory_saving']:.4f}x "
               f"({totals['memory_saving_with_region_bits']:.4f}x with region bits), "
               f"mse {totals['mse']:.3e}")
@@ -186,13 +196,11 @@ def cmd_quantize(args) -> int:
 def cmd_dequantize(args) -> int:
     created = []
     try:
-        tensors, _ = read_container(args.container)
-        model = ModelWeights([dequantize_tensor(q) for q in tensors])
-        count = len(model.tensors)
-        del tensors  # free the codes before the export is written
-        created = save_manifest(model, args.out_manifest)
-        del model  # and the decoded weights before it is read back
-        load_manifest(args.out_manifest)  # verify the export reads back
+        with open_container(args.container) as (_, tensors):
+            created = export_manifest((dequantize_tensor(q) for q in tensors),
+                                      args.out_manifest)
+        _, back = iter_manifest(args.out_manifest)
+        count = sum(1 for _ in back)  # verify the export reads back
         print(f"wrote {count} tensors to {args.out_manifest}")
         return 0
     except (QuantError, OSError) as exc:
@@ -236,15 +244,17 @@ def cmd_sweep(args) -> int:
     try:
         bit_range = _parse_bits_range(args.bits, args.method)
         losses = _load_loss_file(args.loss_file) if args.loss_file else {}
-        model = load_manifest(args.manifest, extra_exclude=args.exclude)
-        mm = _memory_model(args)
+        excluded, tensors = iter_manifest(args.manifest, extra_exclude=args.exclude)
+        policies = _policies(_memory_model(args))
+        summaries = {bits: [] for bits in bit_range}
+        for tensor in tensors:   # read each tensor once, for every bit width
+            for bits, summary in summaries.items():
+                summary.append(_summary(*_quantize_one(tensor, excluded, args, bits),
+                                        policies))
 
         rows = []
-        for bits in bit_range:
-            results = _quantize_model(model, METHOD_FLAGS[args.method], bits,
-                                      args.granularity, args.breakpoint,
-                                      args.grid_points)
-            totals = _totals(results, mm)
+        for bits, summary in summaries.items():
+            totals = _totals(summary)
             fom = ""
             if bits in losses:
                 fom = figure_of_merit(totals["memory_saving"], losses[bits])

@@ -33,7 +33,11 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import asdict, fields
+import shutil
+import tempfile
+from collections.abc import Iterable
+from contextlib import contextmanager
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -128,7 +132,7 @@ def _pack_params(q: QuantizedTensor) -> bytes:
     return rows[keep].tobytes()
 
 
-def _record_starts(buf: memoryview, group_count: int) -> np.ndarray:
+def _record_starts(buf: bytes, group_count: int) -> np.ndarray:
     """Offsets of a pwlq params section's records, which vary in size."""
     if len(buf) == group_count * _PWLQ_DISK.itemsize:
         return np.arange(group_count) * _PWLQ_DISK.itemsize
@@ -144,7 +148,7 @@ def _record_starts(buf: memoryview, group_count: int) -> np.ndarray:
     return starts
 
 
-def _unpack_params(name: str, buf: memoryview, group_count: int, method: str,
+def _unpack_params(name: str, buf: bytes, group_count: int, method: str,
                    bits: int) -> np.ndarray:
     """Parse a params section into in-memory records; CorruptHeader unless
     every record is valid."""
@@ -170,66 +174,72 @@ def _unpack_params(name: str, buf: memoryview, group_count: int, method: str,
     return records
 
 
-def write_container(tensors, memory_model: MemoryModel, path) -> None:
-    """Serialize quantized tensors; identical inputs give identical bytes."""
-    payload = bytearray()
-    records = []
+def _sections(q: QuantizedTensor) -> dict[str, bytes]:
+    """A tensor's payload sections, in the order they are written."""
+    if q.passthrough:
+        values = np.asarray(q.values, dtype=np.float64)
+        return {"raw": values.astype(NUMPY_DTYPES[q.source_bits]).tobytes()}
+    sections = {"params": _pack_params(q), "codes": pack_codes(q.codes, q.bits).data}
+    if q.method == PWLQ:
+        region = np.asarray(q.region_bits, dtype=np.uint8)
+        sections["regions"] = np.packbits(region, bitorder="little").tobytes()
+    return sections
 
-    def add_section(data: bytes) -> list[int]:
-        start = len(payload)
-        payload.extend(data)
-        return [start, len(data)]
 
-    for q in tensors:
-        check_bits(q.bits, q.method == PWLQ, InvalidInput, q.name)
-        record = {
-            "name": q.name,
-            "shape": list(q.shape.dims),
-            "method": q.method,
-            "scheme": q.scheme,
-            "bits": q.bits,
-            "group_count": q.group_count,
-            "passthrough": q.passthrough,
-            "source_bits": q.source_bits,
-            "sections": {},
-        }
-        if q.passthrough:
-            record["sections"]["raw"] = add_section(
-                np.asarray(q.values, dtype=np.float64)
-                .astype(NUMPY_DTYPES[q.source_bits]).tobytes())
-        else:
-            record["sections"]["params"] = add_section(_pack_params(q))
-            record["sections"]["codes"] = add_section(pack_codes(q.codes, q.bits).data)
-            if q.method == PWLQ:
-                region = np.asarray(q.region_bits, dtype=np.uint8)
-                record["sections"]["regions"] = add_section(
-                    np.packbits(region, bitorder="little").tobytes())
-        records.append(record)
+def write_container(tensors: Iterable[QuantizedTensor], memory_model: MemoryModel,
+                    path) -> None:
+    """Serialize quantized tensors, taken one at a time from any iterable;
+    identical inputs give identical bytes.
 
-    header = {
-        "format": FORMAT_VERSION,
-        "memory_model": asdict(memory_model),
-        "payload_size": len(payload),
-        "tensors": records,
-    }
-    header_bytes = json.dumps(header, indent=1, sort_keys=True).encode("utf-8")
-    prelude = f"{FORMAT_VERSION} {len(header_bytes)}\n".encode("ascii")
-
+    Sections are spooled to an unnamed temporary file as each tensor
+    arrives, and copied after the header once every offset is known. The
+    finished file is read back in full before it replaces ``path``, so a
+    failure leaves an earlier file at ``path`` as it was.
+    """
     out = Path(path)
     tmp = out.with_name(out.name + ".tmp")
+    records = []
     try:
-        with open(tmp, "wb") as fh:
-            fh.write(prelude)
-            fh.write(header_bytes)
-            fh.write(payload)
+        with tempfile.TemporaryFile(dir=out.parent) as spool:
+            for q in tensors:
+                check_bits(q.bits, q.method == PWLQ, InvalidInput, q.name)
+                sections = {name: [spool.tell(), spool.write(data)]
+                            for name, data in _sections(q).items()}
+                records.append({
+                    "name": q.name,
+                    "shape": list(q.shape.dims),
+                    "method": q.method,
+                    "scheme": q.scheme,
+                    "bits": q.bits,
+                    "group_count": q.group_count,
+                    "passthrough": q.passthrough,
+                    "source_bits": q.source_bits,
+                    "sections": sections,
+                })
+
+            header = {
+                "format": FORMAT_VERSION,
+                "memory_model": asdict(memory_model),
+                "payload_size": spool.tell(),
+                "tensors": records,
+            }
+            header_bytes = json.dumps(header, indent=1, sort_keys=True).encode("utf-8")
+            with open(tmp, "wb") as fh:
+                fh.write(f"{FORMAT_VERSION} {len(header_bytes)}\n".encode("ascii"))
+                fh.write(header_bytes)
+                spool.seek(0)
+                shutil.copyfileobj(spool, fh)
+        with open_container(tmp) as (_, written):
+            for _ in written:
+                pass
         os.replace(tmp, out)
     finally:
         tmp.unlink(missing_ok=True)
 
 
-def _section(header_sections: dict, name: str, payload_size: int,
-             claimed: list) -> tuple[int, int]:
-    entry = header_sections.get(name)
+def _section(sections: dict, name: str, payload_size: int, claimed: list, tensor: str,
+             expected: int | None = None) -> tuple[int, int]:
+    entry = sections.get(name)
     if (not isinstance(entry, list) or len(entry) != 2
             or not all(isinstance(v, int) and v >= 0 for v in entry)):
         raise CorruptHeader(f"malformed section entry {name!r}: {entry!r}")
@@ -237,38 +247,72 @@ def _section(header_sections: dict, name: str, payload_size: int,
     if off + length > payload_size:
         raise OffsetOutOfBounds(
             f"section {name!r} [{off}, {off + length}) past payload end {payload_size}")
+    if expected is not None and length != expected:
+        raise CorruptHeader(f"{tensor}: {name} section is {length} bytes, "
+                            f"expected {expected}")
     claimed.append((off, off + length, name))
     return off, length
 
 
+@contextmanager
+def open_container(path):
+    """Open a container for reading, one tensor at a time.
+
+    Yields ``(memory_model, tensors)``. The header is parsed and every
+    record and section bound in it checked before this returns; iterating
+    ``tensors`` then reads and decodes each quantized tensor, in header
+    order, from the one open file. The file closes when the block exits.
+    """
+    with open(path, "rb") as fh:
+        memory_model, records, payload_start = _read_header(fh)
+
+        def read(span: tuple[int, int]) -> bytes:
+            fh.seek(payload_start + span[0])
+            data = fh.read(span[1])
+            if len(data) != span[1]:
+                raise CorruptHeader("container cut short while it was read")
+            return data
+
+        yield memory_model, (_read_tensor(*record, read) for record in records)
+
+
 def read_container(path) -> tuple[list[QuantizedTensor], MemoryModel]:
     """Parse a container back into quantized tensors and its memory model."""
-    blob = Path(path).read_bytes()
-    newline = blob.find(b"\n", 0, 64)
+    with open_container(path) as (memory_model, tensors):
+        return list(tensors), memory_model
+
+
+def _read_header(fh) -> tuple[MemoryModel, list, int]:
+    """The memory model, the checked tensor records and the payload's offset."""
+    size = os.fstat(fh.fileno()).st_size
+    head = fh.read(64)
+    newline = head.find(b"\n")
     if newline < 0:
         raise CorruptHeader("missing prelude line")
     try:
-        version, header_len_text = blob[:newline].decode("ascii").split(" ")
+        version, header_len_text = head[:newline].decode("ascii").split(" ")
         header_len = int(header_len_text)
     except (UnicodeDecodeError, ValueError) as exc:
-        raise CorruptHeader(f"malformed prelude: {blob[:newline]!r}") from exc
+        raise CorruptHeader(f"malformed prelude: {head[:newline]!r}") from exc
     if version != FORMAT_VERSION:
         raise VersionMismatch(f"container version {version!r}, expected {FORMAT_VERSION!r}")
 
     header_start = newline + 1
-    if header_start + header_len > len(blob):
+    if header_len < 0 or header_start + header_len > size:
         raise CorruptHeader("declared header length past end of file")
+    fh.seek(header_start)
     try:
-        header = json.loads(blob[header_start:header_start + header_len].decode("utf-8"))
+        header = json.loads(fh.read(header_len).decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CorruptHeader(f"header is not valid JSON: {exc}") from exc
     if not isinstance(header, dict) or header.get("format") != FORMAT_VERSION:
         raise CorruptHeader("header format field missing or wrong")
 
-    payload = memoryview(blob)[header_start + header_len:]   # sections are views, not copies
-    if header.get("payload_size") != len(payload):
+    payload_start = header_start + header_len
+    payload_size = size - payload_start
+    if header.get("payload_size") != payload_size:
         raise CorruptHeader(
-            f"payload is {len(payload)} bytes, header declares {header.get('payload_size')}")
+            f"payload is {payload_size} bytes, header declares {header.get('payload_size')}")
 
     mm_raw = header.get("memory_model")
     mm_fields = [f.name for f in fields(MemoryModel)]
@@ -284,18 +328,17 @@ def read_container(path) -> tuple[list[QuantizedTensor], MemoryModel]:
         raise CorruptHeader("header 'tensors' must be a list")
 
     claimed: list[tuple[int, int, str]] = []
-    tensors = []
-    for record in raw_records:
-        tensors.append(_read_record(record, payload, claimed))
-
+    records = [_check_record(record, payload_size, claimed) for record in raw_records]
     claimed.sort()
     for (_, prev_end, prev_name), (start, _, name) in zip(claimed, claimed[1:]):
         if start < prev_end:
             raise OffsetOutOfBounds(f"sections {prev_name!r} and {name!r} overlap")
-    return tensors, memory_model
+    return memory_model, records, payload_start
 
 
-def _read_record(record, payload: memoryview, claimed: list) -> QuantizedTensor:
+def _check_record(record, payload_size: int, claimed: list) -> tuple[QuantizedTensor, dict]:
+    """A header record as a QuantizedTensor without its arrays, and its
+    section spans, each span's length checked against what the tensor needs."""
     if not isinstance(record, dict):
         raise CorruptHeader(f"tensor record must be an object, got {record!r}")
     try:
@@ -322,43 +365,34 @@ def _read_record(record, payload: memoryview, claimed: list) -> QuantizedTensor:
         raise CorruptHeader(f"{name}: bad source precision {source_bits!r}")
     if not isinstance(sections, dict):
         raise CorruptHeader(f"{name}: sections must be an object")
-    shape = TensorShape(*shape_raw)
-    count = shape.element_count
+    q = QuantizedTensor(name=name, shape=TensorShape(*shape_raw), method=method, bits=bits,
+                        scheme=scheme, passthrough=bool(passthrough), source_bits=source_bits)
+    count = q.element_count
+
+    def span(section: str, expected: int | None = None) -> tuple[int, int]:
+        return _section(sections, section, payload_size, claimed, name, expected)
 
     if passthrough:
-        off, length = _section(sections, "raw", len(payload), claimed)
-        dtype = NUMPY_DTYPES[source_bits]
-        if length != count * dtype.itemsize:
-            raise CorruptHeader(f"{name}: raw section is {length} bytes for "
-                                f"{count} x {source_bits}-bit values")
-        values = np.frombuffer(payload[off:off + length], dtype=dtype).astype(np.float64)
-        return QuantizedTensor(name=name, shape=shape, method=method, bits=bits,
-                               scheme=scheme, passthrough=True, values=values,
-                               source_bits=source_bits)
-
-    if groups != group_count(shape, scheme):
+        return q, {"raw": span("raw", count * NUMPY_DTYPES[source_bits].itemsize)}
+    if groups != group_count(q.shape, scheme):
         raise CorruptHeader(f"{name}: {groups} groups for a {scheme} "
-                            f"{shape.dims} tensor")
-    off, length = _section(sections, "params", len(payload), claimed)
-    params = _unpack_params(name, payload[off:off + length], groups, method, bits)
-
-    off, length = _section(sections, "codes", len(payload), claimed)
-    expected = -(-count * bits // 8)
-    if length != expected:
-        raise CorruptHeader(f"{name}: codes section is {length} bytes, "
-                            f"expected {expected}")
-    codes = unpack_codes(PackedCodes(bits, count, payload[off:off + length]))
-
-    region_bits = None
+                            f"{q.shape.dims} tensor")
+    spans = {"params": span("params"), "codes": span("codes", -(-count * bits // 8))}
     if method == PWLQ:
-        off, length = _section(sections, "regions", len(payload), claimed)
-        if length != -(-count // 8):
-            raise CorruptHeader(f"{name}: region bitmap is {length} bytes for "
-                                f"{count} elements")
-        region_bits = np.unpackbits(
-            np.frombuffer(payload[off:off + length], dtype=np.uint8),
-            count=count, bitorder="little")
+        spans["regions"] = span("regions", -(-count // 8))
+    return q, spans
 
-    return QuantizedTensor(name=name, shape=shape, method=method, bits=bits,
-                           scheme=scheme, params=params, codes=codes,
-                           region_bits=region_bits, source_bits=source_bits)
+
+def _read_tensor(q: QuantizedTensor, spans: dict, read) -> QuantizedTensor:
+    """Decode one checked record; ``read(span)`` returns a section's bytes."""
+    if q.passthrough:
+        values = np.frombuffer(read(spans["raw"]), NUMPY_DTYPES[q.source_bits])
+        return replace(q, values=values.astype(np.float64))
+    params = _unpack_params(q.name, read(spans["params"]), group_count(q.shape, q.scheme),
+                            q.method, q.bits)
+    codes = unpack_codes(PackedCodes(q.bits, q.element_count, read(spans["codes"])))
+    region_bits = None
+    if "regions" in spans:
+        region_bits = np.unpackbits(np.frombuffer(read(spans["regions"]), np.uint8),
+                                    count=q.element_count, bitorder="little")
+    return replace(q, params=params, codes=codes, region_bits=region_bits)

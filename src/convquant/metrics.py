@@ -78,9 +78,10 @@ def select_granularity(t: WeightTensor, candidates, method: str, bits: int,
     """Quantize under every candidate granularity and keep the lowest-mse one.
 
     Candidates are ranked on the error each quantization measured in its
-    own pass. Candidates that degrade to passthrough (channel-wise on 1x1
-    kernels) are left out of the comparison unless nothing else was offered.
-    Exact mse ties fall back to a fixed preference order.
+    own pass, and only the best so far is kept. Candidates that degrade to
+    passthrough (channel-wise on 1x1 kernels) are left out of the
+    comparison unless nothing else was offered. Exact mse ties fall back to
+    a fixed preference order.
     """
     ranked = [s for s in SELECTION_PREFERENCE if s in set(candidates)]
     if len(ranked) != len(set(candidates)):
@@ -88,22 +89,19 @@ def select_granularity(t: WeightTensor, candidates, method: str, bits: int,
     if not ranked:
         raise NoViableCandidate("no candidate granularities given")
 
-    scored = []
-    fallback = None
-    for preference, scheme in enumerate(ranked):
+    best = None
+    for scheme in ranked:
         q = quantize_tensor(t, scheme, method, bits,
                             breakpoint_mode=breakpoint_mode, grid_points=grid_points)
         if q.passthrough:
-            fallback = (scheme, q)
+            if len(ranked) == 1:
+                return scheme, q
             continue
-        scored.append((q.error.mse, preference, scheme, q))
-
-    if scored:
-        _, _, scheme, q = min(scored, key=lambda item: (item[0], item[1]))
-        return scheme, q
-    if fallback is not None and len(ranked) == 1:
-        return fallback
-    raise NoViableCandidate(f"{t.name}: every candidate degraded to passthrough")
+        if best is None or q.error.mse < best[1].error.mse:
+            best = (scheme, q)   # the one it beats is dropped here
+    if best is None:
+        raise NoViableCandidate(f"{t.name}: every candidate degraded to passthrough")
+    return best
 
 
 def baseline_bytes(q: QuantizedTensor, model: MemoryModel) -> int:

@@ -39,7 +39,6 @@ from .uniform import (
     AFFINE,
     SYMMETRIC_FULL,
     check_bits,
-    decode,
     encode,
     range_records,
     row_extremes,
@@ -120,11 +119,10 @@ def _records(m: np.ndarray, p: np.ndarray, bits: int) -> np.ndarray:
     return records
 
 
-def _region_params(records: np.ndarray, regions: np.ndarray):
-    """Per-element scale and zero-point, taken from each element's region piece."""
-    return tuple(np.take_along_axis(np.stack([records[piece][field] for piece in PIECES],
-                                             axis=1), regions, axis=1)
-                 for field in ("scale", "zero_point"))
+def _region_param(records: np.ndarray, regions: np.ndarray, field: str) -> np.ndarray:
+    """Per-element ``field`` (scale or zero_point) of each element's region piece."""
+    return np.take_along_axis(np.stack([records[piece][field] for piece in PIECES], axis=1),
+                              regions, axis=1)
 
 
 def _encode(mat: np.ndarray, records: np.ndarray, bits: int) -> tuple[np.ndarray, np.ndarray]:
@@ -138,7 +136,8 @@ def _encode(mat: np.ndarray, records: np.ndarray, bits: int) -> tuple[np.ndarray
     half, quarter = 1 << (bits - 1), 1 << (bits - 2)
     lo = np.where(tail, np.int8(-quarter), np.int8(-half))
     hi = np.where(tail, np.int8(quarter - 1), np.int8(half - 1))
-    return regions, encode(mat, *_region_params(records, regions), lo, hi)
+    return regions, encode(mat, _region_param(records, regions, "scale"),
+                           _region_param(records, regions, "zero_point"), lo, hi)
 
 
 def dequantize_rows(records: np.ndarray, regions: np.ndarray, codes: np.ndarray) -> np.ndarray:
@@ -147,7 +146,12 @@ def dequantize_rows(records: np.ndarray, regions: np.ndarray, codes: np.ndarray)
     A row's codes use the record of their region; a degenerate row keeps
     its uniform record in ``center`` and all its elements in that region.
     """
-    return decode(codes, *_region_params(records, regions))
+    # uniform.decode's (codes - zero_point) * scale, computed in the
+    # zero-point array so that one per-element float64 array fewer is live.
+    out = _region_param(records, regions, "zero_point")
+    np.subtract(codes, out, out=out)
+    out *= _region_param(records, regions, "scale")
+    return out
 
 
 def quantize_rows(mat: np.ndarray, bits: int, p: np.ndarray):

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 import re
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from fnmatch import fnmatchcase
 from pathlib import Path
@@ -131,11 +132,27 @@ def _parse_shape(raw, name: str) -> TensorShape:
     return TensorShape(*dims)
 
 
-def load_manifest(manifest_path, extra_exclude=()) -> ModelWeights:
-    """Read a manifest and all referenced tensor data.
+def _check_size(name: str, shape: TensorShape, bits: int, size: int) -> None:
+    expected = shape.element_count * bits // 8
+    if size != expected:
+        raise ShapeMismatch(
+            f"{name}: {size} bytes on disk, shape {shape.dims} at "
+            f"{bits}-bit needs {expected}")
 
-    ``extra_exclude`` adds glob patterns on top of the manifest's own
-    ``exclude`` list.
+
+def _read_tensor(name: str, shape: TensorShape, bits: int, data_path: Path) -> WeightTensor:
+    data = data_path.read_bytes()
+    _check_size(name, shape, bits, len(data))
+    values = np.frombuffer(data, dtype=NUMPY_DTYPES[bits]).astype(np.float64)
+    return WeightTensor(name, shape, values, bits)
+
+
+def iter_manifest(manifest_path,
+                  extra_exclude=()) -> tuple[frozenset[str], Iterator[WeightTensor]]:
+    """Check every manifest entry (keys, unique name, shape, dtype, data file
+    size), then return the excluded names and an iterator that reads each
+    tensor, in manifest order, only when it is asked for. ``extra_exclude``
+    adds glob patterns on top of the manifest's own ``exclude`` list.
     """
     path = Path(manifest_path)
     if not path.is_file():
@@ -152,7 +169,8 @@ def load_manifest(manifest_path, extra_exclude=()) -> ModelWeights:
         raise ManifestError(f"{path}: 'exclude' must be a list of glob patterns")
     patterns = list(patterns) + list(extra_exclude)
 
-    tensors = []
+    entries = []
+    names = set()
     for entry in doc["tensors"]:
         if not isinstance(entry, dict):
             raise ManifestError(f"{path}: tensor entry must be an object, got {entry!r}")
@@ -163,6 +181,11 @@ def load_manifest(manifest_path, extra_exclude=()) -> ModelWeights:
             file_rel = entry["file"]
         except KeyError as exc:
             raise ManifestError(f"{path}: tensor entry missing key {exc}") from exc
+        if not isinstance(name, str):
+            raise ManifestError(f"{path}: tensor name must be a string, got {name!r}")
+        if name in names:
+            raise DuplicateName(f"tensor name {name!r} appears twice")
+        names.add(name)
         if dtype not in DTYPE_BITS:
             raise ManifestError(f"{name}: unknown dtype tag {dtype!r}")
         bits = DTYPE_BITS[dtype]
@@ -170,29 +193,31 @@ def load_manifest(manifest_path, extra_exclude=()) -> ModelWeights:
         data_path = path.parent / file_rel
         if not data_path.is_file():
             raise MissingFile(f"{name}: data file not found: {data_path}")
-        data = data_path.read_bytes()
-        expected = shape.element_count * bits // 8
-        if len(data) != expected:
-            raise ShapeMismatch(
-                f"{name}: {len(data)} bytes on disk, shape {shape.dims} at "
-                f"{bits}-bit needs {expected}")
-        values = np.frombuffer(data, dtype=NUMPY_DTYPES[bits]).astype(np.float64)
-        tensors.append(WeightTensor(name, shape, values, bits))
+        _check_size(name, shape, bits, data_path.stat().st_size)
+        entries.append((name, shape, bits, data_path))
 
-    excluded = resolve_exclusions([t.name for t in tensors], patterns)
-    return ModelWeights(tensors, excluded)
+    excluded = resolve_exclusions(names, patterns)
+    return excluded, (_read_tensor(*entry) for entry in entries)
+
+
+def load_manifest(manifest_path, extra_exclude=()) -> ModelWeights:
+    """Read a manifest and all referenced tensor data (see iter_manifest)."""
+    excluded, tensors = iter_manifest(manifest_path, extra_exclude)
+    return ModelWeights(list(tensors), excluded)
 
 
 def _file_stem(name: str) -> str:
     return re.sub(r"[^A-Za-z0-9_.-]", "_", name) or "tensor"
 
 
-def save_manifest(model: ModelWeights, manifest_path) -> list[Path]:
-    """Write a manifest plus raw binaries; returns every path created.
+def export_manifest(tensors: Iterable[WeightTensor], manifest_path,
+                    excluded=()) -> list[Path]:
+    """Write each tensor's raw binary as it arrives, then the manifest;
+    returns every path created.
 
     Values are stored at each tensor's source precision, so a freshly loaded
-    model writes back byte-identically. If a write fails, the files already
-    written are removed before the error propagates.
+    model writes back byte-identically. If a write fails or ``tensors``
+    raises, the files already written are removed before the error propagates.
     """
     path = Path(manifest_path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -200,7 +225,7 @@ def save_manifest(model: ModelWeights, manifest_path) -> list[Path]:
     written = []
     used = set()
     try:
-        for tensor in model.tensors:
+        for tensor in tensors:
             stem = _file_stem(tensor.name)
             file_rel = f"{stem}.bin"
             serial = 1
@@ -210,7 +235,7 @@ def save_manifest(model: ModelWeights, manifest_path) -> list[Path]:
             used.add(file_rel)
             dtype = NUMPY_DTYPES[tensor.source_precision_bits]
             data_path = path.parent / file_rel
-            data_path.write_bytes(tensor.values.astype(dtype).tobytes())
+            data_path.write_bytes(tensor.values.astype(dtype))
             written.append(data_path)
             entries.append({
                 "name": tensor.name,
@@ -218,7 +243,7 @@ def save_manifest(model: ModelWeights, manifest_path) -> list[Path]:
                 "dtype": "f16" if tensor.source_precision_bits == 16 else "f32",
                 "file": file_rel,
             })
-        doc = {"exclude": sorted(model.excluded), "tensors": entries}
+        doc = {"exclude": sorted(excluded), "tensors": entries}
         path.write_text(json.dumps(doc, indent=1) + "\n", "utf-8")
         written.append(path)
     except BaseException:
@@ -226,3 +251,8 @@ def save_manifest(model: ModelWeights, manifest_path) -> list[Path]:
             p.unlink(missing_ok=True)
         raise
     return written
+
+
+def save_manifest(model: ModelWeights, manifest_path) -> list[Path]:
+    """Write a whole model with export_manifest; returns every path created."""
+    return export_manifest(model.tensors, manifest_path, model.excluded)

@@ -1,12 +1,14 @@
 import csv
 import hashlib
 import json
+import weakref
 
 import numpy as np
 import pytest
 
-from convquant import load_manifest, read_container
+from convquant import cli, container, granularity, load_manifest, metrics, read_container
 from convquant.cli import main
+from convquant.errors import CorruptHeader
 
 from conftest import write_manifest
 
@@ -25,6 +27,49 @@ def synthetic_model(dir_path, include_1x1=True, seed=0):
         tensors.append((f"conv{i}.weight", shape, values, "f16"))
     tensors.append(("bn0.weight", (48,), rng.normal(1, 0.1, 48), "f16"))
     return write_manifest(dir_path, tensors, exclude=["bn*"])
+
+
+def track_inputs(monkeypatch, name):
+    """Wrap ``granularity.<name>`` wherever convquant binds it. Returns a list
+    that gets, as each call starts, how many earlier calls' first arguments
+    are still alive."""
+    original = getattr(granularity, name)
+    refs, alive = [], []
+
+    def wrapper(subject, *args, **kwargs):
+        alive.append(sum(ref() is not None for ref in refs))
+        refs.append(weakref.ref(subject))
+        return original(subject, *args, **kwargs)
+
+    for module in (granularity, metrics, cli):
+        if getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, wrapper)
+    return alive
+
+
+def four_tensor_model(dir_path):
+    rng = np.random.default_rng(8)
+    shapes = [(8, 4, 3, 3), (16, 8, 3, 3), (16, 16, 1, 1), (8, 16, 3, 3)]
+    return write_manifest(dir_path, [(f"conv{i}", shape, rng.normal(0, 0.1, np.prod(shape)),
+                                      "f16") for i, shape in enumerate(shapes)])
+
+
+class TestOneTensorAtATime:
+    def test_quantize_drops_each_input_before_the_next(self, tmp_path, monkeypatch):
+        manifest = four_tensor_model(tmp_path)
+        alive = track_inputs(monkeypatch, "quantize_tensor")
+        assert main(["quantize", "--manifest", str(manifest),
+                     "--out", str(tmp_path / "m.qnt")]) == 0
+        assert alive == [0, 0, 0, 0]
+
+    def test_dequantize_drops_each_input_before_the_next(self, tmp_path, monkeypatch):
+        manifest = four_tensor_model(tmp_path)
+        assert main(["quantize", "--manifest", str(manifest),
+                     "--out", str(tmp_path / "m.qnt")]) == 0
+        alive = track_inputs(monkeypatch, "dequantize_tensor")
+        assert main(["dequantize", str(tmp_path / "m.qnt"),
+                     str(tmp_path / "out" / "model.json")]) == 0
+        assert alive == [0, 0, 0, 0]
 
 
 class TestQuantizeCommand:
@@ -98,6 +143,46 @@ class TestQuantizeCommand:
         assert "conv.dead" in err and "group 5" in err
         assert not out.exists()
         assert not (tmp_path / "model.qnt.tmp").exists()
+
+    def test_failed_verify_keeps_earlier_output(self, tmp_path, monkeypatch, capsys):
+        manifest = synthetic_model(tmp_path, include_1x1=False)
+        out = tmp_path / "model.qnt"
+        out.write_bytes(b"an earlier container")
+        before = sorted(tmp_path.iterdir())
+
+        def corrupt(path):
+            raise CorruptHeader("verify failed")
+
+        monkeypatch.setattr(container, "open_container", corrupt)
+        rc = main(["quantize", "--manifest", str(manifest), "--out", str(out)])
+        assert rc == 1
+        assert "verify failed" in capsys.readouterr().err
+        assert out.read_bytes() == b"an earlier container"
+        assert sorted(tmp_path.iterdir()) == before
+
+    def test_manifest_checked_before_quantizing(self, tmp_path, monkeypatch, capsys):
+        manifest = four_tensor_model(tmp_path)
+        last = tmp_path / "conv3.bin"
+        last.write_bytes(last.read_bytes()[:-1])
+        calls = track_inputs(monkeypatch, "quantize_tensor")
+        rc = main(["quantize", "--manifest", str(manifest),
+                   "--out", str(tmp_path / "m.qnt")])
+        assert rc == 1
+        assert "conv3" in capsys.readouterr().err
+        assert calls == []
+
+    def test_bad_last_tensor_leaves_no_files(self, tmp_path, capsys):
+        manifest = four_tensor_model(tmp_path)
+        last = tmp_path / "conv3.bin"
+        values = np.frombuffer(last.read_bytes(), dtype="<f2").copy()
+        values[-1] = np.nan
+        last.write_bytes(values.tobytes())
+        before = sorted(tmp_path.iterdir())
+        rc = main(["quantize", "--manifest", str(manifest),
+                   "--out", str(tmp_path / "m.qnt"), "--report", str(tmp_path / "r.json")])
+        assert rc == 1
+        assert "conv3" in capsys.readouterr().err
+        assert sorted(tmp_path.iterdir()) == before
 
     @pytest.mark.parametrize("grid_points", [2, 0, -1])
     def test_bruteforce_rejects_small_grid(self, tmp_path, capsys, grid_points):
@@ -267,6 +352,23 @@ class TestDequantizeCommand:
         assert rc == 1
         assert "error:" in capsys.readouterr().err
         assert not out_manifest.exists()
+
+    def test_bad_last_record_leaves_no_files(self, tmp_path, capsys):
+        qnt = tmp_path / "m.qnt"
+        assert main(["quantize", "--manifest", str(four_tensor_model(tmp_path)),
+                     "--out", str(qnt)]) == 0
+        blob = bytearray(qnt.read_bytes())
+        newline = blob.index(b"\n")
+        payload = newline + 1 + int(blob[:newline].split()[1])
+        header = json.loads(blob[newline + 1:payload])
+        params = payload + header["tensors"][-1]["sections"]["params"][0]
+        blob[params + 2:params + 4] = b"\x00\x00"   # the first group's scale: 0
+        qnt.write_bytes(bytes(blob))
+        out = tmp_path / "out"
+        rc = main(["dequantize", str(qnt), str(out / "model.json")])
+        assert rc == 1
+        assert "conv3: group 0: invalid parameter record" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
 
 
 class TestSweepCommand:

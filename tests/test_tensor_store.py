@@ -9,6 +9,8 @@ from convquant import (
     TensorShape,
     WeightTensor,
     element_index,
+    export_manifest,
+    iter_manifest,
     load_manifest,
     resolve_exclusions,
     save_manifest,
@@ -135,6 +137,19 @@ class TestLoadManifest:
         with pytest.raises(InvalidValue):
             load_manifest(manifest)
 
+    def test_every_entry_checked_before_reading(self, tmp_path):
+        manifest = write_manifest(tmp_path, [("a", (1,), [1.0], "f16"),
+                                             ("b", (2,), [1.0, 2.0], "f16")])
+        (tmp_path / "b.bin").write_bytes(b"\x00")
+        with pytest.raises(ShapeMismatch, match="b: 1 bytes"):
+            iter_manifest(manifest)
+
+    def test_tensors_read_when_asked_for(self, tmp_path):
+        manifest = write_manifest(tmp_path, [("a", (1,), [1.0], "f16")])
+        _, tensors = iter_manifest(manifest)
+        (tmp_path / "a.bin").write_bytes(np.array([3.0], dtype="<f2").tobytes())
+        assert [t.values.tolist() for t in tensors] == [[3.0]]
+
     def test_short_shapes_pad_to_4d(self, tmp_path):
         manifest = write_manifest(tmp_path, [("fc", (6,), np.arange(6), "f32")])
         model = load_manifest(manifest)
@@ -171,6 +186,17 @@ class TestWriteBack:
         for a, b in zip(model.tensors, reloaded.tensors):
             assert a.name == b.name and a.shape == b.shape
             assert np.array_equal(a.values, b.values)
+
+
+    def test_failing_source_leaves_no_files(self, tmp_path):
+        def tensors():
+            yield WeightTensor("a", TensorShape(1, 1, 1, 1), np.zeros(1))
+            raise InvalidValue("b: non-finite value")
+
+        out = tmp_path / "out"
+        with pytest.raises(InvalidValue):
+            export_manifest(tensors(), out / "model.json")
+        assert list(out.iterdir()) == []
 
 
 class TestExclusionResolution:

@@ -18,6 +18,7 @@ import argparse
 import csv
 import json
 import math
+import os
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -174,14 +175,20 @@ def cmd_quantize(args) -> int:
         excluded, tensors = iter_manifest(args.manifest, extra_exclude=args.exclude)
         mm = _memory_model(args)
         rows = []
+        if args.report:
+            # Created first, so that a report that cannot be written fails
+            # before the container replaces --out.
+            report_tmp = Path(f"{args.report}.tmp")
+            written.append(report_tmp)
+            report_tmp.write_text("", "utf-8")
         # Reads the finished container back before it replaces --out.
         write_container(_quantized(tensors, excluded, args, mm, rows), mm, args.out)
         written.append(args.out)
         totals = _totals(rows)
         if args.report:
-            written.append(args.report)
-            _write_report(args.report, args, rows, totals, mm)
-            json.loads(Path(args.report).read_text("utf-8"))
+            _write_report(report_tmp, args, rows, totals, mm)
+            json.loads(report_tmp.read_text("utf-8"))
+            os.replace(report_tmp, args.report)
         print(f"quantized {len(rows)} tensors: "
               f"saving {totals['memory_saving']:.4f}x "
               f"({totals['memory_saving_with_region_bits']:.4f}x with region bits), "

@@ -25,7 +25,13 @@ import numpy as np
 
 from . import pwlq as _pwlq
 from . import uniform as _uniform
-from .errors import CodeOutOfDomain, CorruptCodes, InvalidInput
+from .errors import (
+    BreakpointOutOfRange,
+    CodeOutOfDomain,
+    CorruptCodes,
+    DegenerateRange,
+    InvalidInput,
+)
 from .pwlq import PWLQ
 from .tensor_store import TensorShape, WeightTensor
 from .uniform import UNIFORM_SCHEMES, check_bits
@@ -155,7 +161,8 @@ def quantize_tensor(t: WeightTensor, scheme: str, method: str, bits: int,
 
     Channel-wise on a 1x1 kernel returns a passthrough tensor: each group
     would hold a single weight and the layer cannot be usefully quantized at
-    this granularity. The result carries its reconstruction error.
+    this granularity. The result carries its reconstruction error. Kernel
+    errors naming a group are re-raised with the tensor's name.
     """
     if method not in METHODS:
         raise InvalidInput(f"unknown method {method!r}")
@@ -170,16 +177,19 @@ def quantize_tensor(t: WeightTensor, scheme: str, method: str, bits: int,
 
     mat = _as_group_matrix(t.values, t.shape, scheme)
     region_bits = None
-    if method == PWLQ:
-        p = _pwlq.row_breakpoints(mat, bits, breakpoint_mode, grid_points)
-        params, regions, codes = _pwlq.quantize_rows(mat, bits, p)
-        reconstructed = _pwlq.dequantize_rows(params, regions, codes)
-        tail_bits, codes = _pwlq.fold_regions(regions, codes, bits)
-        region_bits = _from_group_matrix(tail_bits, t.shape, scheme)
-    else:
-        params, codes = _uniform.quantize_rows(mat, method, bits)
-        reconstructed = _uniform.decode(codes, params["scale"][:, None],
-                                        params["zero_point"][:, None])
+    try:
+        if method == PWLQ:
+            p = _pwlq.row_breakpoints(mat, bits, breakpoint_mode, grid_points)
+            params, regions, codes = _pwlq.quantize_rows(mat, bits, p)
+            reconstructed = _pwlq.dequantize_rows(params, regions, codes)
+            tail_bits, codes = _pwlq.fold_regions(regions, codes, bits)
+            region_bits = _from_group_matrix(tail_bits, t.shape, scheme)
+        else:
+            params, codes = _uniform.quantize_rows(mat, method, bits)
+            reconstructed = _uniform.decode(codes, params["scale"][:, None],
+                                            params["zero_point"][:, None])
+    except (DegenerateRange, BreakpointOutOfRange) as exc:
+        raise type(exc)(f"{t.name}: {exc}") from exc
     reconstructed = _from_group_matrix(reconstructed, t.shape, scheme)
 
     return QuantizedTensor(

@@ -20,8 +20,8 @@ reconstruction MSE (``search_breakpoints``).
 As in the uniform module, a tensor is handled a whole ``(groups, group
 size)`` matrix at a time, one group per row: ``quantize_rows`` builds one
 :data:`RECORD` per row and encodes every row, ``dequantize_rows`` decodes
-them, and ``search_breakpoints`` scores each candidate breakpoint over all
-rows at once.
+them, and ``search_breakpoints`` scores every candidate breakpoint on one
+block of rows at a time.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ from .uniform import (
     AFFINE,
     SYMMETRIC_FULL,
     check_bits,
-    encode,
     range_records,
     row_extremes,
 )
@@ -57,6 +56,8 @@ RATIO_MIN = 0.05
 RATIO_MAX = 0.95
 
 DEFAULT_GRID_POINTS = 64
+# Elements per row block of search_breakpoints, which keeps its buffers in cache.
+SEARCH_BLOCK = 8192
 
 PWLQ_KIND = 3
 # Sub-records of a piecewise record, indexed by region.
@@ -102,13 +103,20 @@ def _approx_ratios(mat: np.ndarray, m: np.ndarray) -> np.ndarray:
                                     where=m > 0))
 
 
-def _records(m: np.ndarray, p: np.ndarray, bits: int) -> np.ndarray:
-    """Records of groups with max magnitudes ``m`` and breakpoints ``p``."""
+def _records(m: np.ndarray, p: np.ndarray, bits: int, first_row: int = 0) -> np.ndarray:
+    """Records of groups with max magnitudes ``m`` and breakpoints ``p``.
+
+    ``p`` may hold one row per candidate; its last axis indexes the groups,
+    which error messages number from ``first_row``.
+    """
     check_bits(bits, piecewise=True, error=BitsTooSmall)
-    bad = np.flatnonzero(~((0 < p) & (p < m)))
+    m, p = np.broadcast_arrays(m, p)
+    bad = np.argwhere(~((0 < p) & (p < m)))
     if bad.size:
-        g = int(bad[0])
-        raise BreakpointOutOfRange(f"group {g}: need 0 < p < m, got p={p[g]}, m={m[g]}")
+        i = tuple(bad[0])
+        raise BreakpointOutOfRange(f"group {first_row + i[-1]}: need 0 < p < m, "
+                                   f"got p={p[i]}, m={m[i]}")
+    shape, m, p = p.shape, m.ravel(), p.ravel()
     records = np.zeros(len(m), RECORD)
     records["kind"] = PWLQ_KIND
     records["bits"] = bits
@@ -116,28 +124,47 @@ def _records(m: np.ndarray, p: np.ndarray, bits: int) -> np.ndarray:
     records["center"] = range_records(SYMMETRIC_FULL, bits, -p, p)
     records["neg_tail"] = range_records(AFFINE, bits - 1, -m, -p)
     records["pos_tail"] = range_records(AFFINE, bits - 1, p, m)
-    return records
+    return records.reshape(shape)
 
 
-def _region_param(records: np.ndarray, regions: np.ndarray, field: str) -> np.ndarray:
-    """Per-element ``field`` (scale or zero_point) of each element's region piece."""
-    return np.take_along_axis(np.stack([records[piece][field] for piece in PIECES], axis=1),
-                              regions, axis=1)
+def _piece_params(records, neg, pos, scale=None, zero_point=None):
+    """Per-element scale and zero-point (into the buffers, when given) of each
+    element's piece: the tail that ``neg`` or ``pos`` marks, else the center."""
+    out = []
+    for field, buf in (("scale", scale), ("zero_point", zero_point)):
+        buf = np.empty(neg.shape) if buf is None else buf
+        for piece, where in zip(PIECES, (True, neg, pos)):
+            np.copyto(buf, records[piece][field][:, None], where=where)
+        out.append(buf)
+    return out
+
+
+def _codes(mat, scale, zero_point, tail, bits: int, out=None, scratch=None) -> np.ndarray:
+    """Float codes ``clip(round_half_away(mat / scale + zero_point))``, k-bit
+    in the center and (k-1)-bit where ``tail``, in ``out`` when given."""
+    q = np.divide(mat, scale, out=out)
+    q += zero_point
+    t = np.abs(q, out=scratch)      # round_half_away, in place
+    t += 0.5
+    np.floor(t, out=t)
+    np.copysign(t, q, out=q)
+    half, quarter = 1 << (bits - 1), 1 << (bits - 2)
+    np.clip(q, -half, half - 1, out=q)
+    return np.clip(q, -quarter, quarter - 1, out=q, where=tail)
 
 
 def _encode(mat: np.ndarray, records: np.ndarray, bits: int) -> tuple[np.ndarray, np.ndarray]:
     """Region labels and per-region int8 codes of every row: k-bit center
     codes, (k-1)-bit tail codes."""
     p = records["p"][:, None]
+    neg, pos = mat < -p, mat > p
     regions = np.zeros(mat.shape, dtype=np.uint8)
-    regions[mat < -p] = NEG_TAIL
-    regions[mat > p] = POS_TAIL
-    tail = regions != CENTER
-    half, quarter = 1 << (bits - 1), 1 << (bits - 2)
-    lo = np.where(tail, np.int8(-quarter), np.int8(-half))
-    hi = np.where(tail, np.int8(quarter - 1), np.int8(half - 1))
-    return regions, encode(mat, _region_param(records, regions, "scale"),
-                           _region_param(records, regions, "zero_point"), lo, hi)
+    regions[neg] = NEG_TAIL
+    regions[pos] = POS_TAIL
+    scale, zero_point = _piece_params(records, neg, pos)
+    # The scale is spent once divided by, so it serves as the scratch.
+    codes = _codes(mat, scale, zero_point, neg | pos, bits, scratch=scale)
+    return regions, codes.astype(np.int8)
 
 
 def dequantize_rows(records: np.ndarray, regions: np.ndarray, codes: np.ndarray) -> np.ndarray:
@@ -146,11 +173,11 @@ def dequantize_rows(records: np.ndarray, regions: np.ndarray, codes: np.ndarray)
     A row's codes use the record of their region; a degenerate row keeps
     its uniform record in ``center`` and all its elements in that region.
     """
+    scale, out = _piece_params(records, regions == NEG_TAIL, regions == POS_TAIL)
     # uniform.decode's (codes - zero_point) * scale, computed in the
     # zero-point array so that one per-element float64 array fewer is live.
-    out = _region_param(records, regions, "zero_point")
     np.subtract(codes, out, out=out)
-    out *= _region_param(records, regions, "scale")
+    out *= scale
     return out
 
 
@@ -183,22 +210,10 @@ def row_breakpoints(mat: np.ndarray, bits: int, mode: str,
     with m in units of the row's RMS) or ``bruteforce``
     (:func:`search_breakpoints`).
     """
-    m = np.abs(mat).max(axis=1)
     if mode == "approx":
+        m = np.abs(mat).max(axis=1)
         return m * _approx_ratios(mat, m)
-    live = m > 0
-    p = np.zeros(len(m))
-    p[live] = search_breakpoints(mat[live], bits, grid_points)
-    return p
-
-
-def _row_mse(mat: np.ndarray, bits: int, m: np.ndarray, p: np.ndarray) -> np.ndarray:
-    records = _records(m, p, bits)
-    regions, codes = _encode(mat, records, bits)
-    diff = dequantize_rows(records, regions, codes)
-    np.subtract(mat, diff, out=diff)
-    diff *= diff
-    return diff.mean(axis=1)
+    return search_breakpoints(mat, bits, grid_points)
 
 
 def search_breakpoints(mat: np.ndarray, bits: int,
@@ -207,28 +222,46 @@ def search_breakpoints(mat: np.ndarray, bits: int,
 
     Candidate ratios p/m are ``grid_points`` uniformly spaced interior points
     of (0, 1) plus the row's closed-form estimate, so the result is never
-    worse than ``row_breakpoints(mat, bits, "approx")``. Each candidate is scored over all rows
-    at once; ties go to the smaller breakpoint. Rows must hold a nonzero value.
+    worse than ``row_breakpoints(mat, bits, "approx")``. Ties go to the
+    smaller breakpoint; all-zero rows get 0. Every candidate is scored on
+    one block of about SEARCH_BLOCK elements before the next block.
     """
     if grid_points < 3:
         raise InvalidInput(f"grid_points must be >= 3, got {grid_points}")
-    # Row means must sum contiguous rows, so each row's MSE, and the choice
-    # it drives, matches a one-row search bit for bit.
-    mat = np.ascontiguousarray(mat)
-    m = np.abs(mat).max(axis=1)
-    grid = np.arange(1, grid_points + 1, dtype=np.float64) / (grid_points + 1)
-    best_err = np.full(len(m), np.inf)
-    best = np.zeros(len(m))
-    for ratio in grid:
-        err = _row_mse(mat, bits, m, ratio * m)
-        better = err < best_err
-        best_err[better] = err[better]
-        best[better] = ratio
-    approx = _approx_ratios(mat, m)
-    err = _row_mse(mat, bits, m, approx * m)
-    take = (err < best_err) | ((err == best_err) & (approx < best))
-    best[take] = approx[take]
-    return best * m
+    grid = np.arange(1, grid_points + 1, dtype=np.float64)[:, None] / (grid_points + 1)
+    rows = max(1, SEARCH_BLOCK // mat.shape[1])
+    p = np.zeros(len(mat))
+    for start in range(0, len(mat), rows):
+        # Row means must sum contiguous rows, so each row's MSE, and the
+        # choice it drives, matches a one-row search bit for bit.
+        block = np.ascontiguousarray(mat[start:start + rows])
+        m = np.abs(block).max(axis=1)
+        ratios = np.vstack([np.broadcast_to(grid, (grid_points, len(m))),
+                            _approx_ratios(block, m)])
+        live_m = np.where(m > 0, m, 1.0)
+        records = _records(live_m, ratios * live_m, bits, first_row=start)
+        neg, pos, tail = (np.empty(block.shape, bool) for _ in range(3))
+        scale, zero_point, codes, scratch = (np.empty(block.shape) for _ in range(4))
+        best_err, best = np.full(len(m), np.inf), np.zeros(len(m))
+        for rec, ratio in zip(records, ratios):
+            np.less(block, -rec["p"][:, None], out=neg)
+            np.greater(block, rec["p"][:, None], out=pos)
+            np.logical_or(neg, pos, out=tail)
+            _piece_params(rec, neg, pos, scale, zero_point)
+            _codes(block, scale, zero_point, tail, bits, codes, scratch)
+            # Decoding the float codes is exact: they are integers in [-128, 127].
+            codes -= zero_point
+            codes *= scale
+            np.subtract(block, codes, out=codes)
+            codes *= codes
+            err = codes.mean(axis=1)
+            # Grid ratios rise, so a tie can only go to the closed-form
+            # candidate, scored last, and then only toward the smaller ratio.
+            take = (err < best_err) | ((err == best_err) & (ratio < best))
+            np.copyto(best_err, err, where=take)
+            np.copyto(best, ratio, where=take)
+        p[start:start + rows] = best * m
+    return p
 
 
 def fold_regions(regions, values, bits: int) -> tuple[np.ndarray, np.ndarray]:

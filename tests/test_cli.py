@@ -160,6 +160,19 @@ class TestQuantizeCommand:
         assert out.read_bytes() == b"an earlier container"
         assert sorted(tmp_path.iterdir()) == before
 
+    def test_unwritable_report_keeps_earlier_container(self, tmp_path, capsys):
+        manifest = synthetic_model(tmp_path, include_1x1=False)
+        out = tmp_path / "model.qnt"
+        assert main(["quantize", "--manifest", str(manifest), "--out", str(out)]) == 0
+        earlier = out.read_bytes()
+        before = sorted(tmp_path.iterdir())
+        rc = main(["quantize", "--manifest", str(manifest), "--bits", "3", "--out", str(out),
+                   "--report", str(tmp_path / "nodir" / "r.json")])
+        assert rc == 1
+        assert "nodir" in capsys.readouterr().err
+        assert out.read_bytes() == earlier
+        assert sorted(tmp_path.iterdir()) == before
+
     def test_manifest_checked_before_quantizing(self, tmp_path, monkeypatch, capsys):
         manifest = four_tensor_model(tmp_path)
         last = tmp_path / "conv3.bin"

@@ -17,7 +17,7 @@ from convquant import (
     element_index,
     quantize_tensor,
 )
-from convquant.errors import CorruptCodes, IncompatibleBits, InvalidInput
+from convquant.errors import BreakpointOutOfRange, CorruptCodes, IncompatibleBits, InvalidInput
 from convquant.granularity import _as_group_matrix, _from_group_matrix, group_count
 from convquant.pwlq import PWLQ_KIND
 from convquant.uniform import KIND_BY_SCHEME
@@ -175,6 +175,18 @@ class TestQuantizeTensor:
         q = quantize_tensor(t, LAYER_WISE, PWLQ, 4)
         assert q.params["kind"][0] == PWLQ_KIND
         assert np.all(q.region_bits == 1)
+
+    @pytest.mark.parametrize("mode", ["approx", "bruteforce"])
+    def test_kernel_errors_name_the_tensor_and_group(self, mode):
+        # The last filter's only nonzero value is the smallest subnormal, so
+        # every breakpoint p/m < 1/2 rounds to 0. Each filter is longer than
+        # one block of the breakpoint search.
+        values = np.random.default_rng(10).normal(0, 0.05, size=3 * 9000)
+        values[2 * 9000:] = 0.0
+        values[2 * 9000] = 5e-324
+        t = WeightTensor("conv.w", TensorShape(3, 1, 1, 9000), values, 32)
+        with pytest.raises(BreakpointOutOfRange, match=r"^conv\.w: group 2: "):
+            quantize_tensor(t, FILTER_WISE, PWLQ, 4, breakpoint_mode=mode)
 
     @pytest.mark.parametrize("scheme", GRANULARITIES)
     def test_reconstruction_error_bounded_by_group_steps(self, scheme):

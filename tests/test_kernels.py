@@ -5,6 +5,7 @@ row must still come out exactly as the plain-Python reference computes it.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from convquant import AFFINE, CENTER, NEG_TAIL, POS_TAIL, SYMMETRIC_FULL, SYMMETRIC_RESTRICTED
@@ -16,10 +17,10 @@ REGION_NAMES = {"center": CENTER, "neg": NEG_TAIL, "pos": POS_TAIL}
 
 
 @st.composite
-def group_matrices(draw):
+def group_matrices(draw, rows=st.integers(1, 6), size=st.integers(1, 12)):
     """f16-snapped (groups, size) matrices mixing Gaussian, constant and zero rows."""
-    rows = draw(st.integers(1, 6))
-    size = draw(st.integers(1, 12))
+    rows = draw(rows)
+    size = draw(size)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     mat = rng.normal(0.0, draw(st.sampled_from([1e-3, 0.05, 1.0, 30.0])), (rows, size))
     for r, kind in enumerate(draw(st.lists(st.sampled_from("gcz"), min_size=rows,
@@ -84,7 +85,15 @@ def test_pwlq_rows_match_oracle(mat, bits):
             assert decoded[g, i] == oracle.pwlq_decode(region, code, bits, m[g], p[g])
 
 
-@given(mat=group_matrices(), bits=st.integers(3, 8))
+# Up to 30 rows of up to 1,500 values, or 3 rows longer than one block: the
+# batched search then spans several row blocks of the breakpoint search.
+SEARCH_MATRICES = st.one_of(
+    group_matrices(),
+    group_matrices(rows=st.integers(1, 30), size=st.integers(250, 1500)),
+    group_matrices(rows=st.integers(1, 3), size=st.just(9000)))
+
+
+@given(mat=SEARCH_MATRICES, bits=st.integers(3, 8))
 @settings(max_examples=100, deadline=None)
 def test_batched_search_matches_one_row_searches(mat, bits):
     live = np.abs(mat).max(axis=1) > 0
@@ -94,3 +103,39 @@ def test_batched_search_matches_one_row_searches(mat, bits):
     one_by_one = [pwlq.search_breakpoints(row[None], bits, grid_points=8)[0]
                   for row in mat[live]]
     assert batched.tolist() == one_by_one
+
+
+def reference_search(mat, bits, grid_points=pwlq.DEFAULT_GRID_POINTS):
+    """search_breakpoints from the public encode and decode: every candidate
+    breakpoint quantized by quantize_rows, scored by its rows' MSE, grid
+    candidates first with strict improvement, the closed form last winning
+    ties toward the smaller breakpoint."""
+    m = np.abs(mat).max(axis=1)
+    grid = np.arange(1, grid_points + 1, dtype=np.float64) / (grid_points + 1)
+    candidates = [ratio * m for ratio in grid]
+    candidates.append(pwlq.row_breakpoints(mat, bits, "approx"))
+    best_err, best = np.full(len(m), np.inf), np.zeros(len(m))
+    for p in candidates:
+        records, regions, codes = pwlq.quantize_rows(mat, bits, p)
+        err = ((mat - pwlq.dequantize_rows(records, regions, codes)) ** 2).mean(axis=1)
+        take = (err < best_err) | ((err == best_err) & (p < best))
+        best_err[take], best[take] = err[take], p[take]
+    return best
+
+
+def _f16_matrix_without_zero_or_constant_rows():
+    rng = np.random.default_rng(11)
+    mat = rng.laplace(0.0, 0.03, (60, 27)).astype(np.float16).astype(np.float64)
+    mat[::7] = 0.0
+    mat[3::7] = mat[3::7, :1]
+    return mat[mat.min(axis=1) < mat.max(axis=1)]
+
+
+@pytest.mark.parametrize("bits", range(3, 9))
+@pytest.mark.parametrize("mat", [
+    np.random.default_rng(7).normal(0.0, 0.05, (40, 700)),    # several blocks, last partial
+    np.random.default_rng(8).normal(0.0, 1.0, (3, 9000)),     # rows longer than a block
+    _f16_matrix_without_zero_or_constant_rows(),
+], ids=["40x700", "3x9000", "f16"])
+def test_search_matches_reference_from_public_kernels(mat, bits):
+    assert pwlq.search_breakpoints(mat, bits).tolist() == reference_search(mat, bits).tolist()

@@ -25,7 +25,7 @@ from pathlib import Path
 
 from . import __version__
 from .container import open_container, write_container
-from .errors import IncompatibleBits, InvalidInput, InvalidRange, QuantError
+from .errors import IncompatibleBits, InvalidRange, QuantError
 from .granularity import (
     C_SHAPE_WISE,
     CHANNEL_WISE,
@@ -44,7 +44,7 @@ from .metrics import (
     select_granularity,
 )
 from .pwlq import PWLQ
-from .tensor_store import export_manifest, iter_manifest
+from .tensor_store import NUMPY_DTYPES, export_manifest, iter_manifest
 from .uniform import AFFINE, SYMMETRIC_FULL, SYMMETRIC_RESTRICTED, check_bits
 
 METHOD_FLAGS = {
@@ -121,8 +121,6 @@ def _summary(q, was_excluded: bool, policies) -> tuple[dict, int, int, int]:
 
 def _totals(rows) -> dict:
     """Whole-model totals from the summary rows, summed in manifest order."""
-    if not rows:
-        raise InvalidInput("the model has no tensors")
     entries, counts, codes_only, physical = zip(*rows)
     base = sum(entry["baseline_bytes"] for entry in entries)
     sse = sum(entry["mse"] * count for entry, count in zip(entries, counts))
@@ -204,8 +202,9 @@ def cmd_dequantize(args) -> int:
     created = []
     try:
         with open_container(args.container) as (_, tensors):
-            created = export_manifest((dequantize_tensor(q) for q in tensors),
-                                      args.out_manifest)
+            created = export_manifest(
+                (dequantize_tensor(q, NUMPY_DTYPES[q.source_bits]) for q in tensors),
+                args.out_manifest)
         _, back = iter_manifest(args.out_manifest)
         count = sum(1 for _ in back)  # verify the export reads back
         print(f"wrote {count} tensors to {args.out_manifest}")

@@ -177,8 +177,7 @@ def _unpack_params(name: str, buf: bytes, group_count: int, method: str,
 def _sections(q: QuantizedTensor) -> dict[str, bytes]:
     """A tensor's payload sections, in the order they are written."""
     if q.passthrough:
-        values = np.asarray(q.values, dtype=np.float64)
-        return {"raw": values.astype(NUMPY_DTYPES[q.source_bits]).tobytes()}
+        return {"raw": np.asarray(q.values).astype(NUMPY_DTYPES[q.source_bits]).tobytes()}
     sections = {"params": _pack_params(q), "codes": pack_codes(q.codes, q.bits).data}
     if q.method == PWLQ:
         region = np.asarray(q.region_bits, dtype=np.uint8)
@@ -387,7 +386,7 @@ def _read_tensor(q: QuantizedTensor, spans: dict, read) -> QuantizedTensor:
     """Decode one checked record; ``read(span)`` returns a section's bytes."""
     if q.passthrough:
         values = np.frombuffer(read(spans["raw"]), NUMPY_DTYPES[q.source_bits])
-        return replace(q, values=values.astype(np.float64))
+        return replace(q, values=values.copy())
     params = _unpack_params(q.name, read(spans["params"]), group_count(q.shape, q.scheme),
                             q.method, q.bits)
     codes = unpack_codes(PackedCodes(q.bits, q.element_count, read(spans["codes"])))

@@ -14,6 +14,13 @@ parameters. For a tensor of shape (N filters, C channels, H, W):
 Channel-wise groups of a 1x1 kernel hold a single weight each, which cannot
 be meaningfully quantized; such tensors are passed through at source
 precision instead.
+
+A tensor is quantized and decoded one block of whole filters at a time: a
+contiguous range of the flat array, about ``tensor_store.BLOCK`` elements,
+upcast to float64 on its own. Each group's statistics are gathered over
+every block before any block is encoded, so the result is the row kernels'
+on the whole float64 group matrix, and the working set is a few blocks
+whatever the size of the tensor.
 """
 
 from __future__ import annotations
@@ -24,6 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import pwlq as _pwlq
+from . import tensor_store as _store
 from . import uniform as _uniform
 from .errors import (
     BreakpointOutOfRange,
@@ -34,7 +42,7 @@ from .errors import (
 )
 from .pwlq import PWLQ
 from .tensor_store import TensorShape, WeightTensor
-from .uniform import UNIFORM_SCHEMES, check_bits
+from .uniform import SYMMETRIC_RESTRICTED, UNIFORM_SCHEMES, check_bits, code_domain
 
 LAYER_WISE = "layer-wise"
 FILTER_WISE = "filter-wise"
@@ -83,12 +91,122 @@ def _as_group_matrix(flat: np.ndarray, shape: TensorShape, scheme: str) -> np.nd
             .reshape(group_count(shape, scheme), -1))
 
 
-def _from_group_matrix(mat: np.ndarray, shape: TensorShape, scheme: str) -> np.ndarray:
-    """Inverse of _as_group_matrix; returns a flat row-major array."""
-    order = sum(GROUP_LAYOUT[scheme], ())
-    dims = _view_dims(shape)
-    grouped = mat.reshape([dims[axis] for axis in order]).transpose(np.argsort(order))
-    return np.ascontiguousarray(grouped).reshape(-1)
+class _Blocks:
+    """A tensor's (n, c, h*w) view under a granularity, in blocks of whole
+    filters of about BLOCK elements (at least one filter).
+
+    Each block is a contiguous range of the flat array. A per-group array
+    takes the group shape (the view's dims, 1 on the axes that run through
+    a group), so that :meth:`of` broadcasts its block's slice onto the block.
+    """
+
+    def __init__(self, shape: TensorShape, scheme: str):
+        self.shape, self.scheme = shape, scheme
+        self.dims = n, c, hw = _view_dims(shape)
+        groups, _ = GROUP_LAYOUT[scheme]
+        self.group_shape = tuple(d if axis in groups else 1
+                                 for axis, d in enumerate(self.dims))
+        self.count = math.prod(self.group_shape)
+        # Groups that run through the filter axis span every block.
+        self.spans = 0 not in groups
+        self.step = max(1, _store.BLOCK // (c * hw))
+        self.ranges = [(f, min(f + self.step, n)) for f in range(0, n, self.step)]
+
+    def of(self, per_group: np.ndarray, f0: int, f1: int) -> np.ndarray:
+        """The slice of a per-group array that broadcasts onto filters [f0, f1)."""
+        grouped = per_group.reshape(self.group_shape)
+        return grouped if self.spans else grouped[f0:f1]
+
+    def rows(self, block: np.ndarray, f0: int, f1: int) -> tuple[slice, np.ndarray]:
+        """The groups that the block's rows of the group matrix belong to
+        (all of them when groups span the blocks), and those rows."""
+        mat = _as_group_matrix(block, TensorShape(f1 - f0, *self.shape.dims[1:]),
+                               self.scheme)
+        if self.spans:
+            return slice(None), mat
+        return slice(f0 * len(mat) // (f1 - f0), f1 * len(mat) // (f1 - f0)), mat
+
+    def walk(self, flat: np.ndarray, upcast: bool = True):
+        """Yield (f0, f1, block) over the (n, c, h*w) view of ``flat``; with
+        ``upcast``, each block is copied to float64 into one reused buffer."""
+        view = flat.reshape(self.dims)
+        buf = np.empty((min(self.step, self.dims[0]), *self.dims[1:])) if upcast else None
+        for f0, f1 in self.ranges:
+            block = view[f0:f1]
+            if upcast:
+                block = buf[:f1 - f0]
+                np.copyto(block, view[f0:f1])
+            yield f0, f1, block
+
+    def _reduce(self, blocks, ufuncs, starts) -> list[np.ndarray]:
+        """Per group and ufunc, ``ufunc.reduce`` over the group's rows in
+        every (f0, f1, block) of ``blocks``, folded into ``start``."""
+        out = [np.full(self.count, start) for start in starts]
+        for f0, f1, x in blocks:
+            rows, mat = self.rows(x, f0, f1)
+            for acc, ufunc in zip(out, ufuncs):
+                ufunc(acc[rows], ufunc.reduce(mat, axis=1), out=acc[rows])
+        return out
+
+    def extremes(self, flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Per-group min and max of a flat array, zero extremes signed by
+        :func:`convquant.uniform.settle_zero_signs`."""
+        vmin, vmax = self._reduce(self.walk(flat), (np.minimum, np.maximum),
+                                  (np.inf, -np.inf))
+        if not (vmin.all() and vmax.all()):
+            signs = ((f0, f1, np.signbit(x)) for f0, f1, x in self.walk(flat, upcast=False))
+            _uniform.settle_zero_signs(
+                vmin, vmax, *self._reduce(signs, (np.logical_or, np.logical_and), (False, True)))
+        return vmin, vmax
+
+    def square_sums(self, flat: np.ndarray, m: np.ndarray) -> np.ndarray:
+        """Per group, the sum of :func:`convquant.pwlq.scaled_squares`, added
+        in the order in which numpy sums the rows of the float64 group matrix.
+
+        That order follows the matrix's layout. numpy sums a contiguous row
+        pairwise, and the rows of a column-major matrix one column at a
+        time. The matrix is column-major for f-shape groups of a tensor with
+        several filters, and for c-shape groups of a tensor with one filter
+        (then a single block). Otherwise its rows are contiguous.
+        """
+        if len(m) == 1:
+            def squares(lo, hi):
+                x = flat[lo:hi].astype(np.float64)
+                return _pwlq.scaled_squares(x, m, out=x)
+            return np.array([_pairwise_sum(squares, 0, flat.size)])
+        sums = np.zeros(len(m))
+        if self.spans:
+            # The running sums head a buffer that takes each block's squares
+            # after them, and numpy reduces it one row at a time.
+            buf = np.empty((self.step + 1, len(m)))
+            for f0, f1, x in self.walk(flat):
+                buf[0] = sums
+                _pwlq.scaled_squares(x, self.of(m, f0, f1),
+                                     out=buf[1:f1 - f0 + 1].reshape(x.shape))
+                np.add.reduce(buf[:f1 - f0 + 1], axis=0, out=sums)
+            return sums
+        for f0, f1, x in self.walk(flat):
+            rows, mat = self.rows(x, f0, f1)
+            if self.dims[0] > 1:
+                mat = np.ascontiguousarray(mat)
+            sums[rows] = _pwlq.scaled_squares(mat, m[rows, None]).sum(axis=1)
+        return sums
+
+
+# numpy's pairwise summation adds runs of up to this many values in one
+# loop, and splits longer runs in two.
+_PAIRWISE_RUN = 128
+
+
+def _pairwise_sum(values, lo: int, hi: int) -> float:
+    """Sum of ``values(lo, hi)`` (a 1-D float64 array of the elements
+    [lo, hi) of a longer one) in the order numpy's pairwise summation adds
+    the whole: split where numpy splits until a part fits in a block."""
+    count = hi - lo
+    if count <= max(_store.BLOCK, _PAIRWISE_RUN):
+        return np.add.reduce(values(lo, hi))
+    half = count // 2 - count // 2 % 8
+    return _pairwise_sum(values, lo, lo + half) + _pairwise_sum(values, lo + half, hi)
 
 
 @dataclass(frozen=True)
@@ -146,18 +264,57 @@ def make_passthrough(t: WeightTensor, scheme: str, method: str, bits: int) -> Qu
         error=ErrorReport(0.0, 0.0, t.shape.element_count))
 
 
-def error_report(values: np.ndarray, reconstructed: np.ndarray) -> ErrorReport:
-    """MSE and max |error| over the flat row-major difference; overwrites
-    ``reconstructed``."""
-    diff = np.subtract(values, reconstructed, out=reconstructed)
-    mse = float(np.mean(diff * diff))
-    return ErrorReport(mse, float(np.abs(diff, out=diff).max()), values.size)
+def _block_error(x: np.ndarray, decoded: np.ndarray) -> tuple[float, float]:
+    """Sum of squared errors and max |error| of one block; overwrites both."""
+    np.subtract(x, decoded, out=decoded)
+    np.multiply(decoded, decoded, out=x)
+    return float(np.add.reduce(x.reshape(-1))), float(np.abs(decoded, out=decoded).max())
+
+
+def _report(errors, count: int) -> ErrorReport:
+    """The error of a tensor from its blocks' (sum of squares, max) in order."""
+    sse = worst = 0.0
+    for block_sse, block_worst in errors:
+        sse += block_sse
+        worst = max(worst, block_worst)
+    return ErrorReport(sse / count, worst, count)
+
+
+def error_report(values: np.ndarray, reconstructed: np.ndarray,
+                 shape: TensorShape) -> ErrorReport:
+    """MSE and max |error| of a flat reconstruction, summed over the blocks
+    that :func:`quantize_tensor` measures; overwrites ``reconstructed``."""
+    blocks = _Blocks(shape, LAYER_WISE)     # every granularity has the same blocks
+    filter_size = values.size // shape.n
+    errors = []
+    for f0, f1, x in blocks.walk(values):
+        part = reconstructed[f0 * filter_size:f1 * filter_size]
+        errors.append(_block_error(x, part.reshape(x.shape)))
+    return _report(errors, values.size)
+
+
+def _breakpoints(t: WeightTensor, blocks: _Blocks, bits: int, mode: str,
+                 grid_points: int, vmin: np.ndarray, vmax: np.ndarray) -> np.ndarray:
+    """One breakpoint per group, as :func:`convquant.pwlq.row_breakpoints`
+    gives it for the float64 group matrix."""
+    if mode == "bruteforce":
+        # The search takes the group matrix in row blocks, upcast one at a time.
+        return _pwlq.search_breakpoints(_as_group_matrix(t.values, t.shape, blocks.scheme),
+                                        bits, grid_points)
+    m = np.maximum(vmax, -vmin)
+    size = t.shape.element_count // len(m)
+    return m * _pwlq.ratios_from_squares(m, blocks.square_sums(t.values, m), size)
 
 
 def quantize_tensor(t: WeightTensor, scheme: str, method: str, bits: int,
                     breakpoint_mode: str = "approx",
                     grid_points: int = _pwlq.DEFAULT_GRID_POINTS) -> QuantizedTensor:
-    """Quantize one tensor under a granularity, all groups in one matrix pass.
+    """Quantize one tensor under a granularity, one block of filters at a time.
+
+    Each group's parameters come from its statistics (extremes, and for
+    pwlq its breakpoint), gathered over every block first; then each block
+    is encoded, decoded for the error and written into the flat outputs.
+    The result equals the row kernels' on the float64 group matrix.
 
     Channel-wise on a 1x1 kernel returns a passthrough tensor: each group
     would hold a single weight and the layer cannot be usefully quantized at
@@ -175,55 +332,90 @@ def quantize_tensor(t: WeightTensor, scheme: str, method: str, bits: int,
     if scheme == CHANNEL_WISE and t.shape.h * t.shape.w == 1:
         return make_passthrough(t, scheme, method, bits)
 
-    mat = _as_group_matrix(t.values, t.shape, scheme)
-    region_bits = None
+    blocks = _Blocks(t.shape, scheme)
+    vmin, vmax = blocks.extremes(t.values)
     try:
         if method == PWLQ:
-            p = _pwlq.row_breakpoints(mat, bits, breakpoint_mode, grid_points)
-            params, regions, codes = _pwlq.quantize_rows(mat, bits, p)
-            reconstructed = _pwlq.dequantize_rows(params, regions, codes)
-            tail_bits, codes = _pwlq.fold_regions(regions, codes, bits)
-            region_bits = _from_group_matrix(tail_bits, t.shape, scheme)
+            p = _breakpoints(t, blocks, bits, breakpoint_mode, grid_points, vmin, vmax)
+            params = _pwlq.group_records(bits, vmin, vmax, p)
         else:
-            params, codes = _uniform.quantize_rows(mat, method, bits)
-            reconstructed = _uniform.decode(codes, params["scale"][:, None],
-                                            params["zero_point"][:, None])
+            params = _uniform.range_records(method, bits, vmin, vmax)
     except (DegenerateRange, BreakpointOutOfRange) as exc:
         raise type(exc)(f"{t.name}: {exc}") from exc
-    reconstructed = _from_group_matrix(reconstructed, t.shape, scheme)
+
+    codes = np.empty(blocks.dims, np.int8)
+    region_bits = np.empty(blocks.dims, np.uint8) if method == PWLQ else None
+    lo, hi = code_domain(method, bits)
+    errors = []
+    for f0, f1, x in blocks.walk(t.values):
+        rec = blocks.of(params, f0, f1)
+        if method == PWLQ:
+            regions, block_codes, decoded = _pwlq.encode(x, rec, bits)
+            region_bits[f0:f1], codes[f0:f1] = _pwlq.fold_regions(regions, block_codes, bits)
+        else:
+            codes[f0:f1] = _uniform.encode(x, rec["scale"], rec["zero_point"], lo, hi)
+            decoded = _uniform.decode(codes[f0:f1], rec["scale"], rec["zero_point"])
+        errors.append(_block_error(x, decoded))
 
     return QuantizedTensor(
         name=t.name, shape=t.shape, method=method, bits=bits, scheme=scheme,
-        params=params, codes=_from_group_matrix(codes, t.shape, scheme),
-        region_bits=region_bits, source_bits=t.source_precision_bits,
-        error=error_report(t.values, reconstructed))
+        params=params, codes=codes.reshape(-1),
+        region_bits=None if region_bits is None else region_bits.reshape(-1),
+        source_bits=t.source_precision_bits,
+        error=_report(errors, t.shape.element_count))
 
 
-def dequantize_tensor(q: QuantizedTensor) -> WeightTensor:
-    """Reconstruct a real-valued tensor; passthrough returns values verbatim."""
+def _check_codes(q: QuantizedTensor, blocks: _Blocks) -> None:
+    """Raise CorruptCodes naming the first group with a code outside its
+    domain: the signed k-bit range for pwlq's combined codes."""
+    cmin, cmax = blocks.extremes(q.codes)
+    if q.method != PWLQ:
+        try:
+            _uniform.check_code_range(q.params, cmin, cmax)
+        except CodeOutOfDomain as exc:
+            raise CorruptCodes(f"{q.name}: {exc}") from exc
+        return
+    half = 1 << (q.bits - 1)
+    g = np.flatnonzero((cmin < -half) | (cmax > half - 1))[0]
+    raise CorruptCodes(f"{q.name}: group {g}: combined code outside signed "
+                       f"{q.bits}-bit range")
+
+
+def dequantize_tensor(q: QuantizedTensor, dtype=np.float64) -> WeightTensor:
+    """Reconstruct a real-valued tensor with values in ``dtype``, one block
+    of filters at a time; passthrough returns its values verbatim.
+
+    The decode is float64 whatever ``dtype`` is. A code outside its group's
+    domain raises CorruptCodes naming the tensor and the first such group.
+    """
     if q.passthrough:
-        return WeightTensor(q.name, q.shape, q.values.copy(), q.source_bits)
+        return WeightTensor(q.name, q.shape, q.values.astype(dtype), q.source_bits)
     if q.codes is None or len(q.codes) != q.element_count:
         raise CorruptCodes(f"{q.name}: code array missing or wrong length")
     expected_groups = group_count(q.shape, q.scheme)
     if q.group_count != expected_groups:
         raise CorruptCodes(
             f"{q.name}: {q.group_count} parameter sets for {expected_groups} groups")
+    pwlq = q.method == PWLQ
+    if pwlq and (q.region_bits is None or len(q.region_bits) != q.element_count):
+        raise CorruptCodes(f"{q.name}: region bitmap missing or wrong length")
 
-    code_mat = _as_group_matrix(q.codes, q.shape, q.scheme)
-    try:
-        if q.method == PWLQ:
-            if q.region_bits is None or len(q.region_bits) != q.element_count:
-                raise CorruptCodes(f"{q.name}: region bitmap missing or wrong length")
+    blocks = _Blocks(q.shape, q.scheme)
+    half = 1 << (q.bits - 1)
+    # Every code within the narrowest domain of any group is in its own.
+    if (q.codes.min() < -half + (q.method == SYMMETRIC_RESTRICTED)
+            or q.codes.max() > half - 1):
+        _check_codes(q, blocks)
+
+    out = np.empty(blocks.dims, dtype)
+    if pwlq:
+        region_bits = q.region_bits.reshape(blocks.dims)
+    for f0, f1, codes in blocks.walk(q.codes, upcast=False):
+        rec = blocks.of(q.params, f0, f1)
+        if pwlq:
             # Degenerate groups decode uniformly, whatever their region bits say.
-            tail = (_as_group_matrix(q.region_bits, q.shape, q.scheme).astype(bool)
-                    & (q.params["kind"] == _pwlq.PWLQ_KIND)[:, None])
-            regions, codes = _pwlq.unfold_regions(tail, code_mat, q.bits)
-            out = _pwlq.dequantize_rows(q.params, regions, codes)
+            tail = (region_bits[f0:f1] != 0) & (rec["kind"] == _pwlq.PWLQ_KIND)
+            out[f0:f1] = _pwlq.decode(rec, *_pwlq.unfold_regions(tail, codes, q.bits))
         else:
-            out = _uniform.dequantize_rows(q.params, code_mat)
-    except CodeOutOfDomain as exc:
-        raise CorruptCodes(f"{q.name}: {exc}") from exc
-
-    return WeightTensor(q.name, q.shape,
-                        _from_group_matrix(out, q.shape, q.scheme), q.source_bits)
+            out[f0:f1] = _uniform.decode(codes, rec["scale"], rec["zero_point"])
+    return WeightTensor(q.name, q.shape, out.reshape(-1), q.source_bits)

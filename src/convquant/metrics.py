@@ -69,7 +69,7 @@ def quant_error(original: WeightTensor, q: QuantizedTensor) -> ErrorReport:
             f"{original.name}: shape {original.shape.dims} vs {q.shape.dims}")
     if q.passthrough:
         return ErrorReport(0.0, 0.0, q.element_count)
-    return error_report(original.values, dequantize_tensor(q).values)
+    return error_report(original.values, dequantize_tensor(q).values, q.shape)
 
 
 def select_granularity(t: WeightTensor, candidates, method: str, bits: int,

@@ -17,11 +17,13 @@ The breakpoint comes either from a closed-form estimate (``breakpoint_approx``,
 applied to m in units of the group's RMS) or from a grid search minimizing
 reconstruction MSE (``search_breakpoints``).
 
-As in the uniform module, a tensor is handled a whole ``(groups, group
-size)`` matrix at a time, one group per row: ``quantize_rows`` builds one
-:data:`RECORD` per row and encodes every row, ``dequantize_rows`` decodes
-them, and ``search_breakpoints`` scores every candidate breakpoint on one
-block of rows at a time.
+As in the uniform module, the row kernels take a ``(groups, group size)``
+matrix, one group per row: ``quantize_rows`` builds one :data:`RECORD` per
+row and encodes every row, ``dequantize_rows`` decodes them, and
+``search_breakpoints`` scores every candidate breakpoint on one block of
+rows at a time. ``group_records``, ``encode`` and ``decode`` underlie them;
+``encode`` and ``decode`` take records that broadcast against the values,
+so they serve any block of a tensor as well as rows.
 """
 
 from __future__ import annotations
@@ -88,19 +90,30 @@ def breakpoint_approx(m: float) -> float:
     return float(m * _clamped_ratio(m))
 
 
-def _approx_ratios(mat: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """Closed-form p/m of every row, with its max magnitude ``m`` in units of
-    the row's RMS; scaling a row by a power of two leaves its ratio unchanged.
-    All-zero rows (m = 0) get the ratio at m = 1.
+def scaled_squares(x, m, out=None) -> np.ndarray:
+    """``(x / 2**e) ** 2``, with 2**e the power of two that scales the max
+    magnitude ``m`` of x's group into [0.5, 1); ``m`` broadcasts against x.
+    The scaling is exact, and it keeps squares of tiny values from
+    underflowing the RMS to 0."""
+    out = np.ldexp(x, -np.frexp(m)[1], out=out)
+    out *= out
+    return out
 
-    Each row is first scaled exactly by a power of two to a max magnitude in
-    [0.5, 1), so that squaring tiny values cannot underflow the RMS to 0."""
-    e = np.frexp(m)[1]
-    scaled = np.ldexp(mat, -e[:, None])
-    scaled *= scaled
-    rms = np.sqrt(scaled.mean(axis=1))
-    return _clamped_ratio(np.divide(np.ldexp(m, -e), rms, out=np.ones_like(m),
-                                    where=m > 0))
+
+def ratios_from_squares(m: np.ndarray, sums: np.ndarray, size: int) -> np.ndarray:
+    """Closed-form p/m of groups of ``size`` values with max magnitudes
+    ``m`` and sums ``sums`` of :func:`scaled_squares`: m in units of the
+    group's RMS, which scaling a group by a power of two leaves unchanged.
+    All-zero groups (m = 0) get the ratio at m = 1."""
+    rms = np.sqrt(sums / size)
+    return _clamped_ratio(np.divide(np.ldexp(m, -np.frexp(m)[1]), rms,
+                                    out=np.ones_like(m), where=m > 0))
+
+
+def _approx_ratios(mat: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """Closed-form p/m of every row, ``m`` holding the rows' max magnitudes."""
+    return ratios_from_squares(m, scaled_squares(mat, m[:, None]).sum(axis=1),
+                               mat.shape[1])
 
 
 def _records(m: np.ndarray, p: np.ndarray, bits: int, first_row: int = 0) -> np.ndarray:
@@ -127,15 +140,13 @@ def _records(m: np.ndarray, p: np.ndarray, bits: int, first_row: int = 0) -> np.
     return records.reshape(shape)
 
 
-def _piece_params(records, neg, pos, scale=None, zero_point=None):
-    """Per-element scale and zero-point (into the buffers, when given) of each
-    element's piece: the tail that ``neg`` or ``pos`` marks, else the center."""
-    out = []
-    for field, buf in (("scale", scale), ("zero_point", zero_point)):
-        buf = np.empty(neg.shape) if buf is None else buf
-        for piece, where in zip(PIECES, (True, neg, pos)):
-            np.copyto(buf, records[piece][field][:, None], where=where)
-        out.append(buf)
+def _piece_field(records, field: str, neg, pos, out=None) -> np.ndarray:
+    """Per-element ``field`` (into ``out``, when given) of each element's
+    piece: the tail that ``neg`` or ``pos`` marks, else the center.
+    ``records`` broadcasts against the masks."""
+    out = np.empty(neg.shape) if out is None else out
+    for piece, where in zip(PIECES, (True, neg, pos)):
+        np.copyto(out, records[piece][field], where=where)
     return out
 
 
@@ -153,18 +164,38 @@ def _codes(mat, scale, zero_point, tail, bits: int, out=None, scratch=None) -> n
     return np.clip(q, -quarter, quarter - 1, out=q, where=tail)
 
 
-def _encode(mat: np.ndarray, records: np.ndarray, bits: int) -> tuple[np.ndarray, np.ndarray]:
-    """Region labels and per-region int8 codes of every row: k-bit center
-    codes, (k-1)-bit tail codes."""
-    p = records["p"][:, None]
-    neg, pos = mat < -p, mat > p
-    regions = np.zeros(mat.shape, dtype=np.uint8)
+def encode(x: np.ndarray, records: np.ndarray,
+           bits: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Region labels, per-region int8 codes (k-bit center, (k-1)-bit tails)
+    and their float64 decode, of x. ``records`` broadcasts against x."""
+    p = records["p"]
+    neg, pos = x < -p, x > p
+    regions = np.zeros(x.shape, dtype=np.uint8)
     regions[neg] = NEG_TAIL
     regions[pos] = POS_TAIL
-    scale, zero_point = _piece_params(records, neg, pos)
-    # The scale is spent once divided by, so it serves as the scratch.
-    codes = _codes(mat, scale, zero_point, neg | pos, bits, scratch=scale)
-    return regions, codes.astype(np.int8)
+    scale = _piece_field(records, "scale", neg, pos)
+    zero_point = _piece_field(records, "zero_point", neg, pos)
+    # The scale is spent once divided by, so it serves as the scratch, and
+    # is gathered again for the decode.
+    codes = _codes(x, scale, zero_point, neg | pos, bits, scratch=scale)
+    int_codes = codes.astype(np.int8)
+    # Decoding the float codes is exact: they are integers in [-128, 127].
+    codes -= zero_point
+    codes *= _piece_field(records, "scale", neg, pos, out=scale)
+    return regions, int_codes, codes
+
+
+def decode(records: np.ndarray, regions: np.ndarray, codes: np.ndarray) -> np.ndarray:
+    """uniform.decode's ``(codes - zero_point) * scale`` in float64, each
+    element with the record of its region. ``records`` broadcasts against
+    the codes."""
+    neg, pos = regions == NEG_TAIL, regions == POS_TAIL
+    scale = _piece_field(records, "scale", neg, pos)
+    # Computed in the zero-point array, so that one float64 array fewer is live.
+    out = _piece_field(records, "zero_point", neg, pos)
+    np.subtract(codes, out, out=out)
+    out *= scale
+    return out
 
 
 def dequantize_rows(records: np.ndarray, regions: np.ndarray, codes: np.ndarray) -> np.ndarray:
@@ -173,33 +204,37 @@ def dequantize_rows(records: np.ndarray, regions: np.ndarray, codes: np.ndarray)
     A row's codes use the record of their region; a degenerate row keeps
     its uniform record in ``center`` and all its elements in that region.
     """
-    scale, out = _piece_params(records, regions == NEG_TAIL, regions == POS_TAIL)
-    # uniform.decode's (codes - zero_point) * scale, computed in the
-    # zero-point array so that one per-element float64 array fewer is live.
-    np.subtract(codes, out, out=out)
-    out *= scale
-    return out
+    return decode(records[:, None], regions, codes)
 
 
 def quantize_rows(mat: np.ndarray, bits: int, p: np.ndarray):
     """Split each row of a (groups, size) matrix at its breakpoint and encode it.
 
-    ``p`` holds one breakpoint per row. A row with no nonzero value has
-    nothing to split: its ``p`` is ignored and it gets, in ``center``, the
-    degenerate affine record of :func:`convquant.uniform.quantize_rows`
-    (kind 0, s = 1, z = 0, clip range [0, 0]). Returns (records, regions,
-    int8 codes).
+    ``p`` holds one breakpoint per row (see :func:`group_records`). Returns
+    (records, regions, int8 codes).
     """
-    vmin, vmax = row_extremes(mat)
+    records = group_records(bits, *row_extremes(mat), p)
+    regions, codes, _ = encode(mat, records[:, None], bits)
+    return records, regions, codes
+
+
+def group_records(bits: int, vmin: np.ndarray, vmax: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """One record per group, for groups whose values span [vmin, vmax],
+    split at breakpoints ``p``.
+
+    A group with no nonzero value has nothing to split: its ``p`` is ignored
+    and it gets, in ``center``, the degenerate affine record of
+    :func:`convquant.uniform.quantize_rows` (kind 0, s = 1, z = 0, clip
+    range [0, 0]).
+    """
     m = np.maximum(vmax, -vmin)
     zero = m == 0
     records = _records(np.where(zero, 1.0, m), np.where(zero, 0.5, p), bits)
-    regions, codes = _encode(mat, records, bits)
     if zero.any():
         records[zero] = np.zeros(1, RECORD)
         records["bits"][zero] = bits
         records["center"][zero] = range_records(AFFINE, bits, vmin[zero], vmin[zero])
-    return records, regions, codes
+    return records
 
 
 def row_breakpoints(mat: np.ndarray, bits: int, mode: str,
@@ -234,7 +269,7 @@ def search_breakpoints(mat: np.ndarray, bits: int,
     for start in range(0, len(mat), rows):
         # Row means must sum contiguous rows, so each row's MSE, and the
         # choice it drives, matches a one-row search bit for bit.
-        block = np.ascontiguousarray(mat[start:start + rows])
+        block = np.ascontiguousarray(mat[start:start + rows], dtype=np.float64)
         m = np.abs(block).max(axis=1)
         ratios = np.vstack([np.broadcast_to(grid, (grid_points, len(m))),
                             _approx_ratios(block, m)])
@@ -243,11 +278,12 @@ def search_breakpoints(mat: np.ndarray, bits: int,
         neg, pos, tail = (np.empty(block.shape, bool) for _ in range(3))
         scale, zero_point, codes, scratch = (np.empty(block.shape) for _ in range(4))
         best_err, best = np.full(len(m), np.inf), np.zeros(len(m))
-        for rec, ratio in zip(records, ratios):
-            np.less(block, -rec["p"][:, None], out=neg)
-            np.greater(block, rec["p"][:, None], out=pos)
+        for rec, ratio in zip(records[:, :, None], ratios):
+            np.less(block, -rec["p"], out=neg)
+            np.greater(block, rec["p"], out=pos)
             np.logical_or(neg, pos, out=tail)
-            _piece_params(rec, neg, pos, scale, zero_point)
+            _piece_field(rec, "scale", neg, pos, scale)
+            _piece_field(rec, "zero_point", neg, pos, zero_point)
             _codes(block, scale, zero_point, tail, bits, codes, scratch)
             # Decoding the float codes is exact: they are integers in [-128, 127].
             codes -= zero_point
@@ -285,16 +321,22 @@ def fold_regions(regions, values, bits: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def unfold_regions(tail_bits, combined, bits: int) -> tuple[np.ndarray, np.ndarray]:
-    """Inverse of fold_regions: (uint8 region labels, int8 codes)."""
+    """Inverse of fold_regions: (uint8 region labels, int8 codes), built in
+    one-byte arrays."""
     half = 1 << (bits - 1)
     quarter = 1 << (bits - 2)
-    tail = np.asarray(tail_bits).astype(bool)
+    tail = np.asarray(tail_bits) != 0
     combined = np.asarray(combined)
     if combined.size and (combined.min() < -half or combined.max() > half - 1):
         raise CodeOutOfDomain(f"combined code outside signed {bits}-bit range")
-    field = combined.astype(np.int16) + half
-    negative = (field >> (bits - 1)).astype(bool) & tail
-    tail_code = (field & (half - 1)) - quarter
-    regions = np.where(tail, np.where(negative, NEG_TAIL, POS_TAIL), CENTER)
-    values = np.where(tail, tail_code, combined)
-    return regions.astype(np.uint8), values.astype(np.int8)
+    # A tail element's k-bit field, its code + 2^(k-1) mod 256, is
+    # [sign bit | (k-1)-bit code + 2^(k-2)], sign 1 for the negative tail.
+    field = combined.astype(np.int8, copy=False).view(np.uint8) + np.uint8(half)
+    regions = np.right_shift(field, bits - 1)
+    np.subtract(POS_TAIL, regions, out=regions)
+    regions *= tail
+    field &= np.uint8(half - 1)
+    field -= np.uint8(quarter)
+    values = field.view(np.int8)
+    np.copyto(values, combined, where=~tail, casting="unsafe")
+    return regions, values

@@ -13,14 +13,17 @@ binary files, one per tensor:
 
 ``dtype`` is "f16" (IEEE binary16) or "f32" (binary32); ``file`` is resolved
 relative to the manifest. Shapes with fewer than four dimensions are padded
-with trailing 1s. Values are held in float64 for all downstream arithmetic;
-the original precision is remembered so files can be written back
-byte-identically.
+with trailing 1s. Values are held at the precision they were read in (a
+tensor built in Python from anything else holds float64); the arithmetic
+downstream upcasts BLOCK elements to float64 at a time, so a tensor's
+working set does not grow with the tensor. The source precision is also
+remembered in bits, so files can be written back byte-identically.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import re
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
@@ -41,6 +44,8 @@ from .errors import (
 DTYPE_BITS = {"f16": 16, "f32": 32}
 # Source precision in bits -> little-endian numpy dtype.
 NUMPY_DTYPES = {16: np.dtype("<f2"), 32: np.dtype("<f4")}
+# Elements that a consumer of WeightTensor.values works on at once.
+BLOCK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -68,7 +73,11 @@ class TensorShape:
 
 @dataclass
 class WeightTensor:
-    """A named conv weight tensor, flattened row-major over (n, c, h, w)."""
+    """A named conv weight tensor, flattened row-major over (n, c, h, w).
+
+    ``values`` keeps a float16, float32 or float64 array as it is; any other
+    input becomes float64.
+    """
 
     name: str
     shape: TensorShape
@@ -76,12 +85,16 @@ class WeightTensor:
     source_precision_bits: int = 16
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64).ravel()
+        values = np.asarray(self.values)
+        if values.dtype not in (np.float16, np.float32, np.float64):
+            values = values.astype(np.float64)
+        self.values = values.ravel()
         if self.values.size != self.shape.element_count:
             raise ShapeMismatch(
                 f"{self.name}: {self.values.size} values for shape {self.shape.dims}")
-        if not np.all(np.isfinite(self.values)):
-            raise InvalidValue(f"{self.name}: non-finite value in weight data")
+        for start in range(0, self.values.size, BLOCK):
+            if not np.isfinite(self.values[start:start + BLOCK]).all():
+                raise InvalidValue(f"{self.name}: non-finite value in weight data")
         if self.source_precision_bits not in NUMPY_DTYPES:
             raise ManifestError(
                 f"{self.name}: unsupported source precision {self.source_precision_bits}")
@@ -141,18 +154,19 @@ def _check_size(name: str, shape: TensorShape, bits: int, size: int) -> None:
 
 
 def _read_tensor(name: str, shape: TensorShape, bits: int, data_path: Path) -> WeightTensor:
-    data = data_path.read_bytes()
-    _check_size(name, shape, bits, len(data))
-    values = np.frombuffer(data, dtype=NUMPY_DTYPES[bits]).astype(np.float64)
+    with open(data_path, "rb") as fh:
+        _check_size(name, shape, bits, os.fstat(fh.fileno()).st_size)
+        values = np.fromfile(fh, dtype=NUMPY_DTYPES[bits])
     return WeightTensor(name, shape, values, bits)
 
 
 def iter_manifest(manifest_path,
                   extra_exclude=()) -> tuple[frozenset[str], Iterator[WeightTensor]]:
-    """Check every manifest entry (keys, unique name, shape, dtype, data file
-    size), then return the excluded names and an iterator that reads each
-    tensor, in manifest order, only when it is asked for. ``extra_exclude``
-    adds glob patterns on top of the manifest's own ``exclude`` list.
+    """Check that the manifest lists at least one tensor and check every
+    entry (keys, unique name, shape, dtype, data file size), then return the
+    excluded names and an iterator that reads each tensor, in manifest
+    order, only when it is asked for. ``extra_exclude`` adds glob patterns
+    on top of the manifest's own ``exclude`` list.
     """
     path = Path(manifest_path)
     if not path.is_file():
@@ -163,6 +177,8 @@ def iter_manifest(manifest_path,
         raise ManifestError(f"cannot parse manifest {path}: {exc}") from exc
     if not isinstance(doc, dict) or not isinstance(doc.get("tensors"), list):
         raise ManifestError(f"{path}: manifest must be an object with a 'tensors' list")
+    if not doc["tensors"]:
+        raise ManifestError(f"{path}: manifest lists no tensors")
 
     patterns = doc.get("exclude", [])
     if not isinstance(patterns, list) or not all(isinstance(p, str) for p in patterns):
@@ -235,7 +251,7 @@ def export_manifest(tensors: Iterable[WeightTensor], manifest_path,
             used.add(file_rel)
             dtype = NUMPY_DTYPES[tensor.source_precision_bits]
             data_path = path.parent / file_rel
-            data_path.write_bytes(tensor.values.astype(dtype))
+            data_path.write_bytes(tensor.values.astype(dtype, copy=False))
             written.append(data_path)
             entries.append({
                 "name": tensor.name,

@@ -79,20 +79,28 @@ def check_bits(bits, piecewise: bool = False, error=IncompatibleBits,
         raise error(f"{where}bit width {bits!r} outside [{floor}, {MAX_BITS}]{method}")
 
 
-def row_extremes(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-row min and max of a (groups, size) matrix.
+def settle_zero_signs(vmin, vmax, any_negative, all_negative) -> None:
+    """Give zero extremes, in place, the sign of IEEE 754 minimum and maximum.
 
     A reduction over +0 and -0 may return either, depending on the loop
     numpy picks for the layout, and the sign ends up in stored clip bounds.
-    Rows whose extreme is zero therefore take it from ``row.min()`` /
-    ``row.max()``, so equal inputs give equal container bytes.
+    So a zero minimum is -0 when its group holds a -0 (``any_negative``:
+    any sign bit set) and a zero maximum is -0 only when every value of its
+    group is -0 (``all_negative``); equal inputs then give equal container
+    bytes, however their groups were reduced.
     """
+    np.copysign(vmin, np.where(any_negative, -1.0, 1.0), out=vmin, where=vmin == 0)
+    np.copysign(vmax, np.where(all_negative, -1.0, 1.0), out=vmax, where=vmax == 0)
+
+
+def row_extremes(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row min and max of a (groups, size) matrix, zeros signed by
+    :func:`settle_zero_signs`."""
     vmin = mat.min(axis=1)
     vmax = mat.max(axis=1)
-    for g in np.flatnonzero(vmin == 0):
-        vmin[g] = mat[g].min()
-    for g in np.flatnonzero(vmax == 0):
-        vmax[g] = mat[g].max()
+    if not (vmin.all() and vmax.all()):
+        sign = np.signbit(mat)
+        settle_zero_signs(vmin, vmax, sign.any(axis=1), sign.all(axis=1))
     return vmin, vmax
 
 
@@ -170,19 +178,25 @@ def quantize_rows(mat: np.ndarray, scheme: str, bits: int) -> tuple[np.ndarray, 
     return records, codes
 
 
+def check_code_range(records: np.ndarray, cmin: np.ndarray, cmax: np.ndarray) -> None:
+    """Raise CodeOutOfDomain naming the first group whose codes, spanning
+    [cmin, cmax], leave the domain of its record."""
+    half = np.left_shift(1, records["bits"].astype(np.int64) - 1)
+    lo = -half + (records["kind"] == KIND_BY_SCHEME[SYMMETRIC_RESTRICTED])
+    bad = np.flatnonzero((cmin < lo) | (cmax > half - 1))
+    if bad.size:
+        g = int(bad[0])
+        raise CodeOutOfDomain(
+            f"group {g}: code outside [{lo[g]}, {half[g] - 1}] for "
+            f"{SCHEME_BY_KIND[int(records['kind'][g])]} at "
+            f"{records['bits'][g]} bits")
+
+
 def dequantize_rows(records: np.ndarray, codes: np.ndarray) -> np.ndarray:
     """Decode (groups, size) codes, one record per row.
 
     Raises CodeOutOfDomain when a code lies outside its row's domain.
     """
-    half = np.left_shift(1, records["bits"].astype(np.int64) - 1)
-    lo = -half + (records["kind"] == KIND_BY_SCHEME[SYMMETRIC_RESTRICTED])
     if codes.size:
-        bad = np.flatnonzero((codes.min(axis=1) < lo) | (codes.max(axis=1) > half - 1))
-        if bad.size:
-            g = int(bad[0])
-            raise CodeOutOfDomain(
-                f"group {g}: code outside [{lo[g]}, {half[g] - 1}] for "
-                f"{SCHEME_BY_KIND[int(records['kind'][g])]} at "
-                f"{records['bits'][g]} bits")
+        check_code_range(records, codes.min(axis=1), codes.max(axis=1))
     return decode(codes, records["scale"][:, None], records["zero_point"][:, None])

@@ -1,0 +1,154 @@
+"""quantize_tensor and dequantize_tensor work one block of filters at a time.
+
+Whatever the block size, they must give what the row kernels give on the
+whole float64 group matrix, and their working set must not grow with the
+tensor.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from convquant import (
+    AFFINE,
+    CHANNEL_WISE,
+    F_SHAPE_WISE,
+    GRANULARITIES,
+    METHODS,
+    PWLQ,
+    TensorShape,
+    WeightTensor,
+    dequantize_tensor,
+    fold_regions,
+    quantize_tensor,
+    tensor_store,
+)
+from convquant import pwlq, uniform
+from convquant.errors import CorruptCodes
+from convquant.granularity import _as_group_matrix
+
+
+def _tensor(name, dims, dtype, seed, zeros=False):
+    rng = np.random.default_rng(seed)
+    values = rng.laplace(0.0, 0.05, dims)
+    if zeros:
+        values[1] = 0.0                                    # an all-zero filter
+        values[:, 2] = -0.0                                # an all -0 input channel
+        values[rng.random(dims) < 0.1] = 0.0               # scattered +0
+        values[0, 0] = rng.choice([0.0, -0.0], dims[2:])   # a channel mixing +0 and -0
+    values = values.astype(dtype)
+    return WeightTensor(name, TensorShape(*dims), values.reshape(-1),
+                        16 if dtype == np.float16 else 32)
+
+
+TENSORS = [
+    _tensor("zeros-f16", (6, 4, 3, 3), np.float16, 1, zeros=True),
+    _tensor("f32", (5, 3, 3, 3), np.float32, 2),
+    _tensor("zeros-f32-1x1", (7, 8, 1, 1), np.float32, 3, zeros=True),
+    _tensor("one-filter-f32", (1, 4, 3, 3), np.float32, 4),
+    _tensor("one-weight-filters-f16", (20, 1, 1, 1), np.float16, 5),
+    _tensor("many-filters-f32", (40, 8, 3, 3), np.float32, 6),
+    WeightTensor("negative-zero", TensorShape(3, 2, 1, 2), np.full(12, -0.0, np.float16)),
+]
+
+CASES = [(scheme, method, mode) for scheme in GRANULARITIES for method in METHODS
+         for mode in (("approx", "bruteforce") if method == PWLQ else ("approx",))]
+
+
+def _row_kernels(mat, method, bits, mode):
+    """(records, codes, region bits, decode) of a float64 group matrix."""
+    if method != PWLQ:
+        records, codes = uniform.quantize_rows(mat, method, bits)
+        return records, codes, None, uniform.dequantize_rows(records, codes)
+    p = pwlq.row_breakpoints(mat, bits, mode, grid_points=8)
+    records, regions, codes = pwlq.quantize_rows(mat, bits, p)
+    decoded = pwlq.dequantize_rows(records, regions, codes)
+    tail_bits, combined = fold_regions(regions, codes, bits)
+    return records, combined, tail_bits, decoded
+
+
+@pytest.mark.parametrize("block", [1, 97], ids=["one-filter", "97-elements"])
+@pytest.mark.parametrize("scheme,method,mode", CASES)
+def test_blocks_match_row_kernels_on_the_whole_group_matrix(monkeypatch, block, scheme,
+                                                            method, mode):
+    monkeypatch.setattr(tensor_store, "BLOCK", block)
+    for i, t in enumerate(TENSORS):
+        if scheme == CHANNEL_WISE and t.shape.h * t.shape.w == 1:
+            continue
+        bits = 3 + i % 6
+        q = quantize_tensor(t, scheme, method, bits, breakpoint_mode=mode, grid_points=8)
+        values = t.values.astype(np.float64)
+        mat = _as_group_matrix(values, t.shape, scheme)
+        records, codes, tail_bits, decoded = _row_kernels(mat, method, bits, mode)
+        assert q.params.tobytes() == records.tobytes(), t.name
+        assert np.array_equal(_as_group_matrix(q.codes, t.shape, scheme), codes), t.name
+        if tail_bits is not None:
+            assert np.array_equal(_as_group_matrix(q.region_bits, t.shape, scheme),
+                                  tail_bits), t.name
+        back = dequantize_tensor(q).values
+        assert np.array_equal(_as_group_matrix(back, t.shape, scheme), decoded), t.name
+        assert np.array_equal(dequantize_tensor(q, np.float16).values,
+                              back.astype(np.float16)), t.name
+        diff = values - back
+        assert q.error.max_abs == np.abs(diff).max(), t.name
+        assert q.error.mse == pytest.approx(np.mean(diff * diff), rel=1e-12, abs=0), t.name
+
+
+@pytest.mark.parametrize("method", [AFFINE, PWLQ])
+def test_corrupt_codes_name_the_first_bad_group(monkeypatch, method):
+    monkeypatch.setattr(tensor_store, "BLOCK", 1)
+    t = TENSORS[5]
+    q = quantize_tensor(t, F_SHAPE_WISE, method, 4)
+    codes = q.codes.reshape(t.shape.n, -1)
+    codes[0, 30] = -100     # group 30, first block
+    codes[-1, 7] = 100      # group 7, last block
+    with pytest.raises(CorruptCodes, match=r"^many-filters-f32: group 7: "):
+        dequantize_tensor(q)
+
+
+def test_zero_extremes_take_ieee_signs_in_every_block_order(monkeypatch):
+    monkeypatch.setattr(tensor_store, "BLOCK", 1)
+    # One f-shape group per column, one filter per row and block: a zero
+    # minimum is -0 if any block holds a -0, a zero maximum +0 if any holds a +0.
+    columns = [[0.0, -0.0, 0.5, 0.0, 1.0, -0.0], [-1.0, -0.0, 0.0, -2.0, -0.0, -3.0]]
+    t = WeightTensor("t", TensorShape(6, 1, 1, 2), np.array(columns).T.reshape(-1))
+    q = quantize_tensor(t, F_SHAPE_WISE, AFFINE, 4)
+    assert q.params[["beta", "alpha"]].tolist() == [(0.0, 1.0), (-3.0, 0.0)]
+    assert np.signbit(q.params["beta"]).tolist() == [True, True]
+    assert np.signbit(q.params["alpha"]).tolist() == [False, False]
+    vmin, vmax = uniform.row_extremes(np.array([[0.0, -0.0, 0.0], [-0.0, 0.0, 1.0],
+                                                [-0.0, -0.0, -1.0]]))
+    assert np.signbit(vmin).tolist() == [True, True, True]
+    assert np.signbit(vmax).tolist() == [False, False, True]
+
+
+def _traced_peaks(t, method):
+    """Peak bytes traced inside quantize_tensor and dequantize_tensor beyond
+    what each returns."""
+    tracemalloc.start()
+    try:
+        q = quantize_tensor(t, F_SHAPE_WISE, method, 4)
+        outputs = sum(a.nbytes for a in (q.params, q.codes, q.region_bits) if a is not None)
+        quantize_peak = tracemalloc.get_traced_memory()[1] - outputs
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        back = dequantize_tensor(q, np.float16)
+        dequantize_peak = tracemalloc.get_traced_memory()[1] - start - back.values.nbytes
+    finally:
+        tracemalloc.stop()
+    return quantize_peak, dequantize_peak
+
+
+@pytest.mark.parametrize("method", [AFFINE, PWLQ])
+def test_working_set_is_a_few_blocks_whatever_the_tensor_size(method):
+    rng = np.random.default_rng(12)
+    peaks = []
+    for n in (256, 512):
+        values = rng.laplace(0.0, 0.02, n * 256 * 9).astype(np.float16)
+        peaks.append(_traced_peaks(WeightTensor("t", TensorShape(n, 256, 3, 3), values),
+                                   method))
+    (q_small, d_small), (q_large, d_large) = peaks
+    float64_block = 8 * tensor_store.BLOCK
+    assert max(q_small, q_large, d_small, d_large) <= 8 * float64_block
+    assert q_large <= q_small + float64_block / 4 and d_large <= d_small + float64_block / 4

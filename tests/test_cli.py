@@ -173,6 +173,19 @@ class TestQuantizeCommand:
         assert out.read_bytes() == earlier
         assert sorted(tmp_path.iterdir()) == before
 
+    def test_empty_manifest_keeps_earlier_container(self, tmp_path, capsys):
+        manifest = tmp_path / "model.json"
+        manifest.write_text('{"tensors": []}')
+        out = tmp_path / "m.qnt"
+        out.write_bytes(b"an earlier container")
+        before = sorted(tmp_path.iterdir())
+        rc = main(["quantize", "--manifest", str(manifest), "--out", str(out),
+                   "--report", str(tmp_path / "r.json")])
+        assert rc == 1
+        assert "no tensors" in capsys.readouterr().err
+        assert out.read_bytes() == b"an earlier container"
+        assert sorted(tmp_path.iterdir()) == before
+
     def test_manifest_checked_before_quantizing(self, tmp_path, monkeypatch, capsys):
         manifest = four_tensor_model(tmp_path)
         last = tmp_path / "conv3.bin"

@@ -18,7 +18,7 @@ from convquant import (
     quantize_tensor,
 )
 from convquant.errors import BreakpointOutOfRange, CorruptCodes, IncompatibleBits, InvalidInput
-from convquant.granularity import _as_group_matrix, _from_group_matrix, group_count
+from convquant.granularity import GROUP_LAYOUT, _as_group_matrix, _view_dims, group_count
 from convquant.pwlq import PWLQ_KIND
 from convquant.uniform import KIND_BY_SCHEME
 
@@ -81,6 +81,14 @@ def reference_group(dims, scheme, n, c, h, w):
     _, C, H, W = dims
     return {LAYER_WISE: 0, FILTER_WISE: n, CHANNEL_WISE: n * C + c,
             F_SHAPE_WISE: (c * H + h) * W + w, C_SHAPE_WISE: (n * H + h) * W + w}[scheme]
+
+
+def _from_group_matrix(mat, shape, scheme):
+    """Inverse of _as_group_matrix; returns a flat row-major array."""
+    order = sum(GROUP_LAYOUT[scheme], ())
+    dims = _view_dims(shape)
+    grouped = mat.reshape([dims[axis] for axis in order]).transpose(np.argsort(order))
+    return np.ascontiguousarray(grouped).reshape(-1)
 
 
 class TestGatherScatter:

@@ -121,6 +121,12 @@ class TestLoadManifest:
         with pytest.raises(ManifestError):
             load_manifest(path)
 
+    def test_empty_tensor_list(self, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_text('{"tensors": []}')
+        with pytest.raises(ManifestError, match="no tensors"):
+            iter_manifest(path)
+
     def test_duplicate_names_in_manifest(self, tmp_path):
         entries = [{"name": "a", "shape": [1], "dtype": "f16", "file": "a.bin"},
                    {"name": "a", "shape": [1], "dtype": "f16", "file": "a.bin"}]

@@ -10,15 +10,12 @@ __version__ = "0.1.0"
 
 from .errors import QuantError
 from .tensor_store import (
-    ModelWeights,
     TensorShape,
     WeightTensor,
     element_index,
     export_manifest,
     iter_manifest,
-    load_manifest,
     resolve_exclusions,
-    save_manifest,
 )
 from .uniform import (
     AFFINE,
@@ -60,15 +57,14 @@ from .metrics import (
     select_granularity,
 )
 from .packing import PackedCodes, pack_codes, unpack_codes
-from .container import FORMAT_VERSION, open_container, read_container, write_container
+from .container import FORMAT_VERSION, open_container, write_container
 
 __all__ = [
     "__version__",
     "QuantError",
     # tensor store
-    "ModelWeights", "TensorShape", "WeightTensor", "element_index",
-    "export_manifest", "iter_manifest", "load_manifest", "resolve_exclusions",
-    "save_manifest",
+    "TensorShape", "WeightTensor", "element_index", "export_manifest",
+    "iter_manifest", "resolve_exclusions",
     # uniform
     "AFFINE", "SYMMETRIC_FULL", "SYMMETRIC_RESTRICTED", "code_domain",
     "round_half_away",
@@ -85,5 +81,5 @@ __all__ = [
     "select_granularity",
     # packing / container
     "PackedCodes", "pack_codes", "unpack_codes",
-    "FORMAT_VERSION", "open_container", "read_container", "write_container",
+    "FORMAT_VERSION", "open_container", "write_container",
 ]

@@ -15,6 +15,7 @@ the memory ratio on 1x1-kernel layers.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import math
@@ -154,8 +155,7 @@ def _write_report(path, args, rows, totals, mm) -> None:
 
 def _cleanup(paths) -> None:
     for p in paths:
-        if p is not None:
-            Path(p).unlink(missing_ok=True)
+        Path(p).unlink(missing_ok=True)
 
 
 def _quantized(tensors, excluded, args, mm, rows):
@@ -200,6 +200,7 @@ def cmd_quantize(args) -> int:
 
 def cmd_dequantize(args) -> int:
     created = []
+    new_dirs = [d for d in Path(args.out_manifest).parents if not d.exists()]
     try:
         with open_container(args.container) as (_, tensors):
             created = export_manifest(
@@ -211,6 +212,9 @@ def cmd_dequantize(args) -> int:
         return 0
     except (QuantError, OSError) as exc:
         _cleanup(created)
+        for new_dir in new_dirs:    # deepest first, emptied by the cleanup
+            with contextlib.suppress(OSError):
+                new_dir.rmdir()
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -275,12 +275,6 @@ def open_container(path):
         yield memory_model, (_read_tensor(*record, read) for record in records)
 
 
-def read_container(path) -> tuple[list[QuantizedTensor], MemoryModel]:
-    """Parse a container back into quantized tensors and its memory model."""
-    with open_container(path) as (memory_model, tensors):
-        return list(tensors), memory_model
-
-
 def _read_header(fh) -> tuple[MemoryModel, list, int]:
     """The memory model, the checked tensor records and the payload's offset."""
     size = os.fstat(fh.fileno()).st_size

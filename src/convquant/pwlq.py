@@ -42,6 +42,7 @@ from .uniform import (
     SYMMETRIC_FULL,
     check_bits,
     range_records,
+    round_codes,
     row_extremes,
 )
 from .uniform import RECORD as UNIFORM_RECORD
@@ -155,12 +156,8 @@ def _codes(mat, scale, zero_point, tail, bits: int, out=None, scratch=None) -> n
     in the center and (k-1)-bit where ``tail``, in ``out`` when given."""
     q = np.divide(mat, scale, out=out)
     q += zero_point
-    t = np.abs(q, out=scratch)      # round_half_away, in place
-    t += 0.5
-    np.floor(t, out=t)
-    np.copysign(t, q, out=q)
     half, quarter = 1 << (bits - 1), 1 << (bits - 2)
-    np.clip(q, -half, half - 1, out=q)
+    round_codes(q, -half, half - 1, scratch)
     return np.clip(q, -quarter, quarter - 1, out=q, where=tail)
 
 

@@ -1,4 +1,4 @@
-"""Loading and addressing model weights.
+"""Reading, writing and addressing model weights, one tensor at a time.
 
 Weights enter the toolkit through a JSON manifest next to raw little-endian
 binary files, one per tensor:
@@ -26,7 +26,7 @@ import json
 import os
 import re
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fnmatch import fnmatchcase
 from pathlib import Path
 
@@ -98,29 +98,6 @@ class WeightTensor:
         if self.source_precision_bits not in NUMPY_DTYPES:
             raise ManifestError(
                 f"{self.name}: unsupported source precision {self.source_precision_bits}")
-
-
-@dataclass
-class ModelWeights:
-    """All tensors of one checkpoint plus the names exempt from quantization."""
-
-    tensors: list[WeightTensor]
-    excluded: frozenset[str] = field(default_factory=frozenset)
-
-    def __post_init__(self):
-        names = [t.name for t in self.tensors]
-        seen = set()
-        for name in names:
-            if name in seen:
-                raise DuplicateName(f"tensor name {name!r} appears twice")
-            seen.add(name)
-        stray = set(self.excluded) - seen
-        if stray:
-            raise ManifestError(f"excluded names not in model: {sorted(stray)}")
-
-    @property
-    def names(self) -> list[str]:
-        return [t.name for t in self.tensors]
 
 
 def element_index(shape: TensorShape, n: int, c: int, h: int, w: int) -> int:
@@ -216,29 +193,30 @@ def iter_manifest(manifest_path,
     return excluded, (_read_tensor(*entry) for entry in entries)
 
 
-def load_manifest(manifest_path, extra_exclude=()) -> ModelWeights:
-    """Read a manifest and all referenced tensor data (see iter_manifest)."""
-    excluded, tensors = iter_manifest(manifest_path, extra_exclude)
-    return ModelWeights(list(tensors), excluded)
+def _tmp_path(path: Path) -> Path:
+    return path.with_name(path.name + ".tmp")
 
 
 def _file_stem(name: str) -> str:
     return re.sub(r"[^A-Za-z0-9_.-]", "_", name) or "tensor"
 
 
-def export_manifest(tensors: Iterable[WeightTensor], manifest_path,
-                    excluded=()) -> list[Path]:
+def export_manifest(tensors: Iterable[WeightTensor], manifest_path) -> list[Path]:
     """Write each tensor's raw binary as it arrives, then the manifest;
-    returns every path created.
+    returns every path written.
 
     Values are stored at each tensor's source precision, so a freshly loaded
-    model writes back byte-identically. If a write fails or ``tensors``
-    raises, the files already written are removed before the error propagates.
+    model writes back byte-identically. Every file is first written under
+    its name plus ``.tmp``, and all are moved into place, the manifest last,
+    only once every one is written. If a write fails or ``tensors`` raises,
+    the ``.tmp`` files and the files already moved into place are removed
+    before the error propagates.
     """
     path = Path(manifest_path)
     path.parent.mkdir(parents=True, exist_ok=True)
     entries = []
-    written = []
+    staged = []     # final paths, each written first under its _tmp_path
+    placed = []
     used = set()
     try:
         for tensor in tensors:
@@ -250,25 +228,22 @@ def export_manifest(tensors: Iterable[WeightTensor], manifest_path,
                 serial += 1
             used.add(file_rel)
             dtype = NUMPY_DTYPES[tensor.source_precision_bits]
-            data_path = path.parent / file_rel
-            data_path.write_bytes(tensor.values.astype(dtype, copy=False))
-            written.append(data_path)
+            staged.append(path.parent / file_rel)
+            _tmp_path(staged[-1]).write_bytes(tensor.values.astype(dtype, copy=False))
             entries.append({
                 "name": tensor.name,
                 "shape": list(tensor.shape.dims),
                 "dtype": "f16" if tensor.source_precision_bits == 16 else "f32",
                 "file": file_rel,
             })
-        doc = {"exclude": sorted(excluded), "tensors": entries}
-        path.write_text(json.dumps(doc, indent=1) + "\n", "utf-8")
-        written.append(path)
+        doc = {"exclude": [], "tensors": entries}
+        staged.append(path)
+        _tmp_path(path).write_text(json.dumps(doc, indent=1) + "\n", "utf-8")
+        for final in staged:
+            os.replace(_tmp_path(final), final)
+            placed.append(final)
     except BaseException:
-        for p in written:
-            p.unlink(missing_ok=True)
+        for leftover in [_tmp_path(p) for p in staged] + placed:
+            leftover.unlink(missing_ok=True)
         raise
-    return written
-
-
-def save_manifest(model: ModelWeights, manifest_path) -> list[Path]:
-    """Write a whole model with export_manifest; returns every path created."""
-    return export_manifest(model.tensors, manifest_path, model.excluded)
+    return placed

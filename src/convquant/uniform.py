@@ -13,8 +13,8 @@ scale s and the code domain are chosen:
 * ``symmetric-full``: range [-alpha, alpha], s = 2 * alpha / (2^k - 1),
   z = 0, codes using the full domain [-2^(k-1), 2^(k-1) - 1].
 
-Rounding is half-away-from-zero everywhere so results are reproducible
-across platforms. All arithmetic is float64.
+Rounding is half-away-from-zero everywhere, for codes in ``round_codes``,
+so results are reproducible across platforms. All arithmetic is float64.
 
 Tensors are quantized a whole ``(groups, group size)`` matrix at a time,
 one group per row: ``range_records`` derives one :data:`RECORD` per group
@@ -104,6 +104,17 @@ def row_extremes(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return vmin, vmax
 
 
+def round_codes(q: np.ndarray, lo, hi, scratch=None) -> np.ndarray:
+    """``clip(round_half_away(q), lo, hi)`` computed in the float64 array
+    ``q``, which is returned; ``scratch`` is an optional buffer of q's shape.
+    """
+    t = np.abs(q, out=scratch)
+    t += 0.5
+    np.floor(t, out=t)
+    np.copysign(t, q, out=q)
+    return np.clip(q, lo, hi, out=q)
+
+
 def encode(x, scale, zero_point, lo: int, hi: int) -> np.ndarray:
     """int8 codes ``clip(round_half_away(x / scale + zero_point), lo, hi)``.
 
@@ -111,12 +122,7 @@ def encode(x, scale, zero_point, lo: int, hi: int) -> np.ndarray:
     """
     q = np.divide(x, scale)
     q += zero_point
-    t = np.abs(q)                   # round_half_away, in place
-    t += 0.5
-    np.floor(t, out=t)
-    np.copysign(t, q, out=t)
-    np.clip(t, lo, hi, out=t)
-    return t.astype(np.int8)
+    return round_codes(q, lo, hi).astype(np.int8)
 
 
 def decode(codes, scale, zero_point) -> np.ndarray:

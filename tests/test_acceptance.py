@@ -27,17 +27,19 @@ from convquant import (
     MemoryModel,
     TensorShape,
     WeightTensor,
+    baseline_bytes,
     breakpoint_approx,
     dequantize_tensor,
     element_index,
     figure_of_merit,
-    load_manifest,
+    iter_manifest,
+    make_passthrough,
     memory_bytes,
     memory_saving_ratio,
+    open_container,
     pack_codes,
     quant_error,
     quantize_tensor,
-    read_container,
     resolve_exclusions,
     select_granularity,
     unpack_codes,
@@ -277,11 +279,10 @@ def test_criterion_03_packing_and_container(tmp_path):
     tensors = _mixed_five_tensor_model()
     path = tmp_path / "model.qnt"
     write_container(tensors, MemoryModel(), path)
-    loaded, mm = read_container(path)
-    assert mm == MemoryModel()
-    assert len(loaded) == 5
-    for orig, back in zip(tensors, loaded):
-        _assert_field_exact_post_f16(orig, back)
+    with open_container(path) as (mm, loaded):
+        assert mm == MemoryModel()
+        for orig, back in zip(tensors, loaded, strict=True):
+            _assert_field_exact_post_f16(orig, back)
     report(3, "1000 pack/unpack round trips and 5-tensor container round trip")
 
 
@@ -380,22 +381,18 @@ REAL_MANIFEST_VAR = "CONVQUANT_YOLOV7_MANIFEST"
                     reason=f"set {REAL_MANIFEST_VAR} to a converted YOLOv7 "
                            "manifest to run the real-checkpoint check")
 def test_criterion_08_real_checkpoint_ratios():
-    model = load_manifest(os.environ[REAL_MANIFEST_VAR])
+    excluded, tensors = iter_manifest(os.environ[REAL_MANIFEST_VAR])
     mm = MemoryModel()
+    runs = [(F_SHAPE_WISE, AFFINE), (F_SHAPE_WISE, PWLQ), (CHANNEL_WISE, AFFINE)]
+    base, quantized = 0, [0] * len(runs)
+    for t in tensors:   # one tensor at a time, every run's bytes summed
+        for i, (scheme, method) in enumerate(runs):
+            quantize = make_passthrough if t.name in excluded else quantize_tensor
+            q = quantize(t, scheme, method, 4)
+            quantized[i] += memory_bytes(q, mm)
+        base += baseline_bytes(q, mm)
 
-    def whole_model_ratio(scheme, method):
-        from convquant import make_passthrough
-        quantized = []
-        for t in model.tensors:
-            if t.name in model.excluded:
-                quantized.append(make_passthrough(t, scheme, method, 4))
-            else:
-                quantized.append(quantize_tensor(t, scheme, method, 4))
-        return memory_saving_ratio(quantized, mm)
-
-    affine_fshape = whole_model_ratio(F_SHAPE_WISE, AFFINE)
-    pwlq_fshape = whole_model_ratio(F_SHAPE_WISE, PWLQ)
-    channel = whole_model_ratio(CHANNEL_WISE, AFFINE)
+    affine_fshape, pwlq_fshape, channel = (base / b for b in quantized)
     assert affine_fshape == pytest.approx(3.93, abs=0.10)
     assert pwlq_fshape == pytest.approx(3.87, abs=0.10)
     assert channel == pytest.approx(1.68, abs=0.15)

@@ -6,7 +6,16 @@ import weakref
 import numpy as np
 import pytest
 
-from convquant import cli, container, granularity, load_manifest, metrics, read_container
+from convquant import (
+    MemoryModel,
+    cli,
+    container,
+    granularity,
+    iter_manifest,
+    metrics,
+    open_container,
+    write_container,
+)
 from convquant.cli import main
 from convquant.errors import CorruptHeader
 
@@ -93,8 +102,8 @@ class TestQuantizeCommand:
         assert report["tensors"][-1]["passthrough"] is True
         assert all(t["scheme"] == "f-shape-wise" for t in report["tensors"][:-1])
 
-        tensors, _ = read_container(out)
-        assert len(tensors) == len(report["tensors"])
+        with open_container(out) as (_, tensors):
+            assert sum(1 for _ in tensors) == len(report["tensors"])
 
     def test_auto_avoids_channel_on_1x1(self, tmp_path):
         manifest = synthetic_model(tmp_path, include_1x1=True)
@@ -343,8 +352,8 @@ class TestDequantizeCommand:
                      "--granularity", "filter", "--out", str(container)]) == 0
         out_manifest = tmp_path / "out" / "model.json"
         assert main(["dequantize", str(container), str(out_manifest)]) == 0
-        model = load_manifest(out_manifest)
-        assert model.tensors[0].values.tolist() == [0.5] * 16
+        _, tensors = iter_manifest(out_manifest)
+        assert [t.values.tolist() for t in tensors] == [[0.5] * 16]
 
     def test_passthrough_model_byte_identical(self, tmp_path):
         src = tmp_path / "src"
@@ -394,7 +403,34 @@ class TestDequantizeCommand:
         rc = main(["dequantize", str(qnt), str(out / "model.json")])
         assert rc == 1
         assert "conv3: group 0: invalid parameter record" in capsys.readouterr().err
-        assert list(out.iterdir()) == []
+        assert not out.exists()
+
+    def test_empty_container_leaves_no_directory(self, tmp_path, capsys):
+        empty = tmp_path / "e.qnt"
+        write_container([], MemoryModel(), empty)
+        out = tmp_path / "out"
+        rc = main(["dequantize", str(empty), str(out / "sub" / "model.json")])
+        assert rc == 1
+        assert "manifest lists no tensors" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_bad_code_keeps_earlier_export(self, tmp_path, capsys):
+        good = tmp_path / "good.qnt"
+        assert main(["quantize", "--manifest", str(four_tensor_model(tmp_path)),
+                     "--method", "sym-restricted", "--out", str(good)]) == 0
+        out = tmp_path / "out"
+        assert main(["dequantize", str(good), str(out / "model.json")]) == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+
+        with open_container(good) as (mm, tensors):
+            tensors = list(tensors)
+        tensors[1].codes[0] = -8     # outside [-7, 7], the 4-bit sym-restricted domain
+        bad = tmp_path / "bad.qnt"
+        write_container(tensors, mm, bad)
+        rc = main(["dequantize", str(bad), str(out / "model.json")])
+        assert rc == 1
+        assert "conv1: group 0: code outside" in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
 class TestSweepCommand:

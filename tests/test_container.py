@@ -17,8 +17,8 @@ from convquant import (
     TensorShape,
     WeightTensor,
     dequantize_tensor,
+    open_container,
     quantize_tensor,
-    read_container,
     write_container,
 )
 from convquant.errors import (
@@ -49,6 +49,12 @@ def mixed_model():
     ]
 
 
+def read_all(path):
+    """Every tensor of a container, decoded from its records, and its memory model."""
+    with open_container(path) as (memory_model, tensors):
+        return list(tensors), memory_model
+
+
 def assert_params_equal_post_f16(written, loaded):
     """Kind, bits and zero-points exact; scales, bounds, m and p as binary16."""
     assert loaded.dtype == written.dtype
@@ -67,11 +73,11 @@ class TestRoundTrip:
         mm = MemoryModel(charge_region_bits=True, param_bytes_pwlq=12)
         path = tmp_path / "model.qnt"
         write_container(tensors, mm, path)
-        loaded, mm_back = read_container(path)
+        with open_container(path) as (mm_back, loaded):
+            pairs = list(zip(tensors, loaded, strict=True))
 
         assert mm_back == mm
-        assert len(loaded) == len(tensors)
-        for orig, back in zip(tensors, loaded):
+        for orig, back in pairs:
             assert back.name == orig.name
             assert back.shape == orig.shape
             assert back.method == orig.method
@@ -92,17 +98,17 @@ class TestRoundTrip:
         tensors = mixed_model()
         path = tmp_path / "model.qnt"
         write_container(tensors, MemoryModel(), path)
-        loaded, _ = read_container(path)
-        for orig, back in zip(tensors, loaded):
-            a = dequantize_tensor(orig).values
-            b = dequantize_tensor(back).values
-            # Params are f16-rounded on disk, so reconstructions agree loosely.
-            assert np.allclose(a, b, atol=2e-3, rtol=2e-3)
+        with open_container(path) as (_, loaded):
+            for orig, back in zip(tensors, loaded, strict=True):
+                a = dequantize_tensor(orig).values
+                b = dequantize_tensor(back).values
+                # Params are f16-rounded on disk, so reconstructions agree loosely.
+                assert np.allclose(a, b, atol=2e-3, rtol=2e-3)
 
     def test_empty_model(self, tmp_path):
         path = tmp_path / "empty.qnt"
         write_container([], MemoryModel(), path)
-        loaded, mm = read_container(path)
+        loaded, mm = read_all(path)
         assert loaded == [] and mm == MemoryModel()
 
     def test_deterministic_bytes(self, tmp_path):
@@ -158,21 +164,21 @@ class TestCorruption:
         path = tmp_path / "bad.qnt"
         path.write_bytes(b"garbage all the way down")
         with pytest.raises(CorruptHeader):
-            read_container(path)
+            read_all(path)
 
     def test_version_mismatch(self, tmp_path):
         path = _write_sample(tmp_path)
         blob = path.read_bytes()
         path.write_bytes(b"qnt/9" + blob[5:])
         with pytest.raises(VersionMismatch):
-            read_container(path)
+            read_all(path)
 
     def test_truncated_header(self, tmp_path):
         path = _write_sample(tmp_path)
         blob = path.read_bytes()
         path.write_bytes(blob[:40])
         with pytest.raises(CorruptHeader):
-            read_container(path)
+            read_all(path)
 
     def test_offset_past_eof(self, tmp_path):
         path = _write_sample(tmp_path)
@@ -182,7 +188,7 @@ class TestCorruption:
 
         _patch_header(path, mutate)
         with pytest.raises(OffsetOutOfBounds):
-            read_container(path)
+            read_all(path)
 
     def test_overlapping_sections(self, tmp_path):
         path = _write_sample(tmp_path)
@@ -194,7 +200,7 @@ class TestCorruption:
 
         _patch_header(path, mutate)
         with pytest.raises(OffsetOutOfBounds):
-            read_container(path)
+            read_all(path)
 
     @pytest.mark.parametrize("source_bits", [8, [16], "16", None])
     def test_bad_source_precision(self, tmp_path, source_bits):
@@ -205,13 +211,13 @@ class TestCorruption:
 
         _patch_header(path, mutate)
         with pytest.raises(CorruptHeader):
-            read_container(path)
+            read_all(path)
 
     def test_payload_size_mismatch(self, tmp_path):
         path = _write_sample(tmp_path)
         path.write_bytes(path.read_bytes() + b"\x00")
         with pytest.raises(CorruptHeader):
-            read_container(path)
+            read_all(path)
 
     def test_wrong_codes_length(self, tmp_path):
         path = _write_sample(tmp_path)
@@ -221,7 +227,7 @@ class TestCorruption:
 
         _patch_header(path, mutate)
         with pytest.raises(CorruptHeader):
-            read_container(path)
+            read_all(path)
 
     def test_unknown_method(self, tmp_path):
         path = _write_sample(tmp_path)
@@ -231,7 +237,7 @@ class TestCorruption:
 
         _patch_header(path, mutate)
         with pytest.raises(CorruptHeader):
-            read_container(path)
+            read_all(path)
 
 
 class TestParamsBitFlips:
@@ -260,7 +266,7 @@ class TestParamsBitFlips:
             flipped[start + bit // 8] ^= 1 << (bit % 8)
             path.write_bytes(bytes(flipped))
             try:
-                loaded, _ = read_container(path)
+                loaded, _ = read_all(path)
                 for q in loaded:
                     dequantize_tensor(q)
             except QuantError:
@@ -301,4 +307,4 @@ class TestBitWidths:
         path.write_bytes(bytes(blob))
         _patch_header(path, lambda header: header["tensors"][0].update(bits=2))
         with pytest.raises(CorruptHeader):
-            read_container(path)
+            read_all(path)

@@ -5,15 +5,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from convquant import (
-    ModelWeights,
     TensorShape,
     WeightTensor,
     element_index,
     export_manifest,
     iter_manifest,
-    load_manifest,
     resolve_exclusions,
-    save_manifest,
 )
 from convquant.errors import (
     DuplicateName,
@@ -66,26 +63,26 @@ class TestTypes:
         with pytest.raises(InvalidValue):
             WeightTensor("t", TensorShape(2, 1, 1, 1), np.array([0.0, np.nan]))
 
-    def test_duplicate_names(self):
-        t = WeightTensor("t", TensorShape(1, 1, 1, 1), np.zeros(1))
-        u = WeightTensor("t", TensorShape(1, 1, 1, 1), np.zeros(1))
-        with pytest.raises(DuplicateName):
-            ModelWeights([t, u])
+
+def read_all(manifest, extra_exclude=()):
+    """The excluded names and every tensor of a manifest, in order."""
+    excluded, tensors = iter_manifest(manifest, extra_exclude)
+    return excluded, list(tensors)
 
 
 class TestLoadManifest:
     def test_minimal_manifest(self, tmp_path):
         manifest = write_manifest(tmp_path, [("conv1", (2, 1, 1, 1), [1.0, 2.0], "f16")])
-        model = load_manifest(manifest)
-        assert model.names == ["conv1"]
-        assert model.tensors[0].values.tolist() == [1.0, 2.0]
-        assert model.tensors[0].source_precision_bits == 16
+        _, tensors = read_all(manifest)
+        assert [t.name for t in tensors] == ["conv1"]
+        assert tensors[0].values.tolist() == [1.0, 2.0]
+        assert tensors[0].source_precision_bits == 16
 
     def test_byte_length_mismatch(self, tmp_path):
         manifest = write_manifest(tmp_path, [("conv1", (2, 1, 1, 1), [1.0, 2.0], "f16")])
         (tmp_path / "conv1.bin").write_bytes(b"\x00" * 10)
         with pytest.raises(ShapeMismatch):
-            load_manifest(manifest)
+            iter_manifest(manifest)
 
     def test_exclusion_patterns(self, tmp_path):
         assert oracle.resolve_exclusions(["conv1", "bn1"], ["bn*"]) == ["bn1"]
@@ -94,32 +91,32 @@ class TestLoadManifest:
             [("conv1", (2, 1, 1, 1), [1.0, 2.0], "f16"),
              ("bn1", (2, 1, 1, 1), [0.5, 0.5], "f16")],
             exclude=["bn*"])
-        model = load_manifest(manifest)
-        assert model.excluded == frozenset({"bn1"})
+        excluded, _ = iter_manifest(manifest)
+        assert excluded == frozenset({"bn1"})
 
     def test_extra_exclude_merges(self, tmp_path):
         manifest = write_manifest(
             tmp_path,
             [("conv1", (1, 1, 1, 1), [1.0], "f16"),
              ("head", (1, 1, 1, 1), [1.0], "f16")])
-        model = load_manifest(manifest, extra_exclude=["head"])
-        assert model.excluded == frozenset({"head"})
+        excluded, _ = iter_manifest(manifest, extra_exclude=["head"])
+        assert excluded == frozenset({"head"})
 
     def test_missing_data_file(self, tmp_path):
         manifest = write_manifest(tmp_path, [("conv1", (1, 1, 1, 1), [1.0], "f16")])
         (tmp_path / "conv1.bin").unlink()
         with pytest.raises(MissingFile):
-            load_manifest(manifest)
+            iter_manifest(manifest)
 
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(MissingFile):
-            load_manifest(tmp_path / "nope.json")
+            iter_manifest(tmp_path / "nope.json")
 
     def test_malformed_manifest(self, tmp_path):
         path = tmp_path / "model.json"
         path.write_text("{not json")
         with pytest.raises(ManifestError):
-            load_manifest(path)
+            iter_manifest(path)
 
     def test_empty_tensor_list(self, tmp_path):
         path = tmp_path / "model.json"
@@ -134,14 +131,14 @@ class TestLoadManifest:
         path = tmp_path / "model.json"
         path.write_text(json.dumps({"tensors": entries}))
         with pytest.raises(DuplicateName):
-            load_manifest(path)
+            iter_manifest(path)
 
     def test_nan_rejected(self, tmp_path):
         manifest = write_manifest(tmp_path, [("conv1", (1, 1, 1, 1), [1.0], "f16")])
         (tmp_path / "conv1.bin").write_bytes(
             np.array([np.nan], dtype="<f2").tobytes())
         with pytest.raises(InvalidValue):
-            load_manifest(manifest)
+            read_all(manifest)
 
     def test_every_entry_checked_before_reading(self, tmp_path):
         manifest = write_manifest(tmp_path, [("a", (1,), [1.0], "f16"),
@@ -158,15 +155,15 @@ class TestLoadManifest:
 
     def test_short_shapes_pad_to_4d(self, tmp_path):
         manifest = write_manifest(tmp_path, [("fc", (6,), np.arange(6), "f32")])
-        model = load_manifest(manifest)
-        assert model.tensors[0].shape.dims == (6, 1, 1, 1)
+        _, tensors = read_all(manifest)
+        assert tensors[0].shape.dims == (6, 1, 1, 1)
 
     def test_f32_ingestion(self, tmp_path):
         values = np.array([0.1, -0.2, 0.3], dtype="<f4")
         manifest = write_manifest(tmp_path, [("w", (3, 1, 1, 1), values, "f32")])
-        model = load_manifest(manifest)
-        assert model.tensors[0].values.tolist() == values.astype(np.float64).tolist()
-        assert model.tensors[0].source_precision_bits == 32
+        _, tensors = read_all(manifest)
+        assert tensors[0].values.tolist() == values.astype(np.float64).tolist()
+        assert tensors[0].source_precision_bits == 32
 
 
 class TestWriteBack:
@@ -181,18 +178,29 @@ class TestWriteBack:
             [("conv1", (2, 3, 2, 2), raw16, "f16"),
              ("head", (8, 1, 1, 1), raw32, "f32")],
             exclude=["head"])
-        model = load_manifest(manifest)
+        _, tensors = read_all(manifest)
 
         dst = tmp_path / "dst"
-        save_manifest(model, dst / "model.json")
-        reloaded = load_manifest(dst / "model.json")
+        written = export_manifest(tensors, dst / "model.json")
+        assert written == [dst / "conv1.bin", dst / "head.bin", dst / "model.json"]
+        assert sorted(dst.iterdir()) == sorted(written)
+        excluded, reloaded = read_all(dst / "model.json")
         assert (dst / "conv1.bin").read_bytes() == raw16.tobytes()
         assert (dst / "head.bin").read_bytes() == raw32.tobytes()
-        assert reloaded.excluded == model.excluded
-        for a, b in zip(model.tensors, reloaded.tensors):
+        assert excluded == frozenset()
+        for a, b in zip(tensors, reloaded, strict=True):
             assert a.name == b.name and a.shape == b.shape
             assert np.array_equal(a.values, b.values)
 
+    def test_colliding_file_stems_get_serials(self, tmp_path):
+        tensors = [WeightTensor(name, TensorShape(1, 1, 1, 1), np.array([value]))
+                   for name, value in (("a/b", 1.0), ("a_b", 2.0), ("a:b", 3.0))]
+        export_manifest(tensors, tmp_path / "model.json")
+        doc = json.loads((tmp_path / "model.json").read_text())
+        assert [e["file"] for e in doc["tensors"]] == ["a_b.bin", "a_b.1.bin", "a_b.2.bin"]
+        _, back = read_all(tmp_path / "model.json")
+        assert [(t.name, t.values.tolist()) for t in back] == [
+            ("a/b", [1.0]), ("a_b", [2.0]), ("a:b", [3.0])]
 
     def test_failing_source_leaves_no_files(self, tmp_path):
         def tensors():
@@ -203,6 +211,20 @@ class TestWriteBack:
         with pytest.raises(InvalidValue):
             export_manifest(tensors(), out / "model.json")
         assert list(out.iterdir()) == []
+
+    def test_failing_source_keeps_earlier_export(self, tmp_path):
+        def tensors(fail):
+            yield WeightTensor("a", TensorShape(1, 1, 1, 1), np.array([fail + 1.0]))
+            if fail:
+                raise InvalidValue("b: non-finite value")
+            yield WeightTensor("b", TensorShape(1, 1, 1, 1), np.array([2.0]))
+
+        out = tmp_path / "out"
+        export_manifest(tensors(False), out / "model.json")
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        with pytest.raises(InvalidValue):
+            export_manifest(tensors(True), out / "model.json")
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
 class TestExclusionResolution:

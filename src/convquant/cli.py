@@ -26,8 +26,9 @@ from pathlib import Path
 
 from . import __version__
 from .container import open_container, write_container
-from .errors import IncompatibleBits, InvalidRange, QuantError
+from .errors import IncompatibleBits, InvalidInput, InvalidRange, QuantError
 from .granularity import (
+    BREAKPOINT_MODES,
     C_SHAPE_WISE,
     CHANNEL_WISE,
     F_SHAPE_WISE,
@@ -44,7 +45,7 @@ from .metrics import (
     memory_bytes,
     select_granularity,
 )
-from .pwlq import PWLQ
+from .pwlq import DEFAULT_GRID_POINTS, PWLQ
 from .tensor_store import NUMPY_DTYPES, export_manifest, iter_manifest
 from .uniform import AFFINE, SYMMETRIC_FULL, SYMMETRIC_RESTRICTED, check_bits
 
@@ -69,14 +70,10 @@ AUTO_CANDIDATES = {
 }
 
 
-def _memory_model(args) -> MemoryModel:
-    return MemoryModel(
-        baseline_bits_per_element=args.baseline_bits,
-        param_bytes_affine=args.param_bytes_affine,
-        param_bytes_symmetric=args.param_bytes_symmetric,
-        param_bytes_pwlq=args.param_bytes_pwlq,
-        charge_region_bits=args.charge_region_bits,
-    )
+# The paper's accounting (k-bit codes plus 16-bit parameters per group,
+# against a 16-bit baseline), and the same with pwlq region bits charged.
+MEMORY_MODEL = MemoryModel()
+REGION_BITS_CHARGED = MemoryModel(charge_region_bits=True)
 
 
 def _quantize_one(tensor, excluded, args, bits):
@@ -95,15 +92,9 @@ def _quantize_one(tensor, excluded, args, bits):
     return q, False
 
 
-def _policies(mm: MemoryModel) -> tuple[MemoryModel, MemoryModel, MemoryModel]:
-    """The report's memory model, then it without and with region bits charged."""
-    return mm, mm.with_region_bits(False), mm.with_region_bits(True)
-
-
-def _summary(q, was_excluded: bool, policies) -> tuple[dict, int, int, int]:
-    """One tensor's report entry, element count, and bytes without and with
-    region bits charged: all that the report and the totals need of it."""
-    mm, codes_only, physical = policies
+def _summary(q, was_excluded: bool) -> tuple[dict, int, int]:
+    """One tensor's report entry, element count, and bytes with region bits
+    charged: all that the report and the totals need of it."""
     entry = {
         "name": q.name,
         "shape": list(q.shape.dims),
@@ -114,29 +105,30 @@ def _summary(q, was_excluded: bool, policies) -> tuple[dict, int, int, int]:
         "bits": q.bits,
         "mse": q.error.mse,
         "max_abs": q.error.max_abs,
-        "bytes": memory_bytes(q, mm),
-        "baseline_bytes": baseline_bytes(q, mm),
+        "bytes": memory_bytes(q, MEMORY_MODEL),
+        "baseline_bytes": baseline_bytes(q, MEMORY_MODEL),
     }
-    return entry, q.element_count, memory_bytes(q, codes_only), memory_bytes(q, physical)
+    return entry, q.element_count, memory_bytes(q, REGION_BITS_CHARGED)
 
 
 def _totals(rows) -> dict:
     """Whole-model totals from the summary rows, summed in manifest order."""
-    entries, counts, codes_only, physical = zip(*rows)
+    entries, counts, physical = zip(*rows)
     base = sum(entry["baseline_bytes"] for entry in entries)
+    codes_only = sum(entry["bytes"] for entry in entries)
     sse = sum(entry["mse"] * count for entry, count in zip(entries, counts))
     return {
         "element_count": sum(counts),
         "baseline_bytes": base,
-        "bytes": sum(codes_only),
+        "bytes": codes_only,
         "bytes_with_region_bits": sum(physical),
-        "memory_saving": base / sum(codes_only),
+        "memory_saving": base / codes_only,
         "memory_saving_with_region_bits": base / sum(physical),
         "mse": sse / sum(counts),
     }
 
 
-def _write_report(path, args, rows, totals, mm) -> None:
+def _write_report(path, args, rows, totals) -> None:
     doc = {
         "tool": {"name": "convquant", "version": __version__},
         "config": {
@@ -145,7 +137,7 @@ def _write_report(path, args, rows, totals, mm) -> None:
             "bits": args.bits,
             "granularity": args.granularity,
             "breakpoint": args.breakpoint,
-            "memory_model": asdict(mm),
+            "memory_model": asdict(MEMORY_MODEL),
         },
         "tensors": [entry for entry, *_ in rows],
         "totals": totals,
@@ -158,20 +150,20 @@ def _cleanup(paths) -> None:
         Path(p).unlink(missing_ok=True)
 
 
-def _quantized(tensors, excluded, args, mm, rows):
+def _quantized(tensors, excluded, args, rows):
     """Quantize tensors one at a time, appending each one's summary row."""
-    policies = _policies(mm)
     for tensor in tensors:
         q, was_excluded = _quantize_one(tensor, excluded, args, args.bits)
-        rows.append(_summary(q, was_excluded, policies))
+        rows.append(_summary(q, was_excluded))
         yield q
 
 
 def cmd_quantize(args) -> int:
     written = []
     try:
+        if args.report and Path(args.report).resolve() == Path(args.out).resolve():
+            raise InvalidInput(f"--report and --out are the same file: {args.out}")
         excluded, tensors = iter_manifest(args.manifest, extra_exclude=args.exclude)
-        mm = _memory_model(args)
         rows = []
         if args.report:
             # Created first, so that a report that cannot be written fails
@@ -180,11 +172,11 @@ def cmd_quantize(args) -> int:
             written.append(report_tmp)
             report_tmp.write_text("", "utf-8")
         # Reads the finished container back before it replaces --out.
-        write_container(_quantized(tensors, excluded, args, mm, rows), mm, args.out)
+        write_container(_quantized(tensors, excluded, args, rows), MEMORY_MODEL, args.out)
         written.append(args.out)
         totals = _totals(rows)
         if args.report:
-            _write_report(report_tmp, args, rows, totals, mm)
+            _write_report(report_tmp, args, rows, totals)
             json.loads(report_tmp.read_text("utf-8"))
             os.replace(report_tmp, args.report)
         print(f"quantized {len(rows)} tensors: "
@@ -255,12 +247,10 @@ def cmd_sweep(args) -> int:
         bit_range = _parse_bits_range(args.bits, args.method)
         losses = _load_loss_file(args.loss_file) if args.loss_file else {}
         excluded, tensors = iter_manifest(args.manifest, extra_exclude=args.exclude)
-        policies = _policies(_memory_model(args))
         summaries = {bits: [] for bits in bit_range}
         for tensor in tensors:   # read each tensor once, for every bit width
             for bits, summary in summaries.items():
-                summary.append(_summary(*_quantize_one(tensor, excluded, args, bits),
-                                        policies))
+                summary.append(_summary(*_quantize_one(tensor, excluded, args, bits)))
 
         rows = []
         for bits, summary in summaries.items():
@@ -275,12 +265,9 @@ def cmd_sweep(args) -> int:
                   "memory_saving_with_region_bits", "figure_of_merit"]
         if args.out:
             written.append(args.out)
-            with open(args.out, "w", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(header)
-                writer.writerows(rows)
-        else:
-            writer = csv.writer(sys.stdout)
+        with (open(args.out, "w", newline="") if args.out
+              else contextlib.nullcontext(sys.stdout)) as fh:
+            writer = csv.writer(fh)
             writer.writerow(header)
             writer.writerows(rows)
         return 0
@@ -296,19 +283,12 @@ def _add_common_flags(sub) -> None:
     sub.add_argument("--granularity",
                      choices=sorted(GRANULARITY_FLAGS) + sorted(AUTO_CANDIDATES),
                      default="fshape")
-    sub.add_argument("--breakpoint", choices=("approx", "bruteforce"),
+    sub.add_argument("--breakpoint", choices=BREAKPOINT_MODES,
                      default="approx", help="breakpoint selection for pwlq")
-    sub.add_argument("--grid-points", type=int, default=64,
+    sub.add_argument("--grid-points", type=int, default=DEFAULT_GRID_POINTS,
                      help="grid size for --breakpoint bruteforce")
     sub.add_argument("--exclude", action="append", default=[], metavar="GLOB",
                      help="extra exclusion pattern (repeatable)")
-    sub.add_argument("--baseline-bits", type=int, default=16,
-                     help="bits per element of the unquantized baseline")
-    sub.add_argument("--param-bytes-affine", type=int, default=4)
-    sub.add_argument("--param-bytes-symmetric", type=int, default=2)
-    sub.add_argument("--param-bytes-pwlq", type=int, default=10)
-    sub.add_argument("--charge-region-bits", action="store_true",
-                     help="charge pwlq region bits in the memory model")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -11,7 +11,7 @@ memory-saving figures for this family of quantizers reflect.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .errors import InvalidInput, NoViableCandidate, ShapeMismatch
 from .granularity import (
@@ -26,7 +26,7 @@ from .granularity import (
     error_report,
     quantize_tensor,
 )
-from .pwlq import PWLQ
+from .pwlq import DEFAULT_GRID_POINTS, PWLQ
 from .tensor_store import WeightTensor
 from .uniform import AFFINE
 
@@ -58,9 +58,6 @@ class MemoryModel:
             return self.param_bytes_affine
         return self.param_bytes_symmetric
 
-    def with_region_bits(self, charge: bool) -> "MemoryModel":
-        return replace(self, charge_region_bits=charge)
-
 
 def quant_error(original: WeightTensor, q: QuantizedTensor) -> ErrorReport:
     """MSE and max absolute error between a tensor and its reconstruction."""
@@ -74,7 +71,7 @@ def quant_error(original: WeightTensor, q: QuantizedTensor) -> ErrorReport:
 
 def select_granularity(t: WeightTensor, candidates, method: str, bits: int,
                        breakpoint_mode: str = "approx",
-                       grid_points: int = 64) -> tuple[str, QuantizedTensor]:
+                       grid_points: int = DEFAULT_GRID_POINTS) -> tuple[str, QuantizedTensor]:
     """Quantize under every candidate granularity and keep the lowest-mse one.
 
     Candidates are ranked on the error each quantization measured in its
@@ -99,8 +96,6 @@ def select_granularity(t: WeightTensor, candidates, method: str, bits: int,
             continue
         if best is None or q.error.mse < best[1].error.mse:
             best = (scheme, q)   # the one it beats is dropped here
-    if best is None:
-        raise NoViableCandidate(f"{t.name}: every candidate degraded to passthrough")
     return best
 
 

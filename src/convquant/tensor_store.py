@@ -35,6 +35,7 @@ import numpy as np
 from .errors import (
     DuplicateName,
     IndexOutOfRange,
+    InvalidInput,
     InvalidValue,
     ManifestError,
     MissingFile,
@@ -201,6 +202,15 @@ def _file_stem(name: str) -> str:
     return re.sub(r"[^A-Za-z0-9_.-]", "_", name) or "tensor"
 
 
+def _listed_files(manifest: Path) -> set[Path]:
+    """The data files that a manifest already at this path lists, if any."""
+    try:
+        doc = json.loads(manifest.read_text("utf-8"))
+        return {manifest.parent / entry["file"] for entry in doc["tensors"]}
+    except (OSError, UnicodeDecodeError, ValueError, LookupError, TypeError):
+        return set()
+
+
 def export_manifest(tensors: Iterable[WeightTensor], manifest_path) -> list[Path]:
     """Write each tensor's raw binary as it arrives, then the manifest;
     returns every path written.
@@ -210,10 +220,12 @@ def export_manifest(tensors: Iterable[WeightTensor], manifest_path) -> list[Path
     its name plus ``.tmp``, and all are moved into place, the manifest last,
     only once every one is written. If a write fails or ``tensors`` raises,
     the ``.tmp`` files and the files already moved into place are removed
-    before the error propagates.
+    before the error propagates. A file in the way that the manifest already
+    at ``manifest_path`` does not list, such as a source weight, is never replaced.
     """
     path = Path(manifest_path)
     path.parent.mkdir(parents=True, exist_ok=True)
+    replaceable = _listed_files(path)
     entries = []
     staged = []     # final paths, each written first under its _tmp_path
     placed = []
@@ -228,7 +240,10 @@ def export_manifest(tensors: Iterable[WeightTensor], manifest_path) -> list[Path
                 serial += 1
             used.add(file_rel)
             dtype = NUMPY_DTYPES[tensor.source_precision_bits]
-            staged.append(path.parent / file_rel)
+            final = path.parent / file_rel
+            if os.path.lexists(final) and final not in replaceable:
+                raise InvalidInput(f"refusing to replace {final}: {path} does not list it")
+            staged.append(final)
             _tmp_path(staged[-1]).write_bytes(tensor.values.astype(dtype, copy=False))
             entries.append({
                 "name": tensor.name,

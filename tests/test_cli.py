@@ -239,6 +239,27 @@ class TestQuantizeCommand:
             assert rc == 0
         assert a.read_text() == b.read_text()
 
+    def test_report_at_out_path_is_refused(self, tmp_path, capsys):
+        manifest = synthetic_model(tmp_path, include_1x1=False)
+        out = tmp_path / "m.qnt"
+        before = sorted(tmp_path.iterdir())
+        rc = main(["quantize", "--manifest", str(manifest), "--out", str(out),
+                   "--report", str(tmp_path / "." / "m.qnt")])
+        assert rc == 1
+        assert "error: --report and --out are the same file" in capsys.readouterr().err
+        assert sorted(tmp_path.iterdir()) == before
+
+    @pytest.mark.parametrize("flag", [["--baseline-bits", "8"], ["--param-bytes-affine", "8"],
+                                      ["--param-bytes-symmetric", "8"],
+                                      ["--param-bytes-pwlq", "8"], ["--charge-region-bits"]],
+                             ids=lambda flag: flag[0])
+    def test_memory_model_is_not_an_option(self, tmp_path, capsys, flag):
+        with pytest.raises(SystemExit) as err:
+            main(["quantize", "--manifest", str(tmp_path / "m.json"),
+                  "--out", str(tmp_path / "m.qnt"), *flag])
+        assert err.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
 
 def frozen_model(dir_path):
     """A seeded f16 model: 3x3, 5x5 and 1x1 convs and a bn tensor. The first
@@ -431,6 +452,23 @@ class TestDequantizeCommand:
         assert rc == 1
         assert "conv1: group 0: code outside" in capsys.readouterr().err
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+    def test_source_weights_are_not_replaced(self, tmp_path, capsys):
+        # Files named after their tensors, as the README's PyTorch exporter writes them.
+        raw = np.random.default_rng(3).normal(0, 0.1, 8 * 4 * 9).astype("<f2")
+        (tmp_path / "conv1.weight.bin").write_bytes(raw.tobytes())
+        (tmp_path / "model.json").write_text(json.dumps({"tensors": [
+            {"name": "conv1.weight", "shape": [8, 4, 3, 3], "dtype": "f16",
+             "file": "conv1.weight.bin"}]}))
+        assert main(["quantize", "--manifest", str(tmp_path / "model.json"),
+                     "--out", str(tmp_path / "model.qnt")]) == 0
+        before = sorted(tmp_path.iterdir())
+        rc = main(["dequantize", str(tmp_path / "model.qnt"),
+                   str(tmp_path / "restored.json")])
+        assert rc == 1
+        assert "refusing to replace" in capsys.readouterr().err
+        assert (tmp_path / "conv1.weight.bin").read_bytes() == raw.tobytes()
+        assert sorted(tmp_path.iterdir()) == before
 
 
 class TestSweepCommand:

@@ -15,6 +15,7 @@ from convquant import (
 from convquant.errors import (
     DuplicateName,
     IndexOutOfRange,
+    InvalidInput,
     InvalidValue,
     ManifestError,
     MissingFile,
@@ -225,6 +226,19 @@ class TestWriteBack:
         with pytest.raises(InvalidValue):
             export_manifest(tensors(True), out / "model.json")
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+    def test_replaces_only_files_the_manifest_lists(self, tmp_path):
+        def tensors(*names):
+            return [WeightTensor(name, TensorShape(1, 1, 1, 1), np.array([1.0]))
+                    for name in names]
+
+        export_manifest(tensors("a"), tmp_path / "model.json")
+        export_manifest(tensors("a"), tmp_path / "model.json")   # a.bin is listed
+        (tmp_path / "b.bin").write_bytes(b"not an export")
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        with pytest.raises(InvalidInput, match="b.bin"):
+            export_manifest(tensors("a", "b"), tmp_path / "model.json")
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
 class TestExclusionResolution:

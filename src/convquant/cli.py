@@ -46,7 +46,7 @@ from .metrics import (
     select_granularity,
 )
 from .pwlq import DEFAULT_GRID_POINTS, PWLQ
-from .tensor_store import NUMPY_DTYPES, export_manifest, iter_manifest
+from .tensor_store import NUMPY_DTYPES, export_manifest, iter_manifest, staging_file
 from .uniform import AFFINE, SYMMETRIC_FULL, SYMMETRIC_RESTRICTED, check_bits
 
 METHOD_FLAGS = {
@@ -145,6 +145,18 @@ def _write_report(path, args, rows, totals) -> None:
     Path(path).write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n", "utf-8")
 
 
+def _check_outputs(inputs: dict, outputs: dict) -> None:
+    """Raise InvalidInput if an output path names an input or another output.
+    Both map an argument to its path, or to None when it is not given."""
+    seen = {Path(p).resolve(): arg for arg, p in inputs.items() if p}
+    for arg, p in outputs.items():
+        if p:
+            path = Path(p).resolve()
+            if path in seen:
+                raise InvalidInput(f"{seen[path]} and {arg} are the same file: {p}")
+            seen[path] = arg
+
+
 def _cleanup(paths) -> None:
     for p in paths:
         Path(p).unlink(missing_ok=True)
@@ -161,16 +173,15 @@ def _quantized(tensors, excluded, args, rows):
 def cmd_quantize(args) -> int:
     written = []
     try:
-        if args.report and Path(args.report).resolve() == Path(args.out).resolve():
-            raise InvalidInput(f"--report and --out are the same file: {args.out}")
+        _check_outputs({"--manifest": args.manifest},
+                       {"--report": args.report, "--out": args.out})
         excluded, tensors = iter_manifest(args.manifest, extra_exclude=args.exclude)
         rows = []
         if args.report:
             # Created first, so that a report that cannot be written fails
             # before the container replaces --out.
-            report_tmp = Path(f"{args.report}.tmp")
+            report_tmp = staging_file(args.report)
             written.append(report_tmp)
-            report_tmp.write_text("", "utf-8")
         # Reads the finished container back before it replaces --out.
         write_container(_quantized(tensors, excluded, args, rows), MEMORY_MODEL, args.out)
         written.append(args.out)
@@ -194,6 +205,7 @@ def cmd_dequantize(args) -> int:
     created = []
     new_dirs = [d for d in Path(args.out_manifest).parents if not d.exists()]
     try:
+        _check_outputs({"container": args.container}, {"out_manifest": args.out_manifest})
         with open_container(args.container) as (_, tensors):
             created = export_manifest(
                 (dequantize_tensor(q, NUMPY_DTYPES[q.source_bits]) for q in tensors),
@@ -244,6 +256,8 @@ def _load_loss_file(path) -> dict[int, float]:
 def cmd_sweep(args) -> int:
     written = []
     try:
+        _check_outputs({"--manifest": args.manifest, "--loss-file": args.loss_file},
+                       {"--out": args.out})
         bit_range = _parse_bits_range(args.bits, args.method)
         losses = _load_loss_file(args.loss_file) if args.loss_file else {}
         excluded, tensors = iter_manifest(args.manifest, extra_exclude=args.exclude)

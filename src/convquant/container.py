@@ -53,7 +53,7 @@ from .metrics import MemoryModel
 from .packing import PackedCodes, pack_codes, unpack_codes
 from .pwlq import PIECES, PWLQ, PWLQ_KIND
 from .pwlq import RECORD as PWLQ_RECORD
-from .tensor_store import NUMPY_DTYPES, TensorShape
+from .tensor_store import NUMPY_DTYPES, TensorShape, staging_file
 from .uniform import AFFINE, KIND_BY_SCHEME, SYMMETRIC_FULL, check_bits
 from .uniform import RECORD as UNIFORM_RECORD
 
@@ -196,7 +196,7 @@ def write_container(tensors: Iterable[QuantizedTensor], memory_model: MemoryMode
     failure leaves an earlier file at ``path`` as it was.
     """
     out = Path(path)
-    tmp = out.with_name(out.name + ".tmp")
+    tmp = staging_file(out)
     records = []
     try:
         with tempfile.TemporaryFile(dir=out.parent) as spool:

@@ -18,9 +18,9 @@ precision instead.
 A tensor is quantized and decoded one block of whole filters at a time: a
 contiguous range of the flat array, about ``tensor_store.BLOCK`` elements,
 upcast to float64 on its own. Each group's statistics are gathered over
-every block before any block is encoded, so the result is the row kernels'
-on the whole float64 group matrix, and the working set is a few blocks
-whatever the size of the tensor.
+every block before any block is encoded, so they are those of the whole
+float64 group matrix, and the working set is a few blocks whatever the
+size of the tensor.
 """
 
 from __future__ import annotations
@@ -295,8 +295,9 @@ def error_report(values: np.ndarray, reconstructed: np.ndarray,
 
 def _breakpoints(t: WeightTensor, blocks: _Blocks, bits: int, mode: str,
                  grid_points: int, vmin: np.ndarray, vmax: np.ndarray) -> np.ndarray:
-    """One breakpoint per group, as :func:`convquant.pwlq.row_breakpoints`
-    gives it for the float64 group matrix."""
+    """One breakpoint per group of the float64 group matrix: the closed form
+    of :func:`convquant.pwlq.breakpoint_approx`, with m in units of the
+    group's RMS, or the ``bruteforce`` grid search."""
     if mode == "bruteforce":
         # The search takes the group matrix in row blocks, upcast one at a time.
         return _pwlq.search_breakpoints(_as_group_matrix(t.values, t.shape, blocks.scheme),
@@ -314,7 +315,8 @@ def quantize_tensor(t: WeightTensor, scheme: str, method: str, bits: int,
     Each group's parameters come from its statistics (extremes, and for
     pwlq its breakpoint), gathered over every block first; then each block
     is encoded, decoded for the error and written into the flat outputs.
-    The result equals the row kernels' on the float64 group matrix.
+    The statistics, and so the result, are those of the whole float64 group
+    matrix, whatever the block size.
 
     Channel-wise on a 1x1 kernel returns a passthrough tensor: each group
     would hold a single weight and the layer cannot be usefully quantized at

@@ -17,13 +17,12 @@ The breakpoint comes either from a closed-form estimate (``breakpoint_approx``,
 applied to m in units of the group's RMS) or from a grid search minimizing
 reconstruction MSE (``search_breakpoints``).
 
-As in the uniform module, the row kernels take a ``(groups, group size)``
-matrix, one group per row: ``quantize_rows`` builds one :data:`RECORD` per
-row and encodes every row, ``dequantize_rows`` decodes them, and
-``search_breakpoints`` scores every candidate breakpoint on one block of
-rows at a time. ``group_records``, ``encode`` and ``decode`` underlie them;
-``encode`` and ``decode`` take records that broadcast against the values,
-so they serve any block of a tensor as well as rows.
+``group_records`` builds one :data:`RECORD` per group from its value range
+and breakpoint, and ``encode`` and ``decode`` take records that broadcast
+against the values, so they serve any block of a tensor.
+``search_breakpoints`` takes a ``(groups, group size)`` matrix, one group
+per row, and scores every candidate breakpoint on one block of rows at a
+time.
 """
 
 from __future__ import annotations
@@ -43,7 +42,6 @@ from .uniform import (
     check_bits,
     range_records,
     round_codes,
-    row_extremes,
 )
 from .uniform import RECORD as UNIFORM_RECORD
 
@@ -195,34 +193,14 @@ def decode(records: np.ndarray, regions: np.ndarray, codes: np.ndarray) -> np.nd
     return out
 
 
-def dequantize_rows(records: np.ndarray, regions: np.ndarray, codes: np.ndarray) -> np.ndarray:
-    """Decode region-tagged (groups, size) codes, one record per row.
-
-    A row's codes use the record of their region; a degenerate row keeps
-    its uniform record in ``center`` and all its elements in that region.
-    """
-    return decode(records[:, None], regions, codes)
-
-
-def quantize_rows(mat: np.ndarray, bits: int, p: np.ndarray):
-    """Split each row of a (groups, size) matrix at its breakpoint and encode it.
-
-    ``p`` holds one breakpoint per row (see :func:`group_records`). Returns
-    (records, regions, int8 codes).
-    """
-    records = group_records(bits, *row_extremes(mat), p)
-    regions, codes, _ = encode(mat, records[:, None], bits)
-    return records, regions, codes
-
-
 def group_records(bits: int, vmin: np.ndarray, vmax: np.ndarray, p: np.ndarray) -> np.ndarray:
     """One record per group, for groups whose values span [vmin, vmax],
     split at breakpoints ``p``.
 
     A group with no nonzero value has nothing to split: its ``p`` is ignored
-    and it gets, in ``center``, the degenerate affine record of
-    :func:`convquant.uniform.quantize_rows` (kind 0, s = 1, z = 0, clip
-    range [0, 0]).
+    and it gets, in ``center``, the degenerate affine record that
+    :func:`convquant.uniform.range_records` gives a point range (kind 0,
+    s = 1, z = 0, clip range [0, 0]).
     """
     m = np.maximum(vmax, -vmin)
     zero = m == 0
@@ -234,27 +212,14 @@ def group_records(bits: int, vmin: np.ndarray, vmax: np.ndarray, p: np.ndarray) 
     return records
 
 
-def row_breakpoints(mat: np.ndarray, bits: int, mode: str,
-                    grid_points: int = DEFAULT_GRID_POINTS) -> np.ndarray:
-    """One breakpoint per row, 0 for all-zero rows.
-
-    ``mode`` is ``approx`` (the closed form of :func:`breakpoint_approx`,
-    with m in units of the row's RMS) or ``bruteforce``
-    (:func:`search_breakpoints`).
-    """
-    if mode == "approx":
-        m = np.abs(mat).max(axis=1)
-        return m * _approx_ratios(mat, m)
-    return search_breakpoints(mat, bits, grid_points)
-
-
 def search_breakpoints(mat: np.ndarray, bits: int,
                        grid_points: int = DEFAULT_GRID_POINTS) -> np.ndarray:
     """Per row, the breakpoint minimizing mean squared reconstruction error.
 
     Candidate ratios p/m are ``grid_points`` uniformly spaced interior points
-    of (0, 1) plus the row's closed-form estimate, so the result is never
-    worse than ``row_breakpoints(mat, bits, "approx")``. Ties go to the
+    of (0, 1) plus the row's closed-form estimate (:func:`breakpoint_approx`,
+    with m in units of the row's RMS), so the result is never worse than
+    that estimate. Ties go to the
     smaller breakpoint; all-zero rows get 0. Every candidate is scored on
     one block of about SEARCH_BLOCK elements before the next block.
     """

@@ -22,6 +22,7 @@ remembered in bits, so files can be written back byte-identically.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import re
@@ -194,8 +195,16 @@ def iter_manifest(manifest_path,
     return excluded, (_read_tensor(*entry) for entry in entries)
 
 
-def _tmp_path(path: Path) -> Path:
-    return path.with_name(path.name + ".tmp")
+def staging_file(path) -> Path:
+    """Create an empty file beside ``path``, under a name that no file had,
+    to write ``path`` under before it is moved into place. Unlike
+    tempfile.mkstemp's 0600 file, it takes a new file's usual permissions."""
+    path = Path(path)
+    while True:
+        tmp = path.with_name(f"{path.name}.{os.urandom(4).hex()}.tmp")
+        with contextlib.suppress(FileExistsError):
+            os.close(os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666))
+            return tmp
 
 
 def _file_stem(name: str) -> str:
@@ -216,10 +225,10 @@ def export_manifest(tensors: Iterable[WeightTensor], manifest_path) -> list[Path
     returns every path written.
 
     Values are stored at each tensor's source precision, so a freshly loaded
-    model writes back byte-identically. Every file is first written under
-    its name plus ``.tmp``, and all are moved into place, the manifest last,
+    model writes back byte-identically. Every file is first written to its
+    :func:`staging_file`, and all are moved into place, the manifest last,
     only once every one is written. If a write fails or ``tensors`` raises,
-    the ``.tmp`` files and the files already moved into place are removed
+    the staging files and the files already moved into place are removed
     before the error propagates. A file in the way that the manifest already
     at ``manifest_path`` does not list, such as a source weight, is never replaced.
     """
@@ -227,7 +236,7 @@ def export_manifest(tensors: Iterable[WeightTensor], manifest_path) -> list[Path
     path.parent.mkdir(parents=True, exist_ok=True)
     replaceable = _listed_files(path)
     entries = []
-    staged = []     # final paths, each written first under its _tmp_path
+    staged = []     # (staging file, final path)
     placed = []
     used = set()
     try:
@@ -243,8 +252,8 @@ def export_manifest(tensors: Iterable[WeightTensor], manifest_path) -> list[Path
             final = path.parent / file_rel
             if os.path.lexists(final) and final not in replaceable:
                 raise InvalidInput(f"refusing to replace {final}: {path} does not list it")
-            staged.append(final)
-            _tmp_path(staged[-1]).write_bytes(tensor.values.astype(dtype, copy=False))
+            staged.append((staging_file(final), final))
+            staged[-1][0].write_bytes(tensor.values.astype(dtype, copy=False))
             entries.append({
                 "name": tensor.name,
                 "shape": list(tensor.shape.dims),
@@ -252,13 +261,13 @@ def export_manifest(tensors: Iterable[WeightTensor], manifest_path) -> list[Path
                 "file": file_rel,
             })
         doc = {"exclude": [], "tensors": entries}
-        staged.append(path)
-        _tmp_path(path).write_text(json.dumps(doc, indent=1) + "\n", "utf-8")
-        for final in staged:
-            os.replace(_tmp_path(final), final)
+        staged.append((staging_file(path), path))
+        staged[-1][0].write_text(json.dumps(doc, indent=1) + "\n", "utf-8")
+        for tmp, final in staged:
+            os.replace(tmp, final)
             placed.append(final)
     except BaseException:
-        for leftover in [_tmp_path(p) for p in staged] + placed:
+        for leftover in [tmp for tmp, _ in staged] + placed:
             leftover.unlink(missing_ok=True)
         raise
     return placed

@@ -16,11 +16,9 @@ scale s and the code domain are chosen:
 Rounding is half-away-from-zero everywhere, for codes in ``round_codes``,
 so results are reproducible across platforms. All arithmetic is float64.
 
-Tensors are quantized a whole ``(groups, group size)`` matrix at a time,
-one group per row: ``range_records`` derives one :data:`RECORD` per group
-from its value range, ``encode`` and ``decode`` map values to codes and
-back with broadcast per-row parameters, and ``quantize_rows`` /
-``dequantize_rows`` run the whole pass over a group matrix.
+``range_records`` derives one :data:`RECORD` per group from its value
+range, and ``encode`` and ``decode`` map values to codes and back with
+per-group parameters that broadcast over any block of a tensor.
 """
 
 from __future__ import annotations
@@ -93,17 +91,6 @@ def settle_zero_signs(vmin, vmax, any_negative, all_negative) -> None:
     np.copysign(vmax, np.where(all_negative, -1.0, 1.0), out=vmax, where=vmax == 0)
 
 
-def row_extremes(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-row min and max of a (groups, size) matrix, zeros signed by
-    :func:`settle_zero_signs`."""
-    vmin = mat.min(axis=1)
-    vmax = mat.max(axis=1)
-    if not (vmin.all() and vmax.all()):
-        sign = np.signbit(mat)
-        settle_zero_signs(vmin, vmax, sign.any(axis=1), sign.all(axis=1))
-    return vmin, vmax
-
-
 def round_codes(q: np.ndarray, lo, hi, scratch=None) -> np.ndarray:
     """``clip(round_half_away(q), lo, hi)`` computed in the float64 array
     ``q``, which is returned; ``scratch`` is an optional buffer of q's shape.
@@ -173,17 +160,6 @@ def range_records(scheme: str, bits: int, vmin: np.ndarray, vmax: np.ndarray) ->
     return records
 
 
-def quantize_rows(mat: np.ndarray, scheme: str, bits: int) -> tuple[np.ndarray, np.ndarray]:
-    """Quantize each row of a (groups, size) matrix as one group, its clip
-    range taken from the row (:func:`range_records`). Returns the rows'
-    records and their int8 codes.
-    """
-    records = range_records(scheme, bits, *row_extremes(mat))
-    lo, hi = code_domain(scheme, bits)
-    codes = encode(mat, records["scale"][:, None], records["zero_point"][:, None], lo, hi)
-    return records, codes
-
-
 def check_code_range(records: np.ndarray, cmin: np.ndarray, cmax: np.ndarray) -> None:
     """Raise CodeOutOfDomain naming the first group whose codes, spanning
     [cmin, cmax], leave the domain of its record."""
@@ -196,13 +172,3 @@ def check_code_range(records: np.ndarray, cmin: np.ndarray, cmax: np.ndarray) ->
             f"group {g}: code outside [{lo[g]}, {half[g] - 1}] for "
             f"{SCHEME_BY_KIND[int(records['kind'][g])]} at "
             f"{records['bits'][g]} bits")
-
-
-def dequantize_rows(records: np.ndarray, codes: np.ndarray) -> np.ndarray:
-    """Decode (groups, size) codes, one record per row.
-
-    Raises CodeOutOfDomain when a code lies outside its row's domain.
-    """
-    if codes.size:
-        check_code_range(records, codes.min(axis=1), codes.max(axis=1))
-    return decode(codes, records["scale"][:, None], records["zero_point"][:, None])

@@ -29,6 +29,13 @@ def gaussian_tensor(shape, seed, scale=1.0, name="t"):
     return WeightTensor(name, TensorShape(*shape), values)
 
 
+def matrix_tensor(mat, name="t"):
+    """A (rows, size) matrix as a float64 tensor whose filter-wise group
+    matrix is the matrix itself."""
+    mat = np.asarray(mat, dtype=np.float64)
+    return WeightTensor(name, TensorShape(*mat.shape, 1, 1), mat.ravel(), 32)
+
+
 @pytest.fixture
 def small_gaussian():
     return gaussian_tensor((8, 4, 3, 3), seed=7, scale=0.1)

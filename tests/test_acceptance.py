@@ -49,7 +49,7 @@ from convquant import pwlq, uniform
 from convquant.cli import main
 from convquant.granularity import group_count
 
-from conftest import gaussian_tensor, write_manifest
+from conftest import gaussian_tensor, matrix_tensor, write_manifest
 import scalar_oracle as oracle
 
 
@@ -57,14 +57,17 @@ def report(criterion: int, detail: str) -> None:
     print(f"[criterion {criterion}] PASS - {detail}")
 
 
-def slice_mse(values, scheme, bits):
-    records, codes = uniform.quantize_rows(values[None], scheme, bits)
-    return float(np.mean((values - uniform.dequantize_rows(records, codes)[0]) ** 2))
+def slice_mse(values, method, bits):
+    """MSE of ``values`` quantized as one group (pwlq: closed-form breakpoint)."""
+    q = quantize_tensor(matrix_tensor([values]), FILTER_WISE, method, bits)
+    return float(np.mean((values - dequantize_tensor(q).values) ** 2))
 
 
 def pwlq_mse(values, bits, p):
-    records, regions, codes = pwlq.quantize_rows(values[None], bits, np.array([p]))
-    return float(np.mean((values - pwlq.dequantize_rows(records, regions, codes)[0]) ** 2))
+    records = pwlq.group_records(bits, np.min(values, keepdims=True),
+                                 np.max(values, keepdims=True), np.array([p]))
+    regions, codes, _ = pwlq.encode(values, records, bits)
+    return float(np.mean((values - pwlq.decode(records, regions, codes)) ** 2))
 
 
 # ---------------------------------------------------------------------------
@@ -110,18 +113,19 @@ def scalar_cases():
                                -8, 7)[0]))
     case("dequantize code 4",
          oracle.dequantize(4, *oracle.affine_params(-1.0, 1.0, 4)),
-         0.5333333333333333, uniform.dequantize_rows(p_a4[None], np.array([[4]]))[0, 0])
+         0.5333333333333333,
+         uniform.decode(np.array([4]), p_a4["scale"], p_a4["zero_point"])[0])
 
-    _, codes3 = uniform.quantize_rows(np.array([[-1.0, 0.0, 1.0]]), AFFINE, 4)
+    q3 = quantize_tensor(matrix_tensor([[-1.0, 0.0, 1.0]]), FILTER_WISE, AFFINE, 4)
     case("slice [-1,0,1] codes", oracle.quantize_slice_affine([-1.0, 0.0, 1.0], 4)[2],
-         [-8, 0, 7], codes3[0].tolist())
+         [-8, 0, 7], q3.codes.tolist())
 
-    params2, codes2 = uniform.quantize_rows(np.array([[0.0, 0.25, 0.5, 1.0]]), AFFINE, 2)
+    q2 = quantize_tensor(matrix_tensor([[0.0, 0.25, 0.5, 1.0]]), FILTER_WISE, AFFINE, 2)
     os2, oz2, oc2 = oracle.quantize_slice_affine([0.0, 0.25, 0.5, 1.0], 2)
-    case("slice 2-bit codes", oc2, [-2, -1, -1, 1], codes2[0].tolist())
+    case("slice 2-bit codes", oc2, [-2, -1, -1, 1], q2.codes.tolist())
     case("slice 2-bit dequant", [oracle.dequantize(c, os2, oz2) for c in oc2],
          [0.0, 0.3333333333333333, 0.3333333333333333, 1.0],
-         uniform.dequantize_rows(params2, codes2)[0].tolist())
+         dequantize_tensor(q2).values.tolist())
 
     case("breakpoint approx m=1", oracle.breakpoint_approx(1.0),
          0.3847860968997636, breakpoint_approx(1.0))
@@ -129,17 +133,18 @@ def scalar_cases():
          0.005000000000000001, breakpoint_approx(0.1))
 
     # m = max|r| = 1 and p = 0.385 for the group [0.9, -1.0].
-    pw, pregions, pcodes = pwlq.quantize_rows(np.array([[0.9, -1.0]]), 4, np.array([0.385]))
+    pw = pwlq.group_records(4, np.array([-1.0]), np.array([0.9]), np.array([0.385]))
+    pregions, pcodes, _ = pwlq.encode(np.array([0.9, -1.0]), pw, 4)
     case("pwlq tail region of 0.9", oracle.pwlq_encode(0.9, 4, 1.0, 0.385)[0] == "pos",
-         True, bool(pregions[0, 0] == POS_TAIL))
+         True, bool(pregions[0] == POS_TAIL))
     case("pwlq tail code of 0.9", oracle.pwlq_encode(0.9, 4, 1.0, 0.385)[1],
-         2, int(pcodes[0, 0]))
+         2, int(pcodes[0]))
     case("pwlq decode (pos,2)", oracle.pwlq_decode("pos", 2, 4, 1.0, 0.385),
          0.8785714285714286,
-         float(pwlq.dequantize_rows(pw, np.array([[POS_TAIL]]), np.array([[2]]))[0, 0]))
+         float(pwlq.decode(pw, np.array([POS_TAIL]), np.array([2]))[0]))
     case("pwlq decode (center,7)", oracle.pwlq_decode("center", 7, 4, 1.0, 0.385),
          0.35933333333333334,
-         float(pwlq.dequantize_rows(pw, np.array([[CENTER]]), np.array([[7]]))[0, 0]))
+         float(pwlq.decode(pw, np.array([CENTER]), np.array([7]))[0]))
 
     case("f-shape group count",
          len({(c, h, w) for c in range(3) for h in range(4) for w in range(5)}),
@@ -216,7 +221,7 @@ def test_criterion_02_round_trip_bound():
         values = rng.uniform(beta, alpha, size=200)
         codes = uniform.encode(values, params["scale"], params["zero_point"],
                                *uniform.code_domain(scheme, bits))
-        err = np.abs(uniform.dequantize_rows(params, codes[None])[0] - values)
+        err = np.abs(uniform.decode(codes, params["scale"], params["zero_point"]) - values)
         total += values.size
         violations += int(np.sum(err > params["scale"]))
     assert total == 100_000
@@ -297,7 +302,7 @@ def gaussian_breakpoint_study():
         rng = np.random.default_rng(seed)
         values = rng.normal(size=10_000)
         mse_affine = slice_mse(values, AFFINE, 4)
-        mse_approx = pwlq_mse(values, 4, pwlq.row_breakpoints(values[None], 4, "approx")[0])
+        mse_approx = slice_mse(values, PWLQ, 4)
         mse_grid = pwlq_mse(values, 4, pwlq.search_breakpoints(values[None], 4)[0])
         rows.append((mse_affine, mse_approx, mse_grid))
     return rows

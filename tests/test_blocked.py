@@ -1,8 +1,8 @@
 """quantize_tensor and dequantize_tensor work one block of filters at a time.
 
-Whatever the block size, they must give what the row kernels give on the
-whole float64 group matrix, and their working set must not grow with the
-tensor.
+Whatever the block size, they must give what they give in one block, when
+every statistic is that of the whole float64 group matrix, and their
+working set must not grow with the tensor.
 """
 
 import tracemalloc
@@ -20,13 +20,10 @@ from convquant import (
     TensorShape,
     WeightTensor,
     dequantize_tensor,
-    fold_regions,
     quantize_tensor,
     tensor_store,
 )
-from convquant import pwlq, uniform
 from convquant.errors import CorruptCodes
-from convquant.granularity import _as_group_matrix
 
 
 def _tensor(name, dims, dtype, seed, zeros=False):
@@ -56,41 +53,32 @@ CASES = [(scheme, method, mode) for scheme in GRANULARITIES for method in METHOD
          for mode in (("approx", "bruteforce") if method == PWLQ else ("approx",))]
 
 
-def _row_kernels(mat, method, bits, mode):
-    """(records, codes, region bits, decode) of a float64 group matrix."""
-    if method != PWLQ:
-        records, codes = uniform.quantize_rows(mat, method, bits)
-        return records, codes, None, uniform.dequantize_rows(records, codes)
-    p = pwlq.row_breakpoints(mat, bits, mode, grid_points=8)
-    records, regions, codes = pwlq.quantize_rows(mat, bits, p)
-    decoded = pwlq.dequantize_rows(records, regions, codes)
-    tail_bits, combined = fold_regions(regions, codes, bits)
-    return records, combined, tail_bits, decoded
+def _run(monkeypatch, block, t, *args, **kwargs):
+    """quantize_tensor with BLOCK = ``block``, and its f64 and f16 decodes."""
+    monkeypatch.setattr(tensor_store, "BLOCK", block)
+    q = quantize_tensor(t, *args, **kwargs)
+    return q, dequantize_tensor(q).values, dequantize_tensor(q, np.float16).values
 
 
 @pytest.mark.parametrize("block", [1, 97], ids=["one-filter", "97-elements"])
 @pytest.mark.parametrize("scheme,method,mode", CASES)
-def test_blocks_match_row_kernels_on_the_whole_group_matrix(monkeypatch, block, scheme,
-                                                            method, mode):
-    monkeypatch.setattr(tensor_store, "BLOCK", block)
+def test_blocks_match_one_block_on_the_whole_group_matrix(monkeypatch, block, scheme,
+                                                          method, mode):
     for i, t in enumerate(TENSORS):
         if scheme == CHANNEL_WISE and t.shape.h * t.shape.w == 1:
             continue
-        bits = 3 + i % 6
-        q = quantize_tensor(t, scheme, method, bits, breakpoint_mode=mode, grid_points=8)
-        values = t.values.astype(np.float64)
-        mat = _as_group_matrix(values, t.shape, scheme)
-        records, codes, tail_bits, decoded = _row_kernels(mat, method, bits, mode)
-        assert q.params.tobytes() == records.tobytes(), t.name
-        assert np.array_equal(_as_group_matrix(q.codes, t.shape, scheme), codes), t.name
-        if tail_bits is not None:
-            assert np.array_equal(_as_group_matrix(q.region_bits, t.shape, scheme),
-                                  tail_bits), t.name
-        back = dequantize_tensor(q).values
-        assert np.array_equal(_as_group_matrix(back, t.shape, scheme), decoded), t.name
-        assert np.array_equal(dequantize_tensor(q, np.float16).values,
-                              back.astype(np.float16)), t.name
-        diff = values - back
+        args = (t, scheme, method, 3 + i % 6)
+        kwargs = {"breakpoint_mode": mode, "grid_points": 8}
+        whole, whole_back, whole_f16 = _run(monkeypatch, t.values.size, *args, **kwargs)
+        q, back, back_f16 = _run(monkeypatch, block, *args, **kwargs)
+        assert q.params.tobytes() == whole.params.tobytes(), t.name
+        assert q.codes.tobytes() == whole.codes.tobytes(), t.name
+        if method == PWLQ:
+            assert q.region_bits.tobytes() == whole.region_bits.tobytes(), t.name
+        assert back.tobytes() == whole_back.tobytes(), t.name
+        assert back_f16.tobytes() == whole_f16.tobytes(), t.name
+        assert np.array_equal(back_f16, back.astype(np.float16)), t.name
+        diff = t.values.astype(np.float64) - back
         assert q.error.max_abs == np.abs(diff).max(), t.name
         assert q.error.mse == pytest.approx(np.mean(diff * diff), rel=1e-12, abs=0), t.name
 
@@ -108,19 +96,18 @@ def test_corrupt_codes_name_the_first_bad_group(monkeypatch, method):
 
 
 def test_zero_extremes_take_ieee_signs_in_every_block_order(monkeypatch):
-    monkeypatch.setattr(tensor_store, "BLOCK", 1)
-    # One f-shape group per column, one filter per row and block: a zero
-    # minimum is -0 if any block holds a -0, a zero maximum +0 if any holds a +0.
-    columns = [[0.0, -0.0, 0.5, 0.0, 1.0, -0.0], [-1.0, -0.0, 0.0, -2.0, -0.0, -3.0]]
-    t = WeightTensor("t", TensorShape(6, 1, 1, 2), np.array(columns).T.reshape(-1))
-    q = quantize_tensor(t, F_SHAPE_WISE, AFFINE, 4)
-    assert q.params[["beta", "alpha"]].tolist() == [(0.0, 1.0), (-3.0, 0.0)]
-    assert np.signbit(q.params["beta"]).tolist() == [True, True]
-    assert np.signbit(q.params["alpha"]).tolist() == [False, False]
-    vmin, vmax = uniform.row_extremes(np.array([[0.0, -0.0, 0.0], [-0.0, 0.0, 1.0],
-                                                [-0.0, -0.0, -1.0]]))
-    assert np.signbit(vmin).tolist() == [True, True, True]
-    assert np.signbit(vmax).tolist() == [False, False, True]
+    # One f-shape group per column, one filter per row, and a block per
+    # filter or one for all: a zero minimum is -0 if any filter holds a -0,
+    # a zero maximum -0 only if every one does.
+    columns = [[0.0, -0.0, 0.5, 0.0, 1.0, -0.0], [-1.0, -0.0, 0.0, -2.0, -0.0, -3.0],
+               [-0.0, -1.0, -0.0, -0.0, -0.0, -0.0]]
+    t = WeightTensor("t", TensorShape(6, 1, 1, 3), np.array(columns).T.reshape(-1))
+    for block in (1, t.values.size):
+        monkeypatch.setattr(tensor_store, "BLOCK", block)
+        q = quantize_tensor(t, F_SHAPE_WISE, AFFINE, 4)
+        assert q.params[["beta", "alpha"]].tolist() == [(0.0, 1.0), (-3.0, 0.0), (-1.0, 0.0)]
+        assert np.signbit(q.params["beta"]).tolist() == [True, True, True]
+        assert np.signbit(q.params["alpha"]).tolist() == [False, False, True]
 
 
 def _traced_peaks(t, method):

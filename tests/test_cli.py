@@ -144,6 +144,7 @@ class TestQuantizeCommand:
         values = rng.normal(0, 0.05, size=16 * 16 * 9)
         values[5 * 144:6 * 144] = rng.normal(0, 1e-7, size=144)
         manifest = write_manifest(tmp_path, [("conv.dead", (16, 16, 3, 3), values, "f16")])
+        before = sorted(tmp_path.iterdir())
         out = tmp_path / "model.qnt"
         rc = main(["quantize", "--manifest", str(manifest), "--method", "pwlq",
                    "--granularity", "filter", "--out", str(out)])
@@ -151,7 +152,7 @@ class TestQuantizeCommand:
         err = capsys.readouterr().err
         assert "conv.dead" in err and "group 5" in err
         assert not out.exists()
-        assert not (tmp_path / "model.qnt.tmp").exists()
+        assert sorted(tmp_path.iterdir()) == before
 
     def test_failed_verify_keeps_earlier_output(self, tmp_path, monkeypatch, capsys):
         manifest = synthetic_model(tmp_path, include_1x1=False)
@@ -248,6 +249,34 @@ class TestQuantizeCommand:
         assert rc == 1
         assert "error: --report and --out are the same file" in capsys.readouterr().err
         assert sorted(tmp_path.iterdir()) == before
+
+    @pytest.mark.parametrize("flag", ["--out", "--report"])
+    def test_output_at_manifest_path_is_refused(self, tmp_path, capsys, flag):
+        manifest = synthetic_model(tmp_path, include_1x1=False)
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        outputs = {"--out": tmp_path / "m.qnt", "--report": tmp_path / "r.json",
+                   flag: tmp_path / "." / "model.json"}
+        rc = main(["quantize", "--manifest", str(manifest),
+                   *(str(arg) for pair in outputs.items() for arg in pair)])
+        assert rc == 1
+        assert f"error: --manifest and {flag} are the same file" in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+    def test_staging_keeps_files_named_like_it(self, tmp_path):
+        manifest = four_tensor_model(tmp_path)
+        out = tmp_path / "out"
+        out.mkdir()
+        bystanders = [tmp_path / "m.qnt.tmp", tmp_path / "r.json.tmp",
+                      out / "conv0.bin.tmp", out / "model.json.tmp"]
+        for path in bystanders:
+            path.write_text(path.name)
+        assert main(["quantize", "--manifest", str(manifest), "--out", str(tmp_path / "m.qnt"),
+                     "--report", str(tmp_path / "r.json")]) == 0
+        assert main(["dequantize", str(tmp_path / "m.qnt"), str(out / "model.json")]) == 0
+        assert [path.read_text() for path in bystanders] == [path.name for path in bystanders]
+        assert sorted(p.name for p in out.iterdir()) == [
+            "conv0.bin", "conv0.bin.tmp", "conv1.bin", "conv2.bin", "conv3.bin",
+            "model.json", "model.json.tmp"]
 
     @pytest.mark.parametrize("flag", [["--baseline-bits", "8"], ["--param-bytes-affine", "8"],
                                       ["--param-bytes-symmetric", "8"],
@@ -453,6 +482,19 @@ class TestDequantizeCommand:
         assert "conv1: group 0: code outside" in capsys.readouterr().err
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
+    def test_output_at_container_path_is_refused(self, tmp_path, capsys):
+        container = tmp_path / "q" / "m.qnt"
+        container.parent.mkdir()
+        assert main(["quantize", "--manifest", str(four_tensor_model(tmp_path)),
+                     "--out", str(container)]) == 0
+        earlier = container.read_bytes()
+        rc = main(["dequantize", str(container), str(container)])
+        assert rc == 1
+        assert ("error: container and out_manifest are the same file"
+                in capsys.readouterr().err)
+        assert [p.name for p in container.parent.iterdir()] == ["m.qnt"]
+        assert container.read_bytes() == earlier
+
     def test_source_weights_are_not_replaced(self, tmp_path, capsys):
         # Files named after their tensors, as the README's PyTorch exporter writes them.
         raw = np.random.default_rng(3).normal(0, 0.1, 8 * 4 * 9).astype("<f2")
@@ -515,6 +557,17 @@ class TestSweepCommand:
         assert rc == 1
         assert "loss file" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_output_at_loss_file_path_is_refused(self, tmp_path, capsys):
+        manifest = synthetic_model(tmp_path, include_1x1=False)
+        loss_file = tmp_path / "loss.json"
+        loss_file.write_text(json.dumps({"4": 1.0}))
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        rc = main(["sweep", "--manifest", str(manifest), "--bits", "4:4",
+                   "--loss-file", str(loss_file), "--out", str(loss_file)])
+        assert rc == 1
+        assert "error: --loss-file and --out are the same file" in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
     def test_stdout_output(self, tmp_path, capsys):
         manifest = synthetic_model(tmp_path, include_1x1=False)

@@ -1,16 +1,30 @@
-"""Row kernels against the scalar oracle, one row at a time.
+"""The tensor kernels against the scalar oracle, one group at a time.
 
-The matrix kernels quantize every group of a tensor in one numpy pass; each
-row must still come out exactly as the plain-Python reference computes it.
+The kernels quantize every group of a tensor in a few numpy passes; each
+group must still come out exactly as the plain-Python reference computes
+it. A (rows, size) matrix is quantized filter-wise as a tensor whose group
+matrix is the matrix itself.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from convquant import AFFINE, CENTER, NEG_TAIL, POS_TAIL, SYMMETRIC_FULL, SYMMETRIC_RESTRICTED
+from convquant import (
+    AFFINE,
+    CENTER,
+    FILTER_WISE,
+    NEG_TAIL,
+    POS_TAIL,
+    PWLQ,
+    SYMMETRIC_FULL,
+    SYMMETRIC_RESTRICTED,
+    dequantize_tensor,
+    quantize_tensor,
+)
 from convquant import pwlq, uniform
 
+from conftest import matrix_tensor
 import scalar_oracle as oracle
 
 REGION_NAMES = {"center": CENTER, "neg": NEG_TAIL, "pos": POS_TAIL}
@@ -47,8 +61,9 @@ def oracle_uniform_row(row, scheme, bits):
        scheme=st.sampled_from([AFFINE, SYMMETRIC_RESTRICTED, SYMMETRIC_FULL]))
 @settings(max_examples=300, deadline=None)
 def test_uniform_rows_match_oracle(mat, bits, scheme):
-    records, codes = uniform.quantize_rows(mat, scheme, bits)
-    decoded = uniform.dequantize_rows(records, codes)
+    q = quantize_tensor(matrix_tensor(mat), FILTER_WISE, scheme, bits)
+    records, codes = q.params, q.codes.reshape(mat.shape)
+    decoded = dequantize_tensor(q).values.reshape(mat.shape)
     for g, row in enumerate(mat.tolist()):
         rec = records[g]
         if min(row) == max(row):
@@ -69,8 +84,9 @@ def test_uniform_rows_match_oracle(mat, bits, scheme):
 def test_pwlq_rows_match_oracle(mat, bits):
     m = np.abs(mat).max(axis=1)
     p = np.array([oracle.breakpoint_approx(x) if x else 0.0 for x in m.tolist()])
-    records, regions, codes = pwlq.quantize_rows(mat, bits, p)
-    decoded = pwlq.dequantize_rows(records, regions, codes)
+    records = pwlq.group_records(bits, mat.min(axis=1), mat.max(axis=1), p)
+    regions, codes, _ = pwlq.encode(mat, records[:, None], bits)
+    decoded = pwlq.decode(records[:, None], regions, codes)
     for g, row in enumerate(mat.tolist()):
         if m[g] == 0:
             assert records[g]["kind"] == uniform.KIND_BY_SCHEME[AFFINE]
@@ -106,18 +122,19 @@ def test_batched_search_matches_one_row_searches(mat, bits):
 
 
 def reference_search(mat, bits, grid_points=pwlq.DEFAULT_GRID_POINTS):
-    """search_breakpoints from the public encode and decode: every candidate
-    breakpoint quantized by quantize_rows, scored by its rows' MSE, grid
-    candidates first with strict improvement, the closed form last winning
-    ties toward the smaller breakpoint."""
+    """search_breakpoints from the public records, encode and decode: every
+    candidate breakpoint scored by its rows' MSE, grid candidates first with
+    strict improvement, the closed form of quantize_tensor last winning ties
+    toward the smaller breakpoint."""
     m = np.abs(mat).max(axis=1)
     grid = np.arange(1, grid_points + 1, dtype=np.float64) / (grid_points + 1)
     candidates = [ratio * m for ratio in grid]
-    candidates.append(pwlq.row_breakpoints(mat, bits, "approx"))
+    candidates.append(quantize_tensor(matrix_tensor(mat), FILTER_WISE, PWLQ, bits).params["p"])
     best_err, best = np.full(len(m), np.inf), np.zeros(len(m))
     for p in candidates:
-        records, regions, codes = pwlq.quantize_rows(mat, bits, p)
-        err = ((mat - pwlq.dequantize_rows(records, regions, codes)) ** 2).mean(axis=1)
+        records = pwlq.group_records(bits, mat.min(axis=1), mat.max(axis=1), p)[:, None]
+        regions, codes, _ = pwlq.encode(mat, records, bits)
+        err = ((mat - pwlq.decode(records, regions, codes)) ** 2).mean(axis=1)
         take = (err < best_err) | ((err == best_err) & (p < best))
         best_err[take], best[take] = err[take], p[take]
     return best

@@ -12,11 +12,11 @@ from convquant import (
     TensorShape,
     WeightTensor,
     breakpoint_approx,
+    dequantize_tensor,
     fold_regions,
     quantize_tensor,
     unfold_regions,
 )
-from convquant import uniform
 from convquant.errors import (
     BitsTooSmall,
     BreakpointOutOfRange,
@@ -24,27 +24,27 @@ from convquant.errors import (
     InvalidInput,
     NonPositiveM,
 )
-from convquant.pwlq import (
-    dequantize_rows,
-    quantize_rows,
-    row_breakpoints,
-    search_breakpoints,
-)
+from convquant.pwlq import decode, encode, group_records, search_breakpoints
 
-from conftest import gaussian_tensor
+from conftest import gaussian_tensor, matrix_tensor
 import scalar_oracle as oracle
 
 
+def one_group(values, bits, p):
+    """The record of ``values`` as one group split at ``p``."""
+    return group_records(bits, np.min(values, keepdims=True),
+                         np.max(values, keepdims=True), np.array([p]))
+
+
 def qdq_mse(values, bits, p):
-    mat = np.asarray(values, dtype=np.float64)[None]
-    records, regions, codes = quantize_rows(mat, bits, np.array([p]))
-    return float(np.mean((mat - dequantize_rows(records, regions, codes)) ** 2))
+    records = one_group(values, bits, p)
+    regions, codes, _ = encode(values, records, bits)
+    return float(np.mean((values - decode(records, regions, codes)) ** 2))
 
 
 def affine_mse(values, bits):
-    mat = np.asarray(values, dtype=np.float64)[None]
-    records, codes = uniform.quantize_rows(mat, AFFINE, bits)
-    return float(np.mean((mat - uniform.dequantize_rows(records, codes)) ** 2))
+    q = quantize_tensor(matrix_tensor([values]), FILTER_WISE, AFFINE, bits)
+    return float(np.mean((values - dequantize_tensor(q).values) ** 2))
 
 
 class TestBreakpointApprox:
@@ -79,15 +79,14 @@ class TestRowBreakpoints:
         rng = np.random.default_rng(21)
         mat = rng.normal(0, 0.02, size=(16, 72))
         mat[3] = 0.0
-        p = row_breakpoints(mat, 4, mode, grid_points=16)
-        _, regions, codes = quantize_rows(mat, 4, p)
+        q = quantize_tensor(matrix_tensor(mat), FILTER_WISE, PWLQ, 4,
+                            breakpoint_mode=mode, grid_points=16)
         for j in (-6, -1, 3, 9):
-            scaled = mat * 2.0 ** j
-            p_j = row_breakpoints(scaled, 4, mode, grid_points=16)
-            assert np.array_equal(p_j, p * 2.0 ** j)
-            _, regions_j, codes_j = quantize_rows(scaled, 4, p_j)
-            assert np.array_equal(regions_j, regions)
-            assert np.array_equal(codes_j, codes)
+            q_j = quantize_tensor(matrix_tensor(mat * 2.0 ** j), FILTER_WISE, PWLQ, 4,
+                                  breakpoint_mode=mode, grid_points=16)
+            assert np.array_equal(q_j.params["p"], q.params["p"] * 2.0 ** j)
+            assert np.array_equal(q_j.region_bits, q.region_bits)
+            assert np.array_equal(q_j.codes, q.codes)
 
     def test_tiny_float64_groups_keep_their_ratio(self):
         # Squares of values near 1e-300 underflow to 0, so the RMS must come
@@ -96,68 +95,67 @@ class TestRowBreakpoints:
         values = np.random.default_rng(8).normal(0.0, 1e-300, size=4 * 4 * 3 * 3)
         q = quantize_tensor(WeightTensor("tiny", TensorShape(4, 4, 3, 3), values),
                             FILTER_WISE, PWLQ, 4)
-        unit = row_breakpoints(values.reshape(4, 36) * 2.0 ** 996, 4, "approx")
-        assert np.array_equal(q.params["p"], unit * 2.0 ** -996)
+        unit = quantize_tensor(WeightTensor("unit", TensorShape(4, 4, 3, 3), values * 2.0 ** 996),
+                               FILTER_WISE, PWLQ, 4)
+        assert np.array_equal(q.params["p"], unit.params["p"] * 2.0 ** -996)
+
+
+# One group with m = 1 and p = 0.385, as the examples below assume.
+RECORDS = one_group([1.0, -1.0], 4, 0.385)
 
 
 class TestPwlqQuantize:
     def test_zero_is_center_code_zero(self):
-        _, regions, codes = quantize_rows(np.array([[0.0, 1.0]]), 4, np.array([0.385]))
-        assert regions[0, 0] == CENTER
-        assert codes[0, 0] == 0
+        regions, codes, _ = encode(np.array([0.0, 1.0]), RECORDS, 4)
+        assert regions[0] == CENTER
+        assert codes[0] == 0
 
     def test_positive_tail_example(self):
         assert oracle.pwlq_encode(0.9, 4, 1.0, 0.385) == ("pos", 2)
-        records, regions, codes = quantize_rows(np.array([[0.9, -1.0]]), 4,
-                                                np.array([0.385]))
-        assert regions.tolist() == [[POS_TAIL, NEG_TAIL]]
-        assert codes[0, 0] == 2
+        records = one_group([0.9, -1.0], 4, 0.385)
+        regions, codes, decoded = encode(np.array([0.9, -1.0]), records, 4)
+        assert regions.tolist() == [POS_TAIL, NEG_TAIL]
+        assert codes[0] == 2
         assert records["pos_tail"]["scale"][0] == 0.08785714285714286
         assert records["pos_tail"]["zero_point"][0] == -8
         assert records["neg_tail"]["zero_point"][0] == 7
-        rec = dequantize_rows(records, regions, codes)
-        assert rec[0, 0] == 0.8785714285714286
+        assert decoded[0] == 0.8785714285714286
+        assert decode(records, regions, codes)[0] == 0.8785714285714286
 
     def test_boundary_belongs_to_center(self):
-        _, regions, _ = quantize_rows(np.array([[0.385, 1.0]]), 4, np.array([0.385]))
-        assert regions[0, 0] == CENTER
+        regions, _, _ = encode(np.array([0.385, 1.0]), RECORDS, 4)
+        assert regions[0] == CENTER
 
     def test_breakpoint_bounds(self):
         with pytest.raises(BreakpointOutOfRange):
-            quantize_rows(np.array([[1.0, -1.0]]), 4, np.array([0.0]))
+            one_group([1.0, -1.0], 4, 0.0)
         with pytest.raises(BreakpointOutOfRange):
-            quantize_rows(np.array([[1.0, -1.0]]), 4, np.array([1.0]))
+            one_group([1.0, -1.0], 4, 1.0)
 
     def test_bits_too_small(self):
         with pytest.raises(BitsTooSmall):
-            quantize_rows(np.array([[1.0, -1.0]]), 2, np.array([0.5]))
+            one_group([1.0, -1.0], 2, 0.5)
 
     def test_embedded_params_shape(self):
-        records, _, _ = quantize_rows(np.array([[1.0, -1.0]]), 4, np.array([0.385]))
-        center = records["center"][0]
+        center = RECORDS["center"][0]
         assert center["bits"] == 4 and center["zero_point"] == 0
-        assert records["neg_tail"]["bits"][0] == 3 and records["pos_tail"]["bits"][0] == 3
+        assert RECORDS["neg_tail"]["bits"][0] == 3 and RECORDS["pos_tail"]["bits"][0] == 3
         assert center["scale"] == 0.051333333333333335
-
-
-# One group with m = 1 and p = 0.385, as the decode examples below assume.
-RECORDS, _, _ = quantize_rows(np.array([[1.0, -1.0]]), 4, np.array([0.385]))
 
 
 class TestPwlqDequantize:
     def test_center_zero(self):
-        out = dequantize_rows(RECORDS, np.array([[CENTER]]), np.array([[0]]))
-        assert out[0, 0] == 0.0
+        assert decode(RECORDS, np.array([CENTER]), np.array([0])).tolist() == [0.0]
 
     def test_positive_tail_code(self):
         assert oracle.pwlq_decode("pos", 2, 4, 1.0, 0.385) == 0.8785714285714286
-        out = dequantize_rows(RECORDS, np.array([[POS_TAIL]]), np.array([[2]]))
-        assert out[0, 0] == 0.8785714285714286
+        out = decode(RECORDS, np.array([POS_TAIL]), np.array([2]))
+        assert out.tolist() == [0.8785714285714286]
 
     def test_center_code_seven(self):
         assert oracle.pwlq_decode("center", 7, 4, 1.0, 0.385) == 0.35933333333333334
-        out = dequantize_rows(RECORDS, np.array([[CENTER]]), np.array([[7]]))
-        assert out[0, 0] == 0.35933333333333334
+        out = decode(RECORDS, np.array([CENTER]), np.array([7]))
+        assert out.tolist() == [0.35933333333333334]
 
     def test_code_outside_its_region_domain(self):
         # Stored codes reach decode through unfold_regions: every signed 4-bit
@@ -187,10 +185,10 @@ class TestRegions:
         p = ratio * m
         if not 0 < p < m:
             return
-        _, regions, _ = quantize_rows(values[None], bits, np.array([p]))
-        assert np.array_equal(regions[0] == CENTER, np.abs(values) <= p)
-        assert np.array_equal(regions[0] == NEG_TAIL, values < -p)
-        assert np.array_equal(regions[0] == POS_TAIL, values > p)
+        regions, _, _ = encode(values, one_group(values, bits, p), bits)
+        assert np.array_equal(regions == CENTER, np.abs(values) <= p)
+        assert np.array_equal(regions == NEG_TAIL, values < -p)
+        assert np.array_equal(regions == POS_TAIL, values > p)
 
     @given(seed=st.integers(0, 2**32 - 1), bits=st.integers(3, 8))
     @settings(max_examples=60, deadline=None)
@@ -199,9 +197,10 @@ class TestRegions:
         values = rng.normal(size=500)
         m = float(np.abs(values).max())
         p = breakpoint_approx(m)
-        records, regions, codes = quantize_rows(values[None], bits, np.array([p]))
-        rec = dequantize_rows(records, regions, codes)[0]
-        center = regions[0] == CENTER
+        records = one_group(values, bits, p)
+        regions, codes, _ = encode(values, records, bits)
+        rec = decode(records, regions, codes)
+        center = regions == CENTER
         tail = ~center
         center_step = records["center"]["scale"][0]
         tail_step = records["pos_tail"]["scale"][0]
@@ -217,9 +216,10 @@ class TestRegions:
         rng = np.random.default_rng(seed)
         values = rng.normal(size=500)
         p = breakpoint_approx(float(np.abs(values).max()))
-        records, regions, codes = quantize_rows(values[None], bits, np.array([p]))
-        err = np.abs(dequantize_rows(records, regions, codes)[0] - values)
-        step = np.where(regions[0] == CENTER,
+        records = one_group(values, bits, p)
+        regions, codes, _ = encode(values, records, bits)
+        err = np.abs(decode(records, regions, codes) - values)
+        step = np.where(regions == CENTER,
                         records["center"]["scale"][0], records["pos_tail"]["scale"][0])
         assert np.all(err <= step + 1e-12)
 

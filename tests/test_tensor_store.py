@@ -1,4 +1,5 @@
 import json
+import stat
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from convquant.errors import (
     MissingFile,
     ShapeMismatch,
 )
+from convquant.tensor_store import staging_file
 
 from conftest import write_manifest
 import scalar_oracle as oracle
@@ -239,6 +241,16 @@ class TestWriteBack:
         with pytest.raises(InvalidInput, match="b.bin"):
             export_manifest(tensors("a", "b"), tmp_path / "model.json")
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+    def test_staging_files_are_new_with_a_new_file_s_permissions(self, tmp_path):
+        (tmp_path / "x.bin.tmp").write_text("keep")
+        usual = tmp_path / "usual"
+        usual.write_text("")
+        staged = {staging_file(tmp_path / "x.bin") for _ in range(3)}
+        assert len(staged) == 3 and (tmp_path / "x.bin.tmp").read_text() == "keep"
+        for path in staged:
+            assert path.parent == tmp_path and path.read_bytes() == b""
+            assert stat.S_IMODE(path.stat().st_mode) == stat.S_IMODE(usual.stat().st_mode)
 
 
 class TestExclusionResolution:

@@ -4,21 +4,24 @@ from hypothesis import example, given, settings, strategies as st
 
 from convquant import (
     AFFINE,
+    FILTER_WISE,
     SYMMETRIC_FULL,
     SYMMETRIC_RESTRICTED,
     code_domain,
+    dequantize_tensor,
+    quantize_tensor,
     round_half_away,
 )
 from convquant.errors import CodeOutOfDomain, DegenerateRange, IncompatibleBits
 from convquant.uniform import (
     check_bits,
+    check_code_range,
     decode,
-    dequantize_rows,
     encode,
-    quantize_rows,
     range_records,
 )
 
+from conftest import matrix_tensor
 import scalar_oracle as oracle
 
 
@@ -112,51 +115,52 @@ class TestQuantizeDequantize:
     def test_dequantize(self):
         rec = range_records(AFFINE, 4, np.array([-1.0]), np.array([1.0]))[0]
         assert oracle.dequantize(4, rec["scale"], rec["zero_point"]) == 0.5333333333333333
-        assert dequantize_rows(rec[None], np.array([[4]])).tolist() == [[0.5333333333333333]]
+        assert decode(np.array([4]), rec["scale"], rec["zero_point"]).tolist() == [
+            0.5333333333333333]
 
     def test_zero_code_reconstructs_zero(self):
         rec = range_records(SYMMETRIC_FULL, 6, np.array([-2.5]), np.array([2.5]))[0]
-        assert dequantize_rows(rec[None], np.array([[0]])).tolist() == [[0.0]]
+        assert decode(np.array([0]), rec["scale"], rec["zero_point"]).tolist() == [0.0]
 
     def test_restricted_rejects_unused_min_code(self):
         rec = range_records(SYMMETRIC_RESTRICTED, 8, np.array([-1.0]), np.array([1.0]))[0]
         with pytest.raises(CodeOutOfDomain):
-            dequantize_rows(rec[None], np.array([[-128]]))
+            check_code_range(rec[None], np.array([-128]), np.array([-128]))
 
 
 class TestQuantizeSlice:
     def test_three_point_slice(self):
         assert oracle.quantize_slice_affine([-1.0, 0.0, 1.0], 4) == (
             0.13333333333333333, 0, [-8, 0, 7])
-        records, codes = quantize_rows(np.array([[-1.0, 0.0, 1.0]]), AFFINE, 4)
-        assert codes.tolist() == [[-8, 0, 7]]
-        assert records["scale"][0] == 0.13333333333333333
-        assert records["zero_point"][0] == 0
+        q = quantize_tensor(matrix_tensor([[-1.0, 0.0, 1.0]]), FILTER_WISE, AFFINE, 4)
+        assert q.codes.tolist() == [-8, 0, 7]
+        assert q.params["scale"][0] == 0.13333333333333333
+        assert q.params["zero_point"][0] == 0
 
     def test_constant_slice_reconstructs_exactly(self):
         for scheme in (AFFINE, SYMMETRIC_RESTRICTED, SYMMETRIC_FULL):
-            records, codes = quantize_rows(np.array([[0.7, 0.7, 0.7]]), scheme, 4)
-            assert dequantize_rows(records, codes).tolist() == [[0.7, 0.7, 0.7]]
+            q = quantize_tensor(matrix_tensor([[0.7, 0.7, 0.7]]), FILTER_WISE, scheme, 4)
+            assert dequantize_tensor(q).values.tolist() == [0.7, 0.7, 0.7]
 
     def test_all_zero_slice(self):
-        records, codes = quantize_rows(np.array([[0.0, 0.0]]), AFFINE, 4)
-        assert codes.tolist() == [[0, 0]]
-        assert dequantize_rows(records, codes).tolist() == [[0.0, 0.0]]
+        q = quantize_tensor(matrix_tensor([[0.0, 0.0]]), FILTER_WISE, AFFINE, 4)
+        assert q.codes.tolist() == [0, 0]
+        assert dequantize_tensor(q).values.tolist() == [0.0, 0.0]
 
     def test_two_bit_affine_slice(self):
         # Oracle-derived under half-away-from-zero rounding: 0.5/s + z is an
         # exact -0.5 tie in float64, so 0.5 rounds down to code -1.
         s, z, codes = oracle.quantize_slice_affine([0.0, 0.25, 0.5, 1.0], 2)
         assert (s, z, codes) == (0.3333333333333333, -2, [-2, -1, -1, 1])
-        records, got = quantize_rows(np.array([[0.0, 0.25, 0.5, 1.0]]), AFFINE, 2)
-        assert got.tolist() == [[-2, -1, -1, 1]]
-        assert dequantize_rows(records, got).tolist() == [[
-            0.0, 0.3333333333333333, 0.3333333333333333, 1.0]]
+        q = quantize_tensor(matrix_tensor([[0.0, 0.25, 0.5, 1.0]]), FILTER_WISE, AFFINE, 2)
+        assert q.codes.tolist() == [-2, -1, -1, 1]
+        assert dequantize_tensor(q).values.tolist() == [
+            0.0, 0.3333333333333333, 0.3333333333333333, 1.0]
 
     def test_non_finite_slice(self):
-        # A NaN group has no positive step; the kernel names the group.
+        # A NaN extreme gives no positive step; the records name the group.
         with pytest.raises(DegenerateRange, match="group 1"):
-            quantize_rows(np.array([[0.0, 1.0], [0.0, np.nan]]), AFFINE, 4)
+            range_records(AFFINE, 4, np.array([0.0, 0.0]), np.array([1.0, np.nan]))
 
     def test_degenerate_params_shape(self):
         rec = range_records(AFFINE, 4, np.array([-0.25]), np.array([-0.25]))[0]
@@ -179,7 +183,7 @@ class TestProperties:
         beta, alpha = rec["beta"], rec["alpha"]  # [-max|r|, max|r|] if symmetric
         values = np.array([beta + f * (alpha - beta) for f in fractions])
         codes = encode(values, rec["scale"], rec["zero_point"], *code_domain(scheme, bits))
-        err = np.abs(dequantize_rows(rec[None], codes[None])[0] - values)
+        err = np.abs(decode(codes, rec["scale"], rec["zero_point"]) - values)
         assert np.all(err <= rec["scale"] + 1e-12)
 
     @given(rng=ranges, bits=st.integers(2, 8),
@@ -198,7 +202,7 @@ class TestProperties:
         rec = range_records(scheme, bits, np.array([rng[0]]), np.array([rng[1]]))[0]
         lo, hi = code_domain(scheme, bits)
         codes = np.arange(lo, hi + 1)
-        values = dequantize_rows(rec[None], codes[None])[0]
+        values = decode(codes, rec["scale"], rec["zero_point"])
         again = encode(values, rec["scale"], rec["zero_point"], lo, hi)
         assert np.array_equal(again, codes)
 
@@ -217,11 +221,11 @@ class TestProperties:
     @example(values=[0.0, 5e-324], bits=2)  # the step underflows to 0
     @settings(max_examples=200, deadline=None)
     def test_slice_codes_in_domain_and_endpoints(self, values, bits):
-        records, codes = quantize_rows(np.array([values]), AFFINE, bits)
+        q = quantize_tensor(matrix_tensor([values]), FILTER_WISE, AFFINE, bits)
         lo, hi = code_domain(AFFINE, bits)
-        assert codes.min() >= lo and codes.max() <= hi
-        rec = dequantize_rows(records, codes)[0]
-        scale = records["scale"][0]
+        assert q.codes.min() >= lo and q.codes.max() <= hi
+        rec = dequantize_tensor(q).values
+        scale = q.params["scale"][0]
         vmin, vmax = min(values), max(values)
         i_min, i_max = values.index(vmin), values.index(vmax)
         assert abs(rec[i_min] - vmin) <= scale / 2 + 1e-12
@@ -231,5 +235,5 @@ class TestProperties:
            bits=st.integers(2, 8))
     @settings(max_examples=100, deadline=None)
     def test_restricted_never_uses_extreme_code(self, values, bits):
-        _, codes = quantize_rows(np.array([values]), SYMMETRIC_RESTRICTED, bits)
-        assert codes.min() >= -(1 << (bits - 1)) + 1
+        q = quantize_tensor(matrix_tensor([values]), FILTER_WISE, SYMMETRIC_RESTRICTED, bits)
+        assert q.codes.min() >= -(1 << (bits - 1)) + 1

@@ -145,9 +145,11 @@ def _write_report(path, args, rows, totals) -> None:
     Path(path).write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n", "utf-8")
 
 
-def _check_outputs(inputs: dict, outputs: dict) -> None:
-    """Raise InvalidInput if an output path names an input or another output.
-    Both map an argument to its path, or to None when it is not given."""
+def _check_outputs(inputs: dict, outputs: dict, data_files=frozenset()) -> None:
+    """Raise InvalidInput if an output path names an input or another output,
+    or leads to one of the ``data_files`` (``(st_dev, st_ino)`` pairs) that
+    the manifest lists. ``inputs`` and ``outputs`` map an argument to its
+    path, or to None when it is not given."""
     seen = {Path(p).resolve(): arg for arg, p in inputs.items() if p}
     for arg, p in outputs.items():
         if p:
@@ -155,6 +157,10 @@ def _check_outputs(inputs: dict, outputs: dict) -> None:
             if path in seen:
                 raise InvalidInput(f"{seen[path]} and {arg} are the same file: {p}")
             seen[path] = arg
+            with contextlib.suppress(OSError):
+                info = os.stat(p)
+                if (info.st_dev, info.st_ino) in data_files:
+                    raise InvalidInput(f"{arg} is a data file that --manifest lists: {p}")
 
 
 def _cleanup(paths) -> None:
@@ -171,32 +177,33 @@ def _quantized(tensors, excluded, args, rows):
 
 
 def cmd_quantize(args) -> int:
-    written = []
+    staged = []     # (staging file, final path)
     try:
+        excluded, tensors, data_files = iter_manifest(args.manifest, extra_exclude=args.exclude)
         _check_outputs({"--manifest": args.manifest},
-                       {"--report": args.report, "--out": args.out})
-        excluded, tensors = iter_manifest(args.manifest, extra_exclude=args.exclude)
-        rows = []
+                       {"--report": args.report, "--out": args.out}, data_files)
+        # Both outputs are written to staging files first, and moved into
+        # place only once both are written, so a failure keeps earlier ones.
         if args.report:
-            # Created first, so that a report that cannot be written fails
-            # before the container replaces --out.
             report_tmp = staging_file(args.report)
-            written.append(report_tmp)
-        # Reads the finished container back before it replaces --out.
-        write_container(_quantized(tensors, excluded, args, rows), MEMORY_MODEL, args.out)
-        written.append(args.out)
+            staged.append((report_tmp, args.report))
+        out_tmp = staging_file(args.out)
+        staged.append((out_tmp, args.out))
+        rows = []
+        write_container(_quantized(tensors, excluded, args, rows), MEMORY_MODEL, out_tmp)
         totals = _totals(rows)
         if args.report:
             _write_report(report_tmp, args, rows, totals)
             json.loads(report_tmp.read_text("utf-8"))
-            os.replace(report_tmp, args.report)
+        for tmp, path in staged:
+            os.replace(tmp, path)
         print(f"quantized {len(rows)} tensors: "
               f"saving {totals['memory_saving']:.4f}x "
               f"({totals['memory_saving_with_region_bits']:.4f}x with region bits), "
               f"mse {totals['mse']:.3e}")
         return 0
     except (QuantError, OSError) as exc:
-        _cleanup(written)
+        _cleanup(tmp for tmp, _ in staged)
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
@@ -210,7 +217,7 @@ def cmd_dequantize(args) -> int:
             created = export_manifest(
                 (dequantize_tensor(q, NUMPY_DTYPES[q.source_bits]) for q in tensors),
                 args.out_manifest)
-        _, back = iter_manifest(args.out_manifest)
+        _, back, _ = iter_manifest(args.out_manifest)
         count = sum(1 for _ in back)  # verify the export reads back
         print(f"wrote {count} tensors to {args.out_manifest}")
         return 0
@@ -256,11 +263,11 @@ def _load_loss_file(path) -> dict[int, float]:
 def cmd_sweep(args) -> int:
     written = []
     try:
+        excluded, tensors, data_files = iter_manifest(args.manifest, extra_exclude=args.exclude)
         _check_outputs({"--manifest": args.manifest, "--loss-file": args.loss_file},
-                       {"--out": args.out})
+                       {"--out": args.out}, data_files)
         bit_range = _parse_bits_range(args.bits, args.method)
         losses = _load_loss_file(args.loss_file) if args.loss_file else {}
-        excluded, tensors = iter_manifest(args.manifest, extra_exclude=args.exclude)
         summaries = {bits: [] for bits in bit_range}
         for tensor in tensors:   # read each tensor once, for every bit width
             for bits, summary in summaries.items():
@@ -300,7 +307,7 @@ def _add_common_flags(sub) -> None:
     sub.add_argument("--breakpoint", choices=BREAKPOINT_MODES,
                      default="approx", help="breakpoint selection for pwlq")
     sub.add_argument("--grid-points", type=int, default=DEFAULT_GRID_POINTS,
-                     help="grid size for --breakpoint bruteforce")
+                     help="lattice size for --breakpoint bruteforce")
     sub.add_argument("--exclude", action="append", default=[], metavar="GLOB",
                      help="extra exclusion pattern (repeatable)")
 

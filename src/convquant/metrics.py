@@ -78,7 +78,10 @@ def select_granularity(t: WeightTensor, candidates, method: str, bits: int,
     own pass, and only the best so far is kept. Candidates that degrade to
     passthrough (channel-wise on 1x1 kernels) are left out of the
     comparison unless nothing else was offered. Exact mse ties fall back to
-    a fixed preference order.
+    a fixed preference order. Pwlq candidates are ranked with the
+    closed-form breakpoint; with ``breakpoint_mode="bruteforce"`` only the
+    winner is then quantized again with searched breakpoints, which never
+    raises its error.
     """
     ranked = [s for s in SELECTION_PREFERENCE if s in set(candidates)]
     if len(ranked) != len(set(candidates)):
@@ -86,16 +89,20 @@ def select_granularity(t: WeightTensor, candidates, method: str, bits: int,
     if not ranked:
         raise NoViableCandidate("no candidate granularities given")
 
+    search = method == PWLQ and breakpoint_mode == "bruteforce"
     best = None
     for scheme in ranked:
         q = quantize_tensor(t, scheme, method, bits,
-                            breakpoint_mode=breakpoint_mode, grid_points=grid_points)
+                            breakpoint_mode="approx" if search else breakpoint_mode)
         if q.passthrough:
             if len(ranked) == 1:
                 return scheme, q
             continue
         if best is None or q.error.mse < best[1].error.mse:
             best = (scheme, q)   # the one it beats is dropped here
+    if search:
+        scheme, q = best
+        best = scheme, quantize_tensor(t, scheme, method, bits, breakpoint_mode, grid_points)
     return best
 
 

@@ -15,14 +15,14 @@ for storage.
 
 The breakpoint comes either from a closed-form estimate (``breakpoint_approx``,
 applied to m in units of the group's RMS) or from a grid search minimizing
-reconstruction MSE (``search_breakpoints``).
+reconstruction MSE, coarse then fine (``search_breakpoints``).
 
 ``group_records`` builds one :data:`RECORD` per group from its value range
 and breakpoint, and ``encode`` and ``decode`` take records that broadcast
 against the values, so they serve any block of a tensor.
 ``search_breakpoints`` takes a ``(groups, group size)`` matrix, one group
-per row, and scores every candidate breakpoint on one block of rows at a
-time.
+per row, and scores its candidate breakpoints, coarse then fine, on one
+block of rows at a time.
 """
 
 from __future__ import annotations
@@ -57,6 +57,10 @@ RATIO_MIN = 0.05
 RATIO_MAX = 0.95
 
 DEFAULT_GRID_POINTS = 64
+# The coarse scan of search_breakpoints scores lattice points COARSE_FIRST,
+# COARSE_FIRST + COARSE_STEP, ...; the fine scan, those within FINE_RADIUS
+# of a row's best coarse point.
+COARSE_FIRST, COARSE_STEP, FINE_RADIUS = 4, 8, 7
 # Elements per row block of search_breakpoints, which keeps its buffers in cache.
 SEARCH_BLOCK = 8192
 
@@ -212,20 +216,40 @@ def group_records(bits: int, vmin: np.ndarray, vmax: np.ndarray, p: np.ndarray) 
     return records
 
 
+def _fine_points(center: np.ndarray, grid_points: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per row (column), the lattice points within FINE_RADIUS of the row's
+    best coarse point ``center``, the window shifted inward at the ends of
+    the lattice, less ``center`` itself; and where each is not a coarse point.
+    Lattice indices are whole float64 values: int64 arithmetic here would
+    page in numpy loops that nothing else runs, about 0.25 MB of peak RSS."""
+    width = min(2 * FINE_RADIUS + 1, grid_points)
+    lo = np.clip(center - FINE_RADIUS, 1, grid_points - width + 1)
+    points = lo + np.arange(width - 1.0)[:, None]
+    points = np.where(points >= center, points + 1, points)
+    return points, points % COARSE_STEP != COARSE_FIRST
+
+
 def search_breakpoints(mat: np.ndarray, bits: int,
                        grid_points: int = DEFAULT_GRID_POINTS) -> np.ndarray:
-    """Per row, the breakpoint minimizing mean squared reconstruction error.
+    """Per row, the breakpoint of least mean squared reconstruction error
+    found by a coarse-to-fine scan of the ratios p/m.
 
-    Candidate ratios p/m are ``grid_points`` uniformly spaced interior points
-    of (0, 1) plus the row's closed-form estimate (:func:`breakpoint_approx`,
-    with m in units of the row's RMS), so the result is never worse than
-    that estimate. Ties go to the
-    smaller breakpoint; all-zero rows get 0. Every candidate is scored on
-    one block of about SEARCH_BLOCK elements before the next block.
+    The lattice is the ``grid_points`` uniformly spaced interior points
+    i / (grid_points + 1) of (0, 1). Each row scores the coarse points
+    i = 4, 12, 20, ... (every point when grid_points < 4), then the lattice
+    points within FINE_RADIUS of its best coarse point that it has not
+    scored (the window shifted inward at the ends of the lattice, so it
+    covers the whole lattice when grid_points <= 11), then its closed-form
+    estimate (:func:`breakpoint_approx`, with m in units of the row's RMS),
+    so the result is never worse than that estimate. Ties go to the smaller
+    breakpoint; all-zero rows get 0. Rows are scored independently, one
+    block of about SEARCH_BLOCK elements at a time.
     """
     if grid_points < 3:
         raise InvalidInput(f"grid_points must be >= 3, got {grid_points}")
-    grid = np.arange(1, grid_points + 1, dtype=np.float64)[:, None] / (grid_points + 1)
+    lattice = grid_points + 1
+    first, step = (COARSE_FIRST, COARSE_STEP) if grid_points >= COARSE_FIRST else (1, 1)
+    coarse = np.arange(first, lattice, step, dtype=np.float64)
     rows = max(1, SEARCH_BLOCK // mat.shape[1])
     p = np.zeros(len(mat))
     for start in range(0, len(mat), rows):
@@ -233,31 +257,37 @@ def search_breakpoints(mat: np.ndarray, bits: int,
         # choice it drives, matches a one-row search bit for bit.
         block = np.ascontiguousarray(mat[start:start + rows], dtype=np.float64)
         m = np.abs(block).max(axis=1)
-        ratios = np.vstack([np.broadcast_to(grid, (grid_points, len(m))),
-                            _approx_ratios(block, m)])
         live_m = np.where(m > 0, m, 1.0)
-        records = _records(live_m, ratios * live_m, bits, first_row=start)
         neg, pos, tail = (np.empty(block.shape, bool) for _ in range(3))
         scale, zero_point, codes, scratch = (np.empty(block.shape) for _ in range(4))
         best_err, best = np.full(len(m), np.inf), np.zeros(len(m))
-        for rec, ratio in zip(records[:, :, None], ratios):
-            np.less(block, -rec["p"], out=neg)
-            np.greater(block, rec["p"], out=pos)
-            np.logical_or(neg, pos, out=tail)
-            _piece_field(rec, "scale", neg, pos, scale)
-            _piece_field(rec, "zero_point", neg, pos, zero_point)
-            _codes(block, scale, zero_point, tail, bits, codes, scratch)
-            # Decoding the float codes is exact: they are integers in [-128, 127].
-            codes -= zero_point
-            codes *= scale
-            np.subtract(block, codes, out=codes)
-            codes *= codes
-            err = codes.mean(axis=1)
-            # Grid ratios rise, so a tie can only go to the closed-form
-            # candidate, scored last, and then only toward the smaller ratio.
-            take = (err < best_err) | ((err == best_err) & (ratio < best))
-            np.copyto(best_err, err, where=take)
-            np.copyto(best, ratio, where=take)
+
+        def scan(ratios, where=True):
+            """Score each row of ``ratios`` (candidates, rows) where ``where`` holds."""
+            records = _records(live_m, ratios * live_m, bits, first_row=start)
+            for rec, ratio, use in zip(records[:, :, None], ratios,
+                                       np.broadcast_to(where, ratios.shape)):
+                np.less(block, -rec["p"], out=neg)
+                np.greater(block, rec["p"], out=pos)
+                np.logical_or(neg, pos, out=tail)
+                _piece_field(rec, "scale", neg, pos, scale)
+                _piece_field(rec, "zero_point", neg, pos, zero_point)
+                q = _codes(block, scale, zero_point, tail, bits, codes, scratch)
+                # Decoding the float codes is exact: they are integers in [-128, 127].
+                q -= zero_point
+                q *= scale
+                np.subtract(block, q, out=q)
+                q *= q
+                err = q.mean(axis=1)
+                take = ((err < best_err) | ((err == best_err) & (ratio < best))) & use
+                np.copyto(best_err, err, where=take)
+                np.copyto(best, ratio, where=take)
+
+        scan(coarse[:, None] / lattice)
+        if grid_points >= COARSE_FIRST:     # else the coarse scan took every point
+            fine, new = _fine_points(np.rint(best * lattice), grid_points)
+            scan(fine / lattice, new)
+        scan(_approx_ratios(block, m)[None])
         p[start:start + rows] = best * m
     return p
 

@@ -26,6 +26,7 @@ import contextlib
 import json
 import os
 import re
+import stat
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from fnmatch import fnmatchcase
@@ -139,13 +140,14 @@ def _read_tensor(name: str, shape: TensorShape, bits: int, data_path: Path) -> W
     return WeightTensor(name, shape, values, bits)
 
 
-def iter_manifest(manifest_path,
-                  extra_exclude=()) -> tuple[frozenset[str], Iterator[WeightTensor]]:
+def iter_manifest(manifest_path, extra_exclude=()) -> tuple[
+        frozenset[str], Iterator[WeightTensor], frozenset[tuple[int, int]]]:
     """Check that the manifest lists at least one tensor and check every
     entry (keys, unique name, shape, dtype, data file size), then return the
-    excluded names and an iterator that reads each tensor, in manifest
-    order, only when it is asked for. ``extra_exclude`` adds glob patterns
-    on top of the manifest's own ``exclude`` list.
+    excluded names, an iterator that reads each tensor, in manifest order,
+    only when it is asked for, and the ``(st_dev, st_ino)`` of every data
+    file, by which a path that leads to one can be told. ``extra_exclude``
+    adds glob patterns on top of the manifest's own ``exclude`` list.
     """
     path = Path(manifest_path)
     if not path.is_file():
@@ -164,8 +166,7 @@ def iter_manifest(manifest_path,
         raise ManifestError(f"{path}: 'exclude' must be a list of glob patterns")
     patterns = list(patterns) + list(extra_exclude)
 
-    entries = []
-    names = set()
+    entries, names, files = [], set(), set()
     for entry in doc["tensors"]:
         if not isinstance(entry, dict):
             raise ManifestError(f"{path}: tensor entry must be an object, got {entry!r}")
@@ -186,13 +187,18 @@ def iter_manifest(manifest_path,
         bits = DTYPE_BITS[dtype]
 
         data_path = path.parent / file_rel
-        if not data_path.is_file():
+        try:
+            info = data_path.stat()
+        except OSError:
+            info = None
+        if info is None or not stat.S_ISREG(info.st_mode):
             raise MissingFile(f"{name}: data file not found: {data_path}")
-        _check_size(name, shape, bits, data_path.stat().st_size)
+        _check_size(name, shape, bits, info.st_size)
+        files.add((info.st_dev, info.st_ino))
         entries.append((name, shape, bits, data_path))
 
     excluded = resolve_exclusions(names, patterns)
-    return excluded, (_read_tensor(*entry) for entry in entries)
+    return excluded, (_read_tensor(*entry) for entry in entries), frozenset(files)
 
 
 def staging_file(path) -> Path:

@@ -386,7 +386,7 @@ REAL_MANIFEST_VAR = "CONVQUANT_YOLOV7_MANIFEST"
                     reason=f"set {REAL_MANIFEST_VAR} to a converted YOLOv7 "
                            "manifest to run the real-checkpoint check")
 def test_criterion_08_real_checkpoint_ratios():
-    excluded, tensors = iter_manifest(os.environ[REAL_MANIFEST_VAR])
+    excluded, tensors, _ = iter_manifest(os.environ[REAL_MANIFEST_VAR])
     mm = MemoryModel()
     runs = [(F_SHAPE_WISE, AFFINE), (F_SHAPE_WISE, PWLQ), (CHANNEL_WISE, AFFINE)]
     base, quantized = 0, [0] * len(runs)

@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+import os
 import weakref
 
 import numpy as np
@@ -183,6 +184,21 @@ class TestQuantizeCommand:
         assert out.read_bytes() == earlier
         assert sorted(tmp_path.iterdir()) == before
 
+    def test_failed_report_keeps_earlier_outputs(self, tmp_path, monkeypatch, capsys):
+        manifest = synthetic_model(tmp_path, include_1x1=False)
+        outputs = ["--out", str(tmp_path / "m.qnt"), "--report", str(tmp_path / "r.json")]
+        assert main(["quantize", "--manifest", str(manifest), *outputs]) == 0
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+
+        def fail(*args):
+            raise OSError("report failed")
+
+        monkeypatch.setattr(cli, "_write_report", fail)
+        rc = main(["quantize", "--manifest", str(manifest), "--bits", "3", *outputs])
+        assert rc == 1
+        assert "report failed" in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
     def test_empty_manifest_keeps_earlier_container(self, tmp_path, capsys):
         manifest = tmp_path / "model.json"
         manifest.write_text('{"tensors": []}')
@@ -260,6 +276,30 @@ class TestQuantizeCommand:
                    *(str(arg) for pair in outputs.items() for arg in pair)])
         assert rc == 1
         assert f"error: --manifest and {flag} are the same file" in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+    @pytest.mark.parametrize("link", ["itself", "hardlink", "symlink"])
+    @pytest.mark.parametrize("command,flag", [("quantize", "--out"), ("quantize", "--report"),
+                                              ("sweep", "--out")])
+    def test_output_at_a_data_file_is_refused(self, tmp_path, capsys, command, flag, link):
+        manifest = four_tensor_model(tmp_path)
+        data = tmp_path / "conv0.bin"
+        path = {"itself": data, "hardlink": tmp_path / "hard.bin",
+                "symlink": tmp_path / "link.bin"}[link]
+        if link == "hardlink":
+            os.link(data, path)
+        elif link == "symlink":
+            path.symlink_to(data)
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        outputs = {"--out": tmp_path / "m.qnt", flag: path}
+        if command == "quantize":
+            outputs.setdefault("--report", tmp_path / "r.json")
+        bits = "4" if command == "quantize" else "4:4"
+        rc = main([command, "--manifest", str(manifest), "--bits", bits,
+                   *(str(arg) for pair in outputs.items() for arg in pair)])
+        assert rc == 1
+        assert (f"error: {flag} is a data file that --manifest lists"
+                in capsys.readouterr().err)
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
     def test_staging_keeps_files_named_like_it(self, tmp_path):
@@ -362,10 +402,10 @@ FROZEN_OUTPUTS = {
     "pwlq-bruteforce-fshape": (
         ["--method", "pwlq", "--granularity", "fshape", "--breakpoint", "bruteforce",
          "--grid-points", "16", "--bits", "6"],
-        "9d64a7f707ef827547f79dd2bd5027eedf3289a988d0d4ee62d7941132d7680a",
-        "4836720919c16c3fb0672256080ff54c03b2dcb65771f00e2f69542c1f16e2ad",
-        "6ed4398a3767b09caf3cb61d404adb1e149ee87bfb7b43dfa239326d95243e76",
-        "183ff435eca23722a97009d2e50c3b465c99fac469955a8456192ea7fde49c63"),
+        "459101f9eb76e084ba91c2737f43edf3fcf3ff4963ec0298140a613f57018f05",
+        "76fdf12726d7e2614d93c44a35a6672a078c4a2ff81ae737b4a9017e9bac64e3",
+        "9290e80c9088cec92725f3ccda324af52dbee31a40a0fbaa9c3927eb9679c83d",
+        "706e53e30bda7a66fb615c98be90822b4cf72d9d54d38da3fbc9bd8505c71c97"),
     "affine-channel": (
         ["--method", "affine", "--granularity", "channel", "--bits", "8"],
         "76016306230eaef624a3af372db8a7d5349daf0a5f71bf362ab54031358d0eb5",
@@ -402,7 +442,7 @@ class TestDequantizeCommand:
                      "--granularity", "filter", "--out", str(container)]) == 0
         out_manifest = tmp_path / "out" / "model.json"
         assert main(["dequantize", str(container), str(out_manifest)]) == 0
-        _, tensors = iter_manifest(out_manifest)
+        _, tensors, _ = iter_manifest(out_manifest)
         assert [t.values.tolist() for t in tensors] == [[0.5] * 16]
 
     def test_passthrough_model_byte_identical(self, tmp_path):

@@ -121,23 +121,40 @@ def test_batched_search_matches_one_row_searches(mat, bits):
     assert batched.tolist() == one_by_one
 
 
-def reference_search(mat, bits, grid_points=pwlq.DEFAULT_GRID_POINTS):
-    """search_breakpoints from the public records, encode and decode: every
-    candidate breakpoint scored by its rows' MSE, grid candidates first with
-    strict improvement, the closed form of quantize_tensor last winning ties
-    toward the smaller breakpoint."""
-    m = np.abs(mat).max(axis=1)
-    grid = np.arange(1, grid_points + 1, dtype=np.float64) / (grid_points + 1)
-    candidates = [ratio * m for ratio in grid]
-    candidates.append(quantize_tensor(matrix_tensor(mat), FILTER_WISE, PWLQ, bits).params["p"])
-    best_err, best = np.full(len(m), np.inf), np.zeros(len(m))
-    for p in candidates:
-        records = pwlq.group_records(bits, mat.min(axis=1), mat.max(axis=1), p)[:, None]
-        regions, codes, _ = pwlq.encode(mat, records, bits)
-        err = ((mat - pwlq.decode(records, regions, codes)) ** 2).mean(axis=1)
-        take = (err < best_err) | ((err == best_err) & (p < best))
-        best_err[take], best[take] = err[take], p[take]
-    return best
+def reference_search(mat, bits, grid_points=pwlq.DEFAULT_GRID_POINTS, full_grid=False):
+    """search_breakpoints, one row at a time, from the public records,
+    encode and decode. A row scores lattice points i / (grid_points + 1):
+    every one with ``full_grid``, else i = 4, 12, 20, ... (all of them below
+    4 points) and then the unscored ones among the 15 consecutive points
+    (fewer on a short lattice) centred on the best of those, pushed back
+    inside the lattice. Then the closed form of quantize_tensor. The least
+    MSE wins, ties going to the smaller breakpoint."""
+    approx = quantize_tensor(matrix_tensor(mat), FILTER_WISE, PWLQ, bits).params["p"]
+    lattice = grid_points + 1
+    found = []
+    for row, p_approx in zip(mat, approx.tolist()):
+        m = float(np.abs(row).max())
+        if m == 0:
+            found.append(0.0)
+            continue
+
+        def mse(p):
+            records = pwlq.group_records(bits, row.min(keepdims=True),
+                                         row.max(keepdims=True), np.array([p]))
+            regions, codes, _ = pwlq.encode(row, records, bits)
+            return float(((row - pwlq.decode(records, regions, codes)) ** 2).mean())
+
+        coarse = list(range(4, lattice, 8)) or list(range(1, lattice))
+        scored = {i: mse(i / lattice * m) for i in (range(1, lattice) if full_grid else coarse)}
+        if not full_grid:
+            centre = min(scored, key=lambda i: (scored[i], i))
+            first = max(1, min(centre - 7, lattice - 15))
+            for i in range(first, min(first + 15, lattice)):
+                if i not in scored:
+                    scored[i] = mse(i / lattice * m)
+        candidates = [(err, i / lattice * m) for i, err in scored.items()]
+        found.append(min(candidates + [(mse(p_approx), p_approx)])[1])
+    return found
 
 
 def _f16_matrix_without_zero_or_constant_rows():
@@ -155,4 +172,15 @@ def _f16_matrix_without_zero_or_constant_rows():
     _f16_matrix_without_zero_or_constant_rows(),
 ], ids=["40x700", "3x9000", "f16"])
 def test_search_matches_reference_from_public_kernels(mat, bits):
-    assert pwlq.search_breakpoints(mat, bits).tolist() == reference_search(mat, bits).tolist()
+    assert pwlq.search_breakpoints(mat, bits).tolist() == reference_search(mat, bits)
+
+
+@pytest.mark.parametrize("grid_points", range(3, 21))
+def test_search_on_short_lattices(grid_points):
+    # From 12 points on, the fine window of a row whose best coarse point
+    # is near an end is shifted inward over a second coarse point.
+    mat = _f16_matrix_without_zero_or_constant_rows()
+    found = pwlq.search_breakpoints(mat, 4, grid_points).tolist()
+    assert found == reference_search(mat, 4, grid_points)
+    if grid_points <= 11:   # the 15-point window then holds the whole lattice
+        assert found == reference_search(mat, 4, grid_points, full_grid=True)

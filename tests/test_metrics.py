@@ -21,6 +21,7 @@ from convquant import (
     quantize_tensor,
     select_granularity,
 )
+from convquant import pwlq
 from convquant.errors import InvalidInput, NoViableCandidate, ShapeMismatch
 from convquant.metrics import baseline_bytes
 
@@ -77,8 +78,9 @@ class TestSelectGranularity:
 
     def test_single_passthrough_candidate_is_returned(self):
         t = gaussian_tensor((4, 4, 1, 1), seed=2)
-        scheme, q = select_granularity(t, {CHANNEL_WISE}, AFFINE, 4)
-        assert scheme == CHANNEL_WISE and q.passthrough
+        for method, mode in ((AFFINE, "approx"), (PWLQ, "bruteforce")):
+            scheme, q = select_granularity(t, {CHANNEL_WISE}, method, 4, breakpoint_mode=mode)
+            assert scheme == CHANNEL_WISE and q.passthrough
 
     def test_passthrough_excluded_when_alternatives_exist(self):
         t = gaussian_tensor((4, 4, 1, 1), seed=3)
@@ -110,6 +112,21 @@ class TestSelectGranularity:
         scheme, q = select_granularity(t, (FILTER_WISE, F_SHAPE_WISE, C_SHAPE_WISE),
                                        PWLQ, 4)
         assert q.method == PWLQ and scheme in (FILTER_WISE, F_SHAPE_WISE, C_SHAPE_WISE)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_bruteforce_searches_only_the_closed_form_winner(self, monkeypatch, seed):
+        t = gaussian_tensor((16, 8, 3, 3), seed=seed, scale=0.05)
+        auto3 = (FILTER_WISE, F_SHAPE_WISE, C_SHAPE_WISE)
+        scheme, q = select_granularity(t, auto3, PWLQ, 4)
+        searches = []
+        search = pwlq.search_breakpoints
+        monkeypatch.setattr(pwlq, "search_breakpoints",
+                            lambda *args: searches.append(args) or search(*args))
+        found_scheme, found = select_granularity(t, auto3, PWLQ, 4, breakpoint_mode="bruteforce")
+        assert (found_scheme, len(searches)) == (scheme, 1)
+        assert found.error.mse <= q.error.mse
+        assert found.codes.tobytes() == quantize_tensor(
+            t, scheme, PWLQ, 4, breakpoint_mode="bruteforce").codes.tobytes()
 
 
 def quantized(shape_dims, scheme, method=AFFINE, bits=4, seed=0):

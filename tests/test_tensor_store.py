@@ -1,4 +1,5 @@
 import json
+import os
 import stat
 
 import numpy as np
@@ -69,7 +70,7 @@ class TestTypes:
 
 def read_all(manifest, extra_exclude=()):
     """The excluded names and every tensor of a manifest, in order."""
-    excluded, tensors = iter_manifest(manifest, extra_exclude)
+    excluded, tensors, _ = iter_manifest(manifest, extra_exclude)
     return excluded, list(tensors)
 
 
@@ -94,7 +95,7 @@ class TestLoadManifest:
             [("conv1", (2, 1, 1, 1), [1.0, 2.0], "f16"),
              ("bn1", (2, 1, 1, 1), [0.5, 0.5], "f16")],
             exclude=["bn*"])
-        excluded, _ = iter_manifest(manifest)
+        excluded, _, _ = iter_manifest(manifest)
         assert excluded == frozenset({"bn1"})
 
     def test_extra_exclude_merges(self, tmp_path):
@@ -102,7 +103,7 @@ class TestLoadManifest:
             tmp_path,
             [("conv1", (1, 1, 1, 1), [1.0], "f16"),
              ("head", (1, 1, 1, 1), [1.0], "f16")])
-        excluded, _ = iter_manifest(manifest, extra_exclude=["head"])
+        excluded, _, _ = iter_manifest(manifest, extra_exclude=["head"])
         assert excluded == frozenset({"head"})
 
     def test_missing_data_file(self, tmp_path):
@@ -110,6 +111,20 @@ class TestLoadManifest:
         (tmp_path / "conv1.bin").unlink()
         with pytest.raises(MissingFile):
             iter_manifest(manifest)
+
+    def test_directory_is_not_a_data_file(self, tmp_path):
+        manifest = write_manifest(tmp_path, [("conv1", (1, 1, 1, 1), [1.0], "f16")])
+        (tmp_path / "conv1.bin").unlink()
+        (tmp_path / "conv1.bin").mkdir()
+        with pytest.raises(MissingFile):
+            iter_manifest(manifest)
+
+    def test_data_file_identities(self, tmp_path):
+        manifest = write_manifest(tmp_path, [("a", (1,), [1.0], "f16"),
+                                             ("b", (1,), [2.0], "f16")])
+        _, _, files = iter_manifest(manifest)
+        stats = [os.stat(tmp_path / name) for name in ("a.bin", "b.bin")]
+        assert files == {(info.st_dev, info.st_ino) for info in stats}
 
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(MissingFile):
@@ -152,7 +167,7 @@ class TestLoadManifest:
 
     def test_tensors_read_when_asked_for(self, tmp_path):
         manifest = write_manifest(tmp_path, [("a", (1,), [1.0], "f16")])
-        _, tensors = iter_manifest(manifest)
+        _, tensors, _ = iter_manifest(manifest)
         (tmp_path / "a.bin").write_bytes(np.array([3.0], dtype="<f2").tobytes())
         assert [t.values.tolist() for t in tensors] == [[3.0]]
 

@@ -71,10 +71,13 @@ _CENTER_OFFSET = _PWLQ_DISK.fields["center"][1]
 def _invalid_uniform(records: np.ndarray, kinds, bits: int) -> np.ndarray:
     kind = records["kind"]
     scale, beta, alpha = records["scale"], records["beta"], records["alpha"]
-    return (~np.isin(kind, kinds) | (records["bits"] != bits)
-            | ~(scale > 0) | ~np.isfinite(scale)
-            | ((kind != KIND_BY_SCHEME[AFFINE]) & (records["zero_point"] != 0))
-            | ~(beta <= alpha) | ~np.isfinite(beta) | ~np.isfinite(alpha))
+    bad = (records["bits"] != bits) | ~(scale > 0) | ~np.isfinite(scale)
+    bad |= (kind != KIND_BY_SCHEME[AFFINE]) & (records["zero_point"] != 0)
+    bad |= ~(beta <= alpha) | ~np.isfinite(beta) | ~np.isfinite(alpha)
+    unknown = kind != kinds[0]
+    for known in kinds[1:]:
+        unknown &= kind != known
+    return bad | unknown
 
 
 def _invalid_groups(records: np.ndarray, method: str, bits: int) -> np.ndarray:
@@ -82,20 +85,21 @@ def _invalid_groups(records: np.ndarray, method: str, bits: int) -> np.ndarray:
 
     Valid records have a known kind, the tensor's bit width (k - 1 for the
     tails of a piecewise record), finite positive scales, zero-point 0 for
-    symmetric kinds, and finite, ordered clip bounds and breakpoints.
+    symmetric kinds, and finite, ordered clip bounds and breakpoints; a
+    piecewise tensor's centers have zero-point 0 and its tails one scale.
     """
     if method != PWLQ:
         return _invalid_uniform(records, (KIND_BY_SCHEME[method], KIND_BY_SCHEME[AFFINE]),
                                 bits)
     piecewise = records["kind"] == PWLQ_KIND
     affine, full = KIND_BY_SCHEME[AFFINE], KIND_BY_SCHEME[SYMMETRIC_FULL]
-    center = records["center"]
-    bad = ((center["kind"] != np.where(piecewise, full, affine))
+    center, neg, pos = records["center"], records["neg_tail"], records["pos_tail"]
+    bad = ((center["kind"] != np.where(piecewise, full, affine)) | (center["zero_point"] != 0)
            | _invalid_uniform(center, (affine, full), bits))
     head = ((records["bits"] != bits) | ~np.isfinite(records["m"])
-            | ~np.isfinite(records["p"]))
-    for piece in ("neg_tail", "pos_tail"):
-        head |= _invalid_uniform(records[piece], (affine,), bits - 1)
+            | ~np.isfinite(records["p"]) | (neg["scale"] != pos["scale"]))
+    for tail in (neg, pos):
+        head |= _invalid_uniform(tail, (affine,), bits - 1)
     return bad | (piecewise & head)
 
 

@@ -79,6 +79,14 @@ def group_count(shape: TensorShape, scheme: str) -> int:
     return math.prod(dims[axis] for axis in GROUP_LAYOUT[scheme][0])
 
 
+def group_layout(shape: TensorShape, scheme: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """A granularity's GROUP_LAYOUT without the tensor's unit axes: equal
+    layouts give equal group matrices (filter- and c-shape-wise on 1x1)."""
+    dims = _view_dims(shape)
+    return tuple(tuple(axis for axis in axes if dims[axis] != 1)
+                 for axes in GROUP_LAYOUT[scheme])
+
+
 def _as_group_matrix(flat: np.ndarray, shape: TensorShape, scheme: str) -> np.ndarray:
     """Reshape a flat row-major array to (group_count, group_size).
 
@@ -89,6 +97,10 @@ def _as_group_matrix(flat: np.ndarray, shape: TensorShape, scheme: str) -> np.nd
     order = sum(GROUP_LAYOUT[scheme], ())
     return (flat.reshape(_view_dims(shape)).transpose(order)
             .reshape(group_count(shape, scheme), -1))
+
+
+# _Blocks._reduce folds contiguous rows shorter than this column by column.
+_SHORT_ROW = 32
 
 
 class _Blocks:
@@ -113,9 +125,10 @@ class _Blocks:
         self.ranges = [(f, min(f + self.step, n)) for f in range(0, n, self.step)]
 
     def of(self, per_group: np.ndarray, f0: int, f1: int) -> np.ndarray:
-        """The slice of a per-group array that broadcasts onto filters [f0, f1)."""
-        grouped = per_group.reshape(self.group_shape)
-        return grouped if self.spans else grouped[f0:f1]
+        """The slice of a per-group array, or of each row of a table of
+        them, that broadcasts onto filters [f0, f1)."""
+        grouped = per_group.reshape(*per_group.shape[:-1], *self.group_shape)
+        return grouped if self.spans else grouped[..., f0:f1, :, :]
 
     def rows(self, block: np.ndarray, f0: int, f1: int) -> tuple[slice, np.ndarray]:
         """The groups that the block's rows of the group matrix belong to
@@ -140,12 +153,20 @@ class _Blocks:
 
     def _reduce(self, blocks, ufuncs, starts) -> list[np.ndarray]:
         """Per group and ufunc, ``ufunc.reduce`` over the group's rows in
-        every (f0, f1, block) of ``blocks``, folded into ``start``."""
+        every (f0, f1, block) of ``blocks``, folded into ``start``. Short
+        contiguous rows (channel-wise ones, say) are folded column by
+        column, much faster in numpy; min, max, and, or give the same result
+        in any order, up to the zero signs that settle_zero_signs fixes."""
         out = [np.full(self.count, start) for start in starts]
         for f0, f1, x in blocks:
             rows, mat = self.rows(x, f0, f1)
+            fold = mat.shape[1] < _SHORT_ROW and mat.strides[1] == mat.itemsize
             for acc, ufunc in zip(out, ufuncs):
-                ufunc(acc[rows], ufunc.reduce(mat, axis=1), out=acc[rows])
+                if fold:
+                    for column in mat.T:
+                        ufunc(acc[rows], column, out=acc[rows])
+                else:
+                    ufunc(acc[rows], ufunc.reduce(mat, axis=1), out=acc[rows])
         return out
 
     def extremes(self, flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -307,6 +328,19 @@ def _breakpoints(t: WeightTensor, blocks: _Blocks, bits: int, mode: str,
     return m * _pwlq.ratios_from_squares(m, blocks.square_sums(t.values, m), size)
 
 
+def _params(t: WeightTensor, blocks: _Blocks, method: str, bits: int, breakpoint_mode: str,
+            grid_points: int) -> np.ndarray:
+    """Each group's record; its statistics are dropped before encoding."""
+    vmin, vmax = blocks.extremes(t.values)
+    try:
+        if method == PWLQ:
+            p = _breakpoints(t, blocks, bits, breakpoint_mode, grid_points, vmin, vmax)
+            return _pwlq.group_records(bits, vmin, vmax, p)
+        return _uniform.range_records(method, bits, vmin, vmax)
+    except (DegenerateRange, BreakpointOutOfRange) as exc:
+        raise type(exc)(f"{t.name}: {exc}") from exc
+
+
 def quantize_tensor(t: WeightTensor, scheme: str, method: str, bits: int,
                     breakpoint_mode: str = "approx",
                     grid_points: int = _pwlq.DEFAULT_GRID_POINTS) -> QuantizedTensor:
@@ -335,26 +369,19 @@ def quantize_tensor(t: WeightTensor, scheme: str, method: str, bits: int,
         return make_passthrough(t, scheme, method, bits)
 
     blocks = _Blocks(t.shape, scheme)
-    vmin, vmax = blocks.extremes(t.values)
-    try:
-        if method == PWLQ:
-            p = _breakpoints(t, blocks, bits, breakpoint_mode, grid_points, vmin, vmax)
-            params = _pwlq.group_records(bits, vmin, vmax, p)
-        else:
-            params = _uniform.range_records(method, bits, vmin, vmax)
-    except (DegenerateRange, BreakpointOutOfRange) as exc:
-        raise type(exc)(f"{t.name}: {exc}") from exc
-
+    params = _params(t, blocks, method, bits, breakpoint_mode, grid_points)
+    if method == PWLQ:
+        table, buffers = _pwlq.piece_table(params, bits), _pwlq.Buffers()
     codes = np.empty(blocks.dims, np.int8)
     region_bits = np.empty(blocks.dims, np.uint8) if method == PWLQ else None
     lo, hi = code_domain(method, bits)
     errors = []
     for f0, f1, x in blocks.walk(t.values):
-        rec = blocks.of(params, f0, f1)
         if method == PWLQ:
-            regions, block_codes, decoded = _pwlq.encode(x, rec, bits)
-            region_bits[f0:f1], codes[f0:f1] = _pwlq.fold_regions(regions, block_codes, bits)
+            region_bits[f0:f1], codes[f0:f1], decoded = _pwlq.encode(
+                x, blocks.of(table, f0, f1), bits, buffers)
         else:
+            rec = blocks.of(params, f0, f1)
             codes[f0:f1] = _uniform.encode(x, rec["scale"], rec["zero_point"], lo, hi)
             decoded = _uniform.decode(codes[f0:f1], rec["scale"], rec["zero_point"])
         errors.append(_block_error(x, decoded))
@@ -412,12 +439,12 @@ def dequantize_tensor(q: QuantizedTensor, dtype=np.float64) -> WeightTensor:
     out = np.empty(blocks.dims, dtype)
     if pwlq:
         region_bits = q.region_bits.reshape(blocks.dims)
+        table, buffers = _pwlq.piece_table(q.params, q.bits), _pwlq.Buffers()
     for f0, f1, codes in blocks.walk(q.codes, upcast=False):
-        rec = blocks.of(q.params, f0, f1)
         if pwlq:
-            # Degenerate groups decode uniformly, whatever their region bits say.
-            tail = (region_bits[f0:f1] != 0) & (rec["kind"] == _pwlq.PWLQ_KIND)
-            out[f0:f1] = _pwlq.decode(rec, *_pwlq.unfold_regions(tail, codes, q.bits))
+            out[f0:f1] = _pwlq.decode(blocks.of(table, f0, f1), region_bits[f0:f1], codes,
+                                      buffers)
         else:
+            rec = blocks.of(q.params, f0, f1)
             out[f0:f1] = _uniform.decode(codes, rec["scale"], rec["zero_point"])
     return WeightTensor(q.name, q.shape, out.reshape(-1), q.source_bits)

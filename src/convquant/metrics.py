@@ -24,6 +24,7 @@ from .granularity import (
     QuantizedTensor,
     dequantize_tensor,
     error_report,
+    group_layout,
     quantize_tensor,
 )
 from .pwlq import DEFAULT_GRID_POINTS, PWLQ
@@ -78,10 +79,11 @@ def select_granularity(t: WeightTensor, candidates, method: str, bits: int,
     own pass, and only the best so far is kept. Candidates that degrade to
     passthrough (channel-wise on 1x1 kernels) are left out of the
     comparison unless nothing else was offered. Exact mse ties fall back to
-    a fixed preference order. Pwlq candidates are ranked with the
-    closed-form breakpoint; with ``breakpoint_mode="bruteforce"`` only the
-    winner is then quantized again with searched breakpoints, which never
-    raises its error.
+    a fixed preference order, so a candidate whose ``group_layout`` repeats
+    a preferred one's is skipped: same group matrix, same result, a tie it
+    cannot win. Pwlq candidates are ranked with the closed-form breakpoint;
+    with ``breakpoint_mode="bruteforce"`` only the winner is then quantized
+    again with searched breakpoints, which never raises its error.
     """
     ranked = [s for s in SELECTION_PREFERENCE if s in set(candidates)]
     if len(ranked) != len(set(candidates)):
@@ -90,14 +92,18 @@ def select_granularity(t: WeightTensor, candidates, method: str, bits: int,
         raise NoViableCandidate("no candidate granularities given")
 
     search = method == PWLQ and breakpoint_mode == "bruteforce"
-    best = None
+    best, layouts = None, set()
     for scheme in ranked:
+        layout = group_layout(t.shape, scheme)
+        if layout in layouts:
+            continue
         q = quantize_tensor(t, scheme, method, bits,
                             breakpoint_mode="approx" if search else breakpoint_mode)
         if q.passthrough:
             if len(ranked) == 1:
                 return scheme, q
             continue
+        layouts.add(layout)
         if best is None or q.error.mse < best[1].error.mse:
             best = (scheme, q)   # the one it beats is dropped here
     if search:

@@ -18,14 +18,16 @@ applied to m in units of the group's RMS) or from a grid search minimizing
 reconstruction MSE, coarse then fine (``search_breakpoints``).
 
 ``group_records`` builds one :data:`RECORD` per group from its value range
-and breakpoint, and ``encode`` and ``decode`` take records that broadcast
-against the values, so they serve any block of a tensor.
+and breakpoint, and ``piece_table`` the table that ``encode`` and ``decode``
+read; it broadcasts against the values, so they serve any block of a tensor.
 ``search_breakpoints`` takes a ``(groups, group size)`` matrix, one group
 per row, and scores its candidate breakpoints, coarse then fine, on one
 block of rows at a time.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -41,7 +43,6 @@ from .uniform import (
     SYMMETRIC_FULL,
     check_bits,
     range_records,
-    round_codes,
 )
 from .uniform import RECORD as UNIFORM_RECORD
 
@@ -113,12 +114,6 @@ def ratios_from_squares(m: np.ndarray, sums: np.ndarray, size: int) -> np.ndarra
                                     out=np.ones_like(m), where=m > 0))
 
 
-def _approx_ratios(mat: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """Closed-form p/m of every row, ``m`` holding the rows' max magnitudes."""
-    return ratios_from_squares(m, scaled_squares(mat, m[:, None]).sum(axis=1),
-                               mat.shape[1])
-
-
 def _records(m: np.ndarray, p: np.ndarray, bits: int, first_row: int = 0) -> np.ndarray:
     """Records of groups with max magnitudes ``m`` and breakpoints ``p``.
 
@@ -127,9 +122,9 @@ def _records(m: np.ndarray, p: np.ndarray, bits: int, first_row: int = 0) -> np.
     """
     check_bits(bits, piecewise=True, error=BitsTooSmall)
     m, p = np.broadcast_arrays(m, p)
-    bad = np.argwhere(~((0 < p) & (p < m)))
-    if bad.size:
-        i = tuple(bad[0])
+    inside = (0 < p) & (p < m)
+    if not inside.all():
+        i = tuple(np.argwhere(~inside)[0])
         raise BreakpointOutOfRange(f"group {first_row + i[-1]}: need 0 < p < m, "
                                    f"got p={p[i]}, m={m[i]}")
     shape, m, p = p.shape, m.ravel(), p.ravel()
@@ -137,63 +132,144 @@ def _records(m: np.ndarray, p: np.ndarray, bits: int, first_row: int = 0) -> np.
     records["kind"] = PWLQ_KIND
     records["bits"] = bits
     records["m"], records["p"] = m, p
-    records["center"] = range_records(SYMMETRIC_FULL, bits, -p, p)
-    records["neg_tail"] = range_records(AFFINE, bits - 1, -m, -p)
-    records["pos_tail"] = range_records(AFFINE, bits - 1, p, m)
+    range_records(SYMMETRIC_FULL, bits, -p, p, out=records["center"])
+    range_records(AFFINE, bits - 1, -m, -p, out=records["neg_tail"])
+    range_records(AFFINE, bits - 1, p, m, out=records["pos_tail"])
     return records.reshape(shape)
 
 
-def _piece_field(records, field: str, neg, pos, out=None) -> np.ndarray:
-    """Per-element ``field`` (into ``out``, when given) of each element's
-    piece: the tail that ``neg`` or ``pos`` marks, else the center.
-    ``records`` broadcasts against the masks."""
-    out = np.empty(neg.shape) if out is None else out
-    for piece, where in zip(PIECES, (True, neg, pos)):
-        np.copyto(out, records[piece][field], where=where)
+def piece_table(records: np.ndarray, bits: int) -> np.ndarray:
+    """The ``(5, *records.shape)`` float64 table that encode and decode
+    read: per group, p, the center scale, the scale both tails share (both
+    are fl(m - p) / (2^(k-1) - 1)) and the zero-points of the tails' folded
+    codes, which are the negative tail record's + 2^(k-2) and the positive
+    one's - 2^(k-2); the center's is 0. A degenerate group gets its
+    center's scale and zero-points 0 in the tails, so that it decodes as its
+    uniform record does, whatever its region bits say.
+    """
+    quarter = 1 << (bits - 2)
+    table = np.empty((5, *records.shape))
+    table[0] = records["p"]
+    table[1] = records["center"]["scale"]
+    table[2] = records["pos_tail"]["scale"]
+    np.add(records["neg_tail"]["zero_point"], quarter, out=table[3])
+    np.subtract(records["pos_tail"]["zero_point"], quarter, out=table[4])
+    degenerate = records["kind"] != PWLQ_KIND
+    if degenerate.any():
+        table[2][degenerate] = table[1][degenerate]
+        table[3][degenerate] = table[4][degenerate] = 0.0
+    return table
+
+
+class Buffers:
+    """Block-sized arrays, by name, that encode, decode and
+    search_breakpoints reuse from block to block; :meth:`take` views them
+    in a block's shape, growing one only for a larger block."""
+
+    def __init__(self):
+        self._arrays = {}
+
+    def take(self, shape, dtype, *names) -> list[np.ndarray]:
+        size = math.prod(shape)
+        views = []
+        for name in names:
+            array = self._arrays.get((name, dtype))
+            if array is None or array.size < size:
+                array = self._arrays[name, dtype] = np.empty(size, dtype)
+            views.append(array[:size].reshape(shape))
+        return views
+
+
+def _select(flags, values, out) -> np.ndarray:
+    """``flags * values`` in ``out``, without the cast buffer that a
+    bool-by-float ufunc allocates."""
+    np.copyto(out, flags)
+    out *= values
     return out
 
 
-def _codes(mat, scale, zero_point, tail, bits: int, out=None, scratch=None) -> np.ndarray:
-    """Float codes ``clip(round_half_away(mat / scale + zero_point))``, k-bit
-    in the center and (k-1)-bit where ``tail``, in ``out`` when given."""
-    q = np.divide(mat, scale, out=out)
-    q += zero_point
+def _scale(tail, center_scale, tail_scale, out, work) -> np.ndarray:
+    """Each element's scale in ``out``: (1 - tail) * center scale + tail *
+    tail scale, which is exact, as a * 1 + b * 0 == a for finite a, b."""
+    np.copyto(out, tail)
+    np.subtract(1.0, out, out=out)
+    out *= center_scale
+    out += _select(tail, tail_scale, work)
+    return out
+
+
+def _pieces(x, table, bits: int, buffers: Buffers, fold: bool = False):
+    """Per element of x, in ``buffers``: its tail flag, its negative-tail
+    flag (with ``fold``, its folded int8 code in their bytes instead) and
+    the float64 decode of its code, x / scale + zero_point rounded half
+    away from zero and clipped to its piece's domain. Pieces are selected
+    by exact arithmetic on the flags, with no masked operation; one clip
+    to per-element bounds stands for the k-bit one and the tails' (k-1)-bit
+    one within it. The scale is built twice so that three float64 blocks
+    serve.
+    """
+    p, center_scale, tail_scale, neg_zero, pos_zero = table
     half, quarter = 1 << (bits - 1), 1 << (bits - 2)
-    round_codes(q, -half, half - 1, scratch)
-    return np.clip(q, -quarter, quarter - 1, out=q, where=tail)
+    tail, neg = buffers.take(x.shape, np.bool_, "tail", "neg")
+    work, q, decoded = buffers.take(x.shape, np.float64, "work", "q", "decoded")
+    np.greater(np.abs(x, out=work), p, out=tail)
+    np.logical_and(np.less(x, 0.0, out=neg), tail, out=neg)     # x < -p
+    np.divide(x, _scale(tail, center_scale, tail_scale, work, q), out=q)
+    # The records' zero-points: tail * z_pos + neg * (z_neg - z_pos).
+    zero = _select(tail, pos_zero + quarter, decoded)
+    zero += _select(neg, neg_zero - pos_zero - half, work)
+    q += zero
+    # trunc(q + copysign(0.5, q)) is round_half_away(q), zero signs included.
+    q += np.copysign(0.5, q, out=work)
+    np.trunc(q, out=q)
+    bound = _select(tail, quarter, work)
+    bound -= half                           # -2^(k-1), or -2^(k-2) in a tail
+    np.maximum(q, bound, out=q)
+    np.subtract(-1.0, bound, out=bound)     # 2^(k-1) - 1, or 2^(k-2) - 1 in a tail
+    np.minimum(q, bound, out=q)
+    np.subtract(q, zero, out=decoded)
+    if fold:
+        # + 2^(k-2) in the negative tail, - 2^(k-2) in the positive one.
+        q += _select(neg, half, work)
+        q -= _select(tail, quarter, work)
+        neg = neg.view(np.int8)
+        np.copyto(neg, q, casting="unsafe")
+    decoded *= _scale(tail, center_scale, tail_scale, work, q)
+    return tail, neg, decoded
 
 
-def encode(x: np.ndarray, records: np.ndarray,
-           bits: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Region labels, per-region int8 codes (k-bit center, (k-1)-bit tails)
-    and their float64 decode, of x. ``records`` broadcasts against x."""
-    p = records["p"]
-    neg, pos = x < -p, x > p
-    regions = np.zeros(x.shape, dtype=np.uint8)
-    regions[neg] = NEG_TAIL
-    regions[pos] = POS_TAIL
-    scale = _piece_field(records, "scale", neg, pos)
-    zero_point = _piece_field(records, "zero_point", neg, pos)
-    # The scale is spent once divided by, so it serves as the scratch, and
-    # is gathered again for the decode.
-    codes = _codes(x, scale, zero_point, neg | pos, bits, scratch=scale)
-    int_codes = codes.astype(np.int8)
-    # Decoding the float codes is exact: they are integers in [-128, 127].
-    codes -= zero_point
-    codes *= _piece_field(records, "scale", neg, pos, out=scale)
-    return regions, int_codes, codes
+def encode(x: np.ndarray, table: np.ndarray, bits: int,
+           buffers: Buffers | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Tail bits (uint8), k-bit int8 codes as :func:`fold_regions` folds
+    them and the float64 decode, of x, as views into ``buffers`` valid
+    until their next use. ``table`` (see :func:`piece_table`) broadcasts
+    against x."""
+    buffers = Buffers() if buffers is None else buffers
+    tail, codes, decoded = _pieces(x, table, bits, buffers, fold=True)
+    return tail.view(np.uint8), codes, decoded
 
 
-def decode(records: np.ndarray, regions: np.ndarray, codes: np.ndarray) -> np.ndarray:
-    """uniform.decode's ``(codes - zero_point) * scale`` in float64, each
-    element with the record of its region. ``records`` broadcasts against
-    the codes."""
-    neg, pos = regions == NEG_TAIL, regions == POS_TAIL
-    scale = _piece_field(records, "scale", neg, pos)
-    # Computed in the zero-point array, so that one float64 array fewer is live.
-    out = _piece_field(records, "zero_point", neg, pos)
-    np.subtract(codes, out, out=out)
-    out *= scale
+def decode(table: np.ndarray, tail_bits: np.ndarray, codes: np.ndarray,
+           buffers: Buffers | None = None) -> np.ndarray:
+    """float64 ``(code - zero_point) * scale`` of the tail bits and folded
+    codes that :func:`encode` gives, with each element's piece from
+    ``table``, as a view into ``buffers``. A tail code >= 0 is in the
+    negative tail."""
+    buffers = Buffers() if buffers is None else buffers
+    _, center_scale, tail_scale, neg_zero, pos_zero = table
+    tail, neg = buffers.take(codes.shape, np.bool_, "tail", "neg")
+    out, work = buffers.take(codes.shape, np.float64, "q", "work")
+    np.not_equal(tail_bits, 0, out=tail)
+    np.logical_and(np.greater_equal(codes, 0, out=neg), tail, out=neg)
+    np.copyto(out, codes)
+    out -= _select(neg, neg_zero, work)
+    out -= _select(np.logical_xor(tail, neg, out=neg), pos_zero, work)
+    # (1 - tail) * v * center scale + tail * v * tail scale, exact too.
+    np.multiply(out, center_scale, out=work)
+    work *= np.logical_not(tail, out=neg)
+    out *= tail_scale
+    out *= tail
+    out += work
     return out
 
 
@@ -208,11 +284,12 @@ def group_records(bits: int, vmin: np.ndarray, vmax: np.ndarray, p: np.ndarray) 
     """
     m = np.maximum(vmax, -vmin)
     zero = m == 0
+    if not zero.any():
+        return _records(m, p, bits)
     records = _records(np.where(zero, 1.0, m), np.where(zero, 0.5, p), bits)
-    if zero.any():
-        records[zero] = np.zeros(1, RECORD)
-        records["bits"][zero] = bits
-        records["center"][zero] = range_records(AFFINE, bits, vmin[zero], vmin[zero])
+    records[zero] = np.zeros(1, RECORD)
+    records["bits"][zero] = bits
+    records["center"][zero] = range_records(AFFINE, bits, vmin[zero], vmin[zero])
     return records
 
 
@@ -252,33 +329,26 @@ def search_breakpoints(mat: np.ndarray, bits: int,
     coarse = np.arange(first, lattice, step, dtype=np.float64)
     rows = max(1, SEARCH_BLOCK // mat.shape[1])
     p = np.zeros(len(mat))
+    buffers = Buffers()
     for start in range(0, len(mat), rows):
         # Row means must sum contiguous rows, so each row's MSE, and the
         # choice it drives, matches a one-row search bit for bit.
-        block = np.ascontiguousarray(mat[start:start + rows], dtype=np.float64)
-        m = np.abs(block).max(axis=1)
+        part = mat[start:start + rows]
+        block, work = buffers.take(part.shape, np.float64, "rows", "work")
+        np.copyto(block, part)
+        m = np.abs(block, out=work).max(axis=1)
         live_m = np.where(m > 0, m, 1.0)
-        neg, pos, tail = (np.empty(block.shape, bool) for _ in range(3))
-        scale, zero_point, codes, scratch = (np.empty(block.shape) for _ in range(4))
         best_err, best = np.full(len(m), np.inf), np.zeros(len(m))
 
         def scan(ratios, where=True):
             """Score each row of ``ratios`` (candidates, rows) where ``where`` holds."""
             records = _records(live_m, ratios * live_m, bits, first_row=start)
-            for rec, ratio, use in zip(records[:, :, None], ratios,
-                                       np.broadcast_to(where, ratios.shape)):
-                np.less(block, -rec["p"], out=neg)
-                np.greater(block, rec["p"], out=pos)
-                np.logical_or(neg, pos, out=tail)
-                _piece_field(rec, "scale", neg, pos, scale)
-                _piece_field(rec, "zero_point", neg, pos, zero_point)
-                q = _codes(block, scale, zero_point, tail, bits, codes, scratch)
-                # Decoding the float codes is exact: they are integers in [-128, 127].
-                q -= zero_point
-                q *= scale
-                np.subtract(block, q, out=q)
-                q *= q
-                err = q.mean(axis=1)
+            tables = piece_table(records, bits)[..., None]
+            for i, (ratio, use) in enumerate(zip(ratios, np.broadcast_to(where, ratios.shape))):
+                *_, decoded = _pieces(block, tables[:, i], bits, buffers)
+                np.subtract(block, decoded, out=decoded)
+                decoded *= decoded
+                err = decoded.mean(axis=1)
                 take = ((err < best_err) | ((err == best_err) & (ratio < best))) & use
                 np.copyto(best_err, err, where=take)
                 np.copyto(best, ratio, where=take)
@@ -287,7 +357,8 @@ def search_breakpoints(mat: np.ndarray, bits: int,
         if grid_points >= COARSE_FIRST:     # else the coarse scan took every point
             fine, new = _fine_points(np.rint(best * lattice), grid_points)
             scan(fine / lattice, new)
-        scan(_approx_ratios(block, m)[None])
+        sums = scaled_squares(block, m[:, None], out=work).sum(axis=1)
+        scan(ratios_from_squares(m, sums, block.shape[1])[None])
         p[start:start + rows] = best * m
     return p
 

@@ -119,8 +119,10 @@ def decode(codes, scale, zero_point) -> np.ndarray:
     return out
 
 
-def range_records(scheme: str, bits: int, vmin: np.ndarray, vmax: np.ndarray) -> np.ndarray:
-    """One record per group, for groups whose values span [vmin, vmax].
+def range_records(scheme: str, bits: int, vmin: np.ndarray, vmax: np.ndarray,
+                  out: np.ndarray | None = None) -> np.ndarray:
+    """One record per group, for groups whose values span [vmin, vmax],
+    written into the RECORD array ``out`` when given.
 
     Affine groups use [vmin, vmax]; symmetric groups use [-max|r|, max|r|].
     A group of equal values v would divide by zero, so it is stored as an
@@ -129,8 +131,9 @@ def range_records(scheme: str, bits: int, vmin: np.ndarray, vmax: np.ndarray) ->
     naming the first group whose scale is not positive.
     """
     flat = vmin == vmax
+    any_flat = flat.any()
     half = 1 << (bits - 1)
-    records = np.zeros(len(vmin), RECORD)
+    records = np.zeros(len(vmin), RECORD) if out is None else out
     records["kind"] = KIND_BY_SCHEME[scheme]
     records["bits"] = bits
     if scheme == AFFINE:
@@ -146,17 +149,17 @@ def range_records(scheme: str, bits: int, vmin: np.ndarray, vmax: np.ndarray) ->
     # A range too narrow for any positive float64 step (its step underflows
     # to 0) takes the smallest one, which still spans it within the domain.
     scale = np.maximum(scale, np.finfo(np.float64).smallest_subnormal)
-    scale[flat] = np.where(vmin[flat] != 0, np.abs(vmin[flat]), 1.0)
-    bad = np.flatnonzero(~(scale > 0))
-    if bad.size:
-        g = int(bad[0])
+    if any_flat:
+        scale[flat] = np.where(vmin[flat] != 0, np.abs(vmin[flat]), 1.0)
+    if not (scale > 0).all():
+        g = int(np.flatnonzero(~(scale > 0))[0])
         raise DegenerateRange(f"group {g}: scale must be positive, got {scale[g]}")
-    if scheme == AFFINE:
-        records["zero_point"] = -round_half_away(vmin / scale) - half
     records["scale"] = scale
-    records["zero_point"][flat] = 0.0
-    records["kind"][flat] = KIND_BY_SCHEME[AFFINE]
-    records["beta"][flat] = records["alpha"][flat] = vmin[flat]
+    records["zero_point"] = -round_half_away(vmin / scale) - half if scheme == AFFINE else 0.0
+    if any_flat:
+        records["zero_point"][flat] = 0.0
+        records["kind"][flat] = KIND_BY_SCHEME[AFFINE]
+        records["beta"][flat] = records["alpha"][flat] = vmin[flat]
     return records
 
 

@@ -66,8 +66,9 @@ def slice_mse(values, method, bits):
 def pwlq_mse(values, bits, p):
     records = pwlq.group_records(bits, np.min(values, keepdims=True),
                                  np.max(values, keepdims=True), np.array([p]))
-    regions, codes, _ = pwlq.encode(values, records, bits)
-    return float(np.mean((values - pwlq.decode(records, regions, codes)) ** 2))
+    table = pwlq.piece_table(records, bits)
+    tail, codes, _ = pwlq.encode(values, table, bits)
+    return float(np.mean((values - pwlq.decode(table, tail, codes)) ** 2))
 
 
 # ---------------------------------------------------------------------------
@@ -134,17 +135,18 @@ def scalar_cases():
 
     # m = max|r| = 1 and p = 0.385 for the group [0.9, -1.0].
     pw = pwlq.group_records(4, np.array([-1.0]), np.array([0.9]), np.array([0.385]))
-    pregions, pcodes, _ = pwlq.encode(np.array([0.9, -1.0]), pw, 4)
+    pwt = pwlq.piece_table(pw, 4)
+    pregions, pcodes = pwlq.unfold_regions(*pwlq.encode(np.array([0.9, -1.0]), pwt, 4)[:2], 4)
     case("pwlq tail region of 0.9", oracle.pwlq_encode(0.9, 4, 1.0, 0.385)[0] == "pos",
          True, bool(pregions[0] == POS_TAIL))
     case("pwlq tail code of 0.9", oracle.pwlq_encode(0.9, 4, 1.0, 0.385)[1],
          2, int(pcodes[0]))
     case("pwlq decode (pos,2)", oracle.pwlq_decode("pos", 2, 4, 1.0, 0.385),
          0.8785714285714286,
-         float(pwlq.decode(pw, np.array([POS_TAIL]), np.array([2]))[0]))
+         float(pwlq.decode(pwt, *pwlq.fold_regions([POS_TAIL], [2], 4))[0]))
     case("pwlq decode (center,7)", oracle.pwlq_decode("center", 7, 4, 1.0, 0.385),
          0.35933333333333334,
-         float(pwlq.decode(pw, np.array([CENTER]), np.array([7]))[0]))
+         float(pwlq.decode(pwt, *pwlq.fold_regions([CENTER], [7], 4))[0]))
 
     case("f-shape group count",
          len({(c, h, w) for c in range(3) for h in range(4) for w in range(5)}),

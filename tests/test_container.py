@@ -21,6 +21,7 @@ from convquant import (
     quantize_tensor,
     write_container,
 )
+from convquant import container
 from convquant.errors import (
     CorruptHeader,
     InvalidInput,
@@ -307,4 +308,62 @@ class TestBitWidths:
         path.write_bytes(bytes(blob))
         _patch_header(path, lambda header: header["tensors"][0].update(bits=2))
         with pytest.raises(CorruptHeader):
+            read_all(path)
+
+
+def _params_section(path):
+    """The container's bytes and the span of its first tensor's params section."""
+    blob = bytearray(path.read_bytes())
+    newline = blob.index(b"\n")
+    header_len = int(blob[:newline].split()[1])
+    payload = newline + 1 + header_len
+    start, length = json.loads(blob[newline + 1:payload])["tensors"][0]["sections"]["params"]
+    return blob, payload + start, length
+
+
+class TestRecordValidation:
+    def test_uniform_mask_is_a_kind_membership_test(self):
+        rng = np.random.default_rng(17)
+        records = np.zeros(4000, container.UNIFORM_RECORD)
+        records["kind"] = rng.integers(0, 5, len(records))
+        records["bits"] = rng.integers(3, 6, len(records))
+        records["scale"] = rng.choice([0.5, 0.0, -1.0, np.inf, np.nan], len(records))
+        records["zero_point"] = rng.choice([0.0, 3.0], len(records))
+        records["beta"] = rng.choice([-1.0, 2.0, np.nan], len(records))
+        records["alpha"] = rng.choice([1.0, -np.inf], len(records))
+        for kinds in ((0,), (1, 0), (2, 0), (0, 2)):
+            scale, beta, alpha = records["scale"], records["beta"], records["alpha"]
+            expected = (~np.isin(records["kind"], kinds) | (records["bits"] != 4)
+                        | ~(scale > 0) | ~np.isfinite(scale)
+                        | ((records["kind"] != 0) & (records["zero_point"] != 0))
+                        | ~(beta <= alpha) | ~np.isfinite(beta) | ~np.isfinite(alpha))
+            assert np.array_equal(container._invalid_uniform(records, kinds, 4), expected)
+
+    def test_tails_with_different_scales_are_refused(self, tmp_path):
+        # Decode reads one scale for both tails, which the writer always
+        # stores equal; a record whose tails differ is corrupt.
+        path = tmp_path / "model.qnt"
+        write_container([quantize_tensor(gaussian_tensor((4, 4, 3, 3), 0), FILTER_WISE, PWLQ, 4)],
+                        MemoryModel(), path)
+        blob, start, length = _params_section(path)
+        records = np.frombuffer(blob[start:start + length], container._PWLQ_DISK).copy()
+        assert np.array_equal(records["neg_tail"]["scale"], records["pos_tail"]["scale"])
+        records["neg_tail"]["scale"][2] *= 2
+        blob[start:start + length] = records.tobytes()
+        path.write_bytes(bytes(blob))
+        with pytest.raises(CorruptHeader, match="group 2: invalid parameter record"):
+            read_all(path)
+
+    def test_degenerate_center_with_a_zero_point_is_refused(self, tmp_path):
+        # A piecewise tensor's all-zero group decodes as its affine center
+        # with zero-point 0, which the writer always stores.
+        path = tmp_path / "model.qnt"
+        write_container([one_zero_pwlq_tensor()], MemoryModel(), path)
+        blob, start, length = _params_section(path)
+        record = np.frombuffer(blob[start:start + length], container._UNIFORM_DISK).copy()
+        assert record["kind"][0] == 0 and record["zero_point"][0] == 0
+        record["zero_point"] = 1
+        blob[start:start + length] = record.tobytes()
+        path.write_bytes(bytes(blob))
+        with pytest.raises(CorruptHeader, match="group 0: invalid parameter record"):
             read_all(path)

@@ -6,6 +6,8 @@ it. A (rows, size) matrix is quantized filter-wise as a tensor whose group
 matrix is the matrix itself.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,6 +27,7 @@ from convquant import (
 from convquant import pwlq, uniform
 
 from conftest import matrix_tensor
+import masked_pwlq as masked
 import scalar_oracle as oracle
 
 REGION_NAMES = {"center": CENTER, "neg": NEG_TAIL, "pos": POS_TAIL}
@@ -85,8 +88,10 @@ def test_pwlq_rows_match_oracle(mat, bits):
     m = np.abs(mat).max(axis=1)
     p = np.array([oracle.breakpoint_approx(x) if x else 0.0 for x in m.tolist()])
     records = pwlq.group_records(bits, mat.min(axis=1), mat.max(axis=1), p)
-    regions, codes, _ = pwlq.encode(mat, records[:, None], bits)
-    decoded = pwlq.decode(records[:, None], regions, codes)
+    table = pwlq.piece_table(records, bits)[:, :, None]
+    tail, folded, _ = pwlq.encode(mat, table, bits)
+    regions, codes = pwlq.unfold_regions(tail, folded, bits)
+    decoded = pwlq.decode(table, tail, folded)
     for g, row in enumerate(mat.tolist()):
         if m[g] == 0:
             assert records[g]["kind"] == uniform.KIND_BY_SCHEME[AFFINE]
@@ -141,8 +146,9 @@ def reference_search(mat, bits, grid_points=pwlq.DEFAULT_GRID_POINTS, full_grid=
         def mse(p):
             records = pwlq.group_records(bits, row.min(keepdims=True),
                                          row.max(keepdims=True), np.array([p]))
-            regions, codes, _ = pwlq.encode(row, records, bits)
-            return float(((row - pwlq.decode(records, regions, codes)) ** 2).mean())
+            table = pwlq.piece_table(records, bits)
+            tail, codes, _ = pwlq.encode(row, table, bits)
+            return float(((row - pwlq.decode(table, tail, codes)) ** 2).mean())
 
         coarse = list(range(4, lattice, 8)) or list(range(1, lattice))
         scored = {i: mse(i / lattice * m) for i in (range(1, lattice) if full_grid else coarse)}
@@ -184,3 +190,104 @@ def test_search_on_short_lattices(grid_points):
     assert found == reference_search(mat, 4, grid_points)
     if grid_points <= 11:   # the 15-point window then holds the whole lattice
         assert found == reference_search(mat, 4, grid_points, full_grid=True)
+
+
+# Each granularity's run axes over the (n, c, h*w) view of a tensor:
+# filter-wise, f-shape-wise and c-shape-wise.
+RUN_AXES = {"filter": (1, 2), "f-shape": (0,), "c-shape": (1,)}
+F16_SPECIALS = [0.0, -0.0, 2.0**-24, -2.0**-24, 3 * 2.0**-24, 2.0**-14, 65504.0, -65504.0,
+                -65472.0]
+
+
+@st.composite
+def f16_blocks(draw):
+    """(n, c, h*w) blocks of f16 values: Gaussian at one of several scales,
+    with +0 and -0, subnormals and values at or near the f16 limit mixed
+    in, and maybe an all-zero filter and an all-zero channel."""
+    n, c, hw = draw(st.integers(1, 6)), draw(st.integers(1, 6)), draw(st.sampled_from([1, 3, 9]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.normal(0.0, draw(st.sampled_from([1e-6, 0.02, 1.0, 3e4])), (n, c, hw))
+    for value in draw(st.lists(st.sampled_from(F16_SPECIALS), max_size=4)):
+        x[rng.random(x.shape) < 0.2] = value
+    if draw(st.booleans()):
+        x[rng.integers(n)] = draw(st.sampled_from([0.0, -0.0]))
+    if draw(st.booleans()):
+        x[:, rng.integers(c)] = 0.0
+    return np.clip(x, -65504.0, 65504.0).astype(np.float16).astype(np.float64)
+
+
+def group_matrix(x, runs):
+    """The (groups, group size) matrix of a block under the run axes ``runs``."""
+    groups = [axis for axis in range(3) if axis not in runs]
+    return x.transpose(*groups, *runs).reshape(-1, math.prod(x.shape[a] for a in runs))
+
+
+@given(x=f16_blocks(), granularity=st.sampled_from(sorted(RUN_AXES)), bits=st.integers(3, 8),
+       reach=st.sampled_from([1.0, 1.0, 0.5]), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=300, deadline=None)
+def test_table_kernels_match_the_masked_formulation(x, granularity, bits, reach, seed):
+    # Records from group_records, broadcast over the block in group shape;
+    # breakpoints anywhere in (0, m), near its ends included. Records that
+    # reach half as far as the values saturate the codes of both pieces.
+    runs = RUN_AXES[granularity]
+    rng = np.random.default_rng(seed)
+    vmin, vmax = reach * x.min(axis=runs, keepdims=True), reach * x.max(axis=runs, keepdims=True)
+    ratio = rng.choice([1e-6, 0.05, 0.3847, 0.5, 0.95, 0.999999], size=vmin.shape)
+    p = np.maximum(vmax, -vmin) * ratio
+    records = pwlq.group_records(bits, vmin.ravel(), vmax.ravel(), p.ravel())
+    table = pwlq.piece_table(records, bits).reshape(5, *vmin.shape)
+    records = records.reshape(vmin.shape)
+
+    expected = masked.encode(x, records, bits)
+    found = pwlq.encode(x, table, bits)
+    for name, want, got in zip(("tail bits", "codes", "decode"), expected, found):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+
+    # The decode of those codes, and of any tail bits and signed k-bit codes.
+    half = 1 << (bits - 1)
+    tail_bits = rng.integers(0, 2, x.shape).astype(np.uint8)
+    codes = rng.integers(-half, half, x.shape).astype(np.int8)
+    for tail_bits, codes in (expected[:2], (tail_bits, codes)):
+        want = masked.decode(records, tail_bits, codes, bits)
+        assert pwlq.decode(table, tail_bits, codes).tobytes() == want.tobytes()
+
+
+@given(x=f16_blocks(), granularity=st.sampled_from(sorted(RUN_AXES)), bits=st.integers(3, 8),
+       grid_points=st.sampled_from([3, 5, 8, 16, 64]))
+@settings(max_examples=100, deadline=None)
+def test_search_scores_as_the_masked_formulation(x, granularity, bits, grid_points):
+    mat = group_matrix(x, RUN_AXES[granularity])
+    found = pwlq.search_breakpoints(mat, bits, grid_points)
+    assert found.tobytes() == masked.search_breakpoints(mat, bits, grid_points).tobytes()
+
+
+@given(m=st.floats(2.0**-24, 65504.0), ratio=st.floats(0.0, 1.0, exclude_min=True,
+                                                      exclude_max=True),
+       bits=st.integers(3, 8))
+@settings(max_examples=300, deadline=None)
+def test_facts_the_table_kernels_rest_on(m, ratio, bits):
+    p = m * ratio
+    if not 0 < p < m:
+        return
+    records = pwlq.group_records(bits, np.array([-m]), np.array([m]), np.array([p]))
+    half, quarter = 1 << (bits - 1), 1 << (bits - 2)
+    # Both tails' scales are fl(m - p) / (2^(k-1) - 1), so one table row serves both.
+    tail_scale = max((m - p) / (half - 1), np.finfo(np.float64).smallest_subnormal)
+    assert records["neg_tail"]["scale"][0] == records["pos_tail"]["scale"][0] == tail_scale
+    # a * 1 + b * 0 == a for the finite parameters, in either order, and
+    # the center's zero-point comes out +0 (as 0.0 + -0.0 does).
+    params = [records[piece][field][0] for piece in pwlq.PIECES
+              for field in ("scale", "zero_point")] + [p, -p]
+    for a in params:
+        for b in params:
+            assert np.float64(a) * 1.0 + np.float64(b) * 0.0 == a
+            if a != 0:
+                assert (np.float64(b) * 0.0 + np.float64(a) * 1.0).tobytes() == \
+                    np.float64(a).tobytes()
+    zero = 0.0 * records["pos_tail"]["zero_point"][0] + 0.0 * (
+        records["neg_tail"]["zero_point"][0] - records["pos_tail"]["zero_point"][0])
+    assert zero == 0 and not np.signbit(zero)
+    # Clipping straight to the (k-1)-bit range equals clipping to k bits first.
+    q = np.arange(-2.0 * half, 2.0 * half + 1)
+    assert np.array_equal(np.clip(np.clip(q, -half, half - 1), -quarter, quarter - 1),
+                          np.clip(q, -quarter, quarter - 1))

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,6 +10,7 @@ from convquant import (
     CHANNEL_WISE,
     F_SHAPE_WISE,
     FILTER_WISE,
+    GRANULARITIES,
     LAYER_WISE,
     PWLQ,
     MemoryModel,
@@ -21,9 +24,11 @@ from convquant import (
     quantize_tensor,
     select_granularity,
 )
-from convquant import pwlq
+from convquant import metrics, pwlq
+from convquant.cli import AUTO_CANDIDATES
 from convquant.errors import InvalidInput, NoViableCandidate, ShapeMismatch
-from convquant.metrics import baseline_bytes
+from convquant.granularity import group_layout
+from convquant.metrics import SELECTION_PREFERENCE, baseline_bytes
 
 from conftest import gaussian_tensor
 import scalar_oracle as oracle
@@ -127,6 +132,91 @@ class TestSelectGranularity:
         assert found.error.mse <= q.error.mse
         assert found.codes.tobytes() == quantize_tensor(
             t, scheme, PWLQ, 4, breakpoint_mode="bruteforce").codes.tobytes()
+
+
+# Shapes with and without unit axes: a k x k kernel, a 1x1 kernel, one input
+# channel, one filter and a single weight.
+UNIT_AXIS_SHAPES = {"kxk": (6, 4, 3, 3), "1x1": (8, 6, 1, 1), "c1": (6, 1, 3, 3),
+                    "n1": (1, 5, 3, 3), "1x1x1x1": (1, 1, 1, 1)}
+
+
+def spread_tensor(dims, seed):
+    """f16-snapped Gaussian weights whose filters and input channels have
+    log-normally spread scales, so that different granularities win."""
+    rng = np.random.default_rng(seed)
+    n, c = dims[:2]
+    values = (0.05 * rng.normal(size=dims) * np.exp(rng.normal(0.0, 1.0, (n, 1, 1, 1)))
+              * np.exp(rng.normal(0.0, 1.0, (1, c, 1, 1))))
+    return WeightTensor("t", TensorShape(*dims),
+                        values.astype(np.float16).astype(np.float64).reshape(-1))
+
+
+def select_every_candidate(t, candidates, method, bits, mode, grid_points):
+    """select_granularity as it would run quantizing every candidate."""
+    ranked = [s for s in SELECTION_PREFERENCE if s in set(candidates)]
+    search = method == PWLQ and mode == "bruteforce"
+    best = None
+    for scheme in ranked:
+        q = quantize_tensor(t, scheme, method, bits, "approx" if search else mode)
+        if q.passthrough:
+            if len(ranked) == 1:
+                return scheme, q
+            continue
+        if best is None or q.error.mse < best[1].error.mse:
+            best = (scheme, q)
+    if search:
+        best = best[0], quantize_tensor(t, best[0], method, bits, mode, grid_points)
+    return best
+
+
+def same_result(a, b) -> bool:
+    """Byte-identical params, codes, region bits and values, and equal errors."""
+    def same(x, y):
+        return (x is None) == (y is None) and (x is None or x.tobytes() == y.tobytes())
+    return (a.passthrough == b.passthrough and a.error == b.error
+            and all(same(getattr(a, f), getattr(b, f))
+                    for f in ("params", "codes", "region_bits", "values")))
+
+
+class TestLayoutDedupe:
+    @pytest.mark.parametrize("method,mode", [(AFFINE, "approx"), (PWLQ, "approx"),
+                                             (PWLQ, "bruteforce")])
+    @pytest.mark.parametrize("auto", sorted(AUTO_CANDIDATES))
+    @pytest.mark.parametrize("dims", UNIT_AXIS_SHAPES.values(), ids=UNIT_AXIS_SHAPES)
+    def test_matches_quantizing_every_candidate(self, dims, auto, method, mode):
+        for seed in range(3):
+            t = spread_tensor(dims, seed)
+            args = (t, AUTO_CANDIDATES[auto], method, 4)
+            scheme, q = select_granularity(*args, breakpoint_mode=mode, grid_points=8)
+            expected_scheme, expected = select_every_candidate(*args, mode, 8)
+            assert scheme == expected_scheme
+            assert same_result(q, expected)
+
+    @pytest.mark.parametrize("method", [AFFINE, PWLQ])
+    @pytest.mark.parametrize("dims", UNIT_AXIS_SHAPES.values(), ids=UNIT_AXIS_SHAPES)
+    def test_equal_layouts_quantize_alike(self, dims, method):
+        t = spread_tensor(dims, 0)
+        for a, b in itertools.combinations(GRANULARITIES, 2):
+            qa, qb = (quantize_tensor(t, scheme, method, 4) for scheme in (a, b))
+            if qa.passthrough or qb.passthrough:
+                continue
+            if group_layout(t.shape, a) == group_layout(t.shape, b):
+                assert same_result(qa, qb), (a, b)
+            else:
+                assert not same_result(qa, qb), (a, b)
+
+    @pytest.mark.parametrize("dims,auto,calls", [
+        ("kxk", "auto3", 3), ("kxk", "auto", 4), ("1x1", "auto3", 2), ("1x1", "auto", 3),
+        ("c1", "auto", 3), ("n1", "auto", 4), ("1x1x1x1", "auto", 1)])
+    def test_one_quantization_per_distinct_layout(self, monkeypatch, dims, auto, calls):
+        made = []
+        quantize = metrics.quantize_tensor
+        monkeypatch.setattr(metrics, "quantize_tensor",
+                            lambda t, scheme, *args, **kwargs:
+                            made.append(scheme) or quantize(t, scheme, *args, **kwargs))
+        select_granularity(spread_tensor(UNIT_AXIS_SHAPES[dims], 0), AUTO_CANDIDATES[auto],
+                           PWLQ, 4)
+        assert len(made) == calls, made
 
 
 def quantized(shape_dims, scheme, method=AFFINE, bits=4, seed=0):

@@ -24,7 +24,7 @@ from convquant.errors import (
     InvalidInput,
     NonPositiveM,
 )
-from convquant.pwlq import decode, encode, group_records, search_breakpoints
+from convquant.pwlq import decode, encode, group_records, piece_table, search_breakpoints
 
 from conftest import gaussian_tensor, matrix_tensor
 import scalar_oracle as oracle
@@ -36,10 +36,23 @@ def one_group(values, bits, p):
                          np.max(values, keepdims=True), np.array([p]))
 
 
+def encode_regions(values, records, bits):
+    """Region labels, per-region codes and the float64 decode of values,
+    through the table kernels."""
+    tail, folded, decoded = encode(np.asarray(values, dtype=np.float64),
+                                   piece_table(records, bits), bits)
+    return (*unfold_regions(tail, folded, bits), decoded)
+
+
+def decode_regions(records, regions, codes, bits):
+    """The float64 decode of region labels and per-region codes."""
+    return decode(piece_table(records, bits), *fold_regions(regions, codes, bits))
+
+
 def qdq_mse(values, bits, p):
     records = one_group(values, bits, p)
-    regions, codes, _ = encode(values, records, bits)
-    return float(np.mean((values - decode(records, regions, codes)) ** 2))
+    regions, codes, _ = encode_regions(values, records, bits)
+    return float(np.mean((values - decode_regions(records, regions, codes, bits)) ** 2))
 
 
 def affine_mse(values, bits):
@@ -106,24 +119,24 @@ RECORDS = one_group([1.0, -1.0], 4, 0.385)
 
 class TestPwlqQuantize:
     def test_zero_is_center_code_zero(self):
-        regions, codes, _ = encode(np.array([0.0, 1.0]), RECORDS, 4)
+        regions, codes, _ = encode_regions([0.0, 1.0], RECORDS, 4)
         assert regions[0] == CENTER
         assert codes[0] == 0
 
     def test_positive_tail_example(self):
         assert oracle.pwlq_encode(0.9, 4, 1.0, 0.385) == ("pos", 2)
         records = one_group([0.9, -1.0], 4, 0.385)
-        regions, codes, decoded = encode(np.array([0.9, -1.0]), records, 4)
+        regions, codes, decoded = encode_regions([0.9, -1.0], records, 4)
         assert regions.tolist() == [POS_TAIL, NEG_TAIL]
         assert codes[0] == 2
         assert records["pos_tail"]["scale"][0] == 0.08785714285714286
         assert records["pos_tail"]["zero_point"][0] == -8
         assert records["neg_tail"]["zero_point"][0] == 7
         assert decoded[0] == 0.8785714285714286
-        assert decode(records, regions, codes)[0] == 0.8785714285714286
+        assert decode_regions(records, regions, codes, 4)[0] == 0.8785714285714286
 
     def test_boundary_belongs_to_center(self):
-        regions, _, _ = encode(np.array([0.385, 1.0]), RECORDS, 4)
+        regions, _, _ = encode_regions([0.385, 1.0], RECORDS, 4)
         assert regions[0] == CENTER
 
     def test_breakpoint_bounds(self):
@@ -145,16 +158,16 @@ class TestPwlqQuantize:
 
 class TestPwlqDequantize:
     def test_center_zero(self):
-        assert decode(RECORDS, np.array([CENTER]), np.array([0])).tolist() == [0.0]
+        assert decode_regions(RECORDS, [CENTER], [0], 4).tolist() == [0.0]
 
     def test_positive_tail_code(self):
         assert oracle.pwlq_decode("pos", 2, 4, 1.0, 0.385) == 0.8785714285714286
-        out = decode(RECORDS, np.array([POS_TAIL]), np.array([2]))
+        out = decode_regions(RECORDS, [POS_TAIL], [2], 4)
         assert out.tolist() == [0.8785714285714286]
 
     def test_center_code_seven(self):
         assert oracle.pwlq_decode("center", 7, 4, 1.0, 0.385) == 0.35933333333333334
-        out = decode(RECORDS, np.array([CENTER]), np.array([7]))
+        out = decode_regions(RECORDS, [CENTER], [7], 4)
         assert out.tolist() == [0.35933333333333334]
 
     def test_code_outside_its_region_domain(self):
@@ -185,7 +198,7 @@ class TestRegions:
         p = ratio * m
         if not 0 < p < m:
             return
-        regions, _, _ = encode(values, one_group(values, bits, p), bits)
+        regions, _, _ = encode_regions(values, one_group(values, bits, p), bits)
         assert np.array_equal(regions == CENTER, np.abs(values) <= p)
         assert np.array_equal(regions == NEG_TAIL, values < -p)
         assert np.array_equal(regions == POS_TAIL, values > p)
@@ -198,8 +211,8 @@ class TestRegions:
         m = float(np.abs(values).max())
         p = breakpoint_approx(m)
         records = one_group(values, bits, p)
-        regions, codes, _ = encode(values, records, bits)
-        rec = decode(records, regions, codes)
+        regions, codes, _ = encode_regions(values, records, bits)
+        rec = decode_regions(records, regions, codes, bits)
         center = regions == CENTER
         tail = ~center
         center_step = records["center"]["scale"][0]
@@ -217,8 +230,8 @@ class TestRegions:
         values = rng.normal(size=500)
         p = breakpoint_approx(float(np.abs(values).max()))
         records = one_group(values, bits, p)
-        regions, codes, _ = encode(values, records, bits)
-        err = np.abs(decode(records, regions, codes) - values)
+        regions, codes, _ = encode_regions(values, records, bits)
+        err = np.abs(decode_regions(records, regions, codes, bits) - values)
         step = np.where(regions == CENTER,
                         records["center"]["scale"][0], records["pos_tail"]["scale"][0])
         assert np.all(err <= step + 1e-12)

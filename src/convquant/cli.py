@@ -142,6 +142,8 @@ def _write_report(path, args, rows, totals) -> None:
         "tensors": [entry for entry, *_ in rows],
         "totals": totals,
     }
+    if args.breakpoint == "bruteforce":     # the lattice the search used
+        doc["config"]["grid_points"] = args.grid_points
     Path(path).write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n", "utf-8")
 
 
@@ -172,8 +174,10 @@ def _quantized(tensors, excluded, args, rows):
     """Quantize tensors one at a time, appending each one's summary row."""
     for tensor in tensors:
         q, was_excluded = _quantize_one(tensor, excluded, args, args.bits)
+        del tensor      # neither it nor q is held while the next one is read
         rows.append(_summary(q, was_excluded))
         yield q
+        del q
 
 
 def cmd_quantize(args) -> int:
@@ -214,8 +218,8 @@ def cmd_dequantize(args) -> int:
     try:
         _check_outputs({"container": args.container}, {"out_manifest": args.out_manifest})
         with open_container(args.container) as (_, tensors):
-            created = export_manifest(
-                (dequantize_tensor(q, NUMPY_DTYPES[q.source_bits]) for q in tensors),
+            created = export_manifest(  # map holds no tensor between items
+                map(lambda q: dequantize_tensor(q, NUMPY_DTYPES[q.source_bits]), tensors),
                 args.out_manifest)
         _, back, _ = iter_manifest(args.out_manifest)
         count = sum(1 for _ in back)  # verify the export reads back

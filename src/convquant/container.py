@@ -103,7 +103,7 @@ def _invalid_groups(records: np.ndarray, method: str, bits: int) -> np.ndarray:
     return bad | (piecewise & head)
 
 
-def _pack_params(q: QuantizedTensor) -> bytes:
+def _pack_params(q: QuantizedTensor) -> np.ndarray:
     """The params section: one record per group, in group order.
 
     A pwlq tensor's degenerate groups take a 10-byte uniform record (their
@@ -126,14 +126,14 @@ def _pack_params(q: QuantizedTensor) -> bytes:
                            f"fields of {FORMAT_VERSION} (a value overflows or a "
                            f"scale rounds to zero)")
     if not pwlq:
-        return disk.tobytes()
+        return disk
     piecewise = q.params["kind"] == PWLQ_KIND
     rows = disk.view(np.uint8).reshape(q.group_count, _PWLQ_DISK.itemsize)
     if piecewise.all():
-        return rows.tobytes()
+        return rows
     keep = np.repeat(piecewise[:, None], _PWLQ_DISK.itemsize, axis=1)
     keep[:, _CENTER_OFFSET:_CENTER_OFFSET + _UNIFORM_DISK.itemsize] = True
-    return rows[keep].tobytes()
+    return rows[keep]
 
 
 def _record_starts(buf: bytes, group_count: int) -> np.ndarray:
@@ -178,14 +178,14 @@ def _unpack_params(name: str, buf: bytes, group_count: int, method: str,
     return records
 
 
-def _sections(q: QuantizedTensor) -> dict[str, bytes]:
-    """A tensor's payload sections, in the order they are written."""
+def _sections(q: QuantizedTensor) -> dict:
+    """A tensor's payload sections, in write order, as buffers not copied."""
     if q.passthrough:
-        return {"raw": np.asarray(q.values).astype(NUMPY_DTYPES[q.source_bits]).tobytes()}
+        return {"raw": np.asarray(q.values).astype(NUMPY_DTYPES[q.source_bits], copy=False)}
     sections = {"params": _pack_params(q), "codes": pack_codes(q.codes, q.bits).data}
     if q.method == PWLQ:
         region = np.asarray(q.region_bits, dtype=np.uint8)
-        sections["regions"] = np.packbits(region, bitorder="little").tobytes()
+        sections["regions"] = np.packbits(region, bitorder="little")
     return sections
 
 
@@ -219,6 +219,7 @@ def write_container(tensors: Iterable[QuantizedTensor], memory_model: MemoryMode
                     "source_bits": q.source_bits,
                     "sections": sections,
                 })
+                del q   # not held while the next tensor is made
 
             header = {
                 "format": FORMAT_VERSION,
@@ -233,8 +234,8 @@ def write_container(tensors: Iterable[QuantizedTensor], memory_model: MemoryMode
                 spool.seek(0)
                 shutil.copyfileobj(spool, fh)
         with open_container(tmp) as (_, written):
-            for _ in written:
-                pass
+            for q in written:
+                del q   # read back, one tensor at a time
         os.replace(tmp, out)
     finally:
         tmp.unlink(missing_ok=True)

@@ -102,12 +102,13 @@ def select_granularity(t: WeightTensor, candidates, method: str, bits: int,
         if q.passthrough:
             if len(ranked) == 1:
                 return scheme, q
-            continue
-        layouts.add(layout)
-        if best is None or q.error.mse < best[1].error.mse:
-            best = (scheme, q)   # the one it beats is dropped here
+        else:
+            layouts.add(layout)
+            if best is None or q.error.mse < best[1].error.mse:
+                best = (scheme, q)   # the one it beats is dropped here
+        del q                        # and a loser before the next is quantized
     if search:
-        scheme, q = best
+        scheme, best = best[0], None
         best = scheme, quantize_tensor(t, scheme, method, bits, breakpoint_mode, grid_points)
     return best
 

@@ -266,6 +266,7 @@ def export_manifest(tensors: Iterable[WeightTensor], manifest_path) -> list[Path
                 "dtype": "f16" if tensor.source_precision_bits == 16 else "f32",
                 "file": file_rel,
             })
+            del tensor      # not held while the next one is made
         doc = {"exclude": [], "tensors": entries}
         staged.append((staging_file(path), path))
         staged[-1][0].write_text(json.dumps(doc, indent=1) + "\n", "utf-8")

@@ -247,6 +247,20 @@ class TestQuantizeCommand:
         assert "grid_points must be >= 3" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_report_records_the_bruteforce_lattice(self, tmp_path):
+        manifest = synthetic_model(tmp_path, include_1x1=False)
+        configs = {}
+        for grid_points in (16, 64):
+            report_path = tmp_path / f"r{grid_points}.json"
+            assert main(["quantize", "--manifest", str(manifest), "--method", "pwlq",
+                         "--granularity", "filter", "--breakpoint", "bruteforce",
+                         "--grid-points", str(grid_points), "--out", str(tmp_path / "m.qnt"),
+                         "--report", str(report_path)]) == 0
+            configs[grid_points] = json.loads(report_path.read_text())["config"]
+        assert configs[16]["grid_points"] == 16 and configs[64]["grid_points"] == 64
+        assert ({k: v for k, v in configs[16].items() if k != "grid_points"}
+                == {k: v for k, v in configs[64].items() if k != "grid_points"})
+
     def test_report_is_deterministic(self, tmp_path):
         manifest = synthetic_model(tmp_path)
         a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -403,7 +417,7 @@ FROZEN_OUTPUTS = {
         ["--method", "pwlq", "--granularity", "fshape", "--breakpoint", "bruteforce",
          "--grid-points", "16", "--bits", "6"],
         "459101f9eb76e084ba91c2737f43edf3fcf3ff4963ec0298140a613f57018f05",
-        "76fdf12726d7e2614d93c44a35a6672a078c4a2ff81ae737b4a9017e9bac64e3",
+        "7f7be308b7401760d44efd562164290ce1d6d5c1fc7c5df3cd8e7c86344a194f",
         "9290e80c9088cec92725f3ccda324af52dbee31a40a0fbaa9c3927eb9679c83d",
         "706e53e30bda7a66fb615c98be90822b4cf72d9d54d38da3fbc9bd8505c71c97"),
     "affine-channel": (

@@ -1,8 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from convquant import PackedCodes, pack_codes, unpack_codes
+from convquant import PackedCodes, pack_codes, tensor_store, unpack_codes
 from convquant.errors import CodeOutOfDomain, InvalidInput, TruncatedData
 
 import scalar_oracle as oracle
@@ -125,3 +127,65 @@ class TestBlockEdges:
             packed = pack_codes(view, bits)
             assert packed.data == oracle.pack_bits(flat, bits)
             assert unpack_codes(packed).tolist() == flat
+
+
+class TestChunks:
+    """The codec walks 8 * BLOCK codes at a time; every count across the
+    first chunk edges must pack as one pass would, and unpack back."""
+
+    @pytest.mark.parametrize("block", [1, 2, 3])
+    @pytest.mark.parametrize("bits", range(2, 9))
+    def test_every_count_across_three_chunk_edges(self, monkeypatch, block, bits):
+        monkeypatch.setattr(tensor_store, "BLOCK", block)
+        chunk = 8 * block
+        rng = np.random.default_rng(bits * 10 + block)
+        half = 1 << (bits - 1)
+        for count in range(3 * chunk + 10):
+            codes = rng.integers(-half, half, size=(count, 2))
+            codes[:2, 1] = [-half, half - 1][:count]        # both domain ends
+            column = codes[:, 1]                            # not contiguous
+            expected = oracle.pack_bits(column.tolist(), bits)
+            for given_codes in (column, codes.astype(np.int8)[:, 1]):
+                packed = pack_codes(given_codes, bits)
+                assert packed.data == expected, count
+                out = unpack_codes(PackedCodes(bits, count, expected))
+                assert out.dtype == np.int8
+                assert out.tolist() == column.tolist(), count
+
+    @pytest.mark.parametrize("block", [1, 3])
+    def test_out_of_domain_code_in_a_later_chunk(self, monkeypatch, block):
+        monkeypatch.setattr(tensor_store, "BLOCK", block)
+        codes = np.zeros(5 * 8 * block, dtype=np.int8)
+        codes[-1] = 8
+        with pytest.raises(CodeOutOfDomain):
+            pack_codes(codes, 4)
+
+
+def _traced_extra(count, bits=4):
+    """Peak bytes traced inside pack_codes and unpack_codes beyond what each
+    returns, for ``count`` int8 codes."""
+    half = 1 << (bits - 1)
+    codes = np.random.default_rng(count).integers(-half, half, count).astype(np.int8)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        packed = pack_codes(codes, bits)
+        pack_extra = tracemalloc.get_traced_memory()[1] - start - len(packed.data)
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        out = unpack_codes(packed)
+        unpack_extra = tracemalloc.get_traced_memory()[1] - start - out.nbytes
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(out, codes)
+    return pack_extra, unpack_extra
+
+
+def test_working_memory_is_a_few_chunks_whatever_the_code_count():
+    chunk_bytes = 8 * tensor_store.BLOCK     # one byte per code of a chunk
+    small, large = _traced_extra(1 << 20), _traced_extra(1 << 21)
+    for extra_small, extra_large in zip(small, large):
+        assert max(extra_small, extra_large) <= 3 * chunk_bytes
+        assert extra_large <= extra_small + chunk_bytes / 16
+    # a stream shorter than one chunk takes buffers of its own size
+    assert max(_traced_extra(1000)) <= 3 * 1000 + 4096

@@ -222,7 +222,7 @@ def cmd_dequantize(args) -> int:
                 map(lambda q: dequantize_tensor(q, NUMPY_DTYPES[q.source_bits]), tensors),
                 args.out_manifest)
         _, back, _ = iter_manifest(args.out_manifest)
-        count = sum(1 for _ in back)  # verify the export reads back
+        count = sum(map(lambda _: 1, back))  # verify the export reads back, one at a time
         print(f"wrote {count} tensors to {args.out_manifest}")
         return 0
     except (QuantError, OSError) as exc:
@@ -276,6 +276,7 @@ def cmd_sweep(args) -> int:
         for tensor in tensors:   # read each tensor once, for every bit width
             for bits, summary in summaries.items():
                 summary.append(_summary(*_quantize_one(tensor, excluded, args, bits)))
+            del tensor      # not held while the next one is read
 
         rows = []
         for bits, summary in summaries.items():

@@ -18,9 +18,11 @@ precision instead.
 A tensor is quantized and decoded one block of whole filters at a time: a
 contiguous range of the flat array, about ``tensor_store.BLOCK`` elements,
 upcast to float64 on its own. Each group's statistics are gathered over
-every block before any block is encoded, so they are those of the whole
-float64 group matrix, and the working set is a few blocks whatever the
-size of the tensor.
+every block before any block is encoded: the extremes are those of the
+whole float64 group matrix, and the square sums that pwlq's breakpoint
+needs follow the order that :meth:`_Blocks.square_sums` defines. Neither
+depends on the block size, and the working set is a few blocks whatever
+the size of the tensor.
 """
 
 from __future__ import annotations
@@ -181,24 +183,24 @@ class _Blocks:
         return vmin, vmax
 
     def square_sums(self, flat: np.ndarray, m: np.ndarray) -> np.ndarray:
-        """Per group, the sum of :func:`convquant.pwlq.scaled_squares`, added
-        in the order in which numpy sums the rows of the float64 group matrix.
-
-        That order follows the matrix's layout. numpy sums a contiguous row
-        pairwise, and the rows of a column-major matrix one column at a
-        time. The matrix is column-major for f-shape groups of a tensor with
-        several filters, and for c-shape groups of a tensor with one filter
-        (then a single block). Otherwise its rows are contiguous.
+        """Per group, the sum of :func:`convquant.pwlq.scaled_squares` in one
+        defined order: each filter's part of the group is summed as one
+        contiguous row, pairwise as numpy sums any row, and the parts are
+        added in filter order. Blocks hold whole filters, so the sums do not
+        depend on the block size.
         """
         if len(m) == 1:
-            def squares(lo, hi):
-                x = flat[lo:hi].astype(np.float64)
-                return _pwlq.scaled_squares(x, m, out=x)
-            return np.array([_pairwise_sum(squares, 0, flat.size)])
+            # One group, so each filter's part is the whole filter. numpy
+            # would sum a column of the parts pairwise; accumulate adds them
+            # in order.
+            parts = [np.add.reduce(_pwlq.scaled_squares(x, m, out=x).reshape(f1 - f0, -1),
+                                   axis=1) for f0, f1, x in self.walk(flat)]
+            return np.add.accumulate(np.concatenate(parts))[-1:]
         sums = np.zeros(len(m))
         if self.spans:
-            # The running sums head a buffer that takes each block's squares
-            # after them, and numpy reduces it one row at a time.
+            # f-shape groups hold one element of each filter. The running sums
+            # head a buffer that takes each block's squares after them, and
+            # numpy adds its rows one at a time along the fast axis.
             buf = np.empty((self.step + 1, len(m)))
             for f0, f1, x in self.walk(flat):
                 buf[0] = sums
@@ -208,26 +210,10 @@ class _Blocks:
             return sums
         for f0, f1, x in self.walk(flat):
             rows, mat = self.rows(x, f0, f1)
-            if self.dims[0] > 1:
-                mat = np.ascontiguousarray(mat)
-            sums[rows] = _pwlq.scaled_squares(mat, m[rows, None]).sum(axis=1)
+            mat = np.ascontiguousarray(mat)     # c-shape rows are strided in the block
+            sums[rows] = np.add.reduce(_pwlq.scaled_squares(mat, m[rows, None], out=mat),
+                                       axis=1)
         return sums
-
-
-# numpy's pairwise summation adds runs of up to this many values in one
-# loop, and splits longer runs in two.
-_PAIRWISE_RUN = 128
-
-
-def _pairwise_sum(values, lo: int, hi: int) -> float:
-    """Sum of ``values(lo, hi)`` (a 1-D float64 array of the elements
-    [lo, hi) of a longer one) in the order numpy's pairwise summation adds
-    the whole: split where numpy splits until a part fits in a block."""
-    count = hi - lo
-    if count <= max(_store.BLOCK, _PAIRWISE_RUN):
-        return np.add.reduce(values(lo, hi))
-    half = count // 2 - count // 2 % 8
-    return _pairwise_sum(values, lo, lo + half) + _pairwise_sum(values, lo + half, hi)
 
 
 @dataclass(frozen=True)
@@ -316,9 +302,10 @@ def error_report(values: np.ndarray, reconstructed: np.ndarray,
 
 def _breakpoints(t: WeightTensor, blocks: _Blocks, bits: int, mode: str,
                  grid_points: int, vmin: np.ndarray, vmax: np.ndarray) -> np.ndarray:
-    """One breakpoint per group of the float64 group matrix: the closed form
-    of :func:`convquant.pwlq.breakpoint_approx`, with m in units of the
-    group's RMS, or the ``bruteforce`` grid search."""
+    """One breakpoint per group: the closed form of
+    :func:`convquant.pwlq.breakpoint_approx`, with m in units of the group's
+    RMS (from the square sums in their defined order), or the ``bruteforce``
+    grid search over the float64 group matrix."""
     if mode == "bruteforce":
         # The search takes the group matrix in row blocks, upcast one at a time.
         return _pwlq.search_breakpoints(_as_group_matrix(t.values, t.shape, blocks.scheme),
@@ -349,8 +336,9 @@ def quantize_tensor(t: WeightTensor, scheme: str, method: str, bits: int,
     Each group's parameters come from its statistics (extremes, and for
     pwlq its breakpoint), gathered over every block first; then each block
     is encoded, decoded for the error and written into the flat outputs.
-    The statistics, and so the result, are those of the whole float64 group
-    matrix, whatever the block size.
+    The extremes are those of the whole float64 group matrix and the square
+    sums follow their defined order, so the result does not depend on the
+    block size.
 
     Channel-wise on a 1x1 kernel returns a passthrough tensor: each group
     would hold a single weight and the layer cannot be usefully quantized at

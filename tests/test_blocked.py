@@ -1,8 +1,9 @@
 """quantize_tensor and dequantize_tensor work one block of filters at a time.
 
-Whatever the block size, they must give what they give in one block, when
-every statistic is that of the whole float64 group matrix, and their
-working set must not grow with the tensor.
+Whatever the block size, they must give what they give in one block: the
+extremes are those of the whole float64 group matrix, the square sums
+follow their defined order, and the working set must not grow with the
+tensor.
 """
 
 import tracemalloc

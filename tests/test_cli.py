@@ -57,6 +57,34 @@ def track_inputs(monkeypatch, name):
     return alive
 
 
+def track_reads(monkeypatch):
+    """Wrap the tensor iterator that ``cli.iter_manifest`` returns. Returns a
+    list that gets, as each read starts, how many tensors read before are
+    still alive."""
+    original = cli.iter_manifest
+    alive = []
+
+    class Reads:
+        def __init__(self, tensors):
+            self.tensors, self.refs = tensors, []
+
+        def __iter__(self):
+            return self
+
+        def __next__(self):
+            alive.append(sum(ref() is not None for ref in self.refs))
+            tensor = next(self.tensors)
+            self.refs.append(weakref.ref(tensor))
+            return tensor
+
+    def wrapper(*args, **kwargs):
+        excluded, tensors, data_files = original(*args, **kwargs)
+        return excluded, Reads(tensors), data_files
+
+    monkeypatch.setattr(cli, "iter_manifest", wrapper)
+    return alive
+
+
 def four_tensor_model(dir_path):
     rng = np.random.default_rng(8)
     shapes = [(8, 4, 3, 3), (16, 8, 3, 3), (16, 16, 1, 1), (8, 16, 3, 3)]
@@ -80,6 +108,20 @@ class TestOneTensorAtATime:
         assert main(["dequantize", str(tmp_path / "m.qnt"),
                      str(tmp_path / "out" / "model.json")]) == 0
         assert alive == [0, 0, 0, 0]
+
+    @pytest.mark.parametrize("command", ["quantize", "dequantize", "sweep"])
+    def test_each_tensor_read_is_dropped_before_the_next(self, tmp_path, monkeypatch,
+                                                         command):
+        manifest, container = four_tensor_model(tmp_path), str(tmp_path / "m.qnt")
+        argv = {"quantize": ["quantize", "--manifest", str(manifest), "--out", container],
+                "dequantize": ["dequantize", container, str(tmp_path / "out" / "model.json")],
+                "sweep": ["sweep", "--manifest", str(manifest), "--bits", "3:4",
+                          "--out", str(tmp_path / "sweep.csv")]}
+        if command == "dequantize":     # whose read-back reads the exported tensors
+            assert main(argv["quantize"]) == 0
+        alive = track_reads(monkeypatch)
+        assert main(argv[command]) == 0
+        assert alive == [0, 0, 0, 0, 0]     # the last read finds the end
 
 
 class TestQuantizeCommand:

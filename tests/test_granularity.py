@@ -16,10 +16,17 @@ from convquant import (
     dequantize_tensor,
     element_index,
     quantize_tensor,
+    tensor_store,
 )
 from convquant.errors import BreakpointOutOfRange, CorruptCodes, IncompatibleBits, InvalidInput
-from convquant.granularity import GROUP_LAYOUT, _as_group_matrix, _view_dims, group_count
-from convquant.pwlq import PWLQ_KIND
+from convquant.granularity import (
+    GROUP_LAYOUT,
+    _as_group_matrix,
+    _Blocks,
+    _view_dims,
+    group_count,
+)
+from convquant.pwlq import PWLQ_KIND, scaled_squares
 from convquant.uniform import KIND_BY_SCHEME
 
 from conftest import gaussian_tensor
@@ -114,6 +121,47 @@ class TestGatherScatter:
         assert len(mat) == len(members)
         for g, expected in members.items():
             assert np.array_equal(np.asarray(mat[g]), sorted(expected))
+
+
+def reference_square_sums(flat, shape, scheme, m):
+    """Per group, each filter's part of it summed with np.add.reduce as one
+    contiguous row, then the parts added in filter order."""
+    groups, runs = GROUP_LAYOUT[scheme]
+    dims = _view_dims(shape)
+    squares = scaled_squares(flat.astype(np.float64).reshape(dims),
+                             m.reshape([d if a in groups else 1 for a, d in enumerate(dims)]))
+    per_filter = len(m) // shape.n if 0 in groups else len(m)
+    sums = [0.0] * len(m)
+    for f, part in enumerate(squares):
+        part = np.ascontiguousarray(part.transpose([a - 1 for a in groups + runs if a]))
+        for i, row in enumerate(part.reshape(per_filter, -1)):
+            g = f * per_filter + i if 0 in groups else i
+            sums[g] = sums[g] + np.add.reduce(row)
+    return np.array(sums)
+
+
+SQUARE_SUM_CASES = ([(LAYER_WISE, (64, 64, 3, 3))]
+                    + [(scheme, (40, 8, 3, 3)) for scheme in GRANULARITIES]
+                    + [(F_SHAPE_WISE, (20, 1, 1, 1)), (C_SHAPE_WISE, (1, 300, 3, 3))])
+
+
+class TestSquareSums:
+    @pytest.mark.parametrize("scheme,dims", SQUARE_SUM_CASES,
+                             ids=[f"{s}-{'x'.join(map(str, d))}" for s, d in SQUARE_SUM_CASES])
+    def test_sums_follow_the_defined_order_in_any_blocks(self, monkeypatch, scheme, dims):
+        # 64x64x3x3 spans several blocks. With f32 values the order shows:
+        # in another one, such as pairwise over a whole group, most of these
+        # sums move by ulps.
+        shape = TensorShape(*dims)
+        for seed in range(6):
+            rng = np.random.default_rng(seed)
+            flat = rng.laplace(0.0, 0.05, shape.element_count).astype(np.float32)
+            m = np.abs(_as_group_matrix(flat.astype(np.float64), shape, scheme)).max(axis=1)
+            expected = reference_square_sums(flat, shape, scheme, m).tobytes()
+            for block in (1, 97, tensor_store.BLOCK):
+                monkeypatch.setattr(tensor_store, "BLOCK", block)
+                sums = _Blocks(shape, scheme).square_sums(flat, m)
+                assert sums.tobytes() == expected, (seed, block)
 
 
 class TestQuantizeTensor:

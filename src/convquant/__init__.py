@@ -29,9 +29,6 @@ from .pwlq import (
     NEG_TAIL,
     POS_TAIL,
     PWLQ,
-    breakpoint_approx,
-    fold_regions,
-    unfold_regions,
 )
 from .granularity import (
     C_SHAPE_WISE,
@@ -69,8 +66,7 @@ __all__ = [
     "AFFINE", "SYMMETRIC_FULL", "SYMMETRIC_RESTRICTED", "code_domain",
     "round_half_away",
     # pwlq
-    "CENTER", "NEG_TAIL", "POS_TAIL", "PWLQ", "breakpoint_approx",
-    "fold_regions", "unfold_regions",
+    "CENTER", "NEG_TAIL", "POS_TAIL", "PWLQ",
     # granularity
     "C_SHAPE_WISE", "CHANNEL_WISE", "F_SHAPE_WISE", "FILTER_WISE",
     "GRANULARITIES", "LAYER_WISE", "METHODS", "QuantizedTensor",

@@ -52,10 +52,6 @@ class IncompatibleBits(QuantError):
 
 # --- piecewise-linear quantization ---
 
-class NonPositiveM(QuantError):
-    """Tail bound m must be strictly positive."""
-
-
 class BreakpointOutOfRange(QuantError):
     """Breakpoint must satisfy 0 < p < m."""
 

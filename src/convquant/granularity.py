@@ -19,10 +19,10 @@ A tensor is quantized and decoded one block of whole filters at a time: a
 contiguous range of the flat array, about ``tensor_store.BLOCK`` elements,
 upcast to float64 on its own. Each group's statistics are gathered over
 every block before any block is encoded: the extremes are those of the
-whole float64 group matrix, and the square sums that pwlq's breakpoint
-needs follow the order that :meth:`_Blocks.square_sums` defines. Neither
-depends on the block size, and the working set is a few blocks whatever
-the size of the tensor.
+whole float64 group matrix, and the sums that pwlq's breakpoints need
+follow the order that :meth:`_Blocks.fold` defines. Neither depends on the
+block size, and the working set is a few blocks whatever the size of the
+tensor.
 """
 
 from __future__ import annotations
@@ -126,20 +126,28 @@ class _Blocks:
         self.step = max(1, _store.BLOCK // (c * hw))
         self.ranges = [(f, min(f + self.step, n)) for f in range(0, n, self.step)]
 
+    def groups(self, f0: int, f1: int) -> slice:
+        """The groups that filters [f0, f1) hold a part of: all of them when
+        groups span the blocks."""
+        if self.spans:
+            return slice(0, self.count)
+        per_filter = self.count // self.dims[0]
+        return slice(f0 * per_filter, f1 * per_filter)
+
+    def shaped(self, part: np.ndarray) -> np.ndarray:
+        """A per-group array's part for one block, or each row of a table of
+        them, in the group shape that broadcasts onto the block."""
+        return part.reshape(*part.shape[:-1], -1, *self.group_shape[1:])
+
     def of(self, per_group: np.ndarray, f0: int, f1: int) -> np.ndarray:
-        """The slice of a per-group array, or of each row of a table of
-        them, that broadcasts onto filters [f0, f1)."""
-        grouped = per_group.reshape(*per_group.shape[:-1], *self.group_shape)
-        return grouped if self.spans else grouped[..., f0:f1, :, :]
+        """The :meth:`shaped` part of a per-group array for filters [f0, f1)."""
+        return self.shaped(per_group[..., self.groups(f0, f1)])
 
     def rows(self, block: np.ndarray, f0: int, f1: int) -> tuple[slice, np.ndarray]:
-        """The groups that the block's rows of the group matrix belong to
-        (all of them when groups span the blocks), and those rows."""
+        """The block's :meth:`groups` and its rows of the group matrix."""
         mat = _as_group_matrix(block, TensorShape(f1 - f0, *self.shape.dims[1:]),
                                self.scheme)
-        if self.spans:
-            return slice(None), mat
-        return slice(f0 * len(mat) // (f1 - f0), f1 * len(mat) // (f1 - f0)), mat
+        return self.groups(f0, f1), mat
 
     def walk(self, flat: np.ndarray, upcast: bool = True):
         """Yield (f0, f1, block) over the (n, c, h*w) view of ``flat``; with
@@ -162,9 +170,9 @@ class _Blocks:
         out = [np.full(self.count, start) for start in starts]
         for f0, f1, x in blocks:
             rows, mat = self.rows(x, f0, f1)
-            fold = mat.shape[1] < _SHORT_ROW and mat.strides[1] == mat.itemsize
+            by_column = mat.shape[1] < _SHORT_ROW and mat.strides[1] == mat.itemsize
             for acc, ufunc in zip(out, ufuncs):
-                if fold:
+                if by_column:
                     for column in mat.T:
                         ufunc(acc[rows], column, out=acc[rows])
                 else:
@@ -182,37 +190,30 @@ class _Blocks:
                 vmin, vmax, *self._reduce(signs, (np.logical_or, np.logical_and), (False, True)))
         return vmin, vmax
 
-    def square_sums(self, flat: np.ndarray, m: np.ndarray) -> np.ndarray:
-        """Per group, the sum of :func:`convquant.pwlq.scaled_squares` in one
-        defined order: each filter's part of the group is summed as one
+    def fold(self, acc: np.ndarray, values: np.ndarray, f0: int, f1: int) -> None:
+        """Add each group's part of a block's per-element ``values``, which
+        it overwrites, into the per-group ``acc``. This is the one order of
+        every per-group sum: each filter's part of a group is summed as one
         contiguous row, pairwise as numpy sums any row, and the parts are
         added in filter order. Blocks hold whole filters, so the sums do not
-        depend on the block size.
-        """
-        if len(m) == 1:
-            # One group, so each filter's part is the whole filter. numpy
-            # would sum a column of the parts pairwise; accumulate adds them
-            # in order.
-            parts = [np.add.reduce(_pwlq.scaled_squares(x, m, out=x).reshape(f1 - f0, -1),
-                                   axis=1) for f0, f1, x in self.walk(flat)]
-            return np.add.accumulate(np.concatenate(parts))[-1:]
+        depend on the block size."""
+        if not self.spans:      # the group's one part is in this block
+            rows, mat = self.rows(values, f0, f1)
+            acc[rows] += np.add.reduce(np.ascontiguousarray(mat), axis=1)
+            return
+        # A filter's part of a layer-wise group is the filter, of an f-shape one a value.
+        parts = values.reshape(f1 - f0, len(acc), -1)
+        parts = np.add.reduce(parts, axis=2) if parts.shape[2] > 1 else parts[:, :, 0]
+        parts[0] += acc
+        np.add.accumulate(parts, axis=0, out=parts)     # in order, unlike np.add.reduce
+        acc[:] = parts[-1]
+
+    def square_sums(self, flat: np.ndarray, m: np.ndarray) -> np.ndarray:
+        """Per group, the sum of :func:`convquant.pwlq.scaled_squares` in the
+        order of :meth:`fold`."""
         sums = np.zeros(len(m))
-        if self.spans:
-            # f-shape groups hold one element of each filter. The running sums
-            # head a buffer that takes each block's squares after them, and
-            # numpy adds its rows one at a time along the fast axis.
-            buf = np.empty((self.step + 1, len(m)))
-            for f0, f1, x in self.walk(flat):
-                buf[0] = sums
-                _pwlq.scaled_squares(x, self.of(m, f0, f1),
-                                     out=buf[1:f1 - f0 + 1].reshape(x.shape))
-                np.add.reduce(buf[:f1 - f0 + 1], axis=0, out=sums)
-            return sums
         for f0, f1, x in self.walk(flat):
-            rows, mat = self.rows(x, f0, f1)
-            mat = np.ascontiguousarray(mat)     # c-shape rows are strided in the block
-            sums[rows] = np.add.reduce(_pwlq.scaled_squares(mat, m[rows, None], out=mat),
-                                       axis=1)
+            self.fold(sums, _pwlq.scaled_squares(x, self.of(m, f0, f1), out=x), f0, f1)
         return sums
 
 
@@ -233,11 +234,10 @@ class QuantizedTensor:
     for the uniform methods, :data:`convquant.pwlq.RECORD` for pwlq.
     ``codes`` holds one signed k-bit int8 code per element in row-major
     order; for the pwlq method ``region_bits`` marks tail elements and the
-    codes are the folded representation from
-    :func:`convquant.pwlq.fold_regions`. Passthrough tensors keep their
-    original ``values`` instead. ``error`` is the reconstruction error
-    against the source, measured when the tensor was quantized (None for a
-    tensor read from a container).
+    codes are folded as :func:`convquant.pwlq.encode` folds them.
+    Passthrough tensors keep their original ``values`` instead. ``error`` is
+    the reconstruction error against the source, measured when the tensor
+    was quantized (None for a tensor read from a container).
     """
 
     name: str
@@ -300,28 +300,25 @@ def error_report(values: np.ndarray, reconstructed: np.ndarray,
     return _report(errors, values.size)
 
 
-def _breakpoints(t: WeightTensor, blocks: _Blocks, bits: int, mode: str,
-                 grid_points: int, vmin: np.ndarray, vmax: np.ndarray) -> np.ndarray:
-    """One breakpoint per group: the closed form of
-    :func:`convquant.pwlq.breakpoint_approx`, with m in units of the group's
-    RMS (from the square sums in their defined order), or the ``bruteforce``
-    grid search over the float64 group matrix."""
-    if mode == "bruteforce":
-        # The search takes the group matrix in row blocks, upcast one at a time.
-        return _pwlq.search_breakpoints(_as_group_matrix(t.values, t.shape, blocks.scheme),
-                                        bits, grid_points)
-    m = np.maximum(vmax, -vmin)
+def _breakpoints(t: WeightTensor, blocks: _Blocks, bits: int, mode: str, grid_points: int,
+                 m: np.ndarray, buffers: _pwlq.Buffers) -> np.ndarray:
+    """One breakpoint per group: m times the closed-form p/m (from the
+    square sums), or the ``bruteforce`` search's, which scores that too."""
     size = t.shape.element_count // len(m)
-    return m * _pwlq.ratios_from_squares(m, blocks.square_sums(t.values, m), size)
+    ratio = _pwlq.ratios_from_squares(m, blocks.square_sums(t.values, m), size)
+    if mode == "bruteforce":
+        return _pwlq.search_breakpoints(blocks, t.values, m, ratio, bits, grid_points, buffers)
+    return m * ratio
 
 
 def _params(t: WeightTensor, blocks: _Blocks, method: str, bits: int, breakpoint_mode: str,
-            grid_points: int) -> np.ndarray:
+            grid_points: int, buffers: _pwlq.Buffers) -> np.ndarray:
     """Each group's record; its statistics are dropped before encoding."""
     vmin, vmax = blocks.extremes(t.values)
     try:
         if method == PWLQ:
-            p = _breakpoints(t, blocks, bits, breakpoint_mode, grid_points, vmin, vmax)
+            p = _breakpoints(t, blocks, bits, breakpoint_mode, grid_points,
+                             np.maximum(vmax, -vmin), buffers)
             return _pwlq.group_records(bits, vmin, vmax, p)
         return _uniform.range_records(method, bits, vmin, vmax)
     except (DegenerateRange, BreakpointOutOfRange) as exc:
@@ -336,9 +333,9 @@ def quantize_tensor(t: WeightTensor, scheme: str, method: str, bits: int,
     Each group's parameters come from its statistics (extremes, and for
     pwlq its breakpoint), gathered over every block first; then each block
     is encoded, decoded for the error and written into the flat outputs.
-    The extremes are those of the whole float64 group matrix and the square
-    sums follow their defined order, so the result does not depend on the
-    block size.
+    The extremes are those of the whole float64 group matrix and the sums
+    follow their defined order, so the result does not depend on the block
+    size.
 
     Channel-wise on a 1x1 kernel returns a passthrough tensor: each group
     would hold a single weight and the layer cannot be usefully quantized at
@@ -356,10 +353,10 @@ def quantize_tensor(t: WeightTensor, scheme: str, method: str, bits: int,
     if scheme == CHANNEL_WISE and t.shape.h * t.shape.w == 1:
         return make_passthrough(t, scheme, method, bits)
 
-    blocks = _Blocks(t.shape, scheme)
-    params = _params(t, blocks, method, bits, breakpoint_mode, grid_points)
+    blocks, buffers = _Blocks(t.shape, scheme), _pwlq.Buffers()
+    params = _params(t, blocks, method, bits, breakpoint_mode, grid_points, buffers)
     if method == PWLQ:
-        table, buffers = _pwlq.piece_table(params, bits), _pwlq.Buffers()
+        table = _pwlq.piece_table(params, bits)
     codes = np.empty(blocks.dims, np.int8)
     region_bits = np.empty(blocks.dims, np.uint8) if method == PWLQ else None
     lo, hi = code_domain(method, bits)

@@ -8,21 +8,16 @@ m = max|r| is split at a breakpoint p into
 * negative tail [-m, -p): (k-1)-bit affine quantization on [-m, -p],
 * positive tail (p, m]: (k-1)-bit affine quantization on [p, m].
 
-Values with |r| == p belong to the center. Each element therefore carries a
-region flag besides its integer code; ``fold_regions`` compresses the
-three-way region plus tail sign into one k-bit code and a single tail bit
-for storage.
+Values with |r| == p belong to the center. Each element is stored as one
+k-bit code, folded from its piece's code, and a tail bit.
 
-The breakpoint comes either from a closed-form estimate (``breakpoint_approx``,
-applied to m in units of the group's RMS) or from a grid search minimizing
-reconstruction MSE, coarse then fine (``search_breakpoints``).
+The breakpoint comes either from a closed form in m over the group's RMS
+(``ratios_from_squares``) or from a coarse-to-fine search for the least
+squared reconstruction error (``search_breakpoints``).
 
 ``group_records`` builds one :data:`RECORD` per group from its value range
 and breakpoint, and ``piece_table`` the table that ``encode`` and ``decode``
 read; it broadcasts against the values, so they serve any block of a tensor.
-``search_breakpoints`` takes a ``(groups, group size)`` matrix, one group
-per row, and scores its candidate breakpoints, coarse then fine, on one
-block of rows at a time.
 """
 
 from __future__ import annotations
@@ -31,13 +26,7 @@ import math
 
 import numpy as np
 
-from .errors import (
-    BitsTooSmall,
-    BreakpointOutOfRange,
-    CodeOutOfDomain,
-    InvalidInput,
-    NonPositiveM,
-)
+from .errors import BitsTooSmall, BreakpointOutOfRange, InvalidInput
 from .uniform import (
     AFFINE,
     SYMMETRIC_FULL,
@@ -60,10 +49,8 @@ RATIO_MAX = 0.95
 DEFAULT_GRID_POINTS = 64
 # The coarse scan of search_breakpoints scores lattice points COARSE_FIRST,
 # COARSE_FIRST + COARSE_STEP, ...; the fine scan, those within FINE_RADIUS
-# of a row's best coarse point.
+# of a group's best coarse point.
 COARSE_FIRST, COARSE_STEP, FINE_RADIUS = 4, 8, 7
-# Elements per row block of search_breakpoints, which keeps its buffers in cache.
-SEARCH_BLOCK = 8192
 
 PWLQ_KIND = 3
 # Sub-records of a piecewise record, indexed by region.
@@ -79,19 +66,6 @@ RECORD = np.dtype([("kind", "u1"), ("bits", "u1"), ("m", "f8"), ("p", "f8"),
 def _clamped_ratio(m):
     """Closed-form p/m for max magnitude ``m``, clamped to [RATIO_MIN, RATIO_MAX]."""
     return np.clip(np.log(0.8614 * m + 0.6079) / m, RATIO_MIN, RATIO_MAX)
-
-
-def breakpoint_approx(m: float) -> float:
-    """Closed-form breakpoint estimate for bell-shaped data with max-magnitude m.
-
-    ``m`` is in units of the data's RMS: the estimate was fitted to
-    unit-variance bell curves. It is ln(0.8614 * m + 0.6079), which is
-    non-positive for m below ~0.455, so the implied ratio p/m is clamped to
-    [0.05, 0.95] to keep both regions alive.
-    """
-    if not m > 0:
-        raise NonPositiveM(f"m must be positive, got {m}")
-    return float(m * _clamped_ratio(m))
 
 
 def scaled_squares(x, m, out=None) -> np.ndarray:
@@ -240,10 +214,11 @@ def _pieces(x, table, bits: int, buffers: Buffers, fold: bool = False):
 
 def encode(x: np.ndarray, table: np.ndarray, bits: int,
            buffers: Buffers | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Tail bits (uint8), k-bit int8 codes as :func:`fold_regions` folds
-    them and the float64 decode, of x, as views into ``buffers`` valid
-    until their next use. ``table`` (see :func:`piece_table`) broadcasts
-    against x."""
+    """Tail bits (uint8), folded k-bit int8 codes (in a tail, its (k-1)-bit
+    code under a sign bit, 1 for the negative tail, shifted into the signed
+    k-bit range) and the float64 decode, of x, as views into ``buffers``
+    valid until their next use. ``table`` (see :func:`piece_table`)
+    broadcasts against x."""
     buffers = Buffers() if buffers is None else buffers
     tail, codes, decoded = _pieces(x, table, bits, buffers, fold=True)
     return tail.view(np.uint8), codes, decoded
@@ -293,113 +268,59 @@ def group_records(bits: int, vmin: np.ndarray, vmax: np.ndarray, p: np.ndarray) 
     return records
 
 
-def _fine_points(center: np.ndarray, grid_points: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per row (column), the lattice points within FINE_RADIUS of the row's
+def _fine_points(center: np.ndarray, grid_points: int) -> np.ndarray:
+    """Per group (column), the lattice points within FINE_RADIUS of its
     best coarse point ``center``, the window shifted inward at the ends of
-    the lattice, less ``center`` itself; and where each is not a coarse point.
-    Lattice indices are whole float64 values: int64 arithmetic here would
-    page in numpy loops that nothing else runs, about 0.25 MB of peak RSS."""
+    the lattice, less ``center`` itself. Lattice indices are whole float64
+    values: int64 arithmetic here would page in numpy loops that nothing
+    else runs, about 0.25 MB of peak RSS."""
     width = min(2 * FINE_RADIUS + 1, grid_points)
     lo = np.clip(center - FINE_RADIUS, 1, grid_points - width + 1)
     points = lo + np.arange(width - 1.0)[:, None]
-    points = np.where(points >= center, points + 1, points)
-    return points, points % COARSE_STEP != COARSE_FIRST
+    return np.where(points >= center, points + 1, points)
 
 
-def search_breakpoints(mat: np.ndarray, bits: int,
-                       grid_points: int = DEFAULT_GRID_POINTS) -> np.ndarray:
-    """Per row, the breakpoint of least mean squared reconstruction error
-    found by a coarse-to-fine scan of the ratios p/m.
+def _sse(blocks, flat, m, ratios, bits, buffers) -> np.ndarray:
+    """Per candidate (row of ``ratios``, p/m of each group) and group, the
+    sum of squared reconstruction errors over one walk of the blocks."""
+    sse = np.zeros(ratios.shape)
+    for f0, f1, x in blocks.walk(flat):
+        rows = blocks.groups(f0, f1)
+        for acc, ratio in zip(sse, ratios):
+            records = _records(m[rows], ratio[rows] * m[rows], bits, first_row=rows.start)
+            *_, err = _pieces(x, blocks.shaped(piece_table(records, bits)), bits, buffers)
+            np.subtract(x, err, out=err)
+            err *= err
+            blocks.fold(acc, err, f0, f1)
+    return sse
 
-    The lattice is the ``grid_points`` uniformly spaced interior points
-    i / (grid_points + 1) of (0, 1). Each row scores the coarse points
-    i = 4, 12, 20, ... (every point when grid_points < 4), then the lattice
-    points within FINE_RADIUS of its best coarse point that it has not
-    scored (the window shifted inward at the ends of the lattice, so it
-    covers the whole lattice when grid_points <= 11), then its closed-form
-    estimate (:func:`breakpoint_approx`, with m in units of the row's RMS),
-    so the result is never worse than that estimate. Ties go to the smaller
-    breakpoint; all-zero rows get 0. Rows are scored independently, one
-    block of about SEARCH_BLOCK elements at a time.
+
+def search_breakpoints(blocks, flat: np.ndarray, m: np.ndarray, ratio: np.ndarray, bits: int,
+                       grid_points: int, buffers: Buffers) -> np.ndarray:
+    """Per group, the breakpoint of least sum of squared reconstruction
+    errors found by a coarse-to-fine scan of the ratios p/m.
+
+    ``blocks`` (a ``granularity._Blocks``) walks the tensor ``flat`` and
+    sums each group's errors in its one order; ``m`` and ``ratio`` are each
+    group's max magnitude and closed-form p/m. The lattice is the
+    ``grid_points`` interior points i / (grid_points + 1) of (0, 1). One
+    walk scores the closed form and the coarse points i = 4, 12, 20, ...
+    (every point when grid_points < 4); a second, the lattice points within
+    FINE_RADIUS of each group's best coarse point (the window shifted inward
+    at the ends of the lattice). The least sum wins, ties going to the
+    smaller ratio; all-zero groups get 0.
     """
     if grid_points < 3:
         raise InvalidInput(f"grid_points must be >= 3, got {grid_points}")
     lattice = grid_points + 1
     first, step = (COARSE_FIRST, COARSE_STEP) if grid_points >= COARSE_FIRST else (1, 1)
     coarse = np.arange(first, lattice, step, dtype=np.float64)
-    rows = max(1, SEARCH_BLOCK // mat.shape[1])
-    p = np.zeros(len(mat))
-    buffers = Buffers()
-    for start in range(0, len(mat), rows):
-        # Row means must sum contiguous rows, so each row's MSE, and the
-        # choice it drives, matches a one-row search bit for bit.
-        part = mat[start:start + rows]
-        block, work = buffers.take(part.shape, np.float64, "rows", "work")
-        np.copyto(block, part)
-        m = np.abs(block, out=work).max(axis=1)
-        live_m = np.where(m > 0, m, 1.0)
-        best_err, best = np.full(len(m), np.inf), np.zeros(len(m))
-
-        def scan(ratios, where=True):
-            """Score each row of ``ratios`` (candidates, rows) where ``where`` holds."""
-            records = _records(live_m, ratios * live_m, bits, first_row=start)
-            tables = piece_table(records, bits)[..., None]
-            for i, (ratio, use) in enumerate(zip(ratios, np.broadcast_to(where, ratios.shape))):
-                *_, decoded = _pieces(block, tables[:, i], bits, buffers)
-                np.subtract(block, decoded, out=decoded)
-                decoded *= decoded
-                err = decoded.mean(axis=1)
-                take = ((err < best_err) | ((err == best_err) & (ratio < best))) & use
-                np.copyto(best_err, err, where=take)
-                np.copyto(best, ratio, where=take)
-
-        scan(coarse[:, None] / lattice)
-        if grid_points >= COARSE_FIRST:     # else the coarse scan took every point
-            fine, new = _fine_points(np.rint(best * lattice), grid_points)
-            scan(fine / lattice, new)
-        sums = scaled_squares(block, m[:, None], out=work).sum(axis=1)
-        scan(ratios_from_squares(m, sums, block.shape[1])[None])
-        p[start:start + rows] = best * m
-    return p
-
-
-def fold_regions(regions, values, bits: int) -> tuple[np.ndarray, np.ndarray]:
-    """Flatten per-element region labels (CENTER / NEG_TAIL / POS_TAIL) and
-    codes into (tail bitmap, combined k-bit int8 codes).
-
-    Center elements carry a k-bit symmetric code and tail elements the
-    (k-1)-bit affine code of their tail. A tail element's k-bit field is
-    [sign bit | biased (k-1)-bit code], with sign 1 for the negative tail;
-    the field is then re-biased to the signed k-bit range so combined codes
-    share the center codes' domain. Works on arrays of any shape.
-    """
-    half = 1 << (bits - 1)
-    quarter = 1 << (bits - 2)
-    regions = np.asarray(regions)
-    values = np.asarray(values).astype(np.int16)
-    tail = regions != CENTER
-    sign = (regions == NEG_TAIL).astype(np.int16) << (bits - 1)
-    combined = np.where(tail, (sign | (values + quarter)) - half, values)
-    return tail.astype(np.uint8), combined.astype(np.int8)
-
-
-def unfold_regions(tail_bits, combined, bits: int) -> tuple[np.ndarray, np.ndarray]:
-    """Inverse of fold_regions: (uint8 region labels, int8 codes), built in
-    one-byte arrays."""
-    half = 1 << (bits - 1)
-    quarter = 1 << (bits - 2)
-    tail = np.asarray(tail_bits) != 0
-    combined = np.asarray(combined)
-    if combined.size and (combined.min() < -half or combined.max() > half - 1):
-        raise CodeOutOfDomain(f"combined code outside signed {bits}-bit range")
-    # A tail element's k-bit field, its code + 2^(k-1) mod 256, is
-    # [sign bit | (k-1)-bit code + 2^(k-2)], sign 1 for the negative tail.
-    field = combined.astype(np.int8, copy=False).view(np.uint8) + np.uint8(half)
-    regions = np.right_shift(field, bits - 1)
-    np.subtract(POS_TAIL, regions, out=regions)
-    regions *= tail
-    field &= np.uint8(half - 1)
-    field -= np.uint8(quarter)
-    values = field.view(np.int8)
-    np.copyto(values, combined, where=~tail, casting="unsafe")
-    return regions, values
+    live_m = np.where(m > 0, m, 1.0)
+    ratios = np.vstack([np.broadcast_to(coarse[:, None] / lattice, (len(coarse), len(m))),
+                        ratio])
+    sse = _sse(blocks, flat, live_m, ratios, bits, buffers)
+    if grid_points >= COARSE_FIRST:     # else the coarse scan took every point
+        fine = _fine_points(coarse[np.argmin(sse[:len(coarse)], axis=0)], grid_points) / lattice
+        ratios = np.vstack([ratios, fine])
+        sse = np.vstack([sse, _sse(blocks, flat, live_m, fine, bits, buffers)])
+    return m * np.where(sse == sse.min(axis=0), ratios, 1.0).min(axis=0)

@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from convquant import TensorShape, WeightTensor
+from convquant import PWLQ, TensorShape, WeightTensor, pwlq, quantize_tensor
+from convquant.granularity import _Blocks
 
 
 def write_manifest(dir_path, tensors, exclude=()):
@@ -34,6 +35,33 @@ def matrix_tensor(mat, name="t"):
     matrix is the matrix itself."""
     mat = np.asarray(mat, dtype=np.float64)
     return WeightTensor(name, TensorShape(*mat.shape, 1, 1), mat.ravel(), 32)
+
+
+def bruteforce(t, scheme, bits, grid_points=pwlq.DEFAULT_GRID_POINTS):
+    """The breakpoints that the bruteforce search gives t's groups."""
+    return quantize_tensor(t, scheme, PWLQ, bits, breakpoint_mode="bruteforce",
+                           grid_points=grid_points).params["p"]
+
+
+def closed_form(m):
+    """The package's closed-form breakpoint of a group whose max magnitude
+    is ``m`` RMS: a one-value group [0.5] with the square sum of an RMS of
+    0.5 / m."""
+    ratio = pwlq.ratios_from_squares(np.array([0.5]), np.array([(0.5 / m) ** 2]), 1)
+    return m * float(ratio[0])
+
+
+def group_sse(t, scheme, bits, p):
+    """Per group of t, the sum of squared errors of its decode with
+    breakpoints ``p``, in the order of _Blocks.fold."""
+    blocks = _Blocks(t.shape, scheme)
+    vmin, vmax = blocks.extremes(t.values)
+    table = pwlq.piece_table(pwlq.group_records(bits, vmin, vmax, p), bits)
+    sse = np.zeros(blocks.count)
+    for f0, f1, x in blocks.walk(t.values):
+        *_, decoded = pwlq.encode(x, blocks.of(table, f0, f1), bits)
+        blocks.fold(sse, (x - decoded) ** 2, f0, f1)
+    return sse
 
 
 @pytest.fixture

@@ -11,8 +11,51 @@ what that arithmetic must reproduce bit for bit.
 import numpy as np
 
 from convquant import pwlq
-from convquant.pwlq import NEG_TAIL, PIECES, POS_TAIL, fold_regions, unfold_regions
+from convquant.errors import CodeOutOfDomain
+from convquant.pwlq import CENTER, NEG_TAIL, PIECES, POS_TAIL
 from convquant.uniform import round_half_away
+
+
+def fold_regions(regions, values, bits):
+    """Flatten per-element region labels (CENTER / NEG_TAIL / POS_TAIL) and
+    codes into (tail bitmap, combined k-bit int8 codes).
+
+    Center elements carry a k-bit symmetric code and tail elements the
+    (k-1)-bit affine code of their tail. A tail element's k-bit field is
+    [sign bit | biased (k-1)-bit code], with sign 1 for the negative tail;
+    the field is then re-biased to the signed k-bit range so combined codes
+    share the center codes' domain. Works on arrays of any shape.
+    """
+    half = 1 << (bits - 1)
+    quarter = 1 << (bits - 2)
+    regions = np.asarray(regions)
+    values = np.asarray(values).astype(np.int16)
+    tail = regions != CENTER
+    sign = (regions == NEG_TAIL).astype(np.int16) << (bits - 1)
+    combined = np.where(tail, (sign | (values + quarter)) - half, values)
+    return tail.astype(np.uint8), combined.astype(np.int8)
+
+
+def unfold_regions(tail_bits, combined, bits):
+    """Inverse of fold_regions: (uint8 region labels, int8 codes), built in
+    one-byte arrays."""
+    half = 1 << (bits - 1)
+    quarter = 1 << (bits - 2)
+    tail = np.asarray(tail_bits) != 0
+    combined = np.asarray(combined)
+    if combined.size and (combined.min() < -half or combined.max() > half - 1):
+        raise CodeOutOfDomain(f"combined code outside signed {bits}-bit range")
+    # A tail element's k-bit field, its code + 2^(k-1) mod 256, is
+    # [sign bit | (k-1)-bit code + 2^(k-2)], sign 1 for the negative tail.
+    field = combined.astype(np.int8, copy=False).view(np.uint8) + np.uint8(half)
+    regions = np.right_shift(field, bits - 1)
+    np.subtract(POS_TAIL, regions, out=regions)
+    regions *= tail
+    field &= np.uint8(half - 1)
+    field -= np.uint8(quarter)
+    values = field.view(np.int8)
+    np.copyto(values, combined, where=~tail, casting="unsafe")
+    return regions, values
 
 
 def piece_field(records, field, neg, pos):
@@ -56,8 +99,9 @@ def decode(records, tail_bits, folded, bits):
 
 
 def search_breakpoints(mat, bits, grid_points=pwlq.DEFAULT_GRID_POINTS):
-    """The coarse-to-fine breakpoint search, each candidate scored with
-    the masked kernels above, whole rows at a time."""
+    """The coarse-to-fine breakpoint search over the rows of a group
+    matrix, each candidate scored with the masked kernels above, whole rows
+    at a time, by its sum of squared errors."""
     lattice = grid_points + 1
     first, step = ((pwlq.COARSE_FIRST, pwlq.COARSE_STEP)
                    if grid_points >= pwlq.COARSE_FIRST else (1, 1))
@@ -67,20 +111,18 @@ def search_breakpoints(mat, bits, grid_points=pwlq.DEFAULT_GRID_POINTS):
     live_m = np.where(m > 0, m, 1.0)
     best_err, best = np.full(len(m), np.inf), np.zeros(len(m))
 
-    def scan(ratios, where=True):
+    def scan(ratios):
         records = pwlq._records(live_m, ratios * live_m, bits)
-        for rec, ratio, use in zip(records[:, :, None], ratios,
-                                   np.broadcast_to(where, ratios.shape)):
+        for rec, ratio in zip(records[:, :, None], ratios):
             *_, decoded = encode(block, rec, bits)
-            err = ((block - decoded) ** 2).mean(axis=1)
-            take = ((err < best_err) | ((err == best_err) & (ratio < best))) & use
+            err = ((block - decoded) ** 2).sum(axis=1)
+            take = (err < best_err) | ((err == best_err) & (ratio < best))
             np.copyto(best_err, err, where=take)
             np.copyto(best, ratio, where=take)
 
     scan(coarse[:, None] / lattice)
     if grid_points >= pwlq.COARSE_FIRST:
-        fine, new = pwlq._fine_points(np.rint(best * lattice), grid_points)
-        scan(fine / lattice, new)
+        scan(pwlq._fine_points(np.rint(best * lattice), grid_points) / lattice)
     sums = pwlq.scaled_squares(block, m[:, None]).sum(axis=1)
     scan(pwlq.ratios_from_squares(m, sums, block.shape[1])[None])
     return best * m

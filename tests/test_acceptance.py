@@ -28,7 +28,6 @@ from convquant import (
     TensorShape,
     WeightTensor,
     baseline_bytes,
-    breakpoint_approx,
     dequantize_tensor,
     element_index,
     figure_of_merit,
@@ -49,7 +48,8 @@ from convquant import pwlq, uniform
 from convquant.cli import main
 from convquant.granularity import group_count
 
-from conftest import gaussian_tensor, matrix_tensor, write_manifest
+from conftest import bruteforce, closed_form, gaussian_tensor, matrix_tensor, write_manifest
+import masked_pwlq as masked
 import scalar_oracle as oracle
 
 
@@ -129,24 +129,24 @@ def scalar_cases():
          dequantize_tensor(q2).values.tolist())
 
     case("breakpoint approx m=1", oracle.breakpoint_approx(1.0),
-         0.3847860968997636, breakpoint_approx(1.0))
+         0.3847860968997636, closed_form(1.0))
     case("breakpoint approx m=0.1 clamps", oracle.breakpoint_approx(0.1),
-         0.005000000000000001, breakpoint_approx(0.1))
+         0.005000000000000001, closed_form(0.1))
 
     # m = max|r| = 1 and p = 0.385 for the group [0.9, -1.0].
     pw = pwlq.group_records(4, np.array([-1.0]), np.array([0.9]), np.array([0.385]))
     pwt = pwlq.piece_table(pw, 4)
-    pregions, pcodes = pwlq.unfold_regions(*pwlq.encode(np.array([0.9, -1.0]), pwt, 4)[:2], 4)
+    pregions, pcodes = masked.unfold_regions(*pwlq.encode(np.array([0.9, -1.0]), pwt, 4)[:2], 4)
     case("pwlq tail region of 0.9", oracle.pwlq_encode(0.9, 4, 1.0, 0.385)[0] == "pos",
          True, bool(pregions[0] == POS_TAIL))
     case("pwlq tail code of 0.9", oracle.pwlq_encode(0.9, 4, 1.0, 0.385)[1],
          2, int(pcodes[0]))
     case("pwlq decode (pos,2)", oracle.pwlq_decode("pos", 2, 4, 1.0, 0.385),
          0.8785714285714286,
-         float(pwlq.decode(pwt, *pwlq.fold_regions([POS_TAIL], [2], 4))[0]))
+         float(pwlq.decode(pwt, *masked.fold_regions([POS_TAIL], [2], 4))[0]))
     case("pwlq decode (center,7)", oracle.pwlq_decode("center", 7, 4, 1.0, 0.385),
          0.35933333333333334,
-         float(pwlq.decode(pwt, *pwlq.fold_regions([CENTER], [7], 4))[0]))
+         float(pwlq.decode(pwt, *masked.fold_regions([CENTER], [7], 4))[0]))
 
     case("f-shape group count",
          len({(c, h, w) for c in range(3) for h in range(4) for w in range(5)}),
@@ -305,7 +305,8 @@ def gaussian_breakpoint_study():
         values = rng.normal(size=10_000)
         mse_affine = slice_mse(values, AFFINE, 4)
         mse_approx = slice_mse(values, PWLQ, 4)
-        mse_grid = pwlq_mse(values, 4, pwlq.search_breakpoints(values[None], 4)[0])
+        p_grid = bruteforce(matrix_tensor(values[None]), FILTER_WISE, 4)[0]
+        mse_grid = pwlq_mse(values, 4, p_grid)
         rows.append((mse_affine, mse_approx, mse_grid))
     return rows
 

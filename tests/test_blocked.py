@@ -1,8 +1,8 @@
 """quantize_tensor and dequantize_tensor work one block of filters at a time.
 
 Whatever the block size, they must give what they give in one block: the
-extremes are those of the whole float64 group matrix, the square sums
-follow their defined order, and the working set must not grow with the
+extremes are those of the whole float64 group matrix, every per-group sum
+follows its defined order, and the working set must not grow with the
 tensor.
 """
 
@@ -18,6 +18,7 @@ from convquant import (
     F_SHAPE_WISE,
     FILTER_WISE,
     GRANULARITIES,
+    LAYER_WISE,
     METHODS,
     PWLQ,
     TensorShape,
@@ -27,6 +28,8 @@ from convquant import (
     tensor_store,
 )
 from convquant.errors import CorruptCodes
+
+from conftest import bruteforce, group_sse
 
 
 def _tensor(name, dims, dtype, seed, zeros=False):
@@ -86,6 +89,23 @@ def test_blocks_match_one_block_on_the_whole_group_matrix(monkeypatch, block, sc
         assert q.error.mse == pytest.approx(np.mean(diff * diff), rel=1e-12, abs=0), t.name
 
 
+@pytest.mark.parametrize("block", [1, 97, tensor_store.BLOCK],
+                         ids=["one-filter", "97-elements", "default"])
+@pytest.mark.parametrize("scheme", GRANULARITIES)
+def test_bruteforce_scores_no_group_worse_than_the_closed_form(monkeypatch, block, scheme):
+    # Both summed in the one order of _Blocks.fold, as the search sums its
+    # candidates, of which the closed form is one.
+    monkeypatch.setattr(tensor_store, "BLOCK", block)
+    for i, t in enumerate(TENSORS):
+        if scheme == CHANNEL_WISE and t.shape.h * t.shape.w == 1:
+            continue
+        bits = 3 + i % 6
+        approx = quantize_tensor(t, scheme, PWLQ, bits).params["p"]
+        found = bruteforce(t, scheme, bits)
+        assert np.all(group_sse(t, scheme, bits, found) <= group_sse(t, scheme, bits, approx)), \
+            t.name
+
+
 @pytest.mark.parametrize("method", [AFFINE, PWLQ])
 def test_corrupt_codes_name_the_first_bad_group(monkeypatch, method):
     monkeypatch.setattr(tensor_store, "BLOCK", 1)
@@ -113,12 +133,12 @@ def test_zero_extremes_take_ieee_signs_in_every_block_order(monkeypatch):
         assert np.signbit(q.params["alpha"]).tolist() == [False, False, True]
 
 
-def _traced_peaks(t, scheme, method):
+def _traced_peaks(t, scheme, method, mode):
     """Peak bytes traced inside quantize_tensor and dequantize_tensor beyond
     what each returns, and the group count and params record size."""
     tracemalloc.start()
     try:
-        q = quantize_tensor(t, scheme, method, 4)
+        q = quantize_tensor(t, scheme, method, 4, breakpoint_mode=mode)
         outputs = sum(a.nbytes for a in (q.params, q.codes, q.region_bits) if a is not None)
         quantize_peak = tracemalloc.get_traced_memory()[1] - outputs
         tracemalloc.reset_peak()
@@ -130,18 +150,25 @@ def _traced_peaks(t, scheme, method):
     return quantize_peak, dequantize_peak, q.group_count, q.params.itemsize
 
 
-@pytest.mark.parametrize("scheme", [F_SHAPE_WISE, FILTER_WISE, C_SHAPE_WISE])
-@pytest.mark.parametrize("method", [AFFINE, PWLQ])
-def test_working_set_is_a_few_blocks_whatever_the_tensor_size(scheme, method):
+WORKING_SET_CASES = ([(scheme, method, "approx") for scheme in (F_SHAPE_WISE, FILTER_WISE,
+                                                                 C_SHAPE_WISE)
+                      for method in (AFFINE, PWLQ)]
+                     + [(scheme, PWLQ, "bruteforce")
+                        for scheme in (LAYER_WISE, F_SHAPE_WISE, FILTER_WISE)])
+
+
+@pytest.mark.parametrize("scheme,method,mode", WORKING_SET_CASES)
+def test_working_set_is_a_few_blocks_whatever_the_tensor_size(scheme, method, mode):
     # f-shape-wise peaks while it gathers statistics, filter- and
     # c-shape-wise while they encode; doubling the filters doubles the
     # groups of the latter two, which may add about a record per group.
+    # The breakpoint search walks the same blocks as encode.
     rng = np.random.default_rng(12)
     peaks = []
     for n in (256, 512):
         values = rng.laplace(0.0, 0.02, n * 256 * 9).astype(np.float16)
         peaks.append(_traced_peaks(WeightTensor("t", TensorShape(n, 256, 3, 3), values),
-                                   scheme, method))
+                                   scheme, method, mode))
     (q_small, d_small, groups, record), (q_large, d_large, more_groups, _) = peaks
     float64_block = 8 * tensor_store.BLOCK
     growth = float64_block / 4 + (more_groups - groups) * record

@@ -6,8 +6,6 @@ it. A (rows, size) matrix is quantized filter-wise as a tensor whose group
 matrix is the matrix itself.
 """
 
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,18 +13,26 @@ from hypothesis import given, settings, strategies as st
 from convquant import (
     AFFINE,
     CENTER,
+    CHANNEL_WISE,
+    F_SHAPE_WISE,
     FILTER_WISE,
+    GRANULARITIES,
+    LAYER_WISE,
     NEG_TAIL,
     POS_TAIL,
     PWLQ,
     SYMMETRIC_FULL,
     SYMMETRIC_RESTRICTED,
+    TensorShape,
+    WeightTensor,
     dequantize_tensor,
     quantize_tensor,
+    tensor_store,
 )
 from convquant import pwlq, uniform
+from convquant.granularity import GROUP_LAYOUT, _as_group_matrix
 
-from conftest import matrix_tensor
+from conftest import bruteforce, group_sse, matrix_tensor
 import masked_pwlq as masked
 import scalar_oracle as oracle
 
@@ -90,7 +96,7 @@ def test_pwlq_rows_match_oracle(mat, bits):
     records = pwlq.group_records(bits, mat.min(axis=1), mat.max(axis=1), p)
     table = pwlq.piece_table(records, bits)[:, :, None]
     tail, folded, _ = pwlq.encode(mat, table, bits)
-    regions, codes = pwlq.unfold_regions(tail, folded, bits)
+    regions, codes = masked.unfold_regions(tail, folded, bits)
     decoded = pwlq.decode(table, tail, folded)
     for g, row in enumerate(mat.tolist()):
         if m[g] == 0:
@@ -106,8 +112,8 @@ def test_pwlq_rows_match_oracle(mat, bits):
             assert decoded[g, i] == oracle.pwlq_decode(region, code, bits, m[g], p[g])
 
 
-# Up to 30 rows of up to 1,500 values, or 3 rows longer than one block: the
-# batched search then spans several row blocks of the breakpoint search.
+# Up to 30 rows of up to 1,500 values, which may take two blocks of
+# filters, or 3 rows of 9,000.
 SEARCH_MATRICES = st.one_of(
     group_matrices(),
     group_matrices(rows=st.integers(1, 30), size=st.integers(250, 1500)),
@@ -120,20 +126,21 @@ def test_batched_search_matches_one_row_searches(mat, bits):
     live = np.abs(mat).max(axis=1) > 0
     if not live.any():
         return
-    batched = pwlq.search_breakpoints(mat[live], bits, grid_points=8)
-    one_by_one = [pwlq.search_breakpoints(row[None], bits, grid_points=8)[0]
+    batched = bruteforce(matrix_tensor(mat[live]), FILTER_WISE, bits, grid_points=8)
+    one_by_one = [bruteforce(matrix_tensor(row[None]), FILTER_WISE, bits, grid_points=8)[0]
                   for row in mat[live]]
     assert batched.tolist() == one_by_one
 
 
 def reference_search(mat, bits, grid_points=pwlq.DEFAULT_GRID_POINTS, full_grid=False):
-    """search_breakpoints, one row at a time, from the public records,
-    encode and decode. A row scores lattice points i / (grid_points + 1):
-    every one with ``full_grid``, else i = 4, 12, 20, ... (all of them below
-    4 points) and then the unscored ones among the 15 consecutive points
-    (fewer on a short lattice) centred on the best of those, pushed back
-    inside the lattice. Then the closed form of quantize_tensor. The least
-    MSE wins, ties going to the smaller breakpoint."""
+    """The bruteforce breakpoints of a matrix's rows, one row at a time,
+    from the public records, encode and decode. A row scores lattice points
+    i / (grid_points + 1): every one with ``full_grid``, else i = 4, 12, 20,
+    ... (all of them below 4 points) and then the unscored ones among the 15
+    consecutive points (fewer on a short lattice) centred on the best of
+    those, pushed back inside the lattice. Then the closed form of
+    quantize_tensor. The least sum of squared errors wins, ties going to the
+    smaller breakpoint."""
     approx = quantize_tensor(matrix_tensor(mat), FILTER_WISE, PWLQ, bits).params["p"]
     lattice = grid_points + 1
     found = []
@@ -143,23 +150,23 @@ def reference_search(mat, bits, grid_points=pwlq.DEFAULT_GRID_POINTS, full_grid=
             found.append(0.0)
             continue
 
-        def mse(p):
+        def sse(p):
             records = pwlq.group_records(bits, row.min(keepdims=True),
                                          row.max(keepdims=True), np.array([p]))
             table = pwlq.piece_table(records, bits)
             tail, codes, _ = pwlq.encode(row, table, bits)
-            return float(((row - pwlq.decode(table, tail, codes)) ** 2).mean())
+            return float(((row - pwlq.decode(table, tail, codes)) ** 2).sum())
 
         coarse = list(range(4, lattice, 8)) or list(range(1, lattice))
-        scored = {i: mse(i / lattice * m) for i in (range(1, lattice) if full_grid else coarse)}
+        scored = {i: sse(i / lattice * m) for i in (range(1, lattice) if full_grid else coarse)}
         if not full_grid:
             centre = min(scored, key=lambda i: (scored[i], i))
             first = max(1, min(centre - 7, lattice - 15))
             for i in range(first, min(first + 15, lattice)):
                 if i not in scored:
-                    scored[i] = mse(i / lattice * m)
+                    scored[i] = sse(i / lattice * m)
         candidates = [(err, i / lattice * m) for i, err in scored.items()]
-        found.append(min(candidates + [(mse(p_approx), p_approx)])[1])
+        found.append(min(candidates + [(sse(p_approx), p_approx)])[1])
     return found
 
 
@@ -177,8 +184,10 @@ def _f16_matrix_without_zero_or_constant_rows():
     np.random.default_rng(8).normal(0.0, 1.0, (3, 9000)),     # rows longer than a block
     _f16_matrix_without_zero_or_constant_rows(),
 ], ids=["40x700", "3x9000", "f16"])
-def test_search_matches_reference_from_public_kernels(mat, bits):
-    assert pwlq.search_breakpoints(mat, bits).tolist() == reference_search(mat, bits)
+def test_search_matches_reference_from_public_kernels(monkeypatch, mat, bits):
+    monkeypatch.setattr(tensor_store, "BLOCK", 8192)
+    assert bruteforce(matrix_tensor(mat), FILTER_WISE, bits).tolist() == \
+        reference_search(mat, bits)
 
 
 @pytest.mark.parametrize("grid_points", range(3, 21))
@@ -186,15 +195,12 @@ def test_search_on_short_lattices(grid_points):
     # From 12 points on, the fine window of a row whose best coarse point
     # is near an end is shifted inward over a second coarse point.
     mat = _f16_matrix_without_zero_or_constant_rows()
-    found = pwlq.search_breakpoints(mat, 4, grid_points).tolist()
+    found = bruteforce(matrix_tensor(mat), FILTER_WISE, 4, grid_points).tolist()
     assert found == reference_search(mat, 4, grid_points)
     if grid_points <= 11:   # the 15-point window then holds the whole lattice
         assert found == reference_search(mat, 4, grid_points, full_grid=True)
 
 
-# Each granularity's run axes over the (n, c, h*w) view of a tensor:
-# filter-wise, f-shape-wise and c-shape-wise.
-RUN_AXES = {"filter": (1, 2), "f-shape": (0,), "c-shape": (1,)}
 F16_SPECIALS = [0.0, -0.0, 2.0**-24, -2.0**-24, 3 * 2.0**-24, 2.0**-14, 65504.0, -65504.0,
                 -65472.0]
 
@@ -216,20 +222,19 @@ def f16_blocks(draw):
     return np.clip(x, -65504.0, 65504.0).astype(np.float16).astype(np.float64)
 
 
-def group_matrix(x, runs):
-    """The (groups, group size) matrix of a block under the run axes ``runs``."""
-    groups = [axis for axis in range(3) if axis not in runs]
-    return x.transpose(*groups, *runs).reshape(-1, math.prod(x.shape[a] for a in runs))
+def block_tensor(x):
+    """An (n, c, h*w) block as a tensor."""
+    return WeightTensor("t", TensorShape(*x.shape, 1), x.ravel())
 
 
-@given(x=f16_blocks(), granularity=st.sampled_from(sorted(RUN_AXES)), bits=st.integers(3, 8),
+@given(x=f16_blocks(), granularity=st.sampled_from(GRANULARITIES), bits=st.integers(3, 8),
        reach=st.sampled_from([1.0, 1.0, 0.5]), seed=st.integers(0, 2**32 - 1))
 @settings(max_examples=300, deadline=None)
 def test_table_kernels_match_the_masked_formulation(x, granularity, bits, reach, seed):
     # Records from group_records, broadcast over the block in group shape;
     # breakpoints anywhere in (0, m), near its ends included. Records that
     # reach half as far as the values saturate the codes of both pieces.
-    runs = RUN_AXES[granularity]
+    runs = GROUP_LAYOUT[granularity][1]
     rng = np.random.default_rng(seed)
     vmin, vmax = reach * x.min(axis=runs, keepdims=True), reach * x.max(axis=runs, keepdims=True)
     ratio = rng.choice([1e-6, 0.05, 0.3847, 0.5, 0.95, 0.999999], size=vmin.shape)
@@ -252,13 +257,25 @@ def test_table_kernels_match_the_masked_formulation(x, granularity, bits, reach,
         assert pwlq.decode(table, tail_bits, codes).tobytes() == want.tobytes()
 
 
-@given(x=f16_blocks(), granularity=st.sampled_from(sorted(RUN_AXES)), bits=st.integers(3, 8),
+@given(x=f16_blocks(), granularity=st.sampled_from(GRANULARITIES), bits=st.integers(3, 8),
        grid_points=st.sampled_from([3, 5, 8, 16, 64]))
 @settings(max_examples=100, deadline=None)
 def test_search_scores_as_the_masked_formulation(x, granularity, bits, grid_points):
-    mat = group_matrix(x, RUN_AXES[granularity])
-    found = pwlq.search_breakpoints(mat, bits, grid_points)
-    assert found.tobytes() == masked.search_breakpoints(mat, bits, grid_points).tobytes()
+    # Groups within a filter are summed as the reference sums its rows.
+    # Layer- and f-shape-wise groups add up each filter's part in turn, so
+    # the reference's sums, and so its choices, may differ by ulps; the
+    # search's choice must then score no worse in the search's own order.
+    t = block_tensor(x)
+    if granularity == CHANNEL_WISE and x.shape[2] == 1:
+        return      # passed through
+    found = bruteforce(t, granularity, bits, grid_points)
+    expected = masked.search_breakpoints(_as_group_matrix(x.ravel(), t.shape, granularity),
+                                         bits, grid_points)
+    if granularity in (LAYER_WISE, F_SHAPE_WISE):
+        assert np.all(group_sse(t, granularity, bits, found)
+                      <= group_sse(t, granularity, bits, expected))
+    else:
+        assert found.tobytes() == expected.tobytes()
 
 
 @given(m=st.floats(2.0**-24, 65504.0), ratio=st.floats(0.0, 1.0, exclude_min=True,

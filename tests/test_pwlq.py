@@ -11,22 +11,14 @@ from convquant import (
     PWLQ,
     TensorShape,
     WeightTensor,
-    breakpoint_approx,
     dequantize_tensor,
-    fold_regions,
     quantize_tensor,
-    unfold_regions,
 )
-from convquant.errors import (
-    BitsTooSmall,
-    BreakpointOutOfRange,
-    CodeOutOfDomain,
-    InvalidInput,
-    NonPositiveM,
-)
-from convquant.pwlq import decode, encode, group_records, piece_table, search_breakpoints
+from convquant.errors import BitsTooSmall, BreakpointOutOfRange, CodeOutOfDomain, InvalidInput
+from convquant.pwlq import decode, encode, group_records, piece_table, ratios_from_squares
 
-from conftest import gaussian_tensor, matrix_tensor
+from conftest import bruteforce, closed_form, gaussian_tensor, matrix_tensor
+from masked_pwlq import fold_regions, unfold_regions
 import scalar_oracle as oracle
 
 
@@ -61,26 +53,24 @@ def affine_mse(values, bits):
 
 
 class TestBreakpointApprox:
+    # m is a group's max magnitude in units of its RMS.
     def test_unit_bound(self):
         assert oracle.breakpoint_approx(1.0) == 0.3847860968997636
-        assert breakpoint_approx(1.0) == 0.3847860968997636
+        assert closed_form(1.0) == 0.3847860968997636
 
     def test_small_bound_clamps(self):
         assert oracle.breakpoint_approx(0.1) == 0.005000000000000001
-        assert breakpoint_approx(0.1) == pytest.approx(0.005, rel=1e-9)
+        assert closed_form(0.1) == pytest.approx(0.005, rel=1e-9)
 
     def test_huge_bound_clamps(self):
-        assert breakpoint_approx(100.0) == pytest.approx(5.0, rel=1e-12)
+        assert closed_form(100.0) == pytest.approx(5.0, rel=1e-12)
 
-    def test_non_positive(self):
-        with pytest.raises(NonPositiveM):
-            breakpoint_approx(0.0)
-        with pytest.raises(NonPositiveM):
-            breakpoint_approx(-1.0)
+    def test_all_zero_group_takes_the_unit_bound(self):
+        assert ratios_from_squares(np.zeros(1), np.zeros(1), 4).tolist() == [0.3847860968997636]
 
     def test_ratio_stays_interior(self):
         for m in (0.01, 0.3, 1.0, 2.0, 4.0, 50.0, 1000.0):
-            p = breakpoint_approx(m)
+            p = closed_form(m)
             assert 0.05 * m <= p <= 0.95 * m
 
 
@@ -209,7 +199,7 @@ class TestRegions:
         rng = np.random.default_rng(seed)
         values = rng.normal(size=500)
         m = float(np.abs(values).max())
-        p = breakpoint_approx(m)
+        p = oracle.breakpoint_approx(m)
         records = one_group(values, bits, p)
         regions, codes, _ = encode_regions(values, records, bits)
         rec = decode_regions(records, regions, codes, bits)
@@ -228,7 +218,7 @@ class TestRegions:
     def test_round_trip_bound_per_piece(self, seed, bits):
         rng = np.random.default_rng(seed)
         values = rng.normal(size=500)
-        p = breakpoint_approx(float(np.abs(values).max()))
+        p = oracle.breakpoint_approx(float(np.abs(values).max()))
         records = one_group(values, bits, p)
         regions, codes, _ = encode_regions(values, records, bits)
         err = np.abs(decode_regions(records, regions, codes, bits) - values)
@@ -268,14 +258,15 @@ class TestBruteforce:
         cands = sorted({0.25, 0.5, 0.75, oracle.breakpoint_approx(1.0)})
         best = min(cands, key=lambda r: (oracle.pwlq_mse([1.0, -1.0], 4, r), r))
         assert best == 0.5
-        assert search_breakpoints(np.array([[1.0, -1.0]]), 4, grid_points=3).tolist() == [0.5]
+        assert bruteforce(matrix_tensor([[1.0, -1.0]]), FILTER_WISE, 4, 3).tolist() == [0.5]
 
     def test_never_worse_than_approx(self):
         rng = np.random.default_rng(11)
         values = rng.normal(size=4000)
-        p_grid = search_breakpoints(values[None], 4)[0]
-        assert qdq_mse(values, 4, p_grid) <= qdq_mse(
-            values, 4, breakpoint_approx(float(np.abs(values).max())))
+        t = matrix_tensor(values[None])
+        p_grid = bruteforce(t, FILTER_WISE, 4)[0]
+        p_approx = quantize_tensor(t, FILTER_WISE, PWLQ, 4).params["p"][0]
+        assert qdq_mse(values, 4, p_grid) <= qdq_mse(values, 4, p_approx)
 
     def test_uniform_data_prefers_balanced_split(self):
         # For uniform data the analytic mse model m^2/12 * (4r^3/225 + (1-r)^3/49)
@@ -284,12 +275,12 @@ class TestBruteforce:
         rng = np.random.default_rng(3)
         values = rng.uniform(-1.0, 1.0, size=20000)
         m = float(np.abs(values).max())
-        ratio = search_breakpoints(values[None], 4)[0] / m
+        ratio = bruteforce(matrix_tensor(values[None]), FILTER_WISE, 4)[0] / m
         assert 0.4 < ratio < 0.65
 
     def test_argument_validation(self):
         with pytest.raises(InvalidInput):
-            search_breakpoints(np.array([[1.0, -1.0]]), 4, grid_points=2)
+            bruteforce(matrix_tensor([[1.0, -1.0]]), FILTER_WISE, 4, grid_points=2)
 
 
 class TestAgainstUniformQuantization:
@@ -298,7 +289,7 @@ class TestAgainstUniformQuantization:
         for seed in range(20):
             rng = np.random.default_rng(seed)
             values = rng.normal(size=10000)
-            p = breakpoint_approx(float(np.abs(values).max()))
+            p = oracle.breakpoint_approx(float(np.abs(values).max()))
             if qdq_mse(values, 4, p) < affine_mse(values, 4):
                 wins += 1
         assert wins >= 19

@@ -66,6 +66,10 @@ GRANULARITIES = tuple(GROUP_LAYOUT)
 METHODS = UNIFORM_SCHEMES + (PWLQ,)
 
 BREAKPOINT_MODES = ("approx", "bruteforce")
+# The breakpoint search's coarse scan scores lattice points COARSE_FIRST,
+# COARSE_FIRST + COARSE_STEP, ...; its fine scan, those within FINE_RADIUS
+# of a group's best coarse point.
+COARSE_FIRST, COARSE_STEP, FINE_RADIUS = 4, 8, 7
 
 
 def _view_dims(shape: TensorShape) -> tuple[int, int, int]:
@@ -205,8 +209,10 @@ class _Blocks:
         parts = values.reshape(f1 - f0, len(acc), -1)
         parts = np.add.reduce(parts, axis=2) if parts.shape[2] > 1 else parts[:, :, 0]
         parts[0] += acc
-        np.add.accumulate(parts, axis=0, out=parts)     # in order, unlike np.add.reduce
-        acc[:] = parts[-1]
+        if len(acc) == 1:   # numpy would sum one column pairwise; accumulate adds in order
+            acc[0] = np.add.accumulate(parts[:, 0])[-1]
+        else:               # numpy adds the rows one at a time along the fast axis
+            np.add.reduce(parts, axis=0, out=acc)
 
     def square_sums(self, flat: np.ndarray, m: np.ndarray) -> np.ndarray:
         """Per group, the sum of :func:`convquant.pwlq.scaled_squares` in the
@@ -300,6 +306,81 @@ def error_report(values: np.ndarray, reconstructed: np.ndarray,
     return _report(errors, values.size)
 
 
+def _fine_points(center: np.ndarray, grid_points: int):
+    """Yield, per group, each lattice point within FINE_RADIUS of its best
+    coarse point ``center``, the window shifted inward at the ends of the
+    lattice, less ``center`` itself. Lattice indices are whole float64
+    values: int64 arithmetic here would page in numpy loops that nothing
+    else runs, about 0.25 MB of peak RSS."""
+    width = min(2 * FINE_RADIUS + 1, grid_points)
+    lo = np.clip(center - FINE_RADIUS, 1, grid_points - width + 1)
+    for i in range(width - 1):
+        point = lo + i
+        yield point + (point >= center)
+
+
+def _scan(blocks: _Blocks, flat: np.ndarray, m: np.ndarray, candidates, bits: int,
+          buffers: _pwlq.Buffers, best: tuple[np.ndarray, np.ndarray]) -> None:
+    """Score each p/m that ``candidates(rows)`` yields for the groups
+    ``rows`` by its sum of squared reconstruction errors, in the order of
+    :meth:`_Blocks.fold`, and keep in ``best`` (per group, sum and p/m) the
+    least, ties going to the smaller p/m. Groups that span the blocks take
+    a walk per candidate, whose table is built once; others, one walk."""
+    sse, (best_sse, best_ratio) = np.empty(len(m)), best
+    if blocks.spans:
+        every = slice(0, len(m))
+        passes = ((every, [ratio], blocks.walk(flat)) for ratio in candidates(every))
+    else:
+        passes = ((blocks.groups(f0, f1), candidates(blocks.groups(f0, f1)), [(f0, f1, x)])
+                  for f0, f1, x in blocks.walk(flat))
+    for rows, ratios, walk in passes:
+        for ratio in ratios:
+            records = _pwlq._records(m[rows], ratio * m[rows], bits, first_row=rows.start)
+            table = blocks.shaped(_pwlq.piece_table(records, bits))
+            sse[rows] = 0.0
+            for f0, f1, x in walk:
+                *_, err = _pwlq._pieces(x, table, bits, buffers)
+                np.subtract(x, err, out=err)
+                err *= err
+                blocks.fold(sse, err, f0, f1)
+            better = sse[rows] < best_sse[rows]
+            better |= (sse[rows] == best_sse[rows]) & (ratio < best_ratio[rows])
+            np.copyto(best_sse[rows], sse[rows], where=better)
+            np.copyto(best_ratio[rows], ratio, where=better)
+
+
+def _search_breakpoints(blocks: _Blocks, flat: np.ndarray, m: np.ndarray, ratio: np.ndarray,
+                        bits: int, grid_points: int, buffers: _pwlq.Buffers) -> np.ndarray:
+    """Per group, the breakpoint of least sum of squared reconstruction
+    errors found by a coarse-to-fine scan of the ratios p/m.
+
+    ``m`` and ``ratio`` are each group's max magnitude and closed-form p/m.
+    The lattice is the ``grid_points`` interior points i / (grid_points + 1)
+    of (0, 1). One walk scores the coarse points i = 4, 12, 20, ... (every
+    point when grid_points < 4); a second, the closed form and the lattice
+    points within FINE_RADIUS of each group's best coarse point. All-zero
+    groups get 0.
+    """
+    if grid_points < 3:
+        raise InvalidInput(f"grid_points must be >= 3, got {grid_points}")
+    lattice = grid_points + 1
+    first, step = (COARSE_FIRST, COARSE_STEP) if grid_points >= COARSE_FIRST else (1, 1)
+    coarse = np.arange(first, lattice, step, dtype=np.float64) / lattice
+    live_m = np.where(m > 0, m, 1.0)
+    best = np.full(len(m), np.inf), np.zeros(len(m))
+    _scan(blocks, flat, live_m, lambda rows: coarse, bits, buffers, best)
+    center = np.rint(best[1] * lattice)
+
+    def closed_form_and_fine(rows):
+        yield ratio[rows]
+        if grid_points >= COARSE_FIRST:     # else the coarse scan took every point
+            for point in _fine_points(center[rows], grid_points):
+                yield point / lattice
+
+    _scan(blocks, flat, live_m, closed_form_and_fine, bits, buffers, best)
+    return m * best[1]
+
+
 def _breakpoints(t: WeightTensor, blocks: _Blocks, bits: int, mode: str, grid_points: int,
                  m: np.ndarray, buffers: _pwlq.Buffers) -> np.ndarray:
     """One breakpoint per group: m times the closed-form p/m (from the
@@ -307,7 +388,7 @@ def _breakpoints(t: WeightTensor, blocks: _Blocks, bits: int, mode: str, grid_po
     size = t.shape.element_count // len(m)
     ratio = _pwlq.ratios_from_squares(m, blocks.square_sums(t.values, m), size)
     if mode == "bruteforce":
-        return _pwlq.search_breakpoints(blocks, t.values, m, ratio, bits, grid_points, buffers)
+        return _search_breakpoints(blocks, t.values, m, ratio, bits, grid_points, buffers)
     return m * ratio
 
 

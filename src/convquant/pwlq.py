@@ -12,8 +12,9 @@ Values with |r| == p belong to the center. Each element is stored as one
 k-bit code, folded from its piece's code, and a tail bit.
 
 The breakpoint comes either from a closed form in m over the group's RMS
-(``ratios_from_squares``) or from a coarse-to-fine search for the least
-squared reconstruction error (``search_breakpoints``).
+(``ratios_from_squares``) or from a search for the least squared
+reconstruction error, which :mod:`convquant.granularity` runs on a tensor's
+blocks with these kernels.
 
 ``group_records`` builds one :data:`RECORD` per group from its value range
 and breakpoint, and ``piece_table`` the table that ``encode`` and ``decode``
@@ -26,7 +27,7 @@ import math
 
 import numpy as np
 
-from .errors import BitsTooSmall, BreakpointOutOfRange, InvalidInput
+from .errors import BitsTooSmall, BreakpointOutOfRange
 from .uniform import (
     AFFINE,
     SYMMETRIC_FULL,
@@ -47,10 +48,6 @@ RATIO_MIN = 0.05
 RATIO_MAX = 0.95
 
 DEFAULT_GRID_POINTS = 64
-# The coarse scan of search_breakpoints scores lattice points COARSE_FIRST,
-# COARSE_FIRST + COARSE_STEP, ...; the fine scan, those within FINE_RADIUS
-# of a group's best coarse point.
-COARSE_FIRST, COARSE_STEP, FINE_RADIUS = 4, 8, 7
 
 PWLQ_KIND = 3
 # Sub-records of a piecewise record, indexed by region.
@@ -136,9 +133,9 @@ def piece_table(records: np.ndarray, bits: int) -> np.ndarray:
 
 
 class Buffers:
-    """Block-sized arrays, by name, that encode, decode and
-    search_breakpoints reuse from block to block; :meth:`take` views them
-    in a block's shape, growing one only for a larger block."""
+    """Block-sized arrays, by name, that encode, decode and the breakpoint
+    search reuse from block to block; :meth:`take` views them in a block's
+    shape, growing one only for a larger block."""
 
     def __init__(self):
         self._arrays = {}
@@ -266,61 +263,3 @@ def group_records(bits: int, vmin: np.ndarray, vmax: np.ndarray, p: np.ndarray) 
     records["bits"][zero] = bits
     records["center"][zero] = range_records(AFFINE, bits, vmin[zero], vmin[zero])
     return records
-
-
-def _fine_points(center: np.ndarray, grid_points: int) -> np.ndarray:
-    """Per group (column), the lattice points within FINE_RADIUS of its
-    best coarse point ``center``, the window shifted inward at the ends of
-    the lattice, less ``center`` itself. Lattice indices are whole float64
-    values: int64 arithmetic here would page in numpy loops that nothing
-    else runs, about 0.25 MB of peak RSS."""
-    width = min(2 * FINE_RADIUS + 1, grid_points)
-    lo = np.clip(center - FINE_RADIUS, 1, grid_points - width + 1)
-    points = lo + np.arange(width - 1.0)[:, None]
-    return np.where(points >= center, points + 1, points)
-
-
-def _sse(blocks, flat, m, ratios, bits, buffers) -> np.ndarray:
-    """Per candidate (row of ``ratios``, p/m of each group) and group, the
-    sum of squared reconstruction errors over one walk of the blocks."""
-    sse = np.zeros(ratios.shape)
-    for f0, f1, x in blocks.walk(flat):
-        rows = blocks.groups(f0, f1)
-        for acc, ratio in zip(sse, ratios):
-            records = _records(m[rows], ratio[rows] * m[rows], bits, first_row=rows.start)
-            *_, err = _pieces(x, blocks.shaped(piece_table(records, bits)), bits, buffers)
-            np.subtract(x, err, out=err)
-            err *= err
-            blocks.fold(acc, err, f0, f1)
-    return sse
-
-
-def search_breakpoints(blocks, flat: np.ndarray, m: np.ndarray, ratio: np.ndarray, bits: int,
-                       grid_points: int, buffers: Buffers) -> np.ndarray:
-    """Per group, the breakpoint of least sum of squared reconstruction
-    errors found by a coarse-to-fine scan of the ratios p/m.
-
-    ``blocks`` (a ``granularity._Blocks``) walks the tensor ``flat`` and
-    sums each group's errors in its one order; ``m`` and ``ratio`` are each
-    group's max magnitude and closed-form p/m. The lattice is the
-    ``grid_points`` interior points i / (grid_points + 1) of (0, 1). One
-    walk scores the closed form and the coarse points i = 4, 12, 20, ...
-    (every point when grid_points < 4); a second, the lattice points within
-    FINE_RADIUS of each group's best coarse point (the window shifted inward
-    at the ends of the lattice). The least sum wins, ties going to the
-    smaller ratio; all-zero groups get 0.
-    """
-    if grid_points < 3:
-        raise InvalidInput(f"grid_points must be >= 3, got {grid_points}")
-    lattice = grid_points + 1
-    first, step = (COARSE_FIRST, COARSE_STEP) if grid_points >= COARSE_FIRST else (1, 1)
-    coarse = np.arange(first, lattice, step, dtype=np.float64)
-    live_m = np.where(m > 0, m, 1.0)
-    ratios = np.vstack([np.broadcast_to(coarse[:, None] / lattice, (len(coarse), len(m))),
-                        ratio])
-    sse = _sse(blocks, flat, live_m, ratios, bits, buffers)
-    if grid_points >= COARSE_FIRST:     # else the coarse scan took every point
-        fine = _fine_points(coarse[np.argmin(sse[:len(coarse)], axis=0)], grid_points) / lattice
-        ratios = np.vstack([ratios, fine])
-        sse = np.vstack([sse, _sse(blocks, flat, live_m, fine, bits, buffers)])
-    return m * np.where(sse == sse.min(axis=0), ratios, 1.0).min(axis=0)

@@ -10,7 +10,7 @@ what that arithmetic must reproduce bit for bit.
 
 import numpy as np
 
-from convquant import pwlq
+from convquant import granularity, pwlq
 from convquant.errors import CodeOutOfDomain
 from convquant.pwlq import CENTER, NEG_TAIL, PIECES, POS_TAIL
 from convquant.uniform import round_half_away
@@ -98,13 +98,15 @@ def decode(records, tail_bits, folded, bits):
         records, "scale", neg, pos)
 
 
-def search_breakpoints(mat, bits, grid_points=pwlq.DEFAULT_GRID_POINTS):
+def search_breakpoints(mat, bits, grid_points=pwlq.DEFAULT_GRID_POINTS,
+                       row_sums=lambda values: values.sum(axis=1)):
     """The coarse-to-fine breakpoint search over the rows of a group
     matrix, each candidate scored with the masked kernels above, whole rows
-    at a time, by its sum of squared errors."""
+    at a time, by its sum of squared errors. ``row_sums`` sums a matrix of
+    per-element values by row, for the errors and the closed form's RMS."""
     lattice = grid_points + 1
-    first, step = ((pwlq.COARSE_FIRST, pwlq.COARSE_STEP)
-                   if grid_points >= pwlq.COARSE_FIRST else (1, 1))
+    first, step = ((granularity.COARSE_FIRST, granularity.COARSE_STEP)
+                   if grid_points >= granularity.COARSE_FIRST else (1, 1))
     coarse = np.arange(first, lattice, step, dtype=np.float64)
     block = np.asarray(mat, dtype=np.float64)
     m = np.abs(block).max(axis=1)
@@ -115,14 +117,15 @@ def search_breakpoints(mat, bits, grid_points=pwlq.DEFAULT_GRID_POINTS):
         records = pwlq._records(live_m, ratios * live_m, bits)
         for rec, ratio in zip(records[:, :, None], ratios):
             *_, decoded = encode(block, rec, bits)
-            err = ((block - decoded) ** 2).sum(axis=1)
+            err = row_sums((block - decoded) ** 2)
             take = (err < best_err) | ((err == best_err) & (ratio < best))
             np.copyto(best_err, err, where=take)
             np.copyto(best, ratio, where=take)
 
     scan(coarse[:, None] / lattice)
-    if grid_points >= pwlq.COARSE_FIRST:
-        scan(pwlq._fine_points(np.rint(best * lattice), grid_points) / lattice)
-    sums = pwlq.scaled_squares(block, m[:, None]).sum(axis=1)
+    if grid_points >= granularity.COARSE_FIRST:
+        fine = granularity._fine_points(np.rint(best * lattice), grid_points)
+        scan(np.array(list(fine)) / lattice)
+    sums = row_sums(pwlq.scaled_squares(block, m[:, None]))
     scan(pwlq.ratios_from_squares(m, sums, block.shape[1])[None])
     return best * m

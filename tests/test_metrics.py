@@ -24,7 +24,7 @@ from convquant import (
     quantize_tensor,
     select_granularity,
 )
-from convquant import metrics, pwlq
+from convquant import granularity, metrics
 from convquant.cli import AUTO_CANDIDATES
 from convquant.errors import InvalidInput, NoViableCandidate, ShapeMismatch
 from convquant.granularity import group_layout
@@ -124,8 +124,8 @@ class TestSelectGranularity:
         auto3 = (FILTER_WISE, F_SHAPE_WISE, C_SHAPE_WISE)
         scheme, q = select_granularity(t, auto3, PWLQ, 4)
         searches = []
-        search = pwlq.search_breakpoints
-        monkeypatch.setattr(pwlq, "search_breakpoints",
+        search = granularity._search_breakpoints
+        monkeypatch.setattr(granularity, "_search_breakpoints",
                             lambda *args: searches.append(args) or search(*args))
         found_scheme, found = select_granularity(t, auto3, PWLQ, 4, breakpoint_mode="bruteforce")
         assert (found_scheme, len(searches)) == (scheme, 1)

@@ -34,7 +34,7 @@ from .granularity import (
     F_SHAPE_WISE,
     FILTER_WISE,
     LAYER_WISE,
-    dequantize_tensor,
+    decode_blocks,
     make_passthrough,
     quantize_tensor,
 )
@@ -46,7 +46,14 @@ from .metrics import (
     select_granularity,
 )
 from .pwlq import DEFAULT_GRID_POINTS, PWLQ
-from .tensor_store import NUMPY_DTYPES, export_manifest, iter_manifest, staging_file
+from .tensor_store import (
+    NUMPY_DTYPES,
+    TensorBlocks,
+    check_manifest,
+    export_manifest,
+    iter_manifest,
+    staging_file,
+)
 from .uniform import AFFINE, SYMMETRIC_FULL, SYMMETRIC_RESTRICTED, check_bits
 
 METHOD_FLAGS = {
@@ -212,17 +219,21 @@ def cmd_quantize(args) -> int:
         return 1
 
 
+def _decoded(q) -> TensorBlocks:
+    """A quantized tensor's decode at its source precision, block by block."""
+    return TensorBlocks(q.name, q.shape, q.source_bits,
+                        decode_blocks(q, NUMPY_DTYPES[q.source_bits]))
+
+
 def cmd_dequantize(args) -> int:
     created = []
     new_dirs = [d for d in Path(args.out_manifest).parents if not d.exists()]
     try:
         _check_outputs({"container": args.container}, {"out_manifest": args.out_manifest})
         with open_container(args.container) as (_, tensors):
-            created = export_manifest(  # map holds no tensor between items
-                map(lambda q: dequantize_tensor(q, NUMPY_DTYPES[q.source_bits]), tensors),
-                args.out_manifest)
-        _, back, _ = iter_manifest(args.out_manifest)
-        count = sum(map(lambda _: 1, back))  # verify the export reads back, one at a time
+            # map holds no tensor between items
+            created = export_manifest(map(_decoded, tensors), args.out_manifest)
+        count = check_manifest(args.out_manifest)   # the export reads back, block by block
         print(f"wrote {count} tensors to {args.out_manifest}")
         return 0
     except (QuantError, OSError) as exc:

@@ -22,12 +22,14 @@ every block before any block is encoded: the extremes are those of the
 whole float64 group matrix, and the sums that pwlq's breakpoints need
 follow the order that :meth:`_Blocks.fold` defines. Neither depends on the
 block size, and the working set is a few blocks whatever the size of the
-tensor.
+tensor. :func:`decode_blocks` yields each decoded block at the output
+precision, so a decode can be written out a block at a time.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -476,41 +478,61 @@ def _check_codes(q: QuantizedTensor, blocks: _Blocks) -> None:
                        f"{q.bits}-bit range")
 
 
-def dequantize_tensor(q: QuantizedTensor, dtype=np.float64) -> WeightTensor:
-    """Reconstruct a real-valued tensor with values in ``dtype``, one block
-    of filters at a time; passthrough returns its values verbatim.
+def decode_blocks(q: QuantizedTensor, dtype) -> Iterator[np.ndarray]:
+    """Yield the flat values of ``q`` one block of filters at a time, each
+    decoded in float64 and cast to ``dtype`` into one reused array, which
+    holds it until the next block; passthrough blocks are its values.
 
-    The decode is float64 whatever ``dtype`` is. A code outside its group's
-    domain raises CorruptCodes naming the tensor and the first such group.
+    A decoded value beyond the largest finite magnitude of ``dtype``
+    saturates to it: every source value is finite at its source precision,
+    so this only moves a value toward its source. A code outside its group's
+    domain raises CorruptCodes naming the tensor and the first such group;
+    a value still not finite after the cast, InvalidValue.
     """
-    if q.passthrough:
-        return WeightTensor(q.name, q.shape, q.values.astype(dtype), q.source_bits)
-    if q.codes is None or len(q.codes) != q.element_count:
-        raise CorruptCodes(f"{q.name}: code array missing or wrong length")
-    expected_groups = group_count(q.shape, q.scheme)
-    if q.group_count != expected_groups:
-        raise CorruptCodes(
-            f"{q.name}: {q.group_count} parameter sets for {expected_groups} groups")
     pwlq = q.method == PWLQ
-    if pwlq and (q.region_bits is None or len(q.region_bits) != q.element_count):
-        raise CorruptCodes(f"{q.name}: region bitmap missing or wrong length")
-
     blocks = _Blocks(q.shape, q.scheme)
-    half = 1 << (q.bits - 1)
-    # Every code within the narrowest domain of any group is in its own.
-    if (q.codes.min() < -half + (q.method == SYMMETRIC_RESTRICTED)
-            or q.codes.max() > half - 1):
-        _check_codes(q, blocks)
-
-    out = np.empty(blocks.dims, dtype)
-    if pwlq:
-        region_bits = q.region_bits.reshape(blocks.dims)
-        table, buffers = _pwlq.piece_table(q.params, q.bits), _pwlq.Buffers()
-    for f0, f1, codes in blocks.walk(q.codes, upcast=False):
+    if not q.passthrough:
+        if q.codes is None or len(q.codes) != q.element_count:
+            raise CorruptCodes(f"{q.name}: code array missing or wrong length")
+        expected_groups = group_count(q.shape, q.scheme)
+        if q.group_count != expected_groups:
+            raise CorruptCodes(
+                f"{q.name}: {q.group_count} parameter sets for {expected_groups} groups")
+        if pwlq and (q.region_bits is None or len(q.region_bits) != q.element_count):
+            raise CorruptCodes(f"{q.name}: region bitmap missing or wrong length")
+        half = 1 << (q.bits - 1)
+        # Every code within the narrowest domain of any group is in its own.
+        if (q.codes.min() < -half + (q.method == SYMMETRIC_RESTRICTED)
+                or q.codes.max() > half - 1):
+            _check_codes(q, blocks)
         if pwlq:
-            out[f0:f1] = _pwlq.decode(blocks.of(table, f0, f1), region_bits[f0:f1], codes,
-                                      buffers)
+            region_bits = q.region_bits.reshape(blocks.dims)
+            table, buffers = _pwlq.piece_table(q.params, q.bits), _pwlq.Buffers()
+
+    out = np.empty(min(blocks.step, q.shape.n) * (q.element_count // q.shape.n), dtype)
+    for f0, f1, block in blocks.walk(q.values if q.passthrough else q.codes, upcast=False):
+        if q.passthrough:
+            x = block
+        elif pwlq:
+            x = _pwlq.decode(blocks.of(table, f0, f1), region_bits[f0:f1], block, buffers)
         else:
             rec = blocks.of(q.params, f0, f1)
-            out[f0:f1] = _uniform.decode(codes, rec["scale"], rec["zero_point"])
-    return WeightTensor(q.name, q.shape, out.reshape(-1), q.source_bits)
+            x = _uniform.decode(block, rec["scale"], rec["zero_point"])
+        part = out[:x.size]
+        with np.errstate(over="ignore"):
+            np.copyto(part, x.reshape(-1))
+        if not np.isfinite(part).all():     # saturate what the cast took past the limit
+            limit = np.finfo(dtype).max
+            np.copyto(part, np.clip(x, -limit, limit).reshape(-1))
+            _store.check_finite(q.name, part)
+        yield part
+
+
+def dequantize_tensor(q: QuantizedTensor, dtype=np.float64) -> WeightTensor:
+    """Reconstruct a real-valued tensor with values in ``dtype`` from the
+    blocks of :func:`decode_blocks`."""
+    out, start = np.empty(q.element_count, dtype), 0
+    for part in decode_blocks(q, dtype):
+        out[start:start + part.size] = part
+        start += part.size
+    return WeightTensor(q.name, q.shape, out, q.source_bits)

@@ -18,6 +18,10 @@ tensor built in Python from anything else holds float64); the arithmetic
 downstream upcasts BLOCK elements to float64 at a time, so a tensor's
 working set does not grow with the tensor. The source precision is also
 remembered in bits, so files can be written back byte-identically.
+
+Writing back streams: :func:`export_manifest` writes each tensor's blocks
+to disk as they arrive, and :func:`check_manifest` reads an export back
+BLOCK values at a time, so neither holds a whole tensor that it is not given.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from fnmatch import fnmatchcase
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -95,12 +100,33 @@ class WeightTensor:
         if self.values.size != self.shape.element_count:
             raise ShapeMismatch(
                 f"{self.name}: {self.values.size} values for shape {self.shape.dims}")
-        for start in range(0, self.values.size, BLOCK):
-            if not np.isfinite(self.values[start:start + BLOCK]).all():
-                raise InvalidValue(f"{self.name}: non-finite value in weight data")
+        check_finite(self.name, self.values)
         if self.source_precision_bits not in NUMPY_DTYPES:
             raise ManifestError(
                 f"{self.name}: unsupported source precision {self.source_precision_bits}")
+
+    @property
+    def blocks(self) -> tuple[np.ndarray]:
+        """The values, as the one block that :func:`export_manifest` writes."""
+        return (self.values,)
+
+
+class TensorBlocks(NamedTuple):
+    """A tensor for :func:`export_manifest` as the blocks of its flat values,
+    in order, each at the source precision; read once, as they are written."""
+
+    name: str
+    shape: TensorShape
+    source_precision_bits: int
+    blocks: Iterable[np.ndarray]
+
+
+def check_finite(name: str, values: np.ndarray) -> None:
+    """Raise InvalidValue naming the tensor unless every one of the flat
+    ``values`` is finite; looks at BLOCK of them at a time."""
+    for start in range(0, values.size, BLOCK):
+        if not np.isfinite(values[start:start + BLOCK]).all():
+            raise InvalidValue(f"{name}: non-finite value in weight data")
 
 
 def element_index(shape: TensorShape, n: int, c: int, h: int, w: int) -> int:
@@ -133,22 +159,31 @@ def _check_size(name: str, shape: TensorShape, bits: int, size: int) -> None:
             f"{bits}-bit needs {expected}")
 
 
-def _read_tensor(name: str, shape: TensorShape, bits: int, data_path: Path) -> WeightTensor:
+def _read_pieces(name: str, shape: TensorShape, bits: int, data_path: Path,
+                 step: int) -> Iterator[np.ndarray]:
+    """Check the size of a tensor's data file, then yield its values in
+    order, ``step`` at a time, each piece read into one reused array."""
+    count = shape.element_count
     with open(data_path, "rb") as fh:
         _check_size(name, shape, bits, os.fstat(fh.fileno()).st_size)
-        values = np.fromfile(fh, dtype=NUMPY_DTYPES[bits])
+        step = min(step, count)
+        buf = np.empty(step, NUMPY_DTYPES[bits])
+        for start in range(0, count, step):
+            piece = buf[:min(step, count - start)]
+            if fh.readinto(piece) != piece.nbytes:
+                raise ShapeMismatch(f"{name}: {data_path} was cut short while it was read")
+            yield piece
+
+
+def _read_tensor(name: str, shape: TensorShape, bits: int, data_path: Path) -> WeightTensor:
+    values, = _read_pieces(name, shape, bits, data_path, shape.element_count)
     return WeightTensor(name, shape, values, bits)
 
 
-def iter_manifest(manifest_path, extra_exclude=()) -> tuple[
-        frozenset[str], Iterator[WeightTensor], frozenset[tuple[int, int]]]:
-    """Check that the manifest lists at least one tensor and check every
-    entry (keys, unique name, shape, dtype, data file size), then return the
-    excluded names, an iterator that reads each tensor, in manifest order,
-    only when it is asked for, and the ``(st_dev, st_ino)`` of every data
-    file, by which a path that leads to one can be told. ``extra_exclude``
-    adds glob patterns on top of the manifest's own ``exclude`` list.
-    """
+def _entries(manifest_path, extra_exclude=()) -> tuple[
+        frozenset[str], list[tuple[str, TensorShape, int, Path]], frozenset[tuple[int, int]]]:
+    """The excluded names, each entry's (name, shape, bits, data path) and
+    the data files' ``(st_dev, st_ino)``, as :func:`iter_manifest` checks them."""
     path = Path(manifest_path)
     if not path.is_file():
         raise MissingFile(f"manifest not found: {path}")
@@ -197,8 +232,31 @@ def iter_manifest(manifest_path, extra_exclude=()) -> tuple[
         files.add((info.st_dev, info.st_ino))
         entries.append((name, shape, bits, data_path))
 
-    excluded = resolve_exclusions(names, patterns)
-    return excluded, (_read_tensor(*entry) for entry in entries), frozenset(files)
+    return resolve_exclusions(names, patterns), entries, frozenset(files)
+
+
+def iter_manifest(manifest_path, extra_exclude=()) -> tuple[
+        frozenset[str], Iterator[WeightTensor], frozenset[tuple[int, int]]]:
+    """Check that the manifest lists at least one tensor and check every
+    entry (keys, unique name, shape, dtype, data file size), then return the
+    excluded names, an iterator that reads each tensor, in manifest order,
+    only when it is asked for, and the ``(st_dev, st_ino)`` of every data
+    file, by which a path that leads to one can be told. ``extra_exclude``
+    adds glob patterns on top of the manifest's own ``exclude`` list.
+    """
+    excluded, entries, files = _entries(manifest_path, extra_exclude)
+    return excluded, (_read_tensor(*entry) for entry in entries), files
+
+
+def check_manifest(manifest_path) -> int:
+    """Check a manifest as :func:`iter_manifest` does, and every value of its
+    data files finite, reading each file BLOCK values at a time into one
+    array; return how many tensors it lists."""
+    _, entries, _ = _entries(manifest_path)
+    for entry in entries:
+        for piece in _read_pieces(*entry, BLOCK):
+            check_finite(entry[0], piece)
+    return len(entries)
 
 
 def staging_file(path) -> Path:
@@ -226,12 +284,16 @@ def _listed_files(manifest: Path) -> set[Path]:
         return set()
 
 
-def export_manifest(tensors: Iterable[WeightTensor], manifest_path) -> list[Path]:
+def export_manifest(tensors: Iterable[WeightTensor | TensorBlocks], manifest_path) -> list[Path]:
     """Write each tensor's raw binary as it arrives, then the manifest;
     returns every path written.
 
     Values are stored at each tensor's source precision, so a freshly loaded
-    model writes back byte-identically. Every file is first written to its
+    model writes back byte-identically. A tensor's blocks go to its file as
+    they arrive, so beyond what ``tensors`` holds, the export holds one
+    block at a time; a WeightTensor is one block. A data file is named after
+    its tensor, with a serial where the name is taken, by another tensor or
+    by the manifest itself. Every file is first written to its
     :func:`staging_file`, and all are moved into place, the manifest last,
     only once every one is written. If a write fails or ``tensors`` raises,
     the staging files and the files already moved into place are removed
@@ -244,7 +306,7 @@ def export_manifest(tensors: Iterable[WeightTensor], manifest_path) -> list[Path
     entries = []
     staged = []     # (staging file, final path)
     placed = []
-    used = set()
+    used = {path.name}
     try:
         for tensor in tensors:
             stem = _file_stem(tensor.name)
@@ -259,7 +321,8 @@ def export_manifest(tensors: Iterable[WeightTensor], manifest_path) -> list[Path
             if os.path.lexists(final) and final not in replaceable:
                 raise InvalidInput(f"refusing to replace {final}: {path} does not list it")
             staged.append((staging_file(final), final))
-            staged[-1][0].write_bytes(tensor.values.astype(dtype, copy=False))
+            with open(staged[-1][0], "wb") as fh:
+                fh.writelines(block.astype(dtype, copy=False) for block in tensor.blocks)
             entries.append({
                 "name": tensor.name,
                 "shape": list(tensor.shape.dims),

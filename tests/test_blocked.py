@@ -1,4 +1,5 @@
-"""quantize_tensor and dequantize_tensor work one block of filters at a time.
+"""quantize_tensor and dequantize_tensor work one block of filters at a time,
+and so does the ``dequantize`` command, from decode to its read-back.
 
 Whatever the block size, they must give what they give in one block: the
 extremes are those of the whole float64 group matrix, every per-group sum
@@ -28,9 +29,10 @@ from convquant import (
     granularity,
     tensor_store,
 )
+from convquant.cli import main
 from convquant.errors import CorruptCodes
 
-from conftest import bruteforce, group_sse
+from conftest import bruteforce, group_sse, write_manifest
 
 
 def _tensor(name, dims, dtype, seed, zeros=False):
@@ -191,3 +193,54 @@ def test_working_set_is_a_few_blocks_whatever_the_tensor_size(monkeypatch, schem
     growth = float64_block / 4 + (more_groups - groups) * record
     assert max(small + large) <= 6 * float64_block + search
     assert all(b <= a + growth for a, b in zip(small, large))
+
+
+def _dequantize_peak(tmp_path, n, method):
+    """Peak bytes traced in the ``dequantize`` command on a one-tensor model
+    of n filters, beyond the tensor's codes, region bits and packed sections."""
+    work = tmp_path / f"{method}-{n}"
+    work.mkdir()
+    values = np.random.default_rng(n).laplace(0.0, 0.02, n * 256 * 9)
+    manifest = write_manifest(work, [("conv", (n, 256, 3, 3), values, "f16")])
+    assert main(["quantize", "--manifest", str(manifest), "--method", method,
+                 "--granularity", "fshape", "--out", str(work / "m.qnt")]) == 0
+    count = values.size
+    held = count + -(-count * 4 // 8)
+    if method == PWLQ:
+        held += count + -(-count // 8)
+    tracemalloc.start()
+    try:
+        assert main(["dequantize", str(work / "m.qnt"), str(work / "out" / "model.json")]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak - held
+
+
+@pytest.mark.parametrize("method", [AFFINE, PWLQ])
+def test_dequantize_command_working_set_does_not_grow_with_the_tensor(tmp_path, method):
+    # f-shape groups do not grow with the filters. The command decodes,
+    # casts and writes a block at a time, and reads the export back so.
+    small, large = (_dequantize_peak(tmp_path, n, method) for n in (256, 512))
+    assert large <= small + 8 * tensor_store.BLOCK / 4
+
+
+@pytest.mark.parametrize("method", [AFFINE, PWLQ])
+@pytest.mark.parametrize("dtype", ["f16", "f32"])
+def test_dequantized_files_do_not_depend_on_the_block_size(tmp_path, monkeypatch, method,
+                                                           dtype):
+    rng = np.random.default_rng(9)
+    shapes = {"conv": (24, 8, 3, 3), "proj": (20, 16, 1, 1), "head": (8, 4, 1, 1)}
+    manifest = write_manifest(tmp_path, [(name, shape, rng.laplace(0.0, 0.05, np.prod(shape)),
+                                          dtype) for name, shape in shapes.items()],
+                              exclude=["head"])
+    assert main(["quantize", "--manifest", str(manifest), "--method", method,
+                 "--out", str(tmp_path / "m.qnt")]) == 0
+    exported = []
+    for block in (1, tensor_store.BLOCK):
+        monkeypatch.setattr(tensor_store, "BLOCK", block)
+        out = tmp_path / f"out-{block}"
+        assert main(["dequantize", str(tmp_path / "m.qnt"), str(out / "model.json")]) == 0
+        exported.append({p.name: p.read_bytes() for p in out.iterdir()})
+    assert exported[0] == exported[1]
+    assert sorted(exported[0]) == ["conv.bin", "head.bin", "model.json", "proj.bin"]

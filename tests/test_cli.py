@@ -2,6 +2,7 @@ import csv
 import hashlib
 import json
 import os
+import warnings
 import weakref
 
 import numpy as np
@@ -15,6 +16,7 @@ from convquant import (
     iter_manifest,
     metrics,
     open_container,
+    pwlq,
     write_container,
 )
 from convquant.cli import main
@@ -104,21 +106,19 @@ class TestOneTensorAtATime:
         manifest = four_tensor_model(tmp_path)
         assert main(["quantize", "--manifest", str(manifest),
                      "--out", str(tmp_path / "m.qnt")]) == 0
-        alive = track_inputs(monkeypatch, "dequantize_tensor")
+        alive = track_inputs(monkeypatch, "decode_blocks")
         assert main(["dequantize", str(tmp_path / "m.qnt"),
                      str(tmp_path / "out" / "model.json")]) == 0
         assert alive == [0, 0, 0, 0]
 
-    @pytest.mark.parametrize("command", ["quantize", "dequantize", "sweep"])
+    @pytest.mark.parametrize("command", ["quantize", "sweep"])
     def test_each_tensor_read_is_dropped_before_the_next(self, tmp_path, monkeypatch,
                                                          command):
+        # dequantize reads its export back block by block (test_blocked.py).
         manifest, container = four_tensor_model(tmp_path), str(tmp_path / "m.qnt")
         argv = {"quantize": ["quantize", "--manifest", str(manifest), "--out", container],
-                "dequantize": ["dequantize", container, str(tmp_path / "out" / "model.json")],
                 "sweep": ["sweep", "--manifest", str(manifest), "--bits", "3:4",
                           "--out", str(tmp_path / "sweep.csv")]}
-        if command == "dequantize":     # whose read-back reads the exported tensors
-            assert main(argv["quantize"]) == 0
         alive = track_reads(monkeypatch)
         assert main(argv[command]) == 0
         assert alive == [0, 0, 0, 0, 0]     # the last read finds the end
@@ -513,6 +513,40 @@ class TestDequantizeCommand:
         out_manifest = tmp_path / "out" / "model.json"
         assert main(["dequantize", str(container), str(out_manifest)]) == 0
         assert (tmp_path / "out" / "proj.bin").read_bytes() == raw.tobytes()
+
+    @pytest.mark.parametrize("method,bits", [("affine", 2), ("sym-full", 2), ("pwlq", 3)])
+    def test_weights_at_the_f16_limits_round_trip(self, tmp_path, capsys, method, bits):
+        # At 2 bits, a layer over [-65504, 65504] decodes code -2 to -87,339,
+        # past binary16's range: it saturates to -65504.
+        values = np.array([-65504.0, 65504.0, 0.0, 100.0] * 4)
+        manifest = write_manifest(tmp_path, [("conv", (4, 4, 1, 1), values, "f16")])
+        container, out = tmp_path / "m.qnt", tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["quantize", "--manifest", str(manifest), "--method", method,
+                         "--granularity", "layer", "--bits", str(bits),
+                         "--out", str(container)]) == 0
+            assert main(["dequantize", str(container), str(out / "model.json")]) == 0
+        assert capsys.readouterr().err == ""
+        with open_container(container) as (_, tensors):
+            (q,) = tensors
+        records = [q.params[piece] for piece in pwlq.PIECES] if method == "pwlq" else [q.params]
+        step = max(float(r["scale"].max()) for r in records)
+        back = np.fromfile(out / "conv.bin", "<f2").astype(np.float64)
+        half_ulp = np.maximum(np.abs(values), np.abs(back)) * 2.0 ** -11
+        assert np.isfinite(back).all()
+        assert np.all(np.abs(back - values) <= step / 2 + half_ulp)
+
+    def test_manifest_named_like_a_data_file_keeps_it(self, tmp_path):
+        values = np.linspace(-1.0, 1.0, 16)
+        manifest = write_manifest(tmp_path, [("conv", (4, 4, 1, 1), values, "f16")])
+        container, out = tmp_path / "m.qnt", tmp_path / "out" / "conv.bin"
+        assert main(["quantize", "--manifest", str(manifest), "--out", str(container)]) == 0
+        assert main(["dequantize", str(container), str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert [e["file"] for e in doc["tensors"]] == ["conv.1.bin"]
+        _, tensors, _ = iter_manifest(out)
+        assert np.abs(next(tensors).values - values).max() < 0.07
 
     def test_failed_save_leaves_no_partial_output(self, tmp_path, capsys):
         manifest = synthetic_model(tmp_path, include_1x1=False)

@@ -23,7 +23,8 @@ from convquant.errors import (
     MissingFile,
     ShapeMismatch,
 )
-from convquant.tensor_store import staging_file
+from convquant import tensor_store
+from convquant.tensor_store import check_manifest, staging_file
 
 from conftest import write_manifest
 import scalar_oracle as oracle
@@ -164,6 +165,20 @@ class TestLoadManifest:
         (tmp_path / "b.bin").write_bytes(b"\x00")
         with pytest.raises(ShapeMismatch, match="b: 1 bytes"):
             iter_manifest(manifest)
+
+    def test_block_read_back_checks_every_piece(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(tensor_store, "BLOCK", 2)
+        values = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
+        manifest = write_manifest(tmp_path, [("a", (2,), [1.0, 2.0], "f32"),
+                                             ("b", (5,), values, "f16")])
+        assert check_manifest(manifest) == 2
+        values[4] = np.inf      # in the last, short piece
+        (tmp_path / "b.bin").write_bytes(values.astype("<f2").tobytes())
+        with pytest.raises(InvalidValue, match="^b: non-finite"):
+            check_manifest(manifest)
+        (tmp_path / "b.bin").write_bytes(b"\x00" * 12)
+        with pytest.raises(ShapeMismatch, match="b: 12 bytes"):
+            check_manifest(manifest)
 
     def test_tensors_read_when_asked_for(self, tmp_path):
         manifest = write_manifest(tmp_path, [("a", (1,), [1.0], "f16")])

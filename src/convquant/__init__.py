@@ -24,12 +24,7 @@ from .uniform import (
     code_domain,
     round_half_away,
 )
-from .pwlq import (
-    CENTER,
-    NEG_TAIL,
-    POS_TAIL,
-    PWLQ,
-)
+from .pwlq import PWLQ
 from .granularity import (
     C_SHAPE_WISE,
     CHANNEL_WISE,
@@ -38,19 +33,17 @@ from .granularity import (
     GRANULARITIES,
     LAYER_WISE,
     METHODS,
+    ErrorReport,
     QuantizedTensor,
     dequantize_tensor,
     make_passthrough,
     quantize_tensor,
 )
 from .metrics import (
-    ErrorReport,
     MemoryModel,
     baseline_bytes,
     figure_of_merit,
     memory_bytes,
-    memory_saving_ratio,
-    quant_error,
     select_granularity,
 )
 from .packing import PackedCodes, pack_codes, unpack_codes
@@ -66,14 +59,13 @@ __all__ = [
     "AFFINE", "SYMMETRIC_FULL", "SYMMETRIC_RESTRICTED", "code_domain",
     "round_half_away",
     # pwlq
-    "CENTER", "NEG_TAIL", "POS_TAIL", "PWLQ",
+    "PWLQ",
     # granularity
     "C_SHAPE_WISE", "CHANNEL_WISE", "F_SHAPE_WISE", "FILTER_WISE",
-    "GRANULARITIES", "LAYER_WISE", "METHODS", "QuantizedTensor",
+    "GRANULARITIES", "LAYER_WISE", "METHODS", "ErrorReport", "QuantizedTensor",
     "dequantize_tensor", "make_passthrough", "quantize_tensor",
     # metrics
-    "ErrorReport", "MemoryModel", "baseline_bytes",
-    "figure_of_merit", "memory_bytes", "memory_saving_ratio", "quant_error",
+    "MemoryModel", "baseline_bytes", "figure_of_merit", "memory_bytes",
     "select_granularity",
     # packing / container
     "PackedCodes", "pack_codes", "unpack_codes",

@@ -276,40 +276,40 @@ def _load_loss_file(path) -> dict[int, float]:
 
 
 def cmd_sweep(args) -> int:
-    written = []
+    staged = []     # the CSV is written here and moved to --out once whole
     try:
         excluded, tensors, data_files = iter_manifest(args.manifest, extra_exclude=args.exclude)
         _check_outputs({"--manifest": args.manifest, "--loss-file": args.loss_file},
                        {"--out": args.out}, data_files)
         bit_range = _parse_bits_range(args.bits, args.method)
         losses = _load_loss_file(args.loss_file) if args.loss_file else {}
+        if args.out:
+            staged.append(staging_file(args.out))
         summaries = {bits: [] for bits in bit_range}
         for tensor in tensors:   # read each tensor once, for every bit width
             for bits, summary in summaries.items():
                 summary.append(_summary(*_quantize_one(tensor, excluded, args, bits)))
             del tensor      # not held while the next one is read
 
-        rows = []
+        table = [["bits", "total_mse", "memory_saving",
+                  "memory_saving_with_region_bits", "figure_of_merit"]]
         for bits, summary in summaries.items():
             totals = _totals(summary)
             fom = ""
             if bits in losses:
                 fom = figure_of_merit(totals["memory_saving"], losses[bits])
-            rows.append([bits, totals["mse"], totals["memory_saving"],
-                         totals["memory_saving_with_region_bits"], fom])
+            table.append([bits, totals["mse"], totals["memory_saving"],
+                          totals["memory_saving_with_region_bits"], fom])
 
-        header = ["bits", "total_mse", "memory_saving",
-                  "memory_saving_with_region_bits", "figure_of_merit"]
-        if args.out:
-            written.append(args.out)
-        with (open(args.out, "w", newline="") if args.out
-              else contextlib.nullcontext(sys.stdout)) as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            writer.writerows(rows)
+        if not args.out:
+            csv.writer(sys.stdout).writerows(table)
+            return 0
+        with open(staged[0], "w", newline="") as fh:
+            csv.writer(fh).writerows(table)
+        os.replace(staged[0], args.out)
         return 0
     except (QuantError, OSError) as exc:
-        _cleanup(written)
+        _cleanup(staged)
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -295,19 +295,6 @@ def _report(errors, count: int) -> ErrorReport:
     return ErrorReport(sse / count, worst, count)
 
 
-def error_report(values: np.ndarray, reconstructed: np.ndarray,
-                 shape: TensorShape) -> ErrorReport:
-    """MSE and max |error| of a flat reconstruction, summed over the blocks
-    that :func:`quantize_tensor` measures; overwrites ``reconstructed``."""
-    blocks = _Blocks(shape, LAYER_WISE)     # every granularity has the same blocks
-    filter_size = values.size // shape.n
-    errors = []
-    for f0, f1, x in blocks.walk(values):
-        part = reconstructed[f0 * filter_size:f1 * filter_size]
-        errors.append(_block_error(x, part.reshape(x.shape)))
-    return _report(errors, values.size)
-
-
 def _fine_points(center: np.ndarray, grid_points: int):
     """Yield, per group, each lattice point within FINE_RADIUS of its best
     coarse point ``center``, the window shifted inward at the ends of the

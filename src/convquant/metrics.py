@@ -1,4 +1,7 @@
-"""Quantization-error metrics, granularity auto-selection and memory accounting.
+"""Granularity auto-selection and memory accounting.
+
+Candidates are ranked on the error that :func:`quantize_tensor` measures
+while it encodes (``QuantizedTensor.error``); nothing here decodes again.
 
 The memory model charges ceil(E * k / 8) bytes for the packed codes of an
 E-element tensor plus a fixed per-group cost for the stored parameters
@@ -13,17 +16,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InvalidInput, NoViableCandidate, ShapeMismatch
+from .errors import InvalidInput, NoViableCandidate
 from .granularity import (
     C_SHAPE_WISE,
     CHANNEL_WISE,
     F_SHAPE_WISE,
     FILTER_WISE,
     LAYER_WISE,
-    ErrorReport,
     QuantizedTensor,
-    dequantize_tensor,
-    error_report,
     group_layout,
     quantize_tensor,
 )
@@ -58,16 +58,6 @@ class MemoryModel:
         if method == AFFINE:
             return self.param_bytes_affine
         return self.param_bytes_symmetric
-
-
-def quant_error(original: WeightTensor, q: QuantizedTensor) -> ErrorReport:
-    """MSE and max absolute error between a tensor and its reconstruction."""
-    if original.shape != q.shape:
-        raise ShapeMismatch(
-            f"{original.name}: shape {original.shape.dims} vs {q.shape.dims}")
-    if q.passthrough:
-        return ErrorReport(0.0, 0.0, q.element_count)
-    return error_report(original.values, dequantize_tensor(q).values, q.shape)
 
 
 def select_granularity(t: WeightTensor, candidates, method: str, bits: int,
@@ -127,16 +117,6 @@ def memory_bytes(q: QuantizedTensor, model: MemoryModel) -> int:
     if model.charge_region_bits and q.method == PWLQ:
         total += -(-q.element_count // 8)
     return total
-
-
-def memory_saving_ratio(tensors, model: MemoryModel) -> float:
-    """Whole-model ratio of baseline bytes to quantized bytes."""
-    tensors = list(tensors)
-    if not tensors:
-        raise InvalidInput("memory_saving_ratio needs at least one tensor")
-    base = sum(baseline_bytes(q, model) for q in tensors)
-    quant = sum(memory_bytes(q, model) for q in tensors)
-    return base / quant
 
 
 def figure_of_merit(memory_saving: float, accuracy_loss_pct: float) -> float:

@@ -38,10 +38,6 @@ from .uniform import RECORD as UNIFORM_RECORD
 
 PWLQ = "pwlq"
 
-CENTER = 0
-NEG_TAIL = 1
-POS_TAIL = 2
-
 # Bounds on p/m keeping both regions non-empty even where the closed-form
 # estimate leaves (0, 1).
 RATIO_MIN = 0.05

@@ -3,7 +3,16 @@ import json
 import numpy as np
 import pytest
 
-from convquant import PWLQ, TensorShape, WeightTensor, pwlq, quantize_tensor
+from convquant import (
+    PWLQ,
+    ErrorReport,
+    TensorShape,
+    WeightTensor,
+    cli,
+    dequantize_tensor,
+    pwlq,
+    quantize_tensor,
+)
 from convquant.granularity import _Blocks
 
 
@@ -35,6 +44,18 @@ def matrix_tensor(mat, name="t"):
     matrix is the matrix itself."""
     mat = np.asarray(mat, dtype=np.float64)
     return WeightTensor(name, TensorShape(*mat.shape, 1, 1), mat.ravel(), 32)
+
+
+def decoded_error(t, q):
+    """MSE and max |error| of q's decode against t, computed with plain
+    numpy, independently of the error that quantize_tensor measures."""
+    diff = t.values.astype(np.float64) - dequantize_tensor(q).values
+    return ErrorReport(float(np.mean(diff * diff)), float(np.abs(diff).max()), diff.size)
+
+
+def memory_saving(tensors):
+    """The whole-model memory saving that the CLI's report prints for tensors."""
+    return cli._totals([cli._summary(q, False) for q in tensors])["memory_saving"]
 
 
 def bruteforce(t, scheme, bits, grid_points=pwlq.DEFAULT_GRID_POINTS):

@@ -12,8 +12,13 @@ import numpy as np
 
 from convquant import granularity, pwlq
 from convquant.errors import CodeOutOfDomain
-from convquant.pwlq import CENTER, NEG_TAIL, PIECES, POS_TAIL
+from convquant.pwlq import PIECES
 from convquant.uniform import round_half_away
+
+# Region ids of the masked formulation, each the index of its piece in PIECES.
+CENTER = 0
+NEG_TAIL = 1
+POS_TAIL = 2
 
 
 def fold_regions(regions, values, bits):

@@ -22,8 +22,6 @@ from convquant import (
     PWLQ,
     SYMMETRIC_FULL,
     SYMMETRIC_RESTRICTED,
-    CENTER,
-    POS_TAIL,
     MemoryModel,
     TensorShape,
     WeightTensor,
@@ -34,10 +32,8 @@ from convquant import (
     iter_manifest,
     make_passthrough,
     memory_bytes,
-    memory_saving_ratio,
     open_container,
     pack_codes,
-    quant_error,
     quantize_tensor,
     resolve_exclusions,
     select_granularity,
@@ -48,8 +44,10 @@ from convquant import pwlq, uniform
 from convquant.cli import main
 from convquant.granularity import group_count
 
-from conftest import bruteforce, closed_form, gaussian_tensor, matrix_tensor, write_manifest
+from conftest import (bruteforce, closed_form, decoded_error, gaussian_tensor, matrix_tensor,
+                      memory_saving, write_manifest)
 import masked_pwlq as masked
+from masked_pwlq import CENTER, POS_TAIL
 import scalar_oracle as oracle
 
 
@@ -165,7 +163,7 @@ def scalar_cases():
     case("filter-wise reconstruction", rec, [1.0, 2.0, 3.0, 4.0],
          dequantize_tensor(q).values.tolist())
     case("filter-wise mse", oracle.mse([1.0, 2.0, 3.0, 4.0], rec),
-         0.0, quant_error(t, q).mse)
+         0.0, q.error.mse)
 
     case("memory bytes f-shape worked example", oracle.group_bytes(36864, 4, 576, 4),
          20736, memory_bytes(
@@ -341,8 +339,8 @@ def test_criterion_06_selector_optimality():
     fixed_sse = dict.fromkeys(auto3, 0.0)
     for t in tensors:
         scheme, q = select_granularity(t, auto3, AFFINE, 4)
-        chosen = quant_error(t, q).mse
-        recomputed = {s: quant_error(t, quantize_tensor(t, s, AFFINE, 4)).mse
+        chosen = decoded_error(t, q).mse
+        recomputed = {s: decoded_error(t, quantize_tensor(t, s, AFFINE, 4)).mse
                       for s in auto3}
         assert chosen == min(recomputed.values())
         assert recomputed[scheme] == chosen
@@ -360,19 +358,18 @@ def test_criterion_06_selector_optimality():
 # ---------------------------------------------------------------------------
 
 def test_criterion_07_memory_model():
-    mm = MemoryModel()
     big = gaussian_tensor((64, 64, 3, 3), seed=0)
     fshape = quantize_tensor(big, F_SHAPE_WISE, AFFINE, 4)
     layer = quantize_tensor(big, LAYER_WISE, AFFINE, 4)
-    ratio_fshape = memory_saving_ratio([fshape], mm)
-    ratio_layer = memory_saving_ratio([layer], mm)
+    ratio_fshape = memory_saving([fshape])
+    ratio_layer = memory_saving([layer])
     assert round(ratio_fshape, 4) == 3.5556
     assert round(ratio_layer, 4) == 3.9991
 
     sparse_groups = quantize_tensor(gaussian_tensor((8, 32, 8, 8), seed=1),
                                     LAYER_WISE, AFFINE, 4)
     assert 1 / sparse_groups.element_count < 1e-4  # G/E below 1e-4
-    ratio = memory_saving_ratio([sparse_groups], mm)
+    ratio = memory_saving([sparse_groups])
     assert 3.96 <= ratio < 4.00
     report(7, f"worked ratios {ratio_fshape:.4f} / {ratio_layer:.4f}; "
               f"large-group ratio {ratio:.5f}")

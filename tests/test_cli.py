@@ -699,6 +699,35 @@ class TestSweepCommand:
         assert "error: --loss-file and --out are the same file" in capsys.readouterr().err
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
+    def test_out_that_is_a_directory_fails_cleanly(self, tmp_path, capsys):
+        manifest = synthetic_model(tmp_path, include_1x1=False)
+        out = tmp_path / "sweep.csv"
+        out.mkdir()
+        (out / "kept.txt").write_text("kept")
+        before = sorted(tmp_path.rglob("*"))
+        rc = main(["sweep", "--manifest", str(manifest), "--bits", "3:4", "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert sorted(tmp_path.rglob("*")) == before
+        assert (out / "kept.txt").read_text() == "kept"
+
+    def test_failed_move_keeps_earlier_csv(self, tmp_path, monkeypatch, capsys):
+        manifest = synthetic_model(tmp_path, include_1x1=False)
+        out = tmp_path / "sweep.csv"
+        out.write_bytes(b"an earlier sweep")
+        before = sorted(tmp_path.iterdir())
+
+        def fail(*args):
+            raise OSError("move failed")
+
+        monkeypatch.setattr(os, "replace", fail)
+        rc = main(["sweep", "--manifest", str(manifest), "--bits", "3:4", "--out", str(out)])
+        assert rc == 1
+        assert "error: move failed" in capsys.readouterr().err
+        assert out.read_bytes() == b"an earlier sweep"
+        assert sorted(tmp_path.iterdir()) == before
+
     def test_stdout_output(self, tmp_path, capsys):
         manifest = synthetic_model(tmp_path, include_1x1=False)
         rc = main(["sweep", "--manifest", str(manifest), "--method", "affine",

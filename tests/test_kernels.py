@@ -12,14 +12,11 @@ from hypothesis import given, settings, strategies as st
 
 from convquant import (
     AFFINE,
-    CENTER,
     CHANNEL_WISE,
     F_SHAPE_WISE,
     FILTER_WISE,
     GRANULARITIES,
     LAYER_WISE,
-    NEG_TAIL,
-    POS_TAIL,
     PWLQ,
     SYMMETRIC_FULL,
     SYMMETRIC_RESTRICTED,
@@ -34,6 +31,7 @@ from convquant.granularity import GROUP_LAYOUT, _as_group_matrix, _Blocks
 
 from conftest import bruteforce, matrix_tensor
 import masked_pwlq as masked
+from masked_pwlq import CENTER, NEG_TAIL, POS_TAIL
 import scalar_oracle as oracle
 
 REGION_NAMES = {"center": CENTER, "neg": NEG_TAIL, "pos": POS_TAIL}

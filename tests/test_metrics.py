@@ -19,35 +19,33 @@ from convquant import (
     figure_of_merit,
     make_passthrough,
     memory_bytes,
-    memory_saving_ratio,
-    quant_error,
     quantize_tensor,
     select_granularity,
 )
 from convquant import granularity, metrics
 from convquant.cli import AUTO_CANDIDATES
-from convquant.errors import InvalidInput, NoViableCandidate, ShapeMismatch
+from convquant.errors import InvalidInput, NoViableCandidate
 from convquant.granularity import group_layout
 from convquant.metrics import SELECTION_PREFERENCE, baseline_bytes
 
-from conftest import gaussian_tensor
+from conftest import decoded_error, gaussian_tensor, memory_saving
 import scalar_oracle as oracle
 
 ALL_FOUR = (FILTER_WISE, CHANNEL_WISE, F_SHAPE_WISE, C_SHAPE_WISE)
 
 
-class TestQuantError:
+class TestMeasuredError:
     def test_passthrough_reports_zero(self):
         t = gaussian_tensor((4, 4, 1, 1), seed=0)
         q = quantize_tensor(t, CHANNEL_WISE, AFFINE, 4)
-        report = quant_error(t, q)
+        report = q.error
         assert report.mse == 0.0 and report.max_abs == 0.0
         assert report.element_count == 16
 
     def test_exact_reconstruction_reports_zero(self):
         t = WeightTensor("t", TensorShape(2, 1, 1, 2), np.array([1.0, 2.0, 3.0, 4.0]))
         q = quantize_tensor(t, FILTER_WISE, AFFINE, 2)
-        report = quant_error(t, q)
+        report = q.error
         assert report.mse == 0.0 and report.max_abs == 0.0
 
     def test_two_bit_layer_example(self):
@@ -55,7 +53,7 @@ class TestQuantError:
         # error of 1/6 (oracle-computed).
         t = WeightTensor("t", TensorShape(2, 1, 1, 1), np.array([0.0, 1.0]))
         q = quantize_tensor(t, LAYER_WISE, AFFINE, 2)
-        assert quant_error(t, q).mse == 0.0
+        assert q.error.mse == 0.0
 
         s, z, codes = oracle.quantize_slice_affine([0.0, 0.5, 1.0], 2)
         rec = [oracle.dequantize(c, s, z) for c in codes]
@@ -63,16 +61,9 @@ class TestQuantError:
 
         t3 = WeightTensor("t", TensorShape(3, 1, 1, 1), np.array([0.0, 0.5, 1.0]))
         q3 = quantize_tensor(t3, LAYER_WISE, AFFINE, 2)
-        report = quant_error(t3, q3)
+        report = q3.error
         assert report.mse == pytest.approx(0.00925925925925926, rel=1e-12)
         assert report.max_abs == pytest.approx(0.16666666666666669, rel=1e-12)
-
-    def test_shape_mismatch(self):
-        t = gaussian_tensor((2, 2, 2, 2), seed=1)
-        other = gaussian_tensor((2, 2, 2, 1), seed=1)
-        q = quantize_tensor(t, LAYER_WISE, AFFINE, 4)
-        with pytest.raises(ShapeMismatch):
-            quant_error(other, q)
 
 
 class TestSelectGranularity:
@@ -95,9 +86,9 @@ class TestSelectGranularity:
     def test_returns_the_minimum_mse_candidate(self):
         t = gaussian_tensor((16, 8, 3, 3), seed=4)
         scheme, q = select_granularity(t, ALL_FOUR, AFFINE, 4)
-        chosen = quant_error(t, q).mse
+        chosen = decoded_error(t, q).mse
         individually = {
-            s: quant_error(t, quantize_tensor(t, s, AFFINE, 4)).mse
+            s: decoded_error(t, quantize_tensor(t, s, AFFINE, 4)).mse
             for s in ALL_FOUR}
         assert chosen == min(individually.values())
         assert individually[scheme] == chosen
@@ -231,21 +222,21 @@ class TestMemoryModel:
         mm = MemoryModel()
         assert memory_bytes(q, mm) == 20736
         assert baseline_bytes(q, mm) == 73728
-        assert memory_saving_ratio([q], mm) == pytest.approx(3.5556, abs=5e-5)
+        assert memory_saving([q]) == pytest.approx(3.5556, abs=5e-5)
 
     def test_worked_layer_example(self):
         assert oracle.group_bytes(36864, 4, 1, 4) == 18436
         q = quantized((64, 64, 3, 3), LAYER_WISE)
         mm = MemoryModel()
         assert memory_bytes(q, mm) == 18436
-        assert memory_saving_ratio([q], mm) == pytest.approx(3.9991, abs=5e-5)
+        assert memory_saving([q]) == pytest.approx(3.9991, abs=5e-5)
 
     def test_passthrough_counts_at_baseline(self):
         q = quantized((16, 16, 1, 1), CHANNEL_WISE)
         assert q.passthrough
         mm = MemoryModel()
         assert memory_bytes(q, mm) == baseline_bytes(q, mm) == 512
-        assert memory_saving_ratio([q], mm) == 1.0
+        assert memory_saving([q]) == 1.0
 
     def test_region_bits_charged_only_for_pwlq(self):
         mm_off = MemoryModel()
@@ -268,23 +259,20 @@ class TestMemoryModel:
 
     def test_ratio_approaches_bit_ratio_for_large_groups(self):
         q = quantized((8, 32, 8, 8), LAYER_WISE)  # G/E = 1/16384
-        ratio = memory_saving_ratio([q], MemoryModel())
+        ratio = memory_saving([q])
         assert ratio <= 16 / 4
         assert ratio > (16 / 4) * 0.99
 
     def test_excluded_tensor_drags_ratio_toward_one(self):
-        mm = MemoryModel()
         kept = quantized((8, 8, 3, 3), F_SHAPE_WISE)
         skipped = make_passthrough(gaussian_tensor((8, 8, 3, 3), seed=1),
                                    LAYER_WISE, AFFINE, 4)
-        both = memory_saving_ratio([kept, skipped], mm)
-        assert 1.0 < both < memory_saving_ratio([kept], mm)
+        both = memory_saving([kept, skipped])
+        assert 1.0 < both < memory_saving([kept])
 
     def test_model_validation(self):
         with pytest.raises(InvalidInput):
             MemoryModel(param_bytes_affine=0)
-        with pytest.raises(InvalidInput):
-            memory_saving_ratio([], MemoryModel())
 
 
 class TestMixedSelection:
@@ -295,10 +283,10 @@ class TestMixedSelection:
         fixed_sse = {s: 0.0 for s in candidates}
         for t in tensors:
             _, q = select_granularity(t, candidates, AFFINE, 4)
-            auto_sse += quant_error(t, q).mse * t.shape.element_count
+            auto_sse += decoded_error(t, q).mse * t.shape.element_count
             for s in candidates:
                 fixed = quantize_tensor(t, s, AFFINE, 4)
-                fixed_sse[s] += quant_error(t, fixed).mse * t.shape.element_count
+                fixed_sse[s] += decoded_error(t, fixed).mse * t.shape.element_count
         for s in candidates:
             assert auto_sse <= fixed_sse[s] + 1e-15
 

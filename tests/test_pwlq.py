@@ -4,10 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from convquant import (
     AFFINE,
-    CENTER,
     FILTER_WISE,
-    NEG_TAIL,
-    POS_TAIL,
     PWLQ,
     TensorShape,
     WeightTensor,
@@ -18,7 +15,7 @@ from convquant.errors import BitsTooSmall, BreakpointOutOfRange, CodeOutOfDomain
 from convquant.pwlq import decode, encode, group_records, piece_table, ratios_from_squares
 
 from conftest import bruteforce, closed_form, gaussian_tensor, matrix_tensor
-from masked_pwlq import fold_regions, unfold_regions
+from masked_pwlq import CENTER, NEG_TAIL, POS_TAIL, fold_regions, unfold_regions
 import scalar_oracle as oracle
 
 

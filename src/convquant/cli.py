@@ -156,15 +156,17 @@ def _write_report(path, args, rows, totals) -> None:
 
 def _check_outputs(inputs: dict, outputs: dict, data_files=frozenset()) -> None:
     """Raise InvalidInput if an output path names an input or another output,
-    or leads to one of the ``data_files`` (``(st_dev, st_ino)`` pairs) that
-    the manifest lists. ``inputs`` and ``outputs`` map an argument to its
-    path, or to None when it is not given."""
+    is an existing directory, or leads to one of the ``data_files``
+    (``(st_dev, st_ino)`` pairs) that the manifest lists. ``inputs`` and
+    ``outputs`` map an argument to its path, or to None when it is not given."""
     seen = {Path(p).resolve(): arg for arg, p in inputs.items() if p}
     for arg, p in outputs.items():
         if p:
             path = Path(p).resolve()
             if path in seen:
                 raise InvalidInput(f"{seen[path]} and {arg} are the same file: {p}")
+            if path.is_dir():
+                raise InvalidInput(f"{arg} is a directory: {p}")
             seen[path] = arg
             with contextlib.suppress(OSError):
                 info = os.stat(p)

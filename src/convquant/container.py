@@ -7,8 +7,9 @@ Layout::
     <payload>                    binary sections, offsets relative to payload
 
 The header lists the memory-model parameters and one record per tensor
-(name, shape, method, scheme, bits, group count, section offsets). Payload
-sections per tensor:
+(name, shape, method, scheme, bits, group count, section offsets). It is
+written as compact JSON with sorted keys; the reader takes any JSON, such
+as the indented headers of earlier writers. Payload sections per tensor:
 
 * ``params``: one record per group. A uniform record is 10 bytes
   ``<kind u8, bits u8, scale f16, zero_point i16, beta f16, alpha f16>``
@@ -26,7 +27,8 @@ zero-points as 16-bit signed integers, so round-trip equality is defined
 after that rounding. Values outside those ranges, and scales that round to
 zero, are an InvalidInput naming the tensor and the group, raised before
 anything is written. The reader rejects every record that decode could not
-use with CorruptHeader.
+use with CorruptHeader. It keeps the codes and region bits packed, as
+stored; decode unpacks them a block at a time.
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ from .errors import (
 )
 from .granularity import GRANULARITIES, METHODS, QuantizedTensor, group_count
 from .metrics import MemoryModel
-from .packing import PackedCodes, pack_codes, unpack_codes
+from .packing import PackedCodes, pack_codes
 from .pwlq import PIECES, PWLQ, PWLQ_KIND
 from .pwlq import RECORD as PWLQ_RECORD
 from .tensor_store import NUMPY_DTYPES, TensorShape, staging_file
@@ -182,10 +184,12 @@ def _sections(q: QuantizedTensor) -> dict:
     """A tensor's payload sections, in write order, as buffers not copied."""
     if q.passthrough:
         return {"raw": np.asarray(q.values).astype(NUMPY_DTYPES[q.source_bits], copy=False)}
-    sections = {"params": _pack_params(q), "codes": pack_codes(q.codes, q.bits).data}
+    packed = q.packed   # read from a container: written as it was stored
+    sections = {"params": _pack_params(q),
+                "codes": (q.codes if packed else pack_codes(q.codes, q.bits)).data}
     if q.method == PWLQ:
-        region = np.asarray(q.region_bits, dtype=np.uint8)
-        sections["regions"] = np.packbits(region, bitorder="little")
+        sections["regions"] = q.region_bits if packed else np.packbits(
+            np.asarray(q.region_bits, dtype=np.uint8), bitorder="little")
     return sections
 
 
@@ -227,7 +231,8 @@ def write_container(tensors: Iterable[QuantizedTensor], memory_model: MemoryMode
                 "payload_size": spool.tell(),
                 "tensors": records,
             }
-            header_bytes = json.dumps(header, indent=1, sort_keys=True).encode("utf-8")
+            header_bytes = json.dumps(header, separators=(",", ":"),
+                                      sort_keys=True).encode("utf-8")
             with open(tmp, "wb") as fh:
                 fh.write(f"{FORMAT_VERSION} {len(header_bytes)}\n".encode("ascii"))
                 fh.write(header_bytes)
@@ -264,8 +269,10 @@ def open_container(path):
 
     Yields ``(memory_model, tensors)``. The header is parsed and every
     record and section bound in it checked before this returns; iterating
-    ``tensors`` then reads and decodes each quantized tensor, in header
-    order, from the one open file. The file closes when the block exits.
+    ``tensors`` then reads each tensor, in header order, from the one open
+    file: its params checked and parsed, its codes and region bits packed
+    (see :class:`convquant.granularity.QuantizedTensor`). The file closes
+    when the block exits.
     """
     with open(path, "rb") as fh:
         memory_model, records, payload_start = _read_header(fh)
@@ -382,15 +389,13 @@ def _check_record(record, payload_size: int, claimed: list) -> tuple[QuantizedTe
 
 
 def _read_tensor(q: QuantizedTensor, spans: dict, read) -> QuantizedTensor:
-    """Decode one checked record; ``read(span)`` returns a section's bytes."""
+    """Read one checked record's sections; ``read(span)`` returns a
+    section's bytes."""
     if q.passthrough:
         values = np.frombuffer(read(spans["raw"]), NUMPY_DTYPES[q.source_bits])
         return replace(q, values=values.copy())
     params = _unpack_params(q.name, read(spans["params"]), group_count(q.shape, q.scheme),
                             q.method, q.bits)
-    codes = unpack_codes(PackedCodes(q.bits, q.element_count, read(spans["codes"])))
-    region_bits = None
-    if "regions" in spans:
-        region_bits = np.unpackbits(np.frombuffer(read(spans["regions"]), np.uint8),
-                                    count=q.element_count, bitorder="little")
+    codes = PackedCodes(q.bits, q.element_count, read(spans["codes"]))
+    region_bits = read(spans["regions"]) if "regions" in spans else None
     return replace(q, params=params, codes=codes, region_bits=region_bits)

@@ -44,6 +44,7 @@ from .errors import (
     DegenerateRange,
     InvalidInput,
 )
+from .packing import PackedCodes, unpack_codes
 from .pwlq import PWLQ
 from .tensor_store import TensorShape, WeightTensor
 from .uniform import SYMMETRIC_RESTRICTED, UNIFORM_SCHEMES, check_bits, code_domain
@@ -241,11 +242,15 @@ class QuantizedTensor:
     ``params`` holds one record per group: :data:`convquant.uniform.RECORD`
     for the uniform methods, :data:`convquant.pwlq.RECORD` for pwlq.
     ``codes`` holds one signed k-bit int8 code per element in row-major
-    order; for the pwlq method ``region_bits`` marks tail elements and the
-    codes are folded as :func:`convquant.pwlq.encode` folds them.
-    Passthrough tensors keep their original ``values`` instead. ``error`` is
-    the reconstruction error against the source, measured when the tensor
-    was quantized (None for a tensor read from a container).
+    order; for the pwlq method ``region_bits`` marks tail elements (one
+    uint8 per element) and the codes are folded as
+    :func:`convquant.pwlq.encode` folds them. A tensor read from a container
+    keeps both as stored (:attr:`packed`): ``codes`` is a
+    :class:`convquant.packing.PackedCodes` and ``region_bits`` the bitmap's
+    bytes, one bit per element, little-endian bit order. Passthrough
+    tensors keep their original ``values`` instead. ``error`` is the
+    reconstruction error against the source, measured when the tensor was
+    quantized (None for a tensor read from a container).
     """
 
     name: str
@@ -268,6 +273,10 @@ class QuantizedTensor:
     @property
     def element_count(self) -> int:
         return self.shape.element_count
+
+    @property
+    def packed(self) -> bool:
+        return isinstance(self.codes, PackedCodes)
 
 
 def make_passthrough(t: WeightTensor, scheme: str, method: str, bits: int) -> QuantizedTensor:
@@ -449,10 +458,39 @@ def quantize_tensor(t: WeightTensor, scheme: str, method: str, bits: int,
         error=_report(errors, t.shape.element_count))
 
 
+def _stored_blocks(q: QuantizedTensor, blocks: _Blocks):
+    """Yield (f0, f1, codes, region bits) for each block of filters, both in
+    the block's (n, c, h*w) shape: views of ``q``'s int8 codes and uint8
+    region bits, or, when ``q`` is :attr:`~QuantizedTensor.packed`, of
+    their unpacked part. Packed streams are unpacked a span of eight blocks
+    at a time into one reused buffer, as fewer, larger calls take less time
+    per code. Region bits are None for the uniform methods."""
+    per_filter, span = q.element_count // q.shape.n, 8 * blocks.step
+    if q.packed:
+        buf = np.empty(min(span, q.shape.n) * per_filter, np.int8)
+        bitmap = None if q.region_bits is None else np.frombuffer(q.region_bits, np.uint8)
+    for f0, f1 in blocks.ranges:
+        if f0 % span == 0:      # blocks start at multiples of blocks.step
+            # A multiple of 8 weights: a word of the codes, a byte of the bitmap.
+            start, stop = f0 * per_filter, min(f0 + span, q.shape.n) * per_filter
+            if not q.packed:
+                codes = q.codes[start:stop]
+                regions = None if q.region_bits is None else q.region_bits[start:stop]
+            else:
+                codes = unpack_codes(q.codes, start, stop, out=buf[:stop - start])
+                regions = None if bitmap is None else np.unpackbits(
+                    bitmap[start // 8:-(-stop // 8)], count=stop - start, bitorder="little")
+        part = slice(f0 * per_filter - start, f1 * per_filter - start)
+        shape = (f1 - f0, *blocks.dims[1:])
+        yield (f0, f1, codes[part].reshape(shape),
+               None if regions is None else regions[part].reshape(shape))
+
+
 def _check_codes(q: QuantizedTensor, blocks: _Blocks) -> None:
     """Raise CorruptCodes naming the first group with a code outside its
     domain: the signed k-bit range for pwlq's combined codes."""
-    cmin, cmax = blocks.extremes(q.codes)
+    stored = ((f0, f1, codes) for f0, f1, codes, _ in _stored_blocks(q, blocks))
+    cmin, cmax = blocks._reduce(stored, (np.minimum, np.maximum), (np.inf, -np.inf))
     if q.method != PWLQ:
         try:
             _uniform.check_code_range(q.params, cmin, cmax)
@@ -465,46 +503,63 @@ def _check_codes(q: QuantizedTensor, blocks: _Blocks) -> None:
                        f"{q.bits}-bit range")
 
 
+def _check_stored(q: QuantizedTensor) -> None:
+    """Raise CorruptCodes unless ``q`` holds a code per element and, for
+    pwlq, a region bit per element, in either form, and a record per group."""
+    count = q.element_count
+    if q.packed:
+        codes_fit, bitmap = q.codes.count == count and q.codes.bits == q.bits, -(-count // 8)
+    else:
+        codes_fit, bitmap = q.codes is not None and len(q.codes) == count, count
+    if not codes_fit:
+        raise CorruptCodes(f"{q.name}: code array missing or wrong length")
+    expected_groups = group_count(q.shape, q.scheme)
+    if q.group_count != expected_groups:
+        raise CorruptCodes(
+            f"{q.name}: {q.group_count} parameter sets for {expected_groups} groups")
+    if q.method == PWLQ and (q.region_bits is None or len(q.region_bits) != bitmap):
+        raise CorruptCodes(f"{q.name}: region bitmap missing or wrong length")
+
+
 def decode_blocks(q: QuantizedTensor, dtype) -> Iterator[np.ndarray]:
     """Yield the flat values of ``q`` one block of filters at a time, each
     decoded in float64 and cast to ``dtype`` into one reused array, which
     holds it until the next block; passthrough blocks are its values.
 
-    A decoded value beyond the largest finite magnitude of ``dtype``
-    saturates to it: every source value is finite at its source precision,
-    so this only moves a value toward its source. A code outside its group's
-    domain raises CorruptCodes naming the tensor and the first such group;
-    a value still not finite after the cast, InvalidValue.
+    Codes and region bits are read a block at a time, in either of the forms
+    :class:`QuantizedTensor` holds them. A decoded value beyond the largest
+    finite magnitude of ``dtype`` saturates to it: every source value is
+    finite at its source precision, so this only moves a value toward its
+    source. A code outside its group's domain raises CorruptCodes naming the
+    tensor and the first such group, when the block that holds one is
+    reached; a value still not finite after the cast, InvalidValue.
     """
     pwlq = q.method == PWLQ
     blocks = _Blocks(q.shape, q.scheme)
-    if not q.passthrough:
-        if q.codes is None or len(q.codes) != q.element_count:
-            raise CorruptCodes(f"{q.name}: code array missing or wrong length")
-        expected_groups = group_count(q.shape, q.scheme)
-        if q.group_count != expected_groups:
-            raise CorruptCodes(
-                f"{q.name}: {q.group_count} parameter sets for {expected_groups} groups")
-        if pwlq and (q.region_bits is None or len(q.region_bits) != q.element_count):
-            raise CorruptCodes(f"{q.name}: region bitmap missing or wrong length")
+    if q.passthrough:
+        source = ((f0, f1, x, None) for f0, f1, x in blocks.walk(q.values, upcast=False))
+    else:
+        _check_stored(q)
+        source = _stored_blocks(q, blocks)
         half = 1 << (q.bits - 1)
         # Every code within the narrowest domain of any group is in its own.
-        if (q.codes.min() < -half + (q.method == SYMMETRIC_RESTRICTED)
-                or q.codes.max() > half - 1):
-            _check_codes(q, blocks)
+        lo, hi = -half + (q.method == SYMMETRIC_RESTRICTED), half - 1
         if pwlq:
-            region_bits = q.region_bits.reshape(blocks.dims)
             table, buffers = _pwlq.piece_table(q.params, q.bits), _pwlq.Buffers()
 
     out = np.empty(min(blocks.step, q.shape.n) * (q.element_count // q.shape.n), dtype)
-    for f0, f1, block in blocks.walk(q.values if q.passthrough else q.codes, upcast=False):
+    for f0, f1, block, regions in source:
         if q.passthrough:
             x = block
-        elif pwlq:
-            x = _pwlq.decode(blocks.of(table, f0, f1), region_bits[f0:f1], block, buffers)
         else:
-            rec = blocks.of(q.params, f0, f1)
-            x = _uniform.decode(block, rec["scale"], rec["zero_point"])
+            if block.min() < lo or block.max() > hi:
+                _check_codes(q, blocks)     # raises, or finds every code in its domain,
+                lo, hi = -half, half - 1    # which lies in the k-bit range
+            if pwlq:
+                x = _pwlq.decode(blocks.of(table, f0, f1), regions, block, buffers)
+            else:
+                rec = blocks.of(q.params, f0, f1)
+                x = _uniform.decode(block, rec["scale"], rec["zero_point"])
         part = out[:x.size]
         with np.errstate(over="ignore"):
             np.copyto(part, x.reshape(-1))

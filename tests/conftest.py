@@ -12,6 +12,7 @@ from convquant import (
     dequantize_tensor,
     pwlq,
     quantize_tensor,
+    unpack_codes,
 )
 from convquant.granularity import _Blocks
 
@@ -44,6 +45,23 @@ def matrix_tensor(mat, name="t"):
     matrix is the matrix itself."""
     mat = np.asarray(mat, dtype=np.float64)
     return WeightTensor(name, TensorShape(*mat.shape, 1, 1), mat.ravel(), 32)
+
+
+def split_container(blob):
+    """A qnt/1 container's bytes as (its JSON header's bytes, the payload)."""
+    newline = blob.index(b"\n")
+    payload = newline + 1 + int(blob[:newline].split()[1])
+    return blob[newline + 1:payload], blob[payload:]
+
+
+def unpacked(q):
+    """The int8 codes and uint8 region bits (None for the uniform methods)
+    of a tensor read from a container, one per element."""
+    regions = None
+    if q.region_bits is not None:
+        regions = np.unpackbits(np.frombuffer(q.region_bits, np.uint8),
+                                count=q.element_count, bitorder="little")
+    return unpack_codes(q.codes), regions
 
 
 def decoded_error(t, q):

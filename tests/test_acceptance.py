@@ -45,7 +45,7 @@ from convquant.cli import main
 from convquant.granularity import group_count
 
 from conftest import (bruteforce, closed_form, decoded_error, gaussian_tensor, matrix_tensor,
-                      memory_saving, write_manifest)
+                      memory_saving, unpacked, write_manifest)
 import masked_pwlq as masked
 from masked_pwlq import CENTER, POS_TAIL
 import scalar_oracle as oracle
@@ -267,9 +267,10 @@ def _assert_field_exact_post_f16(orig, back):
     if orig.passthrough:
         assert np.array_equal(back.values, orig.values)
         return
-    assert np.array_equal(back.codes, orig.codes)
+    codes, region_bits = unpacked(back)
+    assert np.array_equal(codes, orig.codes)
     if orig.method == PWLQ:
-        assert np.array_equal(back.region_bits, orig.region_bits)
+        assert np.array_equal(region_bits, orig.region_bits)
     check_records(orig.params, back.params)
 
 

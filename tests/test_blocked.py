@@ -8,6 +8,7 @@ tensor.
 """
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,12 +23,16 @@ from convquant import (
     LAYER_WISE,
     METHODS,
     PWLQ,
+    MemoryModel,
     TensorShape,
     WeightTensor,
     dequantize_tensor,
+    open_container,
+    pack_codes,
     quantize_tensor,
     granularity,
     tensor_store,
+    write_container,
 )
 from convquant.cli import main
 from convquant.errors import CorruptCodes
@@ -119,6 +124,62 @@ def test_corrupt_codes_name_the_first_bad_group(monkeypatch, method):
     codes[-1, 7] = 100      # group 7, last block
     with pytest.raises(CorruptCodes, match=r"^many-filters-f32: group 7: "):
         dequantize_tensor(q)
+
+
+def _packed(q):
+    """``q`` with its codes and region bits packed, as a container holds them."""
+    regions = q.region_bits
+    if regions is not None:
+        regions = np.packbits(regions, bitorder="little").tobytes()
+    return replace(q, codes=pack_codes(q.codes, q.bits), region_bits=regions)
+
+
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("scheme", GRANULARITIES)
+def test_packed_decode_matches_the_unpacked_one(monkeypatch, scheme, method):
+    # Blocks of filters of 9, 27 or 36 weights start mid-word, several spans
+    # of eight blocks end in a short one, and five of these tensors hold a
+    # count of weights that is not a multiple of 8; at one weight, a packed
+    # bitmap is as long as an unpacked one.
+    tensors = [TENSORS[i] for i in (0, 1, 2, 4, 6)]
+    tensors += [_tensor("odd-filters", (19, 3, 3, 1), np.float32, 7),
+                _tensor("one-weight", (1, 1, 1, 1), np.float16, 8)]
+    for t in tensors:
+        for bits in range(3 if method == PWLQ else 2, 9):
+            q = quantize_tensor(t, scheme, method, bits)
+            if q.passthrough:
+                continue
+            packed = _packed(q)
+            for block in (1, 97):
+                monkeypatch.setattr(tensor_store, "BLOCK", block)
+                assert (dequantize_tensor(packed).values.tobytes()
+                        == dequantize_tensor(q).values.tobytes()), (t.name, bits, block)
+
+
+@pytest.mark.parametrize("method", [AFFINE, PWLQ])
+def test_container_decode_holds_no_whole_tensor_array(tmp_path, monkeypatch, method):
+    # A whole-tensor int8 code or uint8 region-bit array would take a byte
+    # per weight. Reading and decoding hold the packed sections, a few
+    # records per group (120 bytes each for pwlq) and a few spans of blocks.
+    monkeypatch.setattr(tensor_store, "BLOCK", 4096)
+    shape = TensorShape(1024, 128, 3, 3)
+    values = np.random.default_rng(3).laplace(0.0, 0.02, shape.element_count)
+    path = tmp_path / "m.qnt"
+    write_container([quantize_tensor(WeightTensor("t", shape, values), F_SHAPE_WISE,
+                                     method, 4)], MemoryModel(), path)
+    del values
+    sections = path.stat().st_size
+    tracemalloc.start()
+    try:
+        with open_container(path) as (_, tensors):
+            for q in tensors:
+                for _ in granularity.decode_blocks(q, np.float16):
+                    pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert shape.element_count >= 1 << 20
+    assert peak - sections <= shape.element_count / 2
 
 
 def test_zero_extremes_take_ieee_signs_in_every_block_order(monkeypatch):

@@ -4,25 +4,30 @@ import json
 import os
 import warnings
 import weakref
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from convquant import (
     MemoryModel,
+    PackedCodes,
     cli,
     container,
     granularity,
     iter_manifest,
     metrics,
     open_container,
+    pack_codes,
     pwlq,
+    tensor_store,
+    unpack_codes,
     write_container,
 )
 from convquant.cli import main
 from convquant.errors import CorruptHeader
 
-from conftest import write_manifest
+from conftest import split_container, write_manifest
 
 
 def synthetic_model(dir_path, include_1x1=True, seed=0):
@@ -241,6 +246,38 @@ class TestQuantizeCommand:
         assert "report failed" in capsys.readouterr().err
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
+    def test_out_that_is_a_directory_keeps_earlier_report(self, tmp_path, capsys):
+        # The container's move into place would fail after the report's.
+        manifest = synthetic_model(tmp_path, include_1x1=False)
+        report = tmp_path / "r.json"
+        assert main(["quantize", "--manifest", str(manifest), "--out", str(tmp_path / "m.qnt"),
+                     "--report", str(report)]) == 0
+        earlier = report.read_bytes()
+        out = tmp_path / "out.qnt"
+        out.mkdir()
+        before = sorted(tmp_path.rglob("*"))
+        rc = main(["quantize", "--manifest", str(manifest), "--bits", "3", "--out", str(out),
+                   "--report", str(report)])
+        assert rc == 1
+        assert f"error: --out is a directory: {out}" in capsys.readouterr().err
+        assert report.read_bytes() == earlier
+        assert sorted(tmp_path.rglob("*")) == before
+        assert not list(tmp_path.rglob("*.tmp"))
+
+    def test_report_that_is_a_directory_keeps_earlier_container(self, tmp_path, capsys):
+        manifest = synthetic_model(tmp_path, include_1x1=False)
+        out = tmp_path / "m.qnt"
+        assert main(["quantize", "--manifest", str(manifest), "--out", str(out)]) == 0
+        earlier = out.read_bytes()
+        (tmp_path / "r.json").mkdir()
+        before = sorted(tmp_path.rglob("*"))
+        rc = main(["quantize", "--manifest", str(manifest), "--bits", "3", "--out", str(out),
+                   "--report", str(tmp_path / "r.json")])
+        assert rc == 1
+        assert "error: --report is a directory" in capsys.readouterr().err
+        assert out.read_bytes() == earlier
+        assert sorted(tmp_path.rglob("*")) == before
+
     def test_empty_manifest_keeps_earlier_container(self, tmp_path, capsys):
         manifest = tmp_path / "model.json"
         manifest.write_text('{"tensors": []}')
@@ -416,55 +453,56 @@ def _sha256_dir(path):
 # binaries and the two commands' stdout for each run of frozen_model, recorded
 # before the one-group API was removed (the layer- and filter-wise runs before
 # the group layouts moved into one table, the two pwlq runs after the
-# closed-form breakpoint began to take m in units of the group's RMS). A
-# change that means to keep the output format must keep them.
+# closed-form breakpoint began to take m in units of the group's RMS), the
+# container hashes since the header is written as compact JSON. A change
+# that means to keep the output format must keep them.
 FROZEN_OUTPUTS = {
     "affine-layer": (
         ["--method", "affine", "--granularity", "layer"],
-        "d8674cd9053185567502c15b9645e7400d34dffa7c2aad4328311b9f584f1665",
+        "a8dfc407a49c9923f14f4257f9641995803b78c3dda666968a8659df78f14b07",
         "5675ff223c9b762358110593acf6749b602d011a3daa4951ca404e23767f4f86",
         "c0437ab9d0beaf64659c514f9055427d96176bdf2a7bb943e9cb09c1d6932b6d",
         "105c3da2f83d7ac99f7bd8cef6ac4a8dffcc54f605a203d9a42de45b7ac07368"),
     "sym-full-filter": (
         ["--method", "sym-full", "--granularity", "filter"],
-        "9b1bbad150b86408508c1128b96ab4343958584b5d2657b191b2df92b73c68cc",
+        "7cf2487e5092806b693aded2c7d20ddc82a09acd8769dff5b74b8b57d1baf345",
         "b6189c3f2b79ea0fc94e5b99fa346a27c5e5e4dffe57bdd52288e958115e5150",
         "ed1020bb9df53d3f4028b2ce133a96fd969caab7ff24ecc14c61c7ebfe40fe9f",
         "1d1596ad5f9aa2a1dc89f5b8689408a4bd2f858b4342a123d2b273514026e8b0"),
     "affine-fshape": (
         ["--method", "affine", "--granularity", "fshape"],
-        "3df705b8857de80a4609f0e3ff983c3602e40b41ac4716d1bfb68013c0abb58e",
+        "6b618d27db4ea9238e32a9b7695f96f28e6682607fc87f9121d7e2c96bd2430f",
         "120b7cfc7087b2a32340616579210b2ad3531051f5fca0a2e1b55b7fe4818a0a",
         "4e8b9e24fd3517ad1486a3bfea5727081e48ee39bc226891fdbbddf151dcdd1e",
         "ed51b49cf35a630a7efca560d4750b62784422843eacc029ba81a843a724a8e1"),
     "sym-restricted-auto3": (
         ["--method", "sym-restricted", "--granularity", "auto3", "--bits", "3"],
-        "22accde5965e7fbcbdeaeb7455ac53ef094627041260f3057635414710da53cc",
+        "8e35e85829a13e3b4484b9d8d92bc17e3bc0ca42e8b5a86b6736268d722fe88c",
         "1b62b9f4839b34ae6bf0aeb30bdee7812463b76882d3c79089e59b3420b0a407",
         "f30b81652f5563af175cf914f1fdb5cad6a2ced87bcf4a4280e330f9ad468495",
         "4bdaa7073717d0eb2eb6370cda6306fbd90a03915adf0425462d800ece8da555"),
     "sym-full-fshape": (
         ["--method", "sym-full", "--granularity", "fshape", "--bits", "5"],
-        "2090cfc4426f1158537ef70abc70c832f8398b8403c3de5850203ef200ed67dd",
+        "e282be2e01e8df0c61d82801b7a992ec2483fb78e954ab5366ff1b15bff057b6",
         "3bc6bca1d1f0532580ac35fdf3910d100d1b6f2169307427d3e27b2c7e7a2cb5",
         "b260d56e8ab35922b336b8421ab30d79f6d313be90b91987d7f5404edffdb3d3",
         "e2fa13101e69c93e1a00908b5ca416a5e27df161cc7a002f2e02f995036e2e27"),
     "pwlq-auto3": (
         ["--method", "pwlq", "--granularity", "auto3"],
-        "a71e8d3642a5402b1f4a8d982374d9c26139cda81bbab1f801bbc7e23eb25ae3",
+        "d42554c81f17818b7809b16b37177502560e24b672603e4d818531a3a789fc1f",
         "0be1899cc1e92a1e300d6901d04e8d01762916b3126f3568b4be58eb4a804d3b",
         "f389deef07c1462fdd8a40e78da9d2a14069210a3d0af08a4d77c056af7a1559",
         "7e1aa2235a16593ee0ef23efee75f5d297ea9d9aa9283ae01847907efc850cd3"),
     "pwlq-bruteforce-fshape": (
         ["--method", "pwlq", "--granularity", "fshape", "--breakpoint", "bruteforce",
          "--grid-points", "16", "--bits", "6"],
-        "459101f9eb76e084ba91c2737f43edf3fcf3ff4963ec0298140a613f57018f05",
+        "ada07b13efec62b4da6140f97b91fc57dac832311ea065ee0a371e0d0ddf3aca",
         "7f7be308b7401760d44efd562164290ce1d6d5c1fc7c5df3cd8e7c86344a194f",
         "9290e80c9088cec92725f3ccda324af52dbee31a40a0fbaa9c3927eb9679c83d",
         "706e53e30bda7a66fb615c98be90822b4cf72d9d54d38da3fbc9bd8505c71c97"),
     "affine-channel": (
         ["--method", "affine", "--granularity", "channel", "--bits", "8"],
-        "76016306230eaef624a3af372db8a7d5349daf0a5f71bf362ab54031358d0eb5",
+        "c23a17002896d840f576e9b7c30b51299c20d8b718f89936c4aec260f504e556",
         "393176ae79c92a663f1d09c66aaf9773be45e7e15be6ab4f14506c0073afe837",
         "08d0d4fa728dc5cb480b515f617ca27c6951641c5bcf46dc5bcab5fb1b92b6f8",
         "3bba0f0c9d47e79f27ee05e6e1019fa84a73a542bd5e7d01c126f2ea28ded0e2"),
@@ -485,6 +523,29 @@ class TestFrozenOutputs:
         assert _sha256_dir(tmp_path / "out") == dequantized_sha
         stdout = capsys.readouterr().out.encode()
         assert hashlib.sha256(stdout).hexdigest() == stdout_sha
+
+    @pytest.mark.parametrize("run", sorted(FROZEN_OUTPUTS))
+    def test_container_differs_from_an_indented_one_only_in_its_header(self, tmp_path,
+                                                                      monkeypatch, run):
+        # Containers were written with indent=1 JSON headers before: the
+        # compact header holds the same document before the same payload.
+        frozen_model(tmp_path)
+        monkeypatch.chdir(tmp_path)
+        argv = ["quantize", "--manifest", "model.json", "--exclude", "*bn*",
+                *FROZEN_OUTPUTS[run][0], "--out"]
+        assert main([*argv, "compact.qnt"]) == 0
+
+        def dumps_indented(doc, **_):
+            return json.dumps(doc, indent=1, sort_keys=True)
+
+        monkeypatch.setattr(container, "json",
+                            SimpleNamespace(loads=json.loads, dumps=dumps_indented))
+        assert main([*argv, "indented.qnt"]) == 0
+        compact, indented = (split_container((tmp_path / name).read_bytes())
+                             for name in ("compact.qnt", "indented.qnt"))
+        assert compact[0] != indented[0]
+        assert json.loads(compact[0]) == json.loads(indented[0])
+        assert compact[1] == indented[1]
 
 
 class TestDequantizeCommand:
@@ -604,13 +665,54 @@ class TestDequantizeCommand:
 
         with open_container(good) as (mm, tensors):
             tensors = list(tensors)
-        tensors[1].codes[0] = -8     # outside [-7, 7], the 4-bit sym-restricted domain
+        q = tensors[1]
+        data = bytearray(q.codes.data)
+        data[0] &= 0xF0     # code 0, biased by 8, to -8: outside [-7, 7], the 4-bit domain
+        q.codes = PackedCodes(q.bits, q.codes.count, bytes(data))
         bad = tmp_path / "bad.qnt"
         write_container(tensors, mm, bad)
         rc = main(["dequantize", str(bad), str(out / "model.json")])
         assert rc == 1
         assert "conv1: group 0: code outside" in capsys.readouterr().err
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+    @pytest.mark.parametrize("granularity,group", [("filter", 7), ("fshape", 143)])
+    @pytest.mark.parametrize("bits", [3, 5])
+    def test_bad_code_in_the_last_block_leaves_no_output(self, tmp_path, monkeypatch, capsys,
+                                                         granularity, group, bits):
+        # A block per filter, so the earlier blocks of conv3 are decoded and
+        # written before its last code, -2^(k-1), is reached.
+        monkeypatch.setattr(tensor_store, "BLOCK", 1)
+        qnt = tmp_path / "m.qnt"
+        assert main(["quantize", "--manifest", str(four_tensor_model(tmp_path)),
+                     "--method", "sym-restricted", "--granularity", granularity,
+                     "--bits", str(bits), "--out", str(qnt)]) == 0
+        blob = bytearray(qnt.read_bytes())
+        newline = blob.index(b"\n")
+        payload = newline + 1 + int(blob[:newline].split()[1])
+        record = json.loads(blob[newline + 1:payload])["tensors"][-1]
+        start, length = record["sections"]["codes"]
+        span = slice(payload + start, payload + start + length)
+        codes = unpack_codes(PackedCodes(bits, 8 * 16 * 9, bytes(blob[span])))
+        codes[-1] = -(1 << (bits - 1))
+        blob[span] = pack_codes(codes, bits).data
+        qnt.write_bytes(bytes(blob))
+        out = tmp_path / "out"
+        rc = main(["dequantize", str(qnt), str(out / "model.json")])
+        assert rc == 1
+        assert f"conv3: group {group}: code outside" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_out_manifest_that_is_a_directory_is_refused(self, tmp_path, capsys):
+        qnt = tmp_path / "m.qnt"
+        assert main(["quantize", "--manifest", str(four_tensor_model(tmp_path)),
+                     "--out", str(qnt)]) == 0
+        out = tmp_path / "out"
+        (out / "model.json").mkdir(parents=True)
+        rc = main(["dequantize", str(qnt), str(out / "model.json")])
+        assert rc == 1
+        assert "error: out_manifest is a directory" in capsys.readouterr().err
+        assert [p.name for p in out.rglob("*")] == ["model.json"]
 
     def test_output_at_container_path_is_refused(self, tmp_path, capsys):
         container = tmp_path / "q" / "m.qnt"

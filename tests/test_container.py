@@ -30,7 +30,7 @@ from convquant.errors import (
     VersionMismatch,
 )
 
-from conftest import gaussian_tensor
+from conftest import gaussian_tensor, split_container, unpacked
 
 
 def f16(x):
@@ -89,9 +89,10 @@ class TestRoundTrip:
             if orig.passthrough:
                 assert np.array_equal(back.values, orig.values)
                 continue
-            assert np.array_equal(back.codes, orig.codes)
+            codes, region_bits = unpacked(back)
+            assert np.array_equal(codes, orig.codes)
             if orig.method == PWLQ:
-                assert np.array_equal(back.region_bits, orig.region_bits)
+                assert np.array_equal(region_bits, orig.region_bits)
             assert back.group_count == orig.group_count
             assert_params_equal_post_f16(orig.params, back.params)
 
@@ -143,19 +144,92 @@ class TestRoundTrip:
         assert len(blob) == newline + 1 + header_len + header["payload_size"]
 
 
+class TestHeader:
+    def test_header_is_compact_sorted_json(self, tmp_path):
+        path = _write_sample(tmp_path)
+        header, _ = split_container(path.read_bytes())
+        assert header == json.dumps(json.loads(header), separators=(",", ":"),
+                                    sort_keys=True).encode()
+
+    def test_indented_header_still_reads(self, tmp_path):
+        # Containers written before the header was compact have indent=1 JSON.
+        path = _write_sample(tmp_path)
+
+        def decodes(tensors):
+            return [dequantize_tensor(q, np.float16).values.tobytes() for q in tensors]
+
+        compact = decodes(read_all(path)[0])
+        _patch_header(path, lambda header: None, indent=1)
+        assert b'\n "format": "qnt/1",\n' in path.read_bytes()
+        loaded, memory_model = read_all(path)
+        assert memory_model == MemoryModel()
+        assert decodes(loaded) == compact
+
+    def test_rewriting_what_was_read_gives_the_same_bytes(self, tmp_path):
+        # A tensor read from a container keeps its codes and region bits
+        # packed; the writer stores them as they are.
+        path = _write_sample(tmp_path)
+        loaded, memory_model = read_all(path)
+        assert all(q.packed for q in loaded if not q.passthrough)
+        again = tmp_path / "again.qnt"
+        write_container(loaded, memory_model, again)
+        assert again.read_bytes() == path.read_bytes()
+
+
+class TestReadBack:
+    def test_every_section_is_read_back(self, tmp_path, monkeypatch):
+        spans = []
+        read_tensor = container._read_tensor
+
+        def recording(q, sections, read):
+            def recorded(span):
+                spans.append(tuple(span))
+                return read(span)
+            return read_tensor(q, sections, recorded)
+
+        monkeypatch.setattr(container, "_read_tensor", recording)
+        path = _write_sample(tmp_path)
+        header, _ = split_container(path.read_bytes())
+        stored = [tuple(span) for record in json.loads(header)["tensors"]
+                  for span in record["sections"].values()]
+        assert len(stored) == 10 and sorted(spans) == sorted(stored)
+
+    @pytest.mark.parametrize("name,last_group", [("a", 3), ("b", 17), ("c", 7), ("d", 0)])
+    def test_every_params_record_is_validated(self, tmp_path, monkeypatch, name, last_group):
+        # The writer checks the records it narrows and the read-back what it
+        # wrote: a tensor's last record, written with the wrong bit width, is
+        # refused, and nothing is left behind.
+        pack_params = container._pack_params
+
+        def corrupt_last(q):
+            records = pack_params(q)
+            if q.name == name:
+                disk = container._PWLQ_DISK if q.method == PWLQ else container._UNIFORM_DISK
+                size, records = disk.itemsize, records.copy()
+                records.view(np.uint8).reshape(-1)[1 - size] += 1     # its bits field
+            return records
+
+        monkeypatch.setattr(container, "_pack_params", corrupt_last)
+        path = tmp_path / "model.qnt"
+        with pytest.raises(CorruptHeader,
+                           match=f"^{name}: group {last_group}: invalid parameter record"):
+            write_container(mixed_model(), MemoryModel(), path)
+        assert list(tmp_path.iterdir()) == []
+
+
 def _write_sample(tmp_path):
     path = tmp_path / "model.qnt"
     write_container(mixed_model(), MemoryModel(), path)
     return path
 
 
-def _patch_header(path, mutate):
+def _patch_header(path, mutate, indent=None):
     blob = path.read_bytes()
     newline = blob.index(b"\n")
     header_len = int(blob[:newline].split()[1])
     header = json.loads(blob[newline + 1:newline + 1 + header_len])
     mutate(header)
-    new_header = json.dumps(header).encode()
+    new_header = json.dumps(header, indent=indent, sort_keys=True).encode()
     prelude = f"qnt/1 {len(new_header)}\n".encode()
     path.write_bytes(prelude + new_header + blob[newline + 1 + header_len:])
 

@@ -153,6 +153,25 @@ class TestChunks:
                 assert out.tolist() == column.tolist(), count
 
     @pytest.mark.parametrize("block", [1, 3])
+    @pytest.mark.parametrize("bits", range(2, 9))
+    def test_every_span_unpacks_as_the_whole_stream(self, monkeypatch, block, bits):
+        # A span may start and stop mid-word and cross chunk edges.
+        monkeypatch.setattr(tensor_store, "BLOCK", block)
+        half = 1 << (bits - 1)
+        codes = np.random.default_rng(bits).integers(-half, half, 3 * 8 * block + 5)
+        packed = pack_codes(codes, bits)
+        out = np.full(codes.size + 1, 99, np.int8)
+        for start in range(codes.size + 1):
+            for stop in range(start, codes.size + 1):
+                assert unpack_codes(packed, start, stop).tolist() == codes[start:stop].tolist()
+            span = unpack_codes(packed, start, out=out[:codes.size - start])
+            assert span.base is out and span.tolist() == codes[start:].tolist()
+        assert out[-1] == 99
+        for start, stop in ((-1, 3), (2, 1), (0, codes.size + 1)):
+            with pytest.raises(InvalidInput):
+                unpack_codes(packed, start, stop)
+
+    @pytest.mark.parametrize("block", [1, 3])
     def test_out_of_domain_code_in_a_later_chunk(self, monkeypatch, block):
         monkeypatch.setattr(tensor_store, "BLOCK", block)
         codes = np.zeros(5 * 8 * block, dtype=np.int8)

@@ -52,7 +52,7 @@ from .errors import (
 )
 from .granularity import GRANULARITIES, METHODS, QuantizedTensor, group_count
 from .metrics import MemoryModel
-from .packing import PackedCodes, pack_codes
+from .packing import PackedCodes
 from .pwlq import PIECES, PWLQ, PWLQ_KIND
 from .pwlq import RECORD as PWLQ_RECORD
 from .tensor_store import NUMPY_DTYPES, TensorShape, staging_file
@@ -184,12 +184,9 @@ def _sections(q: QuantizedTensor) -> dict:
     """A tensor's payload sections, in write order, as buffers not copied."""
     if q.passthrough:
         return {"raw": np.asarray(q.values).astype(NUMPY_DTYPES[q.source_bits], copy=False)}
-    packed = q.packed   # read from a container: written as it was stored
-    sections = {"params": _pack_params(q),
-                "codes": (q.codes if packed else pack_codes(q.codes, q.bits)).data}
+    sections = {"params": _pack_params(q), "codes": q.codes.data}
     if q.method == PWLQ:
-        sections["regions"] = q.region_bits if packed else np.packbits(
-            np.asarray(q.region_bits, dtype=np.uint8), bitorder="little")
+        sections["regions"] = q.region_bits
     return sections
 
 

@@ -28,6 +28,10 @@ class InvalidValue(QuantError):
     """NaN or infinity encountered where finite values are required."""
 
 
+class SourceChanged(QuantError):
+    """A data file changed while its tensor was being read."""
+
+
 class DuplicateName(QuantError):
     """Two tensors share the same name."""
 

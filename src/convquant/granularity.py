@@ -17,13 +17,16 @@ precision instead.
 
 A tensor is quantized and decoded one block of whole filters at a time: a
 contiguous range of the flat array, about ``tensor_store.BLOCK`` elements,
-upcast to float64 on its own. Each group's statistics are gathered over
-every block before any block is encoded: the extremes are those of the
-whole float64 group matrix, and the sums that pwlq's breakpoints need
-follow the order that :meth:`_Blocks.fold` defines. Neither depends on the
-block size, and the working set is a few blocks whatever the size of the
-tensor. :func:`decode_blocks` yields each decoded block at the output
-precision, so a decode can be written out a block at a time.
+upcast to float64 on its own, and read again on each pass (from the data
+file of a tensor that keeps its values there). Each group's statistics are
+gathered over every block before any block is encoded: the extremes are
+those of the whole float64 group matrix, and the sums that pwlq's
+breakpoints need follow the order that :meth:`_Blocks.fold` defines.
+Neither depends on the block size. Codes are packed as each block is
+encoded and unpacked as it is decoded, so the working set is a few blocks
+whatever the size of the tensor. :func:`decode_blocks` yields each decoded
+block at the output precision, so a decode can be written out a block at a
+time.
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ from .errors import (
     DegenerateRange,
     InvalidInput,
 )
-from .packing import PackedCodes, unpack_codes
+from .packing import PackedCodes, pack_into, packed_stream, unpack_codes
 from .pwlq import PWLQ
 from .tensor_store import TensorShape, WeightTensor
 from .uniform import SYMMETRIC_RESTRICTED, UNIFORM_SCHEMES, check_bits, code_domain
@@ -156,16 +159,18 @@ class _Blocks:
                                self.scheme)
         return self.groups(f0, f1), mat
 
-    def walk(self, flat: np.ndarray, upcast: bool = True):
-        """Yield (f0, f1, block) over the (n, c, h*w) view of ``flat``; with
+    def walk(self, t: WeightTensor, upcast: bool = True):
+        """Yield (f0, f1, block) over the (n, c, h*w) view of ``t``'s values,
+        read a block at a time by :meth:`WeightTensor.pieces`; with
         ``upcast``, each block is copied to float64 into one reused buffer."""
-        view = flat.reshape(self.dims)
-        buf = np.empty((min(self.step, self.dims[0]), *self.dims[1:])) if upcast else None
-        for f0, f1 in self.ranges:
-            block = view[f0:f1]
+        n, c, hw = self.dims
+        buf = np.empty((min(self.step, n), c, hw)) if upcast else None
+        # The pieces lead, so that a data file's last check runs.
+        for piece, (f0, f1) in zip(t.pieces(self.step * c * hw), self.ranges):
+            block = piece.reshape(f1 - f0, c, hw)
             if upcast:
+                np.copyto(buf[:f1 - f0], block)
                 block = buf[:f1 - f0]
-                np.copyto(block, view[f0:f1])
             yield f0, f1, block
 
     def _reduce(self, blocks, ufuncs, starts) -> list[np.ndarray]:
@@ -186,13 +191,13 @@ class _Blocks:
                     ufunc(acc[rows], ufunc.reduce(mat, axis=1), out=acc[rows])
         return out
 
-    def extremes(self, flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Per-group min and max of a flat array, zero extremes signed by
+    def extremes(self, t: WeightTensor) -> tuple[np.ndarray, np.ndarray]:
+        """Per-group min and max of a tensor's values, zero extremes signed by
         :func:`convquant.uniform.settle_zero_signs`."""
-        vmin, vmax = self._reduce(self.walk(flat), (np.minimum, np.maximum),
+        vmin, vmax = self._reduce(self.walk(t), (np.minimum, np.maximum),
                                   (np.inf, -np.inf))
         if not (vmin.all() and vmax.all()):
-            signs = ((f0, f1, np.signbit(x)) for f0, f1, x in self.walk(flat, upcast=False))
+            signs = ((f0, f1, np.signbit(x)) for f0, f1, x in self.walk(t, upcast=False))
             _uniform.settle_zero_signs(
                 vmin, vmax, *self._reduce(signs, (np.logical_or, np.logical_and), (False, True)))
         return vmin, vmax
@@ -217,11 +222,11 @@ class _Blocks:
         else:               # numpy adds the rows one at a time along the fast axis
             np.add.reduce(parts, axis=0, out=acc)
 
-    def square_sums(self, flat: np.ndarray, m: np.ndarray) -> np.ndarray:
-        """Per group, the sum of :func:`convquant.pwlq.scaled_squares` in the
-        order of :meth:`fold`."""
+    def square_sums(self, t: WeightTensor, m: np.ndarray) -> np.ndarray:
+        """Per group, the sum of :func:`convquant.pwlq.scaled_squares` of a
+        tensor's values in the order of :meth:`fold`."""
         sums = np.zeros(len(m))
-        for f0, f1, x in self.walk(flat):
+        for f0, f1, x in self.walk(t):
             self.fold(sums, _pwlq.scaled_squares(x, self.of(m, f0, f1), out=x), f0, f1)
         return sums
 
@@ -241,16 +246,15 @@ class QuantizedTensor:
 
     ``params`` holds one record per group: :data:`convquant.uniform.RECORD`
     for the uniform methods, :data:`convquant.pwlq.RECORD` for pwlq.
-    ``codes`` holds one signed k-bit int8 code per element in row-major
-    order; for the pwlq method ``region_bits`` marks tail elements (one
-    uint8 per element) and the codes are folded as
-    :func:`convquant.pwlq.encode` folds them. A tensor read from a container
-    keeps both as stored (:attr:`packed`): ``codes`` is a
-    :class:`convquant.packing.PackedCodes` and ``region_bits`` the bitmap's
-    bytes, one bit per element, little-endian bit order. Passthrough
-    tensors keep their original ``values`` instead. ``error`` is the
-    reconstruction error against the source, measured when the tensor was
-    quantized (None for a tensor read from a container).
+    ``codes`` holds one signed k-bit code per element in row-major order,
+    packed as the container stores them (a
+    :class:`convquant.packing.PackedCodes`). For the pwlq method the codes
+    are folded as :func:`convquant.pwlq.encode` folds them, and
+    ``region_bits`` is the bitmap's bytes (or a read-only view of them) that
+    marks tail elements, one bit per element, little-endian bit order.
+    Passthrough tensors keep their original ``values`` instead. ``error``
+    is the reconstruction error against the source, measured when the
+    tensor was quantized (None for a tensor read from a container).
     """
 
     name: str
@@ -259,8 +263,8 @@ class QuantizedTensor:
     bits: int
     scheme: str
     params: np.ndarray | None = None
-    codes: np.ndarray | None = None
-    region_bits: np.ndarray | None = None
+    codes: PackedCodes | None = None
+    region_bits: bytes | memoryview | None = None
     passthrough: bool = False
     values: np.ndarray | None = None
     source_bits: int = 16
@@ -274,16 +278,12 @@ class QuantizedTensor:
     def element_count(self) -> int:
         return self.shape.element_count
 
-    @property
-    def packed(self) -> bool:
-        return isinstance(self.codes, PackedCodes)
-
 
 def make_passthrough(t: WeightTensor, scheme: str, method: str, bits: int) -> QuantizedTensor:
-    """Wrap a tensor that stays at source precision."""
+    """Wrap a tensor that stays at source precision, its values loaded once."""
     return QuantizedTensor(
         name=t.name, shape=t.shape, method=method, bits=bits, scheme=scheme,
-        passthrough=True, values=t.values.copy(),
+        passthrough=True, values=t.load(),
         source_bits=t.source_precision_bits,
         error=ErrorReport(0.0, 0.0, t.shape.element_count))
 
@@ -317,7 +317,7 @@ def _fine_points(center: np.ndarray, grid_points: int):
         yield point + (point >= center)
 
 
-def _scan(blocks: _Blocks, flat: np.ndarray, m: np.ndarray, candidates, bits: int,
+def _scan(blocks: _Blocks, t: WeightTensor, m: np.ndarray, candidates, bits: int,
           buffers: _pwlq.Buffers, best: tuple[np.ndarray, np.ndarray]) -> None:
     """Score each p/m that ``candidates(rows)`` yields for the groups
     ``rows`` by its sum of squared reconstruction errors, in the order of
@@ -327,10 +327,10 @@ def _scan(blocks: _Blocks, flat: np.ndarray, m: np.ndarray, candidates, bits: in
     sse, (best_sse, best_ratio) = np.empty(len(m)), best
     if blocks.spans:
         every = slice(0, len(m))
-        passes = ((every, [ratio], blocks.walk(flat)) for ratio in candidates(every))
+        passes = ((every, [ratio], blocks.walk(t)) for ratio in candidates(every))
     else:
         passes = ((blocks.groups(f0, f1), candidates(blocks.groups(f0, f1)), [(f0, f1, x)])
-                  for f0, f1, x in blocks.walk(flat))
+                  for f0, f1, x in blocks.walk(t))
     for rows, ratios, walk in passes:
         for ratio in ratios:
             records = _pwlq._records(m[rows], ratio * m[rows], bits, first_row=rows.start)
@@ -347,7 +347,7 @@ def _scan(blocks: _Blocks, flat: np.ndarray, m: np.ndarray, candidates, bits: in
             np.copyto(best_ratio[rows], ratio, where=better)
 
 
-def _search_breakpoints(blocks: _Blocks, flat: np.ndarray, m: np.ndarray, ratio: np.ndarray,
+def _search_breakpoints(blocks: _Blocks, t: WeightTensor, m: np.ndarray, ratio: np.ndarray,
                         bits: int, grid_points: int, buffers: _pwlq.Buffers) -> np.ndarray:
     """Per group, the breakpoint of least sum of squared reconstruction
     errors found by a coarse-to-fine scan of the ratios p/m.
@@ -366,7 +366,7 @@ def _search_breakpoints(blocks: _Blocks, flat: np.ndarray, m: np.ndarray, ratio:
     coarse = np.arange(first, lattice, step, dtype=np.float64) / lattice
     live_m = np.where(m > 0, m, 1.0)
     best = np.full(len(m), np.inf), np.zeros(len(m))
-    _scan(blocks, flat, live_m, lambda rows: coarse, bits, buffers, best)
+    _scan(blocks, t, live_m, lambda rows: coarse, bits, buffers, best)
     center = np.rint(best[1] * lattice)
 
     def closed_form_and_fine(rows):
@@ -375,7 +375,7 @@ def _search_breakpoints(blocks: _Blocks, flat: np.ndarray, m: np.ndarray, ratio:
             for point in _fine_points(center[rows], grid_points):
                 yield point / lattice
 
-    _scan(blocks, flat, live_m, closed_form_and_fine, bits, buffers, best)
+    _scan(blocks, t, live_m, closed_form_and_fine, bits, buffers, best)
     return m * best[1]
 
 
@@ -384,16 +384,16 @@ def _breakpoints(t: WeightTensor, blocks: _Blocks, bits: int, mode: str, grid_po
     """One breakpoint per group: m times the closed-form p/m (from the
     square sums), or the ``bruteforce`` search's, which scores that too."""
     size = t.shape.element_count // len(m)
-    ratio = _pwlq.ratios_from_squares(m, blocks.square_sums(t.values, m), size)
+    ratio = _pwlq.ratios_from_squares(m, blocks.square_sums(t, m), size)
     if mode == "bruteforce":
-        return _search_breakpoints(blocks, t.values, m, ratio, bits, grid_points, buffers)
+        return _search_breakpoints(blocks, t, m, ratio, bits, grid_points, buffers)
     return m * ratio
 
 
 def _params(t: WeightTensor, blocks: _Blocks, method: str, bits: int, breakpoint_mode: str,
             grid_points: int, buffers: _pwlq.Buffers) -> np.ndarray:
     """Each group's record; its statistics are dropped before encoding."""
-    vmin, vmax = blocks.extremes(t.values)
+    vmin, vmax = blocks.extremes(t)
     try:
         if method == PWLQ:
             p = _breakpoints(t, blocks, bits, breakpoint_mode, grid_points,
@@ -411,10 +411,10 @@ def quantize_tensor(t: WeightTensor, scheme: str, method: str, bits: int,
 
     Each group's parameters come from its statistics (extremes, and for
     pwlq its breakpoint), gathered over every block first; then each block
-    is encoded, decoded for the error and written into the flat outputs.
-    The extremes are those of the whole float64 group matrix and the sums
-    follow their defined order, so the result does not depend on the block
-    size.
+    is encoded, decoded for the error and packed into the tensor's codes
+    and region bitmap. The extremes are those of the whole float64 group
+    matrix and the sums follow their defined order, so the result does not
+    depend on the block size.
 
     Channel-wise on a 1x1 kernel returns a passthrough tensor: each group
     would hold a single weight and the layer cannot be usefully quantized at
@@ -434,90 +434,86 @@ def quantize_tensor(t: WeightTensor, scheme: str, method: str, bits: int,
 
     blocks, buffers = _Blocks(t.shape, scheme), _pwlq.Buffers()
     params = _params(t, blocks, method, bits, breakpoint_mode, grid_points, buffers)
-    if method == PWLQ:
+    pwlq = method == PWLQ
+    if pwlq:
         table = _pwlq.piece_table(params, bits)
-    codes = np.empty(blocks.dims, np.int8)
-    region_bits = np.empty(blocks.dims, np.uint8) if method == PWLQ else None
-    lo, hi = code_domain(method, bits)
-    errors = []
-    for f0, f1, x in blocks.walk(t.values):
-        if method == PWLQ:
-            region_bits[f0:f1], codes[f0:f1], decoded = _pwlq.encode(
+    count, per_filter = t.shape.element_count, t.shape.element_count // t.shape.n
+    words = np.empty(-(-count // 8) * bits, np.uint8)
+    bitmap = np.empty(-(-count // 8), np.uint8) if pwlq else None
+    # Each block's codes and region bits are staged after the fewer than 8
+    # of the blocks before that fill no whole word of the codes.
+    staged = np.empty((2, min(blocks.step, t.shape.n) * per_filter + 7), np.uint8)
+    carry, (lo, hi), errors = 0, code_domain(method, bits), []
+    for f0, f1, x in blocks.walk(t):
+        start, end = f0 * per_filter - carry, carry + x.size
+        codes, regions = staged[:, carry:end].reshape(2, *x.shape)
+        codes = codes.view(np.int8)
+        if pwlq:
+            regions[...], codes[...], decoded = _pwlq.encode(
                 x, blocks.of(table, f0, f1), bits, buffers)
         else:
-            rec = blocks.of(params, f0, f1)
-            codes[f0:f1] = _uniform.encode(x, rec["scale"], rec["zero_point"], lo, hi)
-            decoded = _uniform.decode(codes[f0:f1], rec["scale"], rec["zero_point"])
+            rec, work = blocks.of(params, f0, f1), buffers.take(x.shape, np.float64, "q", "work")
+            codes[...] = _uniform.encode(x, rec["scale"], rec["zero_point"], lo, hi, work)
+            decoded = _uniform.decode(codes, rec["scale"], rec["zero_point"], out=work[0])
         errors.append(_block_error(x, decoded))
+        whole = end if f1 == t.shape.n else end - end % 8
+        pack_into(words, start, staged[0, :whole].view(np.int8), bits)
+        if pwlq:
+            bitmap[start // 8:-(-(start + whole) // 8)] = np.packbits(staged[1, :whole],
+                                                                       bitorder="little")
+        staged[:, :end - whole] = staged[:, whole:end]
+        carry = end - whole
+    if pwlq:
+        bitmap.flags.writeable = False
 
     return QuantizedTensor(
         name=t.name, shape=t.shape, method=method, bits=bits, scheme=scheme,
-        params=params, codes=codes.reshape(-1),
-        region_bits=None if region_bits is None else region_bits.reshape(-1),
+        params=params, codes=packed_stream(words, count, bits),
+        region_bits=memoryview(bitmap) if pwlq else None,
         source_bits=t.source_precision_bits,
-        error=_report(errors, t.shape.element_count))
+        error=_report(errors, count))
 
 
 def _stored_blocks(q: QuantizedTensor, blocks: _Blocks):
     """Yield (f0, f1, codes, region bits) for each block of filters, both in
-    the block's (n, c, h*w) shape: views of ``q``'s int8 codes and uint8
-    region bits, or, when ``q`` is :attr:`~QuantizedTensor.packed`, of
-    their unpacked part. Packed streams are unpacked a span of eight blocks
-    at a time into one reused buffer, as fewer, larger calls take less time
-    per code. Region bits are None for the uniform methods."""
-    per_filter, span = q.element_count // q.shape.n, 8 * blocks.step
-    if q.packed:
-        buf = np.empty(min(span, q.shape.n) * per_filter, np.int8)
-        bitmap = None if q.region_bits is None else np.frombuffer(q.region_bits, np.uint8)
+    the block's (n, c, h*w) shape, the codes unpacked into one reused
+    buffer. Region bits are None for the uniform methods."""
+    per_filter = q.element_count // q.shape.n
+    buf = np.empty(min(blocks.step, q.shape.n) * per_filter, np.int8)
+    bitmap = None if q.region_bits is None else np.frombuffer(q.region_bits, np.uint8)
     for f0, f1 in blocks.ranges:
-        if f0 % span == 0:      # blocks start at multiples of blocks.step
-            # A multiple of 8 weights: a word of the codes, a byte of the bitmap.
-            start, stop = f0 * per_filter, min(f0 + span, q.shape.n) * per_filter
-            if not q.packed:
-                codes = q.codes[start:stop]
-                regions = None if q.region_bits is None else q.region_bits[start:stop]
-            else:
-                codes = unpack_codes(q.codes, start, stop, out=buf[:stop - start])
-                regions = None if bitmap is None else np.unpackbits(
-                    bitmap[start // 8:-(-stop // 8)], count=stop - start, bitorder="little")
-        part = slice(f0 * per_filter - start, f1 * per_filter - start)
+        start, stop = f0 * per_filter, f1 * per_filter
         shape = (f1 - f0, *blocks.dims[1:])
-        yield (f0, f1, codes[part].reshape(shape),
-               None if regions is None else regions[part].reshape(shape))
+        codes = unpack_codes(q.codes, start, stop, out=buf[:stop - start])
+        regions = None if bitmap is None else np.unpackbits(
+            bitmap[start // 8:-(-stop // 8)], count=stop - start + start % 8,
+            bitorder="little")[start % 8:]
+        yield f0, f1, codes.reshape(shape), None if regions is None else regions.reshape(shape)
 
 
 def _check_codes(q: QuantizedTensor, blocks: _Blocks) -> None:
-    """Raise CorruptCodes naming the first group with a code outside its
-    domain: the signed k-bit range for pwlq's combined codes."""
+    """Raise CorruptCodes naming the first group of a uniform tensor with a
+    code outside its record's domain."""
     stored = ((f0, f1, codes) for f0, f1, codes, _ in _stored_blocks(q, blocks))
     cmin, cmax = blocks._reduce(stored, (np.minimum, np.maximum), (np.inf, -np.inf))
-    if q.method != PWLQ:
-        try:
-            _uniform.check_code_range(q.params, cmin, cmax)
-        except CodeOutOfDomain as exc:
-            raise CorruptCodes(f"{q.name}: {exc}") from exc
-        return
-    half = 1 << (q.bits - 1)
-    g = np.flatnonzero((cmin < -half) | (cmax > half - 1))[0]
-    raise CorruptCodes(f"{q.name}: group {g}: combined code outside signed "
-                       f"{q.bits}-bit range")
+    try:
+        _uniform.check_code_range(q.params, cmin, cmax)
+    except CodeOutOfDomain as exc:
+        raise CorruptCodes(f"{q.name}: {exc}") from exc
 
 
 def _check_stored(q: QuantizedTensor) -> None:
-    """Raise CorruptCodes unless ``q`` holds a code per element and, for
-    pwlq, a region bit per element, in either form, and a record per group."""
+    """Raise CorruptCodes unless ``q`` holds a packed code and, for pwlq, a
+    region bit per element, and a record per group."""
     count = q.element_count
-    if q.packed:
-        codes_fit, bitmap = q.codes.count == count and q.codes.bits == q.bits, -(-count // 8)
-    else:
-        codes_fit, bitmap = q.codes is not None and len(q.codes) == count, count
-    if not codes_fit:
-        raise CorruptCodes(f"{q.name}: code array missing or wrong length")
+    if not (isinstance(q.codes, PackedCodes) and q.codes.count == count
+            and q.codes.bits == q.bits):
+        raise CorruptCodes(f"{q.name}: code stream missing or wrong length")
     expected_groups = group_count(q.shape, q.scheme)
     if q.group_count != expected_groups:
         raise CorruptCodes(
             f"{q.name}: {q.group_count} parameter sets for {expected_groups} groups")
-    if q.method == PWLQ and (q.region_bits is None or len(q.region_bits) != bitmap):
+    if q.method == PWLQ and (q.region_bits is None or len(q.region_bits) != -(-count // 8)):
         raise CorruptCodes(f"{q.name}: region bitmap missing or wrong length")
 
 
@@ -526,40 +522,44 @@ def decode_blocks(q: QuantizedTensor, dtype) -> Iterator[np.ndarray]:
     decoded in float64 and cast to ``dtype`` into one reused array, which
     holds it until the next block; passthrough blocks are its values.
 
-    Codes and region bits are read a block at a time, in either of the forms
-    :class:`QuantizedTensor` holds them. A decoded value beyond the largest
-    finite magnitude of ``dtype`` saturates to it: every source value is
-    finite at its source precision, so this only moves a value toward its
-    source. A code outside its group's domain raises CorruptCodes naming the
-    tensor and the first such group, when the block that holds one is
-    reached; a value still not finite after the cast, InvalidValue.
+    Codes and region bits are unpacked a block at a time. A decoded value
+    beyond the largest finite magnitude of ``dtype`` saturates to it: every
+    source value is finite at its source precision, so this only moves a
+    value toward its source. A code outside its group's domain raises
+    CorruptCodes naming the tensor and the first such group, when the block
+    that holds one is reached; a value still not finite after the cast,
+    InvalidValue.
     """
     pwlq = q.method == PWLQ
     blocks = _Blocks(q.shape, q.scheme)
+    per_filter = q.element_count // q.shape.n
     if q.passthrough:
-        source = ((f0, f1, x, None) for f0, f1, x in blocks.walk(q.values, upcast=False))
+        source = ((f0, f1, q.values[f0 * per_filter:f1 * per_filter], None)
+                  for f0, f1 in blocks.ranges)
     else:
         _check_stored(q)
         source = _stored_blocks(q, blocks)
-        half = 1 << (q.bits - 1)
-        # Every code within the narrowest domain of any group is in its own.
-        lo, hi = -half + (q.method == SYMMETRIC_RESTRICTED), half - 1
+        # A packed code lies in the k-bit range, the domain of every record
+        # but a symmetric-restricted one, which leaves out -2^(k-1).
+        check, lowest = q.method == SYMMETRIC_RESTRICTED, -(1 << (q.bits - 1))
+        buffers = _pwlq.Buffers()
         if pwlq:
-            table, buffers = _pwlq.piece_table(q.params, q.bits), _pwlq.Buffers()
+            table = _pwlq.piece_table(q.params, q.bits)
 
-    out = np.empty(min(blocks.step, q.shape.n) * (q.element_count // q.shape.n), dtype)
+    out = np.empty(min(blocks.step, q.shape.n) * per_filter, dtype)
     for f0, f1, block, regions in source:
         if q.passthrough:
             x = block
         else:
-            if block.min() < lo or block.max() > hi:
-                _check_codes(q, blocks)     # raises, or finds every code in its domain,
-                lo, hi = -half, half - 1    # which lies in the k-bit range
+            if check and block.min() == lowest:
+                _check_codes(q, blocks)     # raises, or finds every code in its domain
+                check = False
             if pwlq:
                 x = _pwlq.decode(blocks.of(table, f0, f1), regions, block, buffers)
             else:
                 rec = blocks.of(q.params, f0, f1)
-                x = _uniform.decode(block, rec["scale"], rec["zero_point"])
+                x = _uniform.decode(block, rec["scale"], rec["zero_point"],
+                                    out=buffers.take(block.shape, np.float64, "q")[0])
         part = out[:x.size]
         with np.errstate(over="ignore"):
             np.copyto(part, x.reshape(-1))

@@ -8,7 +8,8 @@ identical bytes.
 Eight k-bit codes fill exactly k bytes, so the codec works on blocks of 8
 codes held in one little-endian 64-bit word: the same shifts and masks serve
 every k, and only the final partial block is padded. Chunks of
-8 * tensor_store.BLOCK codes go at a time into one output array.
+8 * tensor_store.BLOCK codes go at a time into one output array, which
+:func:`pack_into` also fills a span of codes at a time, as they are made.
 
 Example, k=4: codes [1, -1] bias to [9, 7] and pack to the single byte
 0x79 (low nibble 9, high nibble 7).
@@ -89,26 +90,39 @@ def _chunks(start: int, stop: int):
         yield lo, hi, buf[:-(-(hi - lo) // 8) * 8].reshape(-1, 8)
 
 
+def pack_into(out: np.ndarray, start: int, codes: np.ndarray, bits: int) -> None:
+    """Pack int8 codes, each in [-2^(k-1), 2^(k-1)-1] (not checked), as
+    codes [start, start + len(codes)) of a stream whose bytes ``out`` holds
+    in whole words of 8 codes; ``start`` must begin a word. A final partial
+    word is padded with zero bits."""
+    # Adding 2^(k-1) to a k-bit code flips its bit k-1; the bits above are dropped.
+    bias = np.uint64((1 << (bits - 1)) * 0x0101010101010101)
+    for lo, hi, blocks in _chunks(0, codes.size):
+        biased = blocks.reshape(-1)
+        biased[:hi - lo] = codes[lo:hi].view(np.uint8)
+        words = biased.view("<u8")
+        words ^= bias
+        biased[hi - lo:] = 0                # zero padding: zero spare bits
+        _move_codes(words, bits, spread=False)
+        out.reshape(-1, bits)[(start + lo) // 8:][:len(blocks)] = blocks[:, :bits]
+
+
+def packed_stream(out: np.ndarray, count: int, bits: int) -> PackedCodes:
+    """The first ``count`` codes that :func:`pack_into` wrote into ``out``,
+    as a read-only byte view."""
+    out.flags.writeable = False
+    return PackedCodes(bits, count, memoryview(out[:_packed_length(count, bits)]))
+
+
 def pack_codes(codes, bits: int) -> PackedCodes:
     """Pack signed codes in [-2^(k-1), 2^(k-1)-1] into a read-only byte view."""
     check_bits(bits, error=InvalidInput)
-    codes = np.ravel(codes)
-    half = 1 << (bits - 1)
+    codes, half = np.ravel(codes), 1 << (bits - 1)
+    if codes.size and (codes.min() < -half or codes.max() > half - 1):
+        raise CodeOutOfDomain(f"code outside [{-half}, {half - 1}]")
     out = np.empty(-(-codes.size // 8) * bits, dtype=np.uint8)
-    for start, stop, blocks in _chunks(0, codes.size):
-        chunk = codes[start:stop]
-        if chunk.dtype != np.int8:
-            chunk = chunk.astype(np.int64, copy=False)
-        if chunk.min() < -half or chunk.max() > half - 1:
-            raise CodeOutOfDomain(f"code outside [{-half}, {half - 1}]")
-        biased = blocks.reshape(-1)
-        biased[:stop - start] = chunk       # wraps to the code mod 256
-        biased += np.uint8(half)            # wraps to code + half
-        biased[stop - start:] = 0           # zero padding: zero spare bits
-        _move_codes(biased.view("<u8"), bits, spread=False)
-        out.reshape(-1, bits)[start // 8:][:len(blocks)] = blocks[:, :bits]
-    out.flags.writeable = False
-    return PackedCodes(bits, codes.size, memoryview(out[:_packed_length(codes.size, bits)]))
+    pack_into(out, 0, codes.astype(np.int8, copy=False), bits)
+    return packed_stream(out, codes.size, bits)
 
 
 def unpack_codes(packed: PackedCodes, start: int = 0, stop: int | None = None,

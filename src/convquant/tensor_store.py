@@ -13,11 +13,12 @@ binary files, one per tensor:
 
 ``dtype`` is "f16" (IEEE binary16) or "f32" (binary32); ``file`` is resolved
 relative to the manifest. Shapes with fewer than four dimensions are padded
-with trailing 1s. Values are held at the precision they were read in (a
-tensor built in Python from anything else holds float64); the arithmetic
-downstream upcasts BLOCK elements to float64 at a time, so a tensor's
-working set does not grow with the tensor. The source precision is also
-remembered in bits, so files can be written back byte-identically.
+with trailing 1s. A tensor read through :func:`iter_manifest` keeps its
+values in its data file, which each pass over them reads a block at a time;
+one built in Python holds float16, float32 or float64 values. The
+arithmetic downstream upcasts BLOCK elements to float64 at a time, so a
+tensor's working set does not grow with the tensor. The source precision
+is also remembered in bits, so files can be written back byte-identically.
 
 Writing back streams: :func:`export_manifest` writes each tensor's blocks
 to disk as they arrive, and :func:`check_manifest` reads an export back
@@ -47,6 +48,7 @@ from .errors import (
     ManifestError,
     MissingFile,
     ShapeMismatch,
+    SourceChanged,
 )
 
 DTYPE_BITS = {"f16": 16, "f32": 32}
@@ -84,15 +86,23 @@ class WeightTensor:
     """A named conv weight tensor, flattened row-major over (n, c, h, w).
 
     ``values`` keeps a float16, float32 or float64 array as it is; any other
-    input becomes float64.
+    input becomes float64. A tensor read from a manifest keeps its values
+    in its ``data_file`` instead: the path, and the file's ``(st_ino,
+    st_size, st_mtime_ns)`` when it was read, which :meth:`pieces` checks.
     """
 
     name: str
     shape: TensorShape
-    values: np.ndarray
+    values: np.ndarray | None
     source_precision_bits: int = 16
+    data_file: tuple[Path, tuple[int, int, int]] | None = None
 
     def __post_init__(self):
+        if self.source_precision_bits not in NUMPY_DTYPES:
+            raise ManifestError(
+                f"{self.name}: unsupported source precision {self.source_precision_bits}")
+        if self.values is None and self.data_file is not None:
+            return
         values = np.asarray(self.values)
         if values.dtype not in (np.float16, np.float32, np.float64):
             values = values.astype(np.float64)
@@ -101,14 +111,23 @@ class WeightTensor:
             raise ShapeMismatch(
                 f"{self.name}: {self.values.size} values for shape {self.shape.dims}")
         check_finite(self.name, self.values)
-        if self.source_precision_bits not in NUMPY_DTYPES:
-            raise ManifestError(
-                f"{self.name}: unsupported source precision {self.source_precision_bits}")
+
+    def pieces(self, step: int) -> Iterator[np.ndarray]:
+        """The flat values in order, ``step`` at a time: slices of
+        ``values``, or pieces of the data file read into one reused array."""
+        if self.values is None:
+            return _read_pieces(self, step)
+        return (self.values[i:i + step] for i in range(0, self.values.size, step))
+
+    def load(self) -> np.ndarray:
+        """The flat values, read whole from the data file if they are kept there."""
+        values, = self.pieces(self.shape.element_count)
+        return values
 
     @property
-    def blocks(self) -> tuple[np.ndarray]:
-        """The values, as the one block that :func:`export_manifest` writes."""
-        return (self.values,)
+    def blocks(self) -> Iterator[np.ndarray]:
+        """The values, as the blocks that :func:`export_manifest` writes."""
+        return self.pieces(BLOCK)
 
 
 class TensorBlocks(NamedTuple):
@@ -159,25 +178,46 @@ def _check_size(name: str, shape: TensorShape, bits: int, size: int) -> None:
             f"{bits}-bit needs {expected}")
 
 
-def _read_pieces(name: str, shape: TensorShape, bits: int, data_path: Path,
-                 step: int) -> Iterator[np.ndarray]:
-    """Check the size of a tensor's data file, then yield its values in
-    order, ``step`` at a time, each piece read into one reused array."""
-    count = shape.element_count
-    with open(data_path, "rb") as fh:
-        _check_size(name, shape, bits, os.fstat(fh.fileno()).st_size)
+def _signature(info: os.stat_result) -> tuple[int, int, int]:
+    return info.st_ino, info.st_size, info.st_mtime_ns
+
+
+def _read_pieces(t: WeightTensor, step: int) -> Iterator[np.ndarray]:
+    """Yield the values in ``t``'s data file in order, ``step`` at a time,
+    each piece read into one reused array; SourceChanged unless the file is
+    as it was read first, when it is opened and after its last piece."""
+    path, signature = t.data_file
+
+    def same_file(fh):
+        if _signature(os.fstat(fh.fileno())) != signature:
+            raise SourceChanged(f"{t.name}: {path} changed since its values were checked")
+
+    count = t.shape.element_count
+    with open(path, "rb") as fh:
+        same_file(fh)
         step = min(step, count)
-        buf = np.empty(step, NUMPY_DTYPES[bits])
+        buf = np.empty(step, NUMPY_DTYPES[t.source_precision_bits])
         for start in range(0, count, step):
             piece = buf[:min(step, count - start)]
             if fh.readinto(piece) != piece.nbytes:
-                raise ShapeMismatch(f"{name}: {data_path} was cut short while it was read")
+                raise ShapeMismatch(f"{t.name}: {path} was cut short while it was read")
             yield piece
+        same_file(fh)
 
 
-def _read_tensor(name: str, shape: TensorShape, bits: int, data_path: Path) -> WeightTensor:
-    values, = _read_pieces(name, shape, bits, data_path, shape.element_count)
-    return WeightTensor(name, shape, values, bits)
+def _checked(name: str, shape: TensorShape, bits: int, data_path: Path,
+             load: bool = False) -> WeightTensor:
+    """A manifest entry's tensor, its data file read once, BLOCK values at a
+    time, to check every one finite. The values stay in the file, or with
+    ``load`` are kept as read."""
+    info = os.stat(data_path)
+    _check_size(name, shape, bits, info.st_size)
+    t = WeightTensor(name, shape, None, bits, (data_path, _signature(info)))
+    if load:
+        return WeightTensor(name, shape, t.load(), bits)
+    for piece in t.pieces(BLOCK):
+        check_finite(name, piece)
+    return t
 
 
 def _entries(manifest_path, extra_exclude=()) -> tuple[
@@ -241,11 +281,14 @@ def iter_manifest(manifest_path, extra_exclude=()) -> tuple[
     entry (keys, unique name, shape, dtype, data file size), then return the
     excluded names, an iterator that reads each tensor, in manifest order,
     only when it is asked for, and the ``(st_dev, st_ino)`` of every data
-    file, by which a path that leads to one can be told. ``extra_exclude``
-    adds glob patterns on top of the manifest's own ``exclude`` list.
+    file, by which a path that leads to one can be told. A tensor's read
+    checks its values finite and leaves them in the file, which must not
+    change while they are used; an excluded tensor's are loaded, as they
+    are written raw. ``extra_exclude`` adds glob patterns on top of the
+    manifest's own ``exclude`` list.
     """
     excluded, entries, files = _entries(manifest_path, extra_exclude)
-    return excluded, (_read_tensor(*entry) for entry in entries), files
+    return excluded, (_checked(*entry, entry[0] in excluded) for entry in entries), files
 
 
 def check_manifest(manifest_path) -> int:
@@ -254,8 +297,7 @@ def check_manifest(manifest_path) -> int:
     array; return how many tensors it lists."""
     _, entries, _ = _entries(manifest_path)
     for entry in entries:
-        for piece in _read_pieces(*entry, BLOCK):
-            check_finite(entry[0], piece)
+        _checked(*entry)
     return len(entries)
 
 
@@ -291,9 +333,9 @@ def export_manifest(tensors: Iterable[WeightTensor | TensorBlocks], manifest_pat
     Values are stored at each tensor's source precision, so a freshly loaded
     model writes back byte-identically. A tensor's blocks go to its file as
     they arrive, so beyond what ``tensors`` holds, the export holds one
-    block at a time; a WeightTensor is one block. A data file is named after
-    its tensor, with a serial where the name is taken, by another tensor or
-    by the manifest itself. Every file is first written to its
+    block at a time; a WeightTensor's are BLOCK values. A data file is named
+    after its tensor, with a serial where the name is taken, by another
+    tensor or by the manifest itself. Every file is first written to its
     :func:`staging_file`, and all are moved into place, the manifest last,
     only once every one is written. If a write fails or ``tensors`` raises,
     the staging files and the files already moved into place are removed

@@ -102,19 +102,22 @@ def round_codes(q: np.ndarray, lo, hi, scratch=None) -> np.ndarray:
     return np.clip(q, lo, hi, out=q)
 
 
-def encode(x, scale, zero_point, lo: int, hi: int) -> np.ndarray:
+def encode(x, scale, zero_point, lo: int, hi: int, work=(None, None)) -> np.ndarray:
     """int8 codes ``clip(round_half_away(x / scale + zero_point), lo, hi)``.
 
-    All arguments broadcast against each other.
+    All arguments broadcast against each other; ``work`` is two float64
+    arrays of that shape to compute in, which a caller reuses from block
+    to block.
     """
-    q = np.divide(x, scale)
+    q = np.divide(x, scale, out=work[0])
     q += zero_point
-    return round_codes(q, lo, hi).astype(np.int8)
+    return round_codes(q, lo, hi, work[1]).astype(np.int8)
 
 
-def decode(codes, scale, zero_point) -> np.ndarray:
-    """``(codes - zero_point) * scale`` in float64; arguments broadcast."""
-    out = np.subtract(codes, zero_point, dtype=np.float64)
+def decode(codes, scale, zero_point, out=None) -> np.ndarray:
+    """``(codes - zero_point) * scale`` in float64, in ``out`` when given;
+    arguments broadcast."""
+    out = np.subtract(codes, zero_point, out=out, dtype=np.float64)
     out *= scale
     return out
 

@@ -56,7 +56,7 @@ def split_container(blob):
 
 def unpacked(q):
     """The int8 codes and uint8 region bits (None for the uniform methods)
-    of a tensor read from a container, one per element."""
+    of a quantized tensor, one per element."""
     regions = None
     if q.region_bits is not None:
         regions = np.unpackbits(np.frombuffer(q.region_bits, np.uint8),
@@ -94,10 +94,10 @@ def group_sse(t, scheme, bits, p):
     """Per group of t, the sum of squared errors of its decode with
     breakpoints ``p``, in the order of _Blocks.fold."""
     blocks = _Blocks(t.shape, scheme)
-    vmin, vmax = blocks.extremes(t.values)
+    vmin, vmax = blocks.extremes(t)
     table = pwlq.piece_table(pwlq.group_records(bits, vmin, vmax, p), bits)
     sse = np.zeros(blocks.count)
-    for f0, f1, x in blocks.walk(t.values):
+    for f0, f1, x in blocks.walk(t):
         *_, decoded = pwlq.encode(x, blocks.of(table, f0, f1), bits)
         blocks.fold(sse, (x - decoded) ** 2, f0, f1)
     return sse

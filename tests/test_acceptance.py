@@ -117,11 +117,11 @@ def scalar_cases():
 
     q3 = quantize_tensor(matrix_tensor([[-1.0, 0.0, 1.0]]), FILTER_WISE, AFFINE, 4)
     case("slice [-1,0,1] codes", oracle.quantize_slice_affine([-1.0, 0.0, 1.0], 4)[2],
-         [-8, 0, 7], q3.codes.tolist())
+         [-8, 0, 7], unpacked(q3)[0].tolist())
 
     q2 = quantize_tensor(matrix_tensor([[0.0, 0.25, 0.5, 1.0]]), FILTER_WISE, AFFINE, 2)
     os2, oz2, oc2 = oracle.quantize_slice_affine([0.0, 0.25, 0.5, 1.0], 2)
-    case("slice 2-bit codes", oc2, [-2, -1, -1, 1], q2.codes.tolist())
+    case("slice 2-bit codes", oc2, [-2, -1, -1, 1], unpacked(q2)[0].tolist())
     case("slice 2-bit dequant", [oracle.dequantize(c, os2, oz2) for c in oc2],
          [0.0, 0.3333333333333333, 0.3333333333333333, 1.0],
          dequantize_tensor(q2).values.tolist())
@@ -157,7 +157,7 @@ def scalar_cases():
     case("filter-wise group params", [og0[:2], og1[:2]],
          [(0.3333333333333333, -5), (0.3333333333333333, -11)],
          q.params[["scale", "zero_point"]].tolist())
-    case("filter-wise codes", og0[2] + og1[2], [-2, 1, -2, 1], q.codes.tolist())
+    case("filter-wise codes", og0[2] + og1[2], [-2, 1, -2, 1], unpacked(q)[0].tolist())
     rec = [oracle.dequantize(c, *og0[:2]) for c in og0[2]] + \
           [oracle.dequantize(c, *og1[:2]) for c in og1[2]]
     case("filter-wise reconstruction", rec, [1.0, 2.0, 3.0, 4.0],
@@ -267,10 +267,10 @@ def _assert_field_exact_post_f16(orig, back):
     if orig.passthrough:
         assert np.array_equal(back.values, orig.values)
         return
-    codes, region_bits = unpacked(back)
-    assert np.array_equal(codes, orig.codes)
+    (codes, region_bits), (orig_codes, orig_region_bits) = unpacked(back), unpacked(orig)
+    assert np.array_equal(codes, orig_codes)
     if orig.method == PWLQ:
-        assert np.array_equal(region_bits, orig.region_bits)
+        assert np.array_equal(region_bits, orig_region_bits)
     check_records(orig.params, back.params)
 
 

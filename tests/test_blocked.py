@@ -8,7 +8,6 @@ tensor.
 """
 
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,6 +22,7 @@ from convquant import (
     LAYER_WISE,
     METHODS,
     PWLQ,
+    SYMMETRIC_RESTRICTED,
     MemoryModel,
     TensorShape,
     WeightTensor,
@@ -37,7 +37,7 @@ from convquant import (
 from convquant.cli import main
 from convquant.errors import CorruptCodes
 
-from conftest import bruteforce, group_sse, write_manifest
+from conftest import bruteforce, group_sse, unpacked, write_manifest
 
 
 def _tensor(name, dims, dtype, seed, zeros=False):
@@ -85,10 +85,11 @@ def test_blocks_match_one_block_on_the_whole_group_matrix(monkeypatch, block, sc
         kwargs = {"breakpoint_mode": mode, "grid_points": 8}
         whole, whole_back, whole_f16 = _run(monkeypatch, t.values.size, *args, **kwargs)
         q, back, back_f16 = _run(monkeypatch, block, *args, **kwargs)
+        (codes, regions), (whole_codes, whole_regions) = unpacked(q), unpacked(whole)
         assert q.params.tobytes() == whole.params.tobytes(), t.name
-        assert q.codes.tobytes() == whole.codes.tobytes(), t.name
+        assert codes.tobytes() == whole_codes.tobytes(), t.name
         if method == PWLQ:
-            assert q.region_bits.tobytes() == whole.region_bits.tobytes(), t.name
+            assert regions.tobytes() == whole_regions.tobytes(), t.name
         assert back.tobytes() == whole_back.tobytes(), t.name
         assert back_f16.tobytes() == whole_f16.tobytes(), t.name
         assert np.array_equal(back_f16, back.astype(np.float16)), t.name
@@ -114,33 +115,28 @@ def test_bruteforce_scores_no_group_worse_than_the_closed_form(monkeypatch, bloc
             t.name
 
 
-@pytest.mark.parametrize("method", [AFFINE, PWLQ])
-def test_corrupt_codes_name_the_first_bad_group(monkeypatch, method):
+@pytest.mark.parametrize("bits", [4, 6])
+def test_corrupt_codes_name_the_first_bad_group(monkeypatch, bits):
+    # A packed code lies in the k-bit range, which only a
+    # symmetric-restricted group's domain does not span: it leaves out -2^(k-1).
     monkeypatch.setattr(tensor_store, "BLOCK", 1)
     t = TENSORS[5]
-    q = quantize_tensor(t, F_SHAPE_WISE, method, 4)
-    codes = q.codes.reshape(t.shape.n, -1)
-    codes[0, 30] = -100     # group 30, first block
-    codes[-1, 7] = 100      # group 7, last block
+    q = quantize_tensor(t, F_SHAPE_WISE, SYMMETRIC_RESTRICTED, bits)
+    codes = unpacked(q)[0].reshape(t.shape.n, -1)
+    codes[0, 30] = -(1 << (bits - 1))     # group 30, first block
+    codes[-1, 7] = -(1 << (bits - 1))     # group 7, last block
+    q.codes = pack_codes(codes, bits)
     with pytest.raises(CorruptCodes, match=r"^many-filters-f32: group 7: "):
         dequantize_tensor(q)
 
 
-def _packed(q):
-    """``q`` with its codes and region bits packed, as a container holds them."""
-    regions = q.region_bits
-    if regions is not None:
-        regions = np.packbits(regions, bitorder="little").tobytes()
-    return replace(q, codes=pack_codes(q.codes, q.bits), region_bits=regions)
-
-
 @pytest.mark.parametrize("method", METHODS)
 @pytest.mark.parametrize("scheme", GRANULARITIES)
-def test_packed_decode_matches_the_unpacked_one(monkeypatch, scheme, method):
+def test_packed_decode_matches_the_one_block_decode(monkeypatch, scheme, method):
     # Blocks of filters of 9, 27 or 36 weights start mid-word, several spans
     # of eight blocks end in a short one, and five of these tensors hold a
-    # count of weights that is not a multiple of 8; at one weight, a packed
-    # bitmap is as long as an unpacked one.
+    # count of weights that is not a multiple of 8; at one weight, the
+    # bitmap is one byte. One block is one span, from the streams' start.
     tensors = [TENSORS[i] for i in (0, 1, 2, 4, 6)]
     tensors += [_tensor("odd-filters", (19, 3, 3, 1), np.float32, 7),
                 _tensor("one-weight", (1, 1, 1, 1), np.float16, 8)]
@@ -149,11 +145,12 @@ def test_packed_decode_matches_the_unpacked_one(monkeypatch, scheme, method):
             q = quantize_tensor(t, scheme, method, bits)
             if q.passthrough:
                 continue
-            packed = _packed(q)
+            monkeypatch.setattr(tensor_store, "BLOCK", t.values.size)
+            whole = dequantize_tensor(q).values.tobytes()
             for block in (1, 97):
                 monkeypatch.setattr(tensor_store, "BLOCK", block)
-                assert (dequantize_tensor(packed).values.tobytes()
-                        == dequantize_tensor(q).values.tobytes()), (t.name, bits, block)
+                assert dequantize_tensor(q).values.tobytes() == whole, (t.name, bits, block)
+            monkeypatch.undo()
 
 
 @pytest.mark.parametrize("method", [AFFINE, PWLQ])
@@ -215,7 +212,7 @@ def _traced_peaks(monkeypatch, t, scheme, method, mode):
         tracemalloc.start()
         try:
             q = quantize_tensor(t, scheme, method, 4, breakpoint_mode=mode)
-            outputs = sum(a.nbytes for a in (q.params, q.codes, q.region_bits)
+            outputs = sum(memoryview(a).nbytes for a in (q.params, q.codes.data, q.region_bits)
                           if a is not None)
             phases.append(tracemalloc.get_traced_memory()[1] - outputs)
             tracemalloc.reset_peak()
@@ -284,6 +281,79 @@ def test_dequantize_command_working_set_does_not_grow_with_the_tensor(tmp_path, 
     # casts and writes a block at a time, and reads the export back so.
     small, large = (_dequantize_peak(tmp_path, n, method) for n in (256, 512))
     assert large <= small + 8 * tensor_store.BLOCK / 4
+
+
+def _quantize_peak(tmp_path, n, method, granularity):
+    """Peak bytes traced in the ``quantize`` command on a one-tensor model of
+    n filters, and the size of the container it writes."""
+    work = tmp_path / f"{method}-{granularity}-{n}"
+    work.mkdir()
+    values = np.random.default_rng(n).laplace(0.0, 0.02, n * 256 * 9)
+    manifest = write_manifest(work, [("conv", (n, 256, 3, 3), values, "f16")])
+    del values
+    tracemalloc.start()
+    try:
+        assert main(["quantize", "--manifest", str(manifest), "--method", method,
+                     "--granularity", granularity, "--out", str(work / "m.qnt")]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak, (work / "m.qnt").stat().st_size
+
+
+@pytest.mark.parametrize("granularity", ["fshape", "auto3"])
+@pytest.mark.parametrize("method", ["affine", "pwlq"])
+def test_quantize_command_working_set_does_not_grow_with_the_tensor(tmp_path, method,
+                                                                   granularity):
+    # The command reads the source and packs the codes a block at a time:
+    # beyond a few blocks it holds a tensor's packed sections, and under
+    # auto3 two candidates' (the best so far and the one being made). A
+    # whole-tensor f16 source and int8 code array would grow 3 B per weight.
+    (small, small_size), (large, large_size) = (
+        _quantize_peak(tmp_path, n, method, granularity) for n in (256, 512))
+    held = 2 if granularity == "auto3" else 1
+    assert large - small <= held * (large_size - small_size) + 8 * tensor_store.BLOCK
+
+
+def _model_sources(tmp_path, dtype):
+    """A manifest tensor and a 1x1 one, read from their data files, and the
+    same values as in-memory tensors."""
+    rng = np.random.default_rng(11)
+    shapes = {"conv": (6, 4, 3, 3), "proj": (7, 8, 1, 1)}
+    arrays = {name: rng.laplace(0.0, 0.05, shape) for name, shape in shapes.items()}
+    arrays["conv"][1] = 0.0                 # an all-zero filter
+    arrays["conv"][:, 2] = -0.0             # an all -0 input channel
+    directory = tmp_path / dtype
+    directory.mkdir()
+    manifest = write_manifest(directory, [(name, shapes[name], arrays[name].reshape(-1), dtype)
+                                          for name in shapes])
+    _, tensors, _ = tensor_store.iter_manifest(manifest)
+    from_files = list(tensors)
+    assert all(t.values is None for t in from_files)
+    in_memory = [WeightTensor(t.name, t.shape, t.load().copy(), t.source_precision_bits)
+                 for t in from_files]
+    return from_files, in_memory
+
+
+@pytest.mark.parametrize("block", [1, 97, tensor_store.BLOCK],
+                         ids=["one-filter", "97-elements", "default"])
+@pytest.mark.parametrize("scheme,method,mode", CASES)
+def test_file_backed_and_in_memory_sources_agree(tmp_path, monkeypatch, block, scheme,
+                                                 method, mode):
+    # The file-backed tensors are read again on every pass over their
+    # blocks; a channel-wise 1x1 tensor is a passthrough, loaded once.
+    monkeypatch.setattr(tensor_store, "BLOCK", block)
+    for dtype in ("f16", "f32"):
+        from_files, in_memory = _model_sources(tmp_path, dtype)
+        outputs = []
+        for source in (from_files, in_memory):
+            quantized = [quantize_tensor(t, scheme, method, bits, breakpoint_mode=mode,
+                                         grid_points=8)
+                         for bits in range(3 if method == PWLQ else 2, 9) for t in source]
+            path = tmp_path / f"{dtype}-{len(outputs)}.qnt"
+            write_container(quantized, MemoryModel(), path)
+            outputs.append((path.read_bytes(), [q.error for q in quantized]))
+        assert outputs[0] == outputs[1], dtype
 
 
 @pytest.mark.parametrize("method", [AFFINE, PWLQ])

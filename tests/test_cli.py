@@ -315,6 +315,43 @@ class TestQuantizeCommand:
         assert "conv3" in capsys.readouterr().err
         assert sorted(tmp_path.iterdir()) == before
 
+    @pytest.mark.parametrize("hook", ["_params", "_block_error"])
+    def test_data_file_changed_while_quantizing_fails_cleanly(self, tmp_path, monkeypatch,
+                                                              capsys, hook):
+        # conv1.bin is rewritten in place with other bytes of the same size,
+        # its mtime set a second later: between the statistics and the
+        # encode (_params), or while the encode reads it (_block_error).
+        manifest = four_tensor_model(tmp_path)
+        outputs = ["--out", str(tmp_path / "m.qnt"), "--report", str(tmp_path / "r.json")]
+        assert main(["quantize", "--manifest", str(manifest), *outputs]) == 0
+        data = tmp_path / "conv1.bin"
+        changed = (np.frombuffer(data.read_bytes(), "<f2") * 0.5).astype("<f2").tobytes()
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir() if p != data}
+        names, rewritten = [], []
+        quantize_tensor, original = cli.quantize_tensor, getattr(granularity, hook)
+
+        def tracking(t, *args, **kwargs):
+            names.append(t.name)
+            return quantize_tensor(t, *args, **kwargs)
+
+        def rewrite(*args):
+            result = original(*args)
+            if names[-1] == "conv1" and not rewritten:
+                info = data.stat()
+                with open(data, "r+b") as fh:
+                    fh.write(changed)
+                os.utime(data, ns=(info.st_atime_ns, info.st_mtime_ns + 10**9))
+                rewritten.append(data.stat().st_ino == info.st_ino)
+            return result
+
+        monkeypatch.setattr(cli, "quantize_tensor", tracking)
+        monkeypatch.setattr(granularity, hook, rewrite)
+        rc = main(["quantize", "--manifest", str(manifest), "--bits", "3", *outputs])
+        assert rc == 1 and rewritten == [True]
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: conv1: {data} changed"), err
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir() if p != data} == before
+
     @pytest.mark.parametrize("grid_points", [2, 0, -1])
     def test_bruteforce_rejects_small_grid(self, tmp_path, capsys, grid_points):
         manifest = synthetic_model(tmp_path, include_1x1=False)
@@ -560,7 +597,7 @@ class TestDequantizeCommand:
         out_manifest = tmp_path / "out" / "model.json"
         assert main(["dequantize", str(container), str(out_manifest)]) == 0
         _, tensors, _ = iter_manifest(out_manifest)
-        assert [t.values.tolist() for t in tensors] == [[0.5] * 16]
+        assert [t.load().tolist() for t in tensors] == [[0.5] * 16]
 
     def test_passthrough_model_byte_identical(self, tmp_path):
         src = tmp_path / "src"
@@ -607,7 +644,7 @@ class TestDequantizeCommand:
         doc = json.loads(out.read_text())
         assert [e["file"] for e in doc["tensors"]] == ["conv.1.bin"]
         _, tensors, _ = iter_manifest(out)
-        assert np.abs(next(tensors).values - values).max() < 0.07
+        assert np.abs(next(tensors).load() - values).max() < 0.07
 
     def test_failed_save_leaves_no_partial_output(self, tmp_path, capsys):
         manifest = synthetic_model(tmp_path, include_1x1=False)

@@ -14,6 +14,7 @@ from convquant import (
     SYMMETRIC_FULL,
     SYMMETRIC_RESTRICTED,
     MemoryModel,
+    PackedCodes,
     TensorShape,
     WeightTensor,
     dequantize_tensor,
@@ -89,10 +90,10 @@ class TestRoundTrip:
             if orig.passthrough:
                 assert np.array_equal(back.values, orig.values)
                 continue
-            codes, region_bits = unpacked(back)
-            assert np.array_equal(codes, orig.codes)
+            (codes, region_bits), (orig_codes, orig_region_bits) = unpacked(back), unpacked(orig)
+            assert np.array_equal(codes, orig_codes)
             if orig.method == PWLQ:
-                assert np.array_equal(region_bits, orig.region_bits)
+                assert np.array_equal(region_bits, orig_region_bits)
             assert back.group_count == orig.group_count
             assert_params_equal_post_f16(orig.params, back.params)
 
@@ -170,7 +171,7 @@ class TestHeader:
         # packed; the writer stores them as they are.
         path = _write_sample(tmp_path)
         loaded, memory_model = read_all(path)
-        assert all(q.packed for q in loaded if not q.passthrough)
+        assert all(isinstance(q.codes, PackedCodes) for q in loaded if not q.passthrough)
         again = tmp_path / "again.qnt"
         write_container(loaded, memory_model, again)
         assert again.read_bytes() == path.read_bytes()

@@ -11,10 +11,12 @@ from convquant import (
     GRANULARITIES,
     LAYER_WISE,
     PWLQ,
+    SYMMETRIC_RESTRICTED,
     TensorShape,
     WeightTensor,
     dequantize_tensor,
     element_index,
+    pack_codes,
     quantize_tensor,
     tensor_store,
 )
@@ -29,7 +31,7 @@ from convquant.granularity import (
 from convquant.pwlq import PWLQ_KIND, scaled_squares
 from convquant.uniform import KIND_BY_SCHEME
 
-from conftest import gaussian_tensor
+from conftest import gaussian_tensor, unpacked
 import scalar_oracle as oracle
 
 shapes = st.tuples(st.integers(1, 5), st.integers(1, 5),
@@ -160,7 +162,7 @@ class TestSquareSums:
             expected = reference_square_sums(flat, shape, scheme, m).tobytes()
             for block in (1, 97, tensor_store.BLOCK):
                 monkeypatch.setattr(tensor_store, "BLOCK", block)
-                sums = _Blocks(shape, scheme).square_sums(flat, m)
+                sums = _Blocks(shape, scheme).square_sums(WeightTensor("t", shape, flat), m)
                 assert sums.tobytes() == expected, (seed, block)
 
 
@@ -173,7 +175,7 @@ class TestQuantizeTensor:
 
         t = WeightTensor("t", TensorShape(2, 1, 1, 2), np.array([1.0, 2.0, 3.0, 4.0]))
         q = quantize_tensor(t, FILTER_WISE, AFFINE, 2)
-        assert q.codes.tolist() == [-2, 1, -2, 1]
+        assert unpacked(q)[0].tolist() == [-2, 1, -2, 1]
         assert q.params[["scale", "zero_point"]].tolist() == [
             (0.3333333333333333, -5), (0.3333333333333333, -11)]
         rec = dequantize_tensor(q)
@@ -212,7 +214,7 @@ class TestQuantizeTensor:
     def test_pwlq_round_trip_and_regions(self):
         t = gaussian_tensor((4, 4, 3, 3), seed=4)
         q = quantize_tensor(t, FILTER_WISE, PWLQ, 4)
-        assert q.region_bits is not None and len(q.region_bits) == 144
+        assert q.region_bits is not None and len(unpacked(q)[1]) == 144
         assert np.all(q.params["kind"] == PWLQ_KIND)
         rec = dequantize_tensor(q)
         worst = max(q.params["center"]["scale"].max(), q.params["pos_tail"]["scale"].max())
@@ -230,7 +232,7 @@ class TestQuantizeTensor:
         t = WeightTensor("t", TensorShape(1, 1, 2, 2), np.full(4, 0.25))
         q = quantize_tensor(t, LAYER_WISE, PWLQ, 4)
         assert q.params["kind"][0] == PWLQ_KIND
-        assert np.all(q.region_bits == 1)
+        assert np.all(unpacked(q)[1] == 1)
 
     @pytest.mark.parametrize("mode", ["approx", "bruteforce"])
     def test_kernel_errors_name_the_tensor_and_group(self, mode):
@@ -258,23 +260,28 @@ class TestQuantizeTensor:
         t = gaussian_tensor((4, 4, 3, 3), seed=8)
         a = quantize_tensor(t, C_SHAPE_WISE, PWLQ, 4)
         b = quantize_tensor(t, C_SHAPE_WISE, PWLQ, 4)
-        assert np.array_equal(a.codes, b.codes)
-        assert np.array_equal(a.region_bits, b.region_bits)
+        (codes_a, regions_a), (codes_b, regions_b) = unpacked(a), unpacked(b)
+        assert np.array_equal(codes_a, codes_b)
+        assert np.array_equal(regions_a, regions_b)
         assert np.array_equal(a.params, b.params)
 
 
 class TestDequantizeTensor:
     def test_corrupt_codes_detected(self):
         t = gaussian_tensor((2, 2, 2, 2), seed=9)
-        q = quantize_tensor(t, FILTER_WISE, AFFINE, 3)
-        q.codes[0] = 100
+        # Packed 3-bit codes lie in [-4, 3]; -4 is outside the
+        # symmetric-restricted domain.
+        q = quantize_tensor(t, FILTER_WISE, SYMMETRIC_RESTRICTED, 3)
+        codes, _ = unpacked(q)
+        codes[0] = -4
+        q.codes = pack_codes(codes, 3)
         with pytest.raises(CorruptCodes):
             dequantize_tensor(q)
 
     def test_wrong_code_length_detected(self):
         t = gaussian_tensor((2, 2, 2, 2), seed=9)
         q = quantize_tensor(t, FILTER_WISE, AFFINE, 3)
-        q.codes = q.codes[:-1]
+        q.codes = pack_codes(unpacked(q)[0][:-1], 3)
         with pytest.raises(CorruptCodes):
             dequantize_tensor(q)
 

@@ -29,7 +29,7 @@ from convquant import (
 from convquant import pwlq, uniform
 from convquant.granularity import GROUP_LAYOUT, _as_group_matrix, _Blocks
 
-from conftest import bruteforce, matrix_tensor
+from conftest import bruteforce, matrix_tensor, unpacked
 import masked_pwlq as masked
 from masked_pwlq import CENTER, NEG_TAIL, POS_TAIL
 import scalar_oracle as oracle
@@ -69,7 +69,7 @@ def oracle_uniform_row(row, scheme, bits):
 @settings(max_examples=300, deadline=None)
 def test_uniform_rows_match_oracle(mat, bits, scheme):
     q = quantize_tensor(matrix_tensor(mat), FILTER_WISE, scheme, bits)
-    records, codes = q.params, q.codes.reshape(mat.shape)
+    records, codes = q.params, unpacked(q)[0].reshape(mat.shape)
     decoded = dequantize_tensor(q).values.reshape(mat.shape)
     for g, row in enumerate(mat.tolist()):
         rec = records[g]

@@ -28,7 +28,7 @@ from convquant.errors import InvalidInput, NoViableCandidate
 from convquant.granularity import group_layout
 from convquant.metrics import SELECTION_PREFERENCE, baseline_bytes
 
-from conftest import decoded_error, gaussian_tensor, memory_saving
+from conftest import decoded_error, gaussian_tensor, memory_saving, unpacked
 import scalar_oracle as oracle
 
 ALL_FOUR = (FILTER_WISE, CHANNEL_WISE, F_SHAPE_WISE, C_SHAPE_WISE)
@@ -121,8 +121,8 @@ class TestSelectGranularity:
         found_scheme, found = select_granularity(t, auto3, PWLQ, 4, breakpoint_mode="bruteforce")
         assert (found_scheme, len(searches)) == (scheme, 1)
         assert found.error.mse <= q.error.mse
-        assert found.codes.tobytes() == quantize_tensor(
-            t, scheme, PWLQ, 4, breakpoint_mode="bruteforce").codes.tobytes()
+        assert unpacked(found)[0].tobytes() == unpacked(quantize_tensor(
+            t, scheme, PWLQ, 4, breakpoint_mode="bruteforce"))[0].tobytes()
 
 
 # Shapes with and without unit axes: a k x k kernel, a 1x1 kernel, one input
@@ -163,10 +163,11 @@ def select_every_candidate(t, candidates, method, bits, mode, grid_points):
 def same_result(a, b) -> bool:
     """Byte-identical params, codes, region bits and values, and equal errors."""
     def same(x, y):
-        return (x is None) == (y is None) and (x is None or x.tobytes() == y.tobytes())
+        return (x is None) == (y is None) and (x is None or bytes(x) == bytes(y))
     return (a.passthrough == b.passthrough and a.error == b.error
+            and same(a.codes and a.codes.data, b.codes and b.codes.data)
             and all(same(getattr(a, f), getattr(b, f))
-                    for f in ("params", "codes", "region_bits", "values")))
+                    for f in ("params", "region_bits", "values")))
 
 
 class TestLayoutDedupe:

@@ -14,7 +14,7 @@ from convquant import (
 from convquant.errors import BitsTooSmall, BreakpointOutOfRange, CodeOutOfDomain, InvalidInput
 from convquant.pwlq import decode, encode, group_records, piece_table, ratios_from_squares
 
-from conftest import bruteforce, closed_form, gaussian_tensor, matrix_tensor
+from conftest import bruteforce, closed_form, gaussian_tensor, matrix_tensor, unpacked
 from masked_pwlq import CENTER, NEG_TAIL, POS_TAIL, fold_regions, unfold_regions
 import scalar_oracle as oracle
 
@@ -85,8 +85,9 @@ class TestRowBreakpoints:
             q_j = quantize_tensor(matrix_tensor(mat * 2.0 ** j), FILTER_WISE, PWLQ, 4,
                                   breakpoint_mode=mode, grid_points=16)
             assert np.array_equal(q_j.params["p"], q.params["p"] * 2.0 ** j)
-            assert np.array_equal(q_j.region_bits, q.region_bits)
-            assert np.array_equal(q_j.codes, q.codes)
+            (codes_j, regions_j), (codes, regions) = unpacked(q_j), unpacked(q)
+            assert np.array_equal(regions_j, regions)
+            assert np.array_equal(codes_j, codes)
 
     def test_tiny_float64_groups_keep_their_ratio(self):
         # Squares of values near 1e-300 underflow to 0, so the RMS must come

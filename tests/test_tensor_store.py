@@ -80,7 +80,7 @@ class TestLoadManifest:
         manifest = write_manifest(tmp_path, [("conv1", (2, 1, 1, 1), [1.0, 2.0], "f16")])
         _, tensors = read_all(manifest)
         assert [t.name for t in tensors] == ["conv1"]
-        assert tensors[0].values.tolist() == [1.0, 2.0]
+        assert tensors[0].load().tolist() == [1.0, 2.0]
         assert tensors[0].source_precision_bits == 16
 
     def test_byte_length_mismatch(self, tmp_path):
@@ -184,7 +184,7 @@ class TestLoadManifest:
         manifest = write_manifest(tmp_path, [("a", (1,), [1.0], "f16")])
         _, tensors, _ = iter_manifest(manifest)
         (tmp_path / "a.bin").write_bytes(np.array([3.0], dtype="<f2").tobytes())
-        assert [t.values.tolist() for t in tensors] == [[3.0]]
+        assert [t.load().tolist() for t in tensors] == [[3.0]]
 
     def test_short_shapes_pad_to_4d(self, tmp_path):
         manifest = write_manifest(tmp_path, [("fc", (6,), np.arange(6), "f32")])
@@ -195,7 +195,7 @@ class TestLoadManifest:
         values = np.array([0.1, -0.2, 0.3], dtype="<f4")
         manifest = write_manifest(tmp_path, [("w", (3, 1, 1, 1), values, "f32")])
         _, tensors = read_all(manifest)
-        assert tensors[0].values.tolist() == values.astype(np.float64).tolist()
+        assert tensors[0].load().tolist() == values.astype(np.float64).tolist()
         assert tensors[0].source_precision_bits == 32
 
 
@@ -223,7 +223,7 @@ class TestWriteBack:
         assert excluded == frozenset()
         for a, b in zip(tensors, reloaded, strict=True):
             assert a.name == b.name and a.shape == b.shape
-            assert np.array_equal(a.values, b.values)
+            assert np.array_equal(a.load(), b.load())
 
     def test_colliding_file_stems_get_serials(self, tmp_path):
         tensors = [WeightTensor(name, TensorShape(1, 1, 1, 1), np.array([value]))
@@ -232,7 +232,7 @@ class TestWriteBack:
         doc = json.loads((tmp_path / "model.json").read_text())
         assert [e["file"] for e in doc["tensors"]] == ["a_b.bin", "a_b.1.bin", "a_b.2.bin"]
         _, back = read_all(tmp_path / "model.json")
-        assert [(t.name, t.values.tolist()) for t in back] == [
+        assert [(t.name, t.load().tolist()) for t in back] == [
             ("a/b", [1.0]), ("a_b", [2.0]), ("a:b", [3.0])]
 
     def test_failing_source_leaves_no_files(self, tmp_path):

@@ -21,7 +21,7 @@ from convquant.uniform import (
     range_records,
 )
 
-from conftest import matrix_tensor
+from conftest import matrix_tensor, unpacked
 import scalar_oracle as oracle
 
 
@@ -133,7 +133,7 @@ class TestQuantizeSlice:
         assert oracle.quantize_slice_affine([-1.0, 0.0, 1.0], 4) == (
             0.13333333333333333, 0, [-8, 0, 7])
         q = quantize_tensor(matrix_tensor([[-1.0, 0.0, 1.0]]), FILTER_WISE, AFFINE, 4)
-        assert q.codes.tolist() == [-8, 0, 7]
+        assert unpacked(q)[0].tolist() == [-8, 0, 7]
         assert q.params["scale"][0] == 0.13333333333333333
         assert q.params["zero_point"][0] == 0
 
@@ -144,7 +144,7 @@ class TestQuantizeSlice:
 
     def test_all_zero_slice(self):
         q = quantize_tensor(matrix_tensor([[0.0, 0.0]]), FILTER_WISE, AFFINE, 4)
-        assert q.codes.tolist() == [0, 0]
+        assert unpacked(q)[0].tolist() == [0, 0]
         assert dequantize_tensor(q).values.tolist() == [0.0, 0.0]
 
     def test_two_bit_affine_slice(self):
@@ -153,7 +153,7 @@ class TestQuantizeSlice:
         s, z, codes = oracle.quantize_slice_affine([0.0, 0.25, 0.5, 1.0], 2)
         assert (s, z, codes) == (0.3333333333333333, -2, [-2, -1, -1, 1])
         q = quantize_tensor(matrix_tensor([[0.0, 0.25, 0.5, 1.0]]), FILTER_WISE, AFFINE, 2)
-        assert q.codes.tolist() == [-2, -1, -1, 1]
+        assert unpacked(q)[0].tolist() == [-2, -1, -1, 1]
         assert dequantize_tensor(q).values.tolist() == [
             0.0, 0.3333333333333333, 0.3333333333333333, 1.0]
 
@@ -223,7 +223,8 @@ class TestProperties:
     def test_slice_codes_in_domain_and_endpoints(self, values, bits):
         q = quantize_tensor(matrix_tensor([values]), FILTER_WISE, AFFINE, bits)
         lo, hi = code_domain(AFFINE, bits)
-        assert q.codes.min() >= lo and q.codes.max() <= hi
+        codes, _ = unpacked(q)
+        assert codes.min() >= lo and codes.max() <= hi
         rec = dequantize_tensor(q).values
         scale = q.params["scale"][0]
         vmin, vmax = min(values), max(values)
@@ -236,4 +237,4 @@ class TestProperties:
     @settings(max_examples=100, deadline=None)
     def test_restricted_never_uses_extreme_code(self, values, bits):
         q = quantize_tensor(matrix_tensor([values]), FILTER_WISE, SYMMETRIC_RESTRICTED, bits)
-        assert q.codes.min() >= -(1 << (bits - 1)) + 1
+        assert unpacked(q)[0].min() >= -(1 << (bits - 1)) + 1

@@ -47,7 +47,7 @@ from .errors import (
     DegenerateRange,
     InvalidInput,
 )
-from .packing import PackedCodes, pack_into, packed_stream, unpack_codes
+from .packing import PackedCodes, pack_bits, pack_into, packed_stream, unpack_bits, unpack_codes
 from .pwlq import PWLQ
 from .tensor_store import TensorShape, WeightTensor
 from .uniform import SYMMETRIC_RESTRICTED, UNIFORM_SCHEMES, check_bits, code_domain
@@ -318,7 +318,7 @@ def _fine_points(center: np.ndarray, grid_points: int):
 
 
 def _scan(blocks: _Blocks, t: WeightTensor, m: np.ndarray, candidates, bits: int,
-          buffers: _pwlq.Buffers, best: tuple[np.ndarray, np.ndarray]) -> None:
+          buffers: _store.Buffers, best: tuple[np.ndarray, np.ndarray]) -> None:
     """Score each p/m that ``candidates(rows)`` yields for the groups
     ``rows`` by its sum of squared reconstruction errors, in the order of
     :meth:`_Blocks.fold`, and keep in ``best`` (per group, sum and p/m) the
@@ -348,7 +348,7 @@ def _scan(blocks: _Blocks, t: WeightTensor, m: np.ndarray, candidates, bits: int
 
 
 def _search_breakpoints(blocks: _Blocks, t: WeightTensor, m: np.ndarray, ratio: np.ndarray,
-                        bits: int, grid_points: int, buffers: _pwlq.Buffers) -> np.ndarray:
+                        bits: int, grid_points: int, buffers: _store.Buffers) -> np.ndarray:
     """Per group, the breakpoint of least sum of squared reconstruction
     errors found by a coarse-to-fine scan of the ratios p/m.
 
@@ -380,7 +380,7 @@ def _search_breakpoints(blocks: _Blocks, t: WeightTensor, m: np.ndarray, ratio: 
 
 
 def _breakpoints(t: WeightTensor, blocks: _Blocks, bits: int, mode: str, grid_points: int,
-                 m: np.ndarray, buffers: _pwlq.Buffers) -> np.ndarray:
+                 m: np.ndarray, buffers: _store.Buffers) -> np.ndarray:
     """One breakpoint per group: m times the closed-form p/m (from the
     square sums), or the ``bruteforce`` search's, which scores that too."""
     size = t.shape.element_count // len(m)
@@ -391,7 +391,7 @@ def _breakpoints(t: WeightTensor, blocks: _Blocks, bits: int, mode: str, grid_po
 
 
 def _params(t: WeightTensor, blocks: _Blocks, method: str, bits: int, breakpoint_mode: str,
-            grid_points: int, buffers: _pwlq.Buffers) -> np.ndarray:
+            grid_points: int, buffers: _store.Buffers) -> np.ndarray:
     """Each group's record; its statistics are dropped before encoding."""
     vmin, vmax = blocks.extremes(t)
     try:
@@ -432,7 +432,7 @@ def quantize_tensor(t: WeightTensor, scheme: str, method: str, bits: int,
     if scheme == CHANNEL_WISE and t.shape.h * t.shape.w == 1:
         return make_passthrough(t, scheme, method, bits)
 
-    blocks, buffers = _Blocks(t.shape, scheme), _pwlq.Buffers()
+    blocks, buffers = _Blocks(t.shape, scheme), _store.Buffers()
     params = _params(t, blocks, method, bits, breakpoint_mode, grid_points, buffers)
     pwlq = method == PWLQ
     if pwlq:
@@ -457,10 +457,9 @@ def quantize_tensor(t: WeightTensor, scheme: str, method: str, bits: int,
             decoded = _uniform.decode(codes, rec["scale"], rec["zero_point"], out=work[0])
         errors.append(_block_error(x, decoded))
         whole = end if f1 == t.shape.n else end - end % 8
-        pack_into(words, start, staged[0, :whole].view(np.int8), bits)
+        pack_into(words, start, staged[0, :whole].view(np.int8), bits, buffers)
         if pwlq:
-            bitmap[start // 8:-(-(start + whole) // 8)] = np.packbits(staged[1, :whole],
-                                                                       bitorder="little")
+            pack_bits(bitmap, start, staged[1, :whole], buffers)
         staged[:, :end - whole] = staged[:, whole:end]
         carry = end - whole
     if pwlq:
@@ -474,27 +473,31 @@ def quantize_tensor(t: WeightTensor, scheme: str, method: str, bits: int,
         error=_report(errors, count))
 
 
-def _stored_blocks(q: QuantizedTensor, blocks: _Blocks):
+def _stored_blocks(q: QuantizedTensor, blocks: _Blocks, buffers: _store.Buffers):
     """Yield (f0, f1, codes, region bits) for each block of filters, both in
-    the block's (n, c, h*w) shape, the codes unpacked into one reused
-    buffer. Region bits are None for the uniform methods."""
+    the block's (n, c, h*w) shape, unpacked into arrays of ``buffers`` that
+    the next block reuses. Region bits are None for the uniform methods."""
     per_filter = q.element_count // q.shape.n
-    buf = np.empty(min(blocks.step, q.shape.n) * per_filter, np.int8)
-    bitmap = None if q.region_bits is None else np.frombuffer(q.region_bits, np.uint8)
+    size = min(blocks.step, q.shape.n) * per_filter
+    codes, = buffers.take((size,), np.int8, "codes")
+    if q.region_bits is not None:
+        bitmap = np.frombuffer(q.region_bits, np.uint8)
+        regions, = buffers.take((size,), np.uint8, "regions")
     for f0, f1 in blocks.ranges:
         start, stop = f0 * per_filter, f1 * per_filter
         shape = (f1 - f0, *blocks.dims[1:])
-        codes = unpack_codes(q.codes, start, stop, out=buf[:stop - start])
-        regions = None if bitmap is None else np.unpackbits(
-            bitmap[start // 8:-(-stop // 8)], count=stop - start + start % 8,
-            bitorder="little")[start % 8:]
-        yield f0, f1, codes.reshape(shape), None if regions is None else regions.reshape(shape)
+        unpack_codes(q.codes, start, stop, codes[:stop - start], buffers)
+        if q.region_bits is not None:
+            unpack_bits(bitmap, start, stop, regions[:stop - start], buffers)
+        yield (f0, f1, codes[:stop - start].reshape(shape),
+               None if q.region_bits is None else regions[:stop - start].reshape(shape))
 
 
 def _check_codes(q: QuantizedTensor, blocks: _Blocks) -> None:
     """Raise CorruptCodes naming the first group of a uniform tensor with a
     code outside its record's domain."""
-    stored = ((f0, f1, codes) for f0, f1, codes, _ in _stored_blocks(q, blocks))
+    stored = ((f0, f1, codes)
+              for f0, f1, codes, _ in _stored_blocks(q, blocks, _store.Buffers()))
     cmin, cmax = blocks._reduce(stored, (np.minimum, np.maximum), (np.inf, -np.inf))
     try:
         _uniform.check_code_range(q.params, cmin, cmax)
@@ -517,57 +520,106 @@ def _check_stored(q: QuantizedTensor) -> None:
         raise CorruptCodes(f"{q.name}: region bitmap missing or wrong length")
 
 
+def _decode(q: QuantizedTensor, records: np.ndarray, codes: np.ndarray, regions,
+            buffers: _store.Buffers) -> np.ndarray:
+    """The float64 decode of ``codes`` (and, for pwlq, their tail bits
+    ``regions``) under ``records``, which broadcast against them, in an
+    array of ``buffers``."""
+    if q.method == PWLQ:
+        return _pwlq.decode(_pwlq.piece_table(records, q.bits), regions, codes, buffers)
+    return _uniform.decode(codes, records["scale"], records["zero_point"],
+                           out=buffers.take(codes.shape, np.float64, "q")[0])
+
+
+def _table_width(q: QuantizedTensor, dtype) -> int:
+    """Entries of each group's decode table, one per code (and region bit,
+    for pwlq), where :func:`decode_blocks` reads one; 0 where it decodes
+    each value. A table serves where it takes no more entries than the
+    group has values, and no more bytes than the group's record."""
+    width = 2 << q.bits if q.method == PWLQ else 1 << q.bits
+    fits = (width <= q.element_count // q.group_count
+            and width * np.dtype(dtype).itemsize <= q.params.itemsize)
+    return width if fits else 0
+
+
+def _decode_table(q: QuantizedTensor, rows: slice, width: int, dtype,
+                  buffers: _store.Buffers) -> np.ndarray:
+    """The decode tables of groups ``rows`` of ``q``, flat, in an array of
+    ``buffers``: per group, the values at ``dtype`` of codes -2^(k-1) ..
+    2^(k-1) - 1, then, for pwlq, of the same codes in a tail, each decoded
+    and cast as a value of that code is; made BLOCK entries at a time."""
+    half = 1 << (q.bits - 1)
+    grid, tails = np.arange(-half, half, dtype=np.int8), np.array([[0], [1]], np.uint8)
+    table, = buffers.take(((rows.stop - rows.start) * width,), dtype, "table")
+    step = max(1, _store.BLOCK // width)
+    for g in range(0, rows.stop - rows.start, step):
+        records = q.params[rows][g:g + step, None, None]
+        codes = np.broadcast_to(grid, (len(records), width // (2 * half), 2 * half))
+        x = _decode(q, records, codes, tails, buffers).reshape(-1)
+        _store.cast_into(table[g * width:g * width + x.size], x, q.name)
+    return table
+
+
 def decode_blocks(q: QuantizedTensor, dtype) -> Iterator[np.ndarray]:
     """Yield the flat values of ``q`` one block of filters at a time, each
     decoded in float64 and cast to ``dtype`` into one reused array, which
     holds it until the next block; passthrough blocks are its values.
 
-    Codes and region bits are unpacked a block at a time. A decoded value
-    beyond the largest finite magnitude of ``dtype`` saturates to it: every
-    source value is finite at its source precision, so this only moves a
-    value toward its source. A code outside its group's domain raises
-    CorruptCodes naming the tensor and the first such group, when the block
-    that holds one is reached; a value still not finite after the cast,
-    InvalidValue.
+    Codes and region bits are unpacked a block at a time. Where
+    :func:`_table_width` allows, each group's every code (and region bit) is
+    decoded and cast once, into a table that each block's codes index: once
+    per tensor where groups span the blocks, else for each block's groups.
+    A decoded value beyond the largest finite magnitude of ``dtype``
+    saturates to it: every source value is finite at its source precision,
+    so this only moves a value toward its source. A code outside its group's
+    domain raises CorruptCodes naming the tensor and the first such group,
+    when the block that holds one is reached; a value still not finite
+    after the cast, InvalidValue, when it is cast (a table's entries, when
+    the table is made).
     """
-    pwlq = q.method == PWLQ
     blocks = _Blocks(q.shape, q.scheme)
     per_filter = q.element_count // q.shape.n
-    if q.passthrough:
-        source = ((f0, f1, q.values[f0 * per_filter:f1 * per_filter], None)
-                  for f0, f1 in blocks.ranges)
-    else:
-        _check_stored(q)
-        source = _stored_blocks(q, blocks)
-        # A packed code lies in the k-bit range, the domain of every record
-        # but a symmetric-restricted one, which leaves out -2^(k-1).
-        check, lowest = q.method == SYMMETRIC_RESTRICTED, -(1 << (q.bits - 1))
-        buffers = _pwlq.Buffers()
-        if pwlq:
-            table = _pwlq.piece_table(q.params, q.bits)
-
     out = np.empty(min(blocks.step, q.shape.n) * per_filter, dtype)
-    for f0, f1, block, regions in source:
-        if q.passthrough:
-            x = block
+    if q.passthrough:
+        for f0, f1 in blocks.ranges:
+            part = out[:(f1 - f0) * per_filter]
+            _store.cast_into(part, q.values[f0 * per_filter:f1 * per_filter], q.name)
+            yield part
+        return
+
+    _check_stored(q)
+    buffers, width = _store.Buffers(), _table_width(q, dtype)
+    # A packed code lies in the k-bit range, the domain of every record
+    # but a symmetric-restricted one, which leaves out -2^(k-1).
+    check, half = q.method == SYMMETRIC_RESTRICTED, 1 << (q.bits - 1)
+    if width:
+        # A value's table entry: its group's first + 2^(k-1), + code, + 2^k in a tail.
+        widest = blocks.groups(0, min(blocks.step, q.shape.n))
+        first, tables = np.arange(widest.stop) * width + half, None
+    for f0, f1, codes, regions in _stored_blocks(q, blocks, buffers):
+        if check and codes.min() == -half:
+            _check_codes(q, blocks)     # raises, or finds every code in its domain
+            check = False
+        part = out[:codes.size]
+        if not width:
+            x = _decode(q, blocks.of(q.params, f0, f1), codes, regions, buffers)
+            _store.cast_into(part, x.reshape(-1), q.name)
+            yield part
+            continue
+        rows = blocks.groups(f0, f1)
+        if tables is None or not blocks.spans:
+            tables = _decode_table(q, rows, width, dtype, buffers)
+        # The index shares the array that the tables are made in.
+        index, = buffers.take(codes.shape, np.intp, "q")
+        offsets = blocks.shaped(first[:rows.stop - rows.start])
+        if regions is None:
+            np.add(codes, offsets, out=index)
         else:
-            if check and block.min() == lowest:
-                _check_codes(q, blocks)     # raises, or finds every code in its domain
-                check = False
-            if pwlq:
-                x = _pwlq.decode(blocks.of(table, f0, f1), regions, block, buffers)
-            else:
-                rec = blocks.of(q.params, f0, f1)
-                x = _uniform.decode(block, rec["scale"], rec["zero_point"],
-                                    out=buffers.take(block.shape, np.float64, "q")[0])
-        part = out[:x.size]
-        with np.errstate(over="ignore"):
-            np.copyto(part, x.reshape(-1))
-        if not np.isfinite(part).all():     # saturate what the cast took past the limit
-            limit = np.finfo(dtype).max
-            np.copyto(part, np.clip(x, -limit, limit).reshape(-1))
-            _store.check_finite(q.name, part)
-        yield part
+            np.multiply(regions, 2 * half, out=index, dtype=np.intp)
+            index += codes
+            index += offsets
+        # Every index is in range; "clip" writes to ``part`` unbuffered.
+        yield np.take(tables, index.reshape(-1), out=part, mode="clip")
 
 
 def dequantize_tensor(q: QuantizedTensor, dtype=np.float64) -> WeightTensor:

@@ -8,8 +8,11 @@ identical bytes.
 Eight k-bit codes fill exactly k bytes, so the codec works on blocks of 8
 codes held in one little-endian 64-bit word: the same shifts and masks serve
 every k, and only the final partial block is padded. Chunks of
-8 * tensor_store.BLOCK codes go at a time into one output array, which
+8 * tensor_store.BLOCK codes go at a time through two word arrays, which a
+caller that packs or unpacks a block at a time reuses from block to block
+(a :class:`convquant.tensor_store.Buffers`), into one output array, which
 :func:`pack_into` also fills a span of codes at a time, as they are made.
+A region bitmap is the same layout at k = 1, unbiased (:func:`pack_bits`).
 
 Example, k=4: codes [1, -1] bias to [9, 7] and pack to the single byte
 0x79 (low nibble 9, high nibble 7).
@@ -24,6 +27,7 @@ import numpy as np
 
 from . import tensor_store
 from .errors import CodeOutOfDomain, InvalidInput, TruncatedData
+from .tensor_store import Buffers
 from .uniform import check_bits
 
 
@@ -67,11 +71,11 @@ def _lanes(bits: int, spread: bool) -> tuple:
     return tuple(steps)
 
 
-def _move_codes(words: np.ndarray, bits: int, spread: bool) -> None:
+def _move_codes(words: np.ndarray, bits: int, spread: bool, tmp: np.ndarray) -> None:
     """Move the 8 codes of each word, in place, between two layouts: code j
     at bit j*8 (one code per byte, ``spread``) and code j at bit j*k
-    (packed), in lanes of 16, 32 and 64 bits whose two halves join or part."""
-    tmp = np.empty_like(words)
+    (packed), in lanes of 16, 32 and 64 bits whose two halves join or part;
+    ``tmp`` is a word array of the same shape to shift in."""
     for shift, amount, moved, kept in _lanes(bits, spread):
         shift(words, amount, out=tmp)
         tmp &= moved
@@ -79,32 +83,53 @@ def _move_codes(words: np.ndarray, bits: int, spread: bool) -> None:
         words |= tmp
 
 
-def _chunks(start: int, stop: int):
+def _chunks(start: int, stop: int, buffers: Buffers):
     """Spans [lo, hi) of at most 8 * BLOCK codes that cover [start, stop),
-    each from a whole word on, and for each a (words, 8) view of one reused
-    byte buffer; ``start`` must begin a word."""
+    each from a whole word on, and for each a (words, 8) byte view of an
+    array of ``buffers`` and a word view of another, to shift in; ``start``
+    must begin a word."""
     chunk = 8 * tensor_store.BLOCK
-    buf = np.empty(-(-min(chunk, stop - start) // 8) * 8, dtype=np.uint8)
+    size = -(-min(chunk, stop - start) // 8)
+    spread, tmp = buffers.take((size, 8), np.uint8, "spread", "shifted")
     for lo in range(start, stop, chunk):
         hi = min(lo + chunk, stop)
-        yield lo, hi, buf[:-(-(hi - lo) // 8) * 8].reshape(-1, 8)
+        words = -(-(hi - lo) // 8)
+        yield lo, hi, spread[:words], tmp[:words].reshape(-1).view("<u8")
 
 
-def pack_into(out: np.ndarray, start: int, codes: np.ndarray, bits: int) -> None:
-    """Pack int8 codes, each in [-2^(k-1), 2^(k-1)-1] (not checked), as
-    codes [start, start + len(codes)) of a stream whose bytes ``out`` holds
-    in whole words of 8 codes; ``start`` must begin a word. A final partial
-    word is padded with zero bits."""
-    # Adding 2^(k-1) to a k-bit code flips its bit k-1; the bits above are dropped.
-    bias = np.uint64((1 << (bits - 1)) * 0x0101010101010101)
-    for lo, hi, blocks in _chunks(0, codes.size):
+def _pack(out: np.ndarray, start: int, values: np.ndarray, bits: int, bias: int,
+          buffers: Buffers | None) -> None:
+    """Pack the low ``bits`` bits of each uint8 value plus ``bias`` as values
+    [start, start + len(values)) of a stream whose bytes ``out`` holds in
+    whole words of 8; ``start`` must begin a word. A final partial word is
+    padded with zero bits."""
+    bias = np.uint64(bias * 0x0101010101010101)
+    for lo, hi, blocks, tmp in _chunks(0, values.size, buffers or Buffers()):
         biased = blocks.reshape(-1)
-        biased[:hi - lo] = codes[lo:hi].view(np.uint8)
+        biased[:hi - lo] = values[lo:hi]
         words = biased.view("<u8")
         words ^= bias
         biased[hi - lo:] = 0                # zero padding: zero spare bits
-        _move_codes(words, bits, spread=False)
+        _move_codes(words, bits, False, tmp)
         out.reshape(-1, bits)[(start + lo) // 8:][:len(blocks)] = blocks[:, :bits]
+
+
+def pack_into(out: np.ndarray, start: int, codes: np.ndarray, bits: int,
+              buffers: Buffers | None = None) -> None:
+    """Pack int8 codes, each in [-2^(k-1), 2^(k-1)-1] (not checked), as
+    codes [start, start + len(codes)) of a stream whose bytes ``out`` holds
+    in whole words of 8 codes; ``start`` must begin a word. A final partial
+    word is padded with zero bits. ``buffers`` holds the arrays to pack in,
+    which a caller can reuse from block to block."""
+    # Adding 2^(k-1) to a k-bit code flips its bit k-1; the bits above are dropped.
+    _pack(out, start, codes.view(np.uint8), bits, 1 << (bits - 1), buffers)
+
+
+def pack_bits(out: np.ndarray, start: int, flags: np.ndarray,
+              buffers: Buffers | None = None) -> None:
+    """Pack flags, each 0 or 1, as bits [start, start + len(flags)) of a
+    little-endian bitmap, as :func:`pack_into` packs unbiased 1-bit codes."""
+    _pack(out, start, flags.view(np.uint8), 1, 0, buffers)
 
 
 def packed_stream(out: np.ndarray, count: int, bits: int) -> PackedCodes:
@@ -125,30 +150,44 @@ def pack_codes(codes, bits: int) -> PackedCodes:
     return packed_stream(out, codes.size, bits)
 
 
-def unpack_codes(packed: PackedCodes, start: int = 0, stop: int | None = None,
-                 out: np.ndarray | None = None) -> np.ndarray:
-    """Exact inverse of pack_codes: the int8 codes [start, stop) of the
-    stream (all of them by default), in ``out`` when it is given.
+def _unpack(raw: np.ndarray, bits: int, bias: int, start: int, stop: int,
+            out: np.ndarray, buffers: Buffers | None) -> np.ndarray:
+    """The values [start, stop) of the stream of ``bits``-bit values less
+    ``bias`` whose bytes are ``raw``, as the bytes of ``out``.
 
-    Unpacking begins at the word that holds code ``start``. Spare bytes of
+    Unpacking begins at the word that holds value ``start``. Spare bytes of
     the word buffer are not cleared: spreading a word drops its bytes past
-    the k packed ones, and codes past the stream's end are not copied out.
+    the k packed ones, and values past the stream's end are not copied out.
     """
-    bits = packed.bits
-    stop = packed.count if stop is None else stop
-    if not 0 <= start <= stop <= packed.count:
-        raise InvalidInput(f"codes [{start}, {stop}) outside a stream of {packed.count}")
-    raw = np.frombuffer(packed.data, dtype=np.uint8)
     full = raw.size // bits
     rows, tail = raw[:full * bits].reshape(full, bits), raw[full * bits:]
-    out = np.empty(stop - start, dtype=np.int8) if out is None else out
-    for lo, hi, blocks in _chunks(start - start % 8, stop):
+    for lo, hi, blocks, tmp in _chunks(start - start % 8, stop, buffers or Buffers()):
         part = rows[lo // 8:][:len(blocks)]
         blocks[:len(part), :bits] = part
         blocks[len(part):, :tail.size] = tail      # the final partial word
         biased = blocks.reshape(-1)
-        _move_codes(biased.view("<u8"), bits, spread=True)
+        _move_codes(biased.view("<u8"), bits, True, tmp)
         first = max(lo, start)
-        np.subtract(biased[first - lo:hi - lo], np.uint8(1 << (bits - 1)),
+        np.subtract(biased[first - lo:hi - lo], np.uint8(bias),
                     out=out[first - start:hi - start].view(np.uint8))
     return out
+
+
+def unpack_codes(packed: PackedCodes, start: int = 0, stop: int | None = None,
+                 out: np.ndarray | None = None, buffers: Buffers | None = None) -> np.ndarray:
+    """Exact inverse of pack_codes: the int8 codes [start, stop) of the
+    stream (all of them by default), in ``out`` when it is given, unpacked
+    in the arrays of ``buffers`` when it is given."""
+    stop = packed.count if stop is None else stop
+    if not 0 <= start <= stop <= packed.count:
+        raise InvalidInput(f"codes [{start}, {stop}) outside a stream of {packed.count}")
+    out = np.empty(stop - start, dtype=np.int8) if out is None else out
+    return _unpack(np.frombuffer(packed.data, dtype=np.uint8), packed.bits,
+                   1 << (packed.bits - 1), start, stop, out, buffers)
+
+
+def unpack_bits(bitmap: np.ndarray, start: int, stop: int, out: np.ndarray,
+                buffers: Buffers | None = None) -> np.ndarray:
+    """Bits [start, stop) of the little-endian uint8 ``bitmap``, each 0 or 1,
+    in the uint8 ``out``: the inverse of :func:`pack_bits`."""
+    return _unpack(bitmap, 1, 0, start, stop, out, buffers)

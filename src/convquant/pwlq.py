@@ -23,11 +23,10 @@ read; it broadcasts against the values, so they serve any block of a tensor.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .errors import BitsTooSmall, BreakpointOutOfRange
+from .tensor_store import Buffers
 from .uniform import (
     AFFINE,
     SYMMETRIC_FULL,
@@ -126,25 +125,6 @@ def piece_table(records: np.ndarray, bits: int) -> np.ndarray:
         table[2][degenerate] = table[1][degenerate]
         table[3][degenerate] = table[4][degenerate] = 0.0
     return table
-
-
-class Buffers:
-    """Block-sized arrays, by name, that encode, decode and the breakpoint
-    search reuse from block to block; :meth:`take` views them in a block's
-    shape, growing one only for a larger block."""
-
-    def __init__(self):
-        self._arrays = {}
-
-    def take(self, shape, dtype, *names) -> list[np.ndarray]:
-        size = math.prod(shape)
-        views = []
-        for name in names:
-            array = self._arrays.get((name, dtype))
-            if array is None or array.size < size:
-                array = self._arrays[name, dtype] = np.empty(size, dtype)
-            views.append(array[:size].reshape(shape))
-        return views
 
 
 def _select(flags, values, out) -> np.ndarray:

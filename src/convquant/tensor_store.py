@@ -16,8 +16,9 @@ relative to the manifest. Shapes with fewer than four dimensions are padded
 with trailing 1s. A tensor read through :func:`iter_manifest` keeps its
 values in its data file, which each pass over them reads a block at a time;
 one built in Python holds float16, float32 or float64 values. The
-arithmetic downstream upcasts BLOCK elements to float64 at a time, so a
-tensor's working set does not grow with the tensor. The source precision
+arithmetic downstream upcasts BLOCK elements to float64 at a time, in
+arrays that a :class:`Buffers` reuses from block to block, so a tensor's
+working set does not grow with the tensor. The source precision
 is also remembered in bits, so files can be written back byte-identically.
 
 Writing back streams: :func:`export_manifest` writes each tensor's blocks
@@ -29,6 +30,7 @@ from __future__ import annotations
 
 import contextlib
 import json
+import math
 import os
 import re
 import stat
@@ -36,7 +38,7 @@ from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from fnmatch import fnmatchcase
 from pathlib import Path
-from typing import NamedTuple
+from typing import BinaryIO, NamedTuple
 
 import numpy as np
 
@@ -140,12 +142,54 @@ class TensorBlocks(NamedTuple):
     blocks: Iterable[np.ndarray]
 
 
+class Buffers:
+    """Block-sized arrays, by name, that a loop over blocks reuses from block
+    to block; :meth:`take` views each in a block's shape and a dtype,
+    growing it only for a larger block. A name is one array whatever the
+    dtype, so that steps which do not overlap can share one."""
+
+    def __init__(self):
+        self._arrays = {}
+
+    def take(self, shape, dtype, *names) -> list[np.ndarray]:
+        size = math.prod(shape) * np.dtype(dtype).itemsize
+        views = []
+        for name in names:
+            array = self._arrays.get(name)
+            if array is None or array.size < size:
+                array = self._arrays[name] = np.empty(size, np.uint8)
+            views.append(array[:size].view(dtype).reshape(shape))
+        return views
+
+
+def all_finite(values: np.ndarray) -> bool:
+    """Whether every one of ``values`` is finite. A binary16 value is tested
+    on its bits, finite when its magnitude bits lie below infinity's: numpy
+    evaluates isfinite on binary16 in software, about 9x slower."""
+    if values.dtype.kind == "f" and values.itemsize == 2:
+        magnitudes = values.view(values.dtype.str.replace("f", "u")) & 0x7FFF
+        return int(magnitudes.max(initial=0)) < 0x7C00
+    return bool(np.isfinite(values).all())
+
+
 def check_finite(name: str, values: np.ndarray) -> None:
     """Raise InvalidValue naming the tensor unless every one of the flat
     ``values`` is finite; looks at BLOCK of them at a time."""
     for start in range(0, values.size, BLOCK):
-        if not np.isfinite(values[start:start + BLOCK]).all():
+        if not all_finite(values[start:start + BLOCK]):
             raise InvalidValue(f"{name}: non-finite value in weight data")
+
+
+def cast_into(out: np.ndarray, values: np.ndarray, name: str) -> None:
+    """Cast the flat ``values`` into ``out``; one beyond the largest finite
+    magnitude of out's dtype saturates to it, and InvalidValue names the
+    tensor if one is still not finite."""
+    with np.errstate(over="ignore"):
+        np.copyto(out, values)
+    if not all_finite(out):
+        limit = np.finfo(out.dtype).max
+        np.copyto(out, np.clip(values, -limit, limit))
+        check_finite(name, out)
 
 
 def element_index(shape: TensorShape, n: int, c: int, h: int, w: int) -> int:
@@ -301,16 +345,24 @@ def check_manifest(manifest_path) -> int:
     return len(entries)
 
 
-def staging_file(path) -> Path:
+def open_staging(path) -> tuple[Path, BinaryIO]:
     """Create an empty file beside ``path``, under a name that no file had,
-    to write ``path`` under before it is moved into place. Unlike
-    tempfile.mkstemp's 0600 file, it takes a new file's usual permissions."""
+    to write ``path`` under before it is moved into place; return its path
+    and the file, open for writing through the descriptor that created it.
+    Unlike tempfile.mkstemp's 0600 file, it takes a new file's usual
+    permissions."""
     path = Path(path)
     while True:
         tmp = path.with_name(f"{path.name}.{os.urandom(4).hex()}.tmp")
         with contextlib.suppress(FileExistsError):
-            os.close(os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666))
-            return tmp
+            return tmp, open(os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666), "wb")
+
+
+def staging_file(path) -> Path:
+    """The path of a closed :func:`open_staging` file."""
+    tmp, fh = open_staging(path)
+    fh.close()
+    return tmp
 
 
 def _file_stem(name: str) -> str:
@@ -336,7 +388,7 @@ def export_manifest(tensors: Iterable[WeightTensor | TensorBlocks], manifest_pat
     block at a time; a WeightTensor's are BLOCK values. A data file is named
     after its tensor, with a serial where the name is taken, by another
     tensor or by the manifest itself. Every file is first written to its
-    :func:`staging_file`, and all are moved into place, the manifest last,
+    :func:`open_staging` file, and all are moved into place, the manifest last,
     only once every one is written. If a write fails or ``tensors`` raises,
     the staging files and the files already moved into place are removed
     before the error propagates. A file in the way that the manifest already
@@ -362,8 +414,9 @@ def export_manifest(tensors: Iterable[WeightTensor | TensorBlocks], manifest_pat
             final = path.parent / file_rel
             if os.path.lexists(final) and final not in replaceable:
                 raise InvalidInput(f"refusing to replace {final}: {path} does not list it")
-            staged.append((staging_file(final), final))
-            with open(staged[-1][0], "wb") as fh:
+            tmp, fh = open_staging(final)
+            staged.append((tmp, final))
+            with fh:
                 fh.writelines(block.astype(dtype, copy=False) for block in tensor.blocks)
             entries.append({
                 "name": tensor.name,
@@ -373,8 +426,10 @@ def export_manifest(tensors: Iterable[WeightTensor | TensorBlocks], manifest_pat
             })
             del tensor      # not held while the next one is made
         doc = {"exclude": [], "tensors": entries}
-        staged.append((staging_file(path), path))
-        staged[-1][0].write_text(json.dumps(doc, indent=1) + "\n", "utf-8")
+        tmp, fh = open_staging(path)
+        staged.append((tmp, path))
+        with fh:
+            fh.write((json.dumps(doc, indent=1) + "\n").encode("utf-8"))
         for tmp, final in staged:
             os.replace(tmp, final)
             placed.append(final)

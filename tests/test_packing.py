@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from convquant import PackedCodes, pack_codes, tensor_store, unpack_codes
+from convquant.packing import pack_bits, unpack_bits
 from convquant.errors import CodeOutOfDomain, InvalidInput, TruncatedData
 
 import scalar_oracle as oracle
@@ -178,6 +179,27 @@ class TestChunks:
         codes[-1] = 8
         with pytest.raises(CodeOutOfDomain):
             pack_codes(codes, 4)
+
+
+class TestRegionBitmaps:
+    @pytest.mark.parametrize("block", [1, 3])
+    def test_bits_pack_and_unpack_as_numpy_does_little_endian(self, monkeypatch, block):
+        # A bitmap is a stream of unbiased 1-bit codes, packed from a whole
+        # byte on and unpacked from any bit, through buffers reused by span.
+        monkeypatch.setattr(tensor_store, "BLOCK", block)
+        flags = (np.random.default_rng(block).random(3 * 8 * block + 13) < 0.3).astype(np.uint8)
+        expected = np.packbits(flags, bitorder="little")
+        buffers = tensor_store.Buffers()
+        bitmap = np.full(expected.size, 0xFF, np.uint8)
+        for start in range(0, flags.size, 8 * block):
+            pack_bits(bitmap, start, flags[start:start + 8 * block], buffers)
+        assert bitmap.tobytes() == expected.tobytes()
+        out = np.full(flags.size + 1, 7, np.uint8)
+        for start in range(flags.size + 1):
+            for stop in range(start, flags.size + 1):
+                span = unpack_bits(bitmap, start, stop, out[:stop - start], buffers)
+                assert span.tolist() == flags[start:stop].tolist()
+        assert out[-1] == 7
 
 
 def _traced_extra(count, bits=4):

@@ -69,6 +69,46 @@ class TestTypes:
             WeightTensor("t", TensorShape(2, 1, 1, 1), np.array([0.0, np.nan]))
 
 
+class TestFiniteChecks:
+    # check_finite tests binary16 values on their bits, not with np.isfinite.
+    @staticmethod
+    def _classify(values):
+        """all_finite of each value alone, and check_finite's verdict on each."""
+        single = [tensor_store.all_finite(values[i:i + 1]) for i in range(values.size)]
+        checked = []
+        for i in range(values.size):
+            try:
+                tensor_store.check_finite("t", values[i:i + 1])
+                checked.append(True)
+            except InvalidValue:
+                checked.append(False)
+        return single, checked
+
+    @pytest.mark.parametrize("order", ["<", ">"])
+    def test_every_binary16_bit_pattern_classifies_as_isfinite_does(self, order):
+        patterns = np.arange(1 << 16).astype(f"{order}u2").view(f"{order}f2")
+        expected = np.isfinite(patterns)
+        assert expected.sum() == (1 << 16) - 2 * 1024     # +-inf and 2046 NaNs
+        single, checked = self._classify(patterns)
+        assert single == checked == expected.tolist()
+        assert tensor_store.all_finite(patterns[expected])
+        assert not tensor_store.all_finite(patterns)
+        assert tensor_store.all_finite(patterns[:0])
+
+    def test_binary32_specials_classify_as_isfinite_does(self):
+        patterns = np.array([
+            0x7F800000, 0xFF800000,                             # +-inf
+            0x7FC00000, 0xFFC00000, 0x7F800001, 0x7FBFFFFF,     # NaN payloads
+            0xFFFFFFFF, 0x7FFFFFFF,
+            0x00000001, 0x807FFFFF, 0x00400000,                 # subnormals
+            0x00000000, 0x80000000,                             # +-0
+            0x00800000, 0x7F7FFFFF, 0xFF7FFFFF, 0x3F800000,     # normals, the limits
+        ], np.uint32).view(np.float32)
+        single, checked = self._classify(patterns)
+        assert single == checked == np.isfinite(patterns).tolist()
+        assert checked.count(False) == 8
+
+
 def read_all(manifest, extra_exclude=()):
     """The excluded names and every tensor of a manifest, in order."""
     excluded, tensors, _ = iter_manifest(manifest, extra_exclude)
@@ -271,6 +311,21 @@ class TestWriteBack:
         with pytest.raises(InvalidInput, match="b.bin"):
             export_manifest(tensors("a", "b"), tmp_path / "model.json")
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+    def test_each_file_is_written_through_the_descriptor_that_created_it(self, tmp_path,
+                                                                        monkeypatch):
+        opened = []
+
+        def recording_open(file, *args, **kwargs):
+            opened.append(file)
+            return open(file, *args, **kwargs)
+
+        monkeypatch.setattr(tensor_store, "open", recording_open, raising=False)
+        tensors = [WeightTensor(name, TensorShape(1, 1, 1, 1), np.array([1.0]))
+                   for name in ("a", "b")]
+        export_manifest(tensors, tmp_path / "model.json")
+        assert len(opened) == 3 and all(isinstance(file, int) for file in opened)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.bin", "b.bin", "model.json"]
 
     def test_staging_files_are_new_with_a_new_file_s_permissions(self, tmp_path):
         (tmp_path / "x.bin.tmp").write_text("keep")

@@ -40,13 +40,12 @@ from .granularity import (
     quantize_tensor,
 )
 from .metrics import (
-    MemoryModel,
     baseline_bytes,
     figure_of_merit,
     memory_bytes,
     select_granularity,
 )
-from .packing import PackedCodes, pack_codes, unpack_codes
+from .packing import PackedCodes, unpack_codes
 from .container import FORMAT_VERSION, open_container, write_container
 
 __all__ = [
@@ -65,9 +64,8 @@ __all__ = [
     "GRANULARITIES", "LAYER_WISE", "METHODS", "ErrorReport", "QuantizedTensor",
     "dequantize_tensor", "make_passthrough", "quantize_tensor",
     # metrics
-    "MemoryModel", "baseline_bytes", "figure_of_merit", "memory_bytes",
-    "select_granularity",
+    "baseline_bytes", "figure_of_merit", "memory_bytes", "select_granularity",
     # packing / container
-    "PackedCodes", "pack_codes", "unpack_codes",
+    "PackedCodes", "unpack_codes",
     "FORMAT_VERSION", "open_container", "write_container",
 ]

@@ -21,7 +21,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict
 from pathlib import Path
 
 from . import __version__
@@ -39,7 +38,7 @@ from .granularity import (
     quantize_tensor,
 )
 from .metrics import (
-    MemoryModel,
+    MEMORY_MODEL,
     baseline_bytes,
     figure_of_merit,
     memory_bytes,
@@ -77,12 +76,6 @@ AUTO_CANDIDATES = {
 }
 
 
-# The paper's accounting (k-bit codes plus 16-bit parameters per group,
-# against a 16-bit baseline), and the same with pwlq region bits charged.
-MEMORY_MODEL = MemoryModel()
-REGION_BITS_CHARGED = MemoryModel(charge_region_bits=True)
-
-
 def _quantize_one(tensor, excluded, args, bits):
     """Returns (QuantizedTensor, excluded flag). The tensor carries the error
     measured while quantizing, so no tensor is decoded again here."""
@@ -112,10 +105,10 @@ def _summary(q, was_excluded: bool) -> tuple[dict, int, int]:
         "bits": q.bits,
         "mse": q.error.mse,
         "max_abs": q.error.max_abs,
-        "bytes": memory_bytes(q, MEMORY_MODEL),
-        "baseline_bytes": baseline_bytes(q, MEMORY_MODEL),
+        "bytes": memory_bytes(q),
+        "baseline_bytes": baseline_bytes(q),
     }
-    return entry, q.element_count, memory_bytes(q, REGION_BITS_CHARGED)
+    return entry, q.element_count, memory_bytes(q, region_bits=True)
 
 
 def _totals(rows) -> dict:
@@ -144,7 +137,7 @@ def _write_report(path, args, rows, totals) -> None:
             "bits": args.bits,
             "granularity": args.granularity,
             "breakpoint": args.breakpoint,
-            "memory_model": asdict(MEMORY_MODEL),
+            "memory_model": MEMORY_MODEL,
         },
         "tensors": [entry for entry, *_ in rows],
         "totals": totals,
@@ -203,7 +196,7 @@ def cmd_quantize(args) -> int:
         out_tmp = staging_file(args.out)
         staged.append((out_tmp, args.out))
         rows = []
-        write_container(_quantized(tensors, excluded, args, rows), MEMORY_MODEL, out_tmp)
+        write_container(_quantized(tensors, excluded, args, rows), out_tmp)
         totals = _totals(rows)
         if args.report:
             _write_report(report_tmp, args, rows, totals)
@@ -232,7 +225,7 @@ def cmd_dequantize(args) -> int:
     new_dirs = [d for d in Path(args.out_manifest).parents if not d.exists()]
     try:
         _check_outputs({"container": args.container}, {"out_manifest": args.out_manifest})
-        with open_container(args.container) as (_, tensors):
+        with open_container(args.container) as tensors:
             # map holds no tensor between items
             created = export_manifest(map(_decoded, tensors), args.out_manifest)
         count = check_manifest(args.out_manifest)   # the export reads back, block by block
@@ -268,8 +261,8 @@ def _load_loss_file(path) -> dict[int, float]:
         losses = {}
         for key, loss in doc.items():
             if (isinstance(loss, bool) or not isinstance(loss, (int, float))
-                    or not math.isfinite(loss)):
-                raise ValueError(f"loss for {key!r} is {loss!r}, not a finite number")
+                    or not math.isfinite(loss) or loss < 0):
+                raise ValueError(f"loss for {key!r} is {loss!r}, not a finite number >= 0")
             losses[int(key)] = float(loss)
         return losses
     except (ValueError, OverflowError) as exc:

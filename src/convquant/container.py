@@ -6,10 +6,11 @@ Layout::
     <header>                     JSON, UTF-8
     <payload>                    binary sections, offsets relative to payload
 
-The header lists the memory-model parameters and one record per tensor
-(name, shape, method, scheme, bits, group count, section offsets). It is
-written as compact JSON with sorted keys; the reader takes any JSON, such
-as the indented headers of earlier writers. Payload sections per tensor:
+The header holds the memory model (``metrics.MEMORY_MODEL``, the only one
+the reader accepts) and one record per tensor (name, shape, method, scheme,
+bits, group count, section offsets). It is written as compact JSON with
+sorted keys; the reader takes any JSON, such as the indented headers of
+earlier writers. Payload sections per tensor:
 
 * ``params``: one record per group. A uniform record is 10 bytes
   ``<kind u8, bits u8, scale f16, zero_point i16, beta f16, alpha f16>``
@@ -39,7 +40,7 @@ import shutil
 import tempfile
 from collections.abc import Iterable
 from contextlib import contextmanager
-from dataclasses import asdict, fields, replace
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -51,7 +52,7 @@ from .errors import (
     VersionMismatch,
 )
 from .granularity import GRANULARITIES, METHODS, QuantizedTensor, group_count
-from .metrics import MemoryModel
+from .metrics import MEMORY_MODEL
 from .packing import PackedCodes
 from .pwlq import PIECES, PWLQ, PWLQ_KIND
 from .pwlq import RECORD as PWLQ_RECORD
@@ -190,8 +191,7 @@ def _sections(q: QuantizedTensor) -> dict:
     return sections
 
 
-def write_container(tensors: Iterable[QuantizedTensor], memory_model: MemoryModel,
-                    path) -> None:
+def write_container(tensors: Iterable[QuantizedTensor], path) -> None:
     """Serialize quantized tensors, taken one at a time from any iterable;
     identical inputs give identical bytes.
 
@@ -224,7 +224,7 @@ def write_container(tensors: Iterable[QuantizedTensor], memory_model: MemoryMode
 
             header = {
                 "format": FORMAT_VERSION,
-                "memory_model": asdict(memory_model),
+                "memory_model": MEMORY_MODEL,
                 "payload_size": spool.tell(),
                 "tensors": records,
             }
@@ -235,7 +235,7 @@ def write_container(tensors: Iterable[QuantizedTensor], memory_model: MemoryMode
                 fh.write(header_bytes)
                 spool.seek(0)
                 shutil.copyfileobj(spool, fh)
-        with open_container(tmp) as (_, written):
+        with open_container(tmp) as written:
             for q in written:
                 del q   # read back, one tensor at a time
         os.replace(tmp, out)
@@ -264,15 +264,15 @@ def _section(sections: dict, name: str, payload_size: int, claimed: list, tensor
 def open_container(path):
     """Open a container for reading, one tensor at a time.
 
-    Yields ``(memory_model, tensors)``. The header is parsed and every
-    record and section bound in it checked before this returns; iterating
-    ``tensors`` then reads each tensor, in header order, from the one open
-    file: its params checked and parsed, its codes and region bits packed
-    (see :class:`convquant.granularity.QuantizedTensor`). The file closes
-    when the block exits.
+    Yields the tensors. The header is parsed and every record and section
+    bound in it checked before this returns; iterating then reads each
+    tensor, in header order, from the one open file: its params checked and
+    parsed, its codes and region bits packed (see
+    :class:`convquant.granularity.QuantizedTensor`). The file closes when
+    the block exits.
     """
     with open(path, "rb") as fh:
-        memory_model, records, payload_start = _read_header(fh)
+        records, payload_start = _read_header(fh)
 
         def read(span: tuple[int, int]) -> bytes:
             fh.seek(payload_start + span[0])
@@ -281,11 +281,11 @@ def open_container(path):
                 raise CorruptHeader("container cut short while it was read")
             return data
 
-        yield memory_model, (_read_tensor(*record, read) for record in records)
+        yield (_read_tensor(*record, read) for record in records)
 
 
-def _read_header(fh) -> tuple[MemoryModel, list, int]:
-    """The memory model, the checked tensor records and the payload's offset."""
+def _read_header(fh) -> tuple[list, int]:
+    """The checked tensor records and the payload's offset."""
     size = os.fstat(fh.fileno()).st_size
     head = fh.read(64)
     newline = head.find(b"\n")
@@ -316,14 +316,8 @@ def _read_header(fh) -> tuple[MemoryModel, list, int]:
         raise CorruptHeader(
             f"payload is {payload_size} bytes, header declares {header.get('payload_size')}")
 
-    mm_raw = header.get("memory_model")
-    mm_fields = [f.name for f in fields(MemoryModel)]
-    if not isinstance(mm_raw, dict) or set(mm_raw) != set(mm_fields):
-        raise CorruptHeader(f"memory_model must carry exactly {mm_fields}")
-    try:
-        memory_model = MemoryModel(**mm_raw)
-    except (TypeError, InvalidInput) as exc:
-        raise CorruptHeader(f"bad memory model: {exc}") from exc
+    if header.get("memory_model") != MEMORY_MODEL:
+        raise CorruptHeader(f"memory_model must be {MEMORY_MODEL}")
 
     raw_records = header.get("tensors")
     if not isinstance(raw_records, list):
@@ -335,7 +329,7 @@ def _read_header(fh) -> tuple[MemoryModel, list, int]:
     for (_, prev_end, prev_name), (start, _, name) in zip(claimed, claimed[1:]):
         if start < prev_end:
             raise OffsetOutOfBounds(f"sections {prev_name!r} and {name!r} overlap")
-    return memory_model, records, payload_start
+    return records, payload_start
 
 
 def _check_record(record, payload_size: int, claimed: list) -> tuple[QuantizedTensor, dict]:

@@ -3,18 +3,16 @@
 Candidates are ranked on the error that :func:`quantize_tensor` measures
 while it encodes (``QuantizedTensor.error``); nothing here decodes again.
 
-The memory model charges ceil(E * k / 8) bytes for the packed codes of an
-E-element tensor plus a fixed per-group cost for the stored parameters
-(16-bit scale, 16-bit zero-point and so on). Piecewise-quantized tensors
-physically also need one region bit per element; whether that bit is charged
-is a policy flag (``charge_region_bits``), off by default, since per-group
-parameter overhead rather than region storage is what published
-memory-saving figures for this family of quantizers reflect.
+The memory model is the paper's fixed accounting, :data:`MEMORY_MODEL`:
+ceil(E * k / 8) bytes for the packed codes of an E-element tensor plus a
+fixed per-group cost for the stored parameters (16-bit scale, 16-bit
+zero-point and so on), against a 16-bit baseline. It leaves out the one
+region bit per element that piecewise tensors also store, as published
+memory-saving figures for this family of quantizers do;
+``memory_bytes(q, region_bits=True)`` charges it.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .errors import InvalidInput, NoViableCandidate
 from .granularity import (
@@ -35,29 +33,14 @@ from .uniform import AFFINE
 SELECTION_PREFERENCE = (C_SHAPE_WISE, F_SHAPE_WISE, FILTER_WISE,
                         CHANNEL_WISE, LAYER_WISE)
 
-
-@dataclass(frozen=True)
-class MemoryModel:
-    """Byte-cost assumptions for the memory-saving ratio."""
-
-    baseline_bits_per_element: int = 16
-    param_bytes_affine: int = 4        # 16-bit scale + 16-bit zero-point
-    param_bytes_symmetric: int = 2     # 16-bit scale
-    param_bytes_pwlq: int = 10         # breakpoint, 2 scales, 2 zero-points
-    charge_region_bits: bool = False
-
-    def __post_init__(self):
-        for name in ("baseline_bits_per_element", "param_bytes_affine",
-                     "param_bytes_symmetric", "param_bytes_pwlq"):
-            if getattr(self, name) <= 0:
-                raise InvalidInput(f"{name} must be positive")
-
-    def param_bytes(self, method: str) -> int:
-        if method == PWLQ:
-            return self.param_bytes_pwlq
-        if method == AFFINE:
-            return self.param_bytes_affine
-        return self.param_bytes_symmetric
+# The paper's accounting, as containers and reports record it.
+MEMORY_MODEL = {
+    "baseline_bits_per_element": 16,
+    "param_bytes_affine": 4,        # 16-bit scale + 16-bit zero-point
+    "param_bytes_symmetric": 2,     # 16-bit scale
+    "param_bytes_pwlq": 10,         # breakpoint, 2 scales, 2 zero-points
+    "charge_region_bits": False,
+}
 
 
 def select_granularity(t: WeightTensor, candidates, method: str, bits: int,
@@ -103,18 +86,20 @@ def select_granularity(t: WeightTensor, candidates, method: str, bits: int,
     return best
 
 
-def baseline_bytes(q: QuantizedTensor, model: MemoryModel) -> int:
+def baseline_bytes(q: QuantizedTensor) -> int:
     """Bytes the tensor occupies unquantized at the baseline precision."""
-    return -(-q.element_count * model.baseline_bits_per_element // 8)
+    return -(-q.element_count * MEMORY_MODEL["baseline_bits_per_element"] // 8)
 
 
-def memory_bytes(q: QuantizedTensor, model: MemoryModel) -> int:
-    """Bytes the quantized tensor occupies under the model's policy."""
+def memory_bytes(q: QuantizedTensor, region_bits: bool = False) -> int:
+    """Bytes the quantized tensor occupies under :data:`MEMORY_MODEL`; with
+    ``region_bits``, a pwlq tensor's one region bit per element too."""
     if q.passthrough:
-        return baseline_bytes(q, model)
+        return baseline_bytes(q)
     total = -(-q.element_count * q.bits // 8)
-    total += q.group_count * model.param_bytes(q.method)
-    if model.charge_region_bits and q.method == PWLQ:
+    method = q.method if q.method in (AFFINE, PWLQ) else "symmetric"
+    total += q.group_count * MEMORY_MODEL[f"param_bytes_{method}"]
+    if region_bits and q.method == PWLQ:
         total += -(-q.element_count // 8)
     return total
 

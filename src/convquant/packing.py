@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor_store
-from .errors import CodeOutOfDomain, InvalidInput, TruncatedData
+from .errors import InvalidInput, TruncatedData
 from .tensor_store import Buffers
 from .uniform import check_bits
 
@@ -139,17 +139,6 @@ def packed_stream(out: np.ndarray, count: int, bits: int) -> PackedCodes:
     return PackedCodes(bits, count, memoryview(out[:_packed_length(count, bits)]))
 
 
-def pack_codes(codes, bits: int) -> PackedCodes:
-    """Pack signed codes in [-2^(k-1), 2^(k-1)-1] into a read-only byte view."""
-    check_bits(bits, error=InvalidInput)
-    codes, half = np.ravel(codes), 1 << (bits - 1)
-    if codes.size and (codes.min() < -half or codes.max() > half - 1):
-        raise CodeOutOfDomain(f"code outside [{-half}, {half - 1}]")
-    out = np.empty(-(-codes.size // 8) * bits, dtype=np.uint8)
-    pack_into(out, 0, codes.astype(np.int8, copy=False), bits)
-    return packed_stream(out, codes.size, bits)
-
-
 def _unpack(raw: np.ndarray, bits: int, bias: int, start: int, stop: int,
             out: np.ndarray, buffers: Buffers | None) -> np.ndarray:
     """The values [start, stop) of the stream of ``bits``-bit values less
@@ -175,7 +164,7 @@ def _unpack(raw: np.ndarray, bits: int, bias: int, start: int, stop: int,
 
 def unpack_codes(packed: PackedCodes, start: int = 0, stop: int | None = None,
                  out: np.ndarray | None = None, buffers: Buffers | None = None) -> np.ndarray:
-    """Exact inverse of pack_codes: the int8 codes [start, stop) of the
+    """Exact inverse of pack_into: the int8 codes [start, stop) of the
     stream (all of them by default), in ``out`` when it is given, unpacked
     in the arrays of ``buffers`` when it is given."""
     stop = packed.count if stop is None else stop

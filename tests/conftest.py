@@ -15,6 +15,7 @@ from convquant import (
     unpack_codes,
 )
 from convquant.granularity import _Blocks
+from convquant.packing import pack_into, packed_stream
 
 
 def write_manifest(dir_path, tensors, exclude=()):
@@ -52,6 +53,15 @@ def split_container(blob):
     newline = blob.index(b"\n")
     payload = newline + 1 + int(blob[:newline].split()[1])
     return blob[newline + 1:payload], blob[payload:]
+
+
+def pack_codes(codes, bits):
+    """Signed codes in [-2^(k-1), 2^(k-1)-1] as a PackedCodes, packed as
+    quantize_tensor packs them (the domain is not checked)."""
+    codes = np.ravel(codes).astype(np.int8, copy=False)
+    out = np.empty(-(-codes.size // 8) * bits, dtype=np.uint8)
+    pack_into(out, 0, codes, bits)
+    return packed_stream(out, codes.size, bits)
 
 
 def unpacked(q):

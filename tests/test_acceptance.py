@@ -22,7 +22,6 @@ from convquant import (
     PWLQ,
     SYMMETRIC_FULL,
     SYMMETRIC_RESTRICTED,
-    MemoryModel,
     TensorShape,
     WeightTensor,
     baseline_bytes,
@@ -33,7 +32,6 @@ from convquant import (
     make_passthrough,
     memory_bytes,
     open_container,
-    pack_codes,
     quantize_tensor,
     resolve_exclusions,
     select_granularity,
@@ -45,7 +43,7 @@ from convquant.cli import main
 from convquant.granularity import group_count
 
 from conftest import (bruteforce, closed_form, decoded_error, gaussian_tensor, matrix_tensor,
-                      memory_saving, unpacked, write_manifest)
+                      memory_saving, pack_codes, unpacked, write_manifest)
 import masked_pwlq as masked
 from masked_pwlq import CENTER, POS_TAIL
 import scalar_oracle as oracle
@@ -168,11 +166,11 @@ def scalar_cases():
     case("memory bytes f-shape worked example", oracle.group_bytes(36864, 4, 576, 4),
          20736, memory_bytes(
              quantize_tensor(gaussian_tensor((64, 64, 3, 3), 0), F_SHAPE_WISE,
-                             AFFINE, 4), MemoryModel()))
+                             AFFINE, 4)))
     case("memory bytes layer worked example", oracle.group_bytes(36864, 4, 1, 4),
          18436, memory_bytes(
              quantize_tensor(gaussian_tensor((64, 64, 3, 3), 0), LAYER_WISE,
-                             AFFINE, 4), MemoryModel()))
+                             AFFINE, 4)))
 
     case("pack [1,-1] k4", oracle.pack_bits([1, -1], 4), b"\x79",
          pack_codes([1, -1], 4).data)
@@ -284,9 +282,8 @@ def test_criterion_03_packing_and_container(tmp_path):
 
     tensors = _mixed_five_tensor_model()
     path = tmp_path / "model.qnt"
-    write_container(tensors, MemoryModel(), path)
-    with open_container(path) as (mm, loaded):
-        assert mm == MemoryModel()
+    write_container(tensors, path)
+    with open_container(path) as loaded:
         for orig, back in zip(tensors, loaded, strict=True):
             _assert_field_exact_post_f16(orig, back)
     report(3, "1000 pack/unpack round trips and 5-tensor container round trip")
@@ -388,15 +385,14 @@ REAL_MANIFEST_VAR = "CONVQUANT_YOLOV7_MANIFEST"
                            "manifest to run the real-checkpoint check")
 def test_criterion_08_real_checkpoint_ratios():
     excluded, tensors, _ = iter_manifest(os.environ[REAL_MANIFEST_VAR])
-    mm = MemoryModel()
     runs = [(F_SHAPE_WISE, AFFINE), (F_SHAPE_WISE, PWLQ), (CHANNEL_WISE, AFFINE)]
     base, quantized = 0, [0] * len(runs)
     for t in tensors:   # one tensor at a time, every run's bytes summed
         for i, (scheme, method) in enumerate(runs):
             quantize = make_passthrough if t.name in excluded else quantize_tensor
             q = quantize(t, scheme, method, 4)
-            quantized[i] += memory_bytes(q, mm)
-        base += baseline_bytes(q, mm)
+            quantized[i] += memory_bytes(q)
+        base += baseline_bytes(q)
 
     affine_fshape, pwlq_fshape, channel = (base / b for b in quantized)
     assert affine_fshape == pytest.approx(3.93, abs=0.10)

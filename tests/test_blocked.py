@@ -23,12 +23,10 @@ from convquant import (
     METHODS,
     PWLQ,
     SYMMETRIC_RESTRICTED,
-    MemoryModel,
     TensorShape,
     WeightTensor,
     dequantize_tensor,
     open_container,
-    pack_codes,
     quantize_tensor,
     granularity,
     tensor_store,
@@ -37,7 +35,7 @@ from convquant import (
 from convquant.cli import main
 from convquant.errors import CorruptCodes
 
-from conftest import bruteforce, group_sse, unpacked, write_manifest
+from conftest import bruteforce, group_sse, pack_codes, unpacked, write_manifest
 
 
 def _tensor(name, dims, dtype, seed, zeros=False):
@@ -163,12 +161,12 @@ def test_container_decode_holds_no_whole_tensor_array(tmp_path, monkeypatch, met
     values = np.random.default_rng(3).laplace(0.0, 0.02, shape.element_count)
     path = tmp_path / "m.qnt"
     write_container([quantize_tensor(WeightTensor("t", shape, values), F_SHAPE_WISE,
-                                     method, 4)], MemoryModel(), path)
+                                     method, 4)], path)
     del values
     sections = path.stat().st_size
     tracemalloc.start()
     try:
-        with open_container(path) as (_, tensors):
+        with open_container(path) as tensors:
             for q in tensors:
                 for _ in granularity.decode_blocks(q, np.float16):
                     pass
@@ -351,7 +349,7 @@ def test_file_backed_and_in_memory_sources_agree(tmp_path, monkeypatch, block, s
                                          grid_points=8)
                          for bits in range(3 if method == PWLQ else 2, 9) for t in source]
             path = tmp_path / f"{dtype}-{len(outputs)}.qnt"
-            write_container(quantized, MemoryModel(), path)
+            write_container(quantized, path)
             outputs.append((path.read_bytes(), [q.error for q in quantized]))
         assert outputs[0] == outputs[1], dtype
 

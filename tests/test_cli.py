@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from convquant import (
-    MemoryModel,
     PackedCodes,
     cli,
     container,
@@ -18,7 +17,6 @@ from convquant import (
     iter_manifest,
     metrics,
     open_container,
-    pack_codes,
     pwlq,
     tensor_store,
     unpack_codes,
@@ -27,7 +25,7 @@ from convquant import (
 from convquant.cli import main
 from convquant.errors import CorruptHeader
 
-from conftest import split_container, write_manifest
+from conftest import pack_codes, split_container, write_manifest
 
 
 def synthetic_model(dir_path, include_1x1=True, seed=0):
@@ -150,7 +148,7 @@ class TestQuantizeCommand:
         assert report["tensors"][-1]["passthrough"] is True
         assert all(t["scheme"] == "f-shape-wise" for t in report["tensors"][:-1])
 
-        with open_container(out) as (_, tensors):
+        with open_container(out) as tensors:
             assert sum(1 for _ in tensors) == len(report["tensors"])
 
     def test_auto_avoids_channel_on_1x1(self, tmp_path):
@@ -626,7 +624,7 @@ class TestDequantizeCommand:
                          "--out", str(container)]) == 0
             assert main(["dequantize", str(container), str(out / "model.json")]) == 0
         assert capsys.readouterr().err == ""
-        with open_container(container) as (_, tensors):
+        with open_container(container) as tensors:
             (q,) = tensors
         records = [q.params[piece] for piece in pwlq.PIECES] if method == "pwlq" else [q.params]
         step = max(float(r["scale"].max()) for r in records)
@@ -685,7 +683,7 @@ class TestDequantizeCommand:
 
     def test_empty_container_leaves_no_directory(self, tmp_path, capsys):
         empty = tmp_path / "e.qnt"
-        write_container([], MemoryModel(), empty)
+        write_container([], empty)
         out = tmp_path / "out"
         rc = main(["dequantize", str(empty), str(out / "sub" / "model.json")])
         assert rc == 1
@@ -700,14 +698,14 @@ class TestDequantizeCommand:
         assert main(["dequantize", str(good), str(out / "model.json")]) == 0
         before = {p.name: p.read_bytes() for p in out.iterdir()}
 
-        with open_container(good) as (mm, tensors):
+        with open_container(good) as tensors:
             tensors = list(tensors)
         q = tensors[1]
         data = bytearray(q.codes.data)
         data[0] &= 0xF0     # code 0, biased by 8, to -8: outside [-7, 7], the 4-bit domain
         q.codes = PackedCodes(q.bits, q.codes.count, bytes(data))
         bad = tmp_path / "bad.qnt"
-        write_container(tensors, mm, bad)
+        write_container(tensors, bad)
         rc = main(["dequantize", str(bad), str(out / "model.json")])
         assert rc == 1
         assert "conv1: group 0: code outside" in capsys.readouterr().err
@@ -822,6 +820,23 @@ class TestSweepCommand:
         loss_file.write_text(text)
         out = tmp_path / "sweep.csv"
         rc = main(["sweep", "--manifest", str(manifest), "--bits", "4:4",
+                   "--loss-file", str(loss_file), "--out", str(out)])
+        assert rc == 1
+        assert "loss file" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_negative_loss_is_refused_before_any_tensor_is_quantized(self, tmp_path,
+                                                                     monkeypatch, capsys):
+        manifest = synthetic_model(tmp_path, include_1x1=False)
+        loss_file = tmp_path / "loss.json"
+        loss_file.write_text(json.dumps({"4": 1.0, "5": -0.5}))
+        out = tmp_path / "sweep.csv"
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a tensor was quantized")
+
+        monkeypatch.setattr(cli, "quantize_tensor", refuse)
+        rc = main(["sweep", "--manifest", str(manifest), "--bits", "4:5",
                    "--loss-file", str(loss_file), "--out", str(out)])
         assert rc == 1
         assert "loss file" in capsys.readouterr().err

@@ -13,7 +13,6 @@ from convquant import (
     PWLQ,
     SYMMETRIC_FULL,
     SYMMETRIC_RESTRICTED,
-    MemoryModel,
     PackedCodes,
     TensorShape,
     WeightTensor,
@@ -23,6 +22,7 @@ from convquant import (
     write_container,
 )
 from convquant import container
+from convquant.metrics import MEMORY_MODEL
 from convquant.errors import (
     CorruptHeader,
     InvalidInput,
@@ -52,9 +52,9 @@ def mixed_model():
 
 
 def read_all(path):
-    """Every tensor of a container, decoded from its records, and its memory model."""
-    with open_container(path) as (memory_model, tensors):
-        return list(tensors), memory_model
+    """Every tensor of a container, decoded from its records."""
+    with open_container(path) as tensors:
+        return list(tensors)
 
 
 def assert_params_equal_post_f16(written, loaded):
@@ -72,13 +72,13 @@ def assert_params_equal_post_f16(written, loaded):
 class TestRoundTrip:
     def test_mixed_model_field_exact(self, tmp_path):
         tensors = mixed_model()
-        mm = MemoryModel(charge_region_bits=True, param_bytes_pwlq=12)
         path = tmp_path / "model.qnt"
-        write_container(tensors, mm, path)
-        with open_container(path) as (mm_back, loaded):
+        write_container(tensors, path)
+        header, _ = split_container(path.read_bytes())
+        assert json.loads(header)["memory_model"] == MEMORY_MODEL
+        with open_container(path) as loaded:
             pairs = list(zip(tensors, loaded, strict=True))
 
-        assert mm_back == mm
         for orig, back in pairs:
             assert back.name == orig.name
             assert back.shape == orig.shape
@@ -100,8 +100,8 @@ class TestRoundTrip:
     def test_loaded_tensors_decode(self, tmp_path):
         tensors = mixed_model()
         path = tmp_path / "model.qnt"
-        write_container(tensors, MemoryModel(), path)
-        with open_container(path) as (_, loaded):
+        write_container(tensors, path)
+        with open_container(path) as loaded:
             for orig, back in zip(tensors, loaded, strict=True):
                 a = dequantize_tensor(orig).values
                 b = dequantize_tensor(back).values
@@ -110,21 +110,20 @@ class TestRoundTrip:
 
     def test_empty_model(self, tmp_path):
         path = tmp_path / "empty.qnt"
-        write_container([], MemoryModel(), path)
-        loaded, mm = read_all(path)
-        assert loaded == [] and mm == MemoryModel()
+        write_container([], path)
+        assert read_all(path) == []
 
     def test_deterministic_bytes(self, tmp_path):
         tensors = mixed_model()
         a, b = tmp_path / "a.qnt", tmp_path / "b.qnt"
-        write_container(tensors, MemoryModel(), a)
-        write_container(tensors, MemoryModel(), b)
+        write_container(tensors, a)
+        write_container(tensors, b)
         assert a.read_bytes() == b.read_bytes()
 
     def test_codes_section_matches_memory_model_term(self, tmp_path):
         tensors = mixed_model()
         path = tmp_path / "model.qnt"
-        write_container(tensors, MemoryModel(), path)
+        write_container(tensors, path)
         blob = path.read_bytes()
         header_len = int(blob.split(b"\n", 1)[0].split()[1])
         start = blob.index(b"\n") + 1
@@ -137,7 +136,7 @@ class TestRoundTrip:
 
     def test_file_size_matches_declared_lengths(self, tmp_path):
         path = tmp_path / "model.qnt"
-        write_container(mixed_model(), MemoryModel(), path)
+        write_container(mixed_model(), path)
         blob = path.read_bytes()
         newline = blob.index(b"\n")
         header_len = int(blob[:newline].split()[1])
@@ -159,21 +158,19 @@ class TestHeader:
         def decodes(tensors):
             return [dequantize_tensor(q, np.float16).values.tobytes() for q in tensors]
 
-        compact = decodes(read_all(path)[0])
+        compact = decodes(read_all(path))
         _patch_header(path, lambda header: None, indent=1)
         assert b'\n "format": "qnt/1",\n' in path.read_bytes()
-        loaded, memory_model = read_all(path)
-        assert memory_model == MemoryModel()
-        assert decodes(loaded) == compact
+        assert decodes(read_all(path)) == compact
 
     def test_rewriting_what_was_read_gives_the_same_bytes(self, tmp_path):
         # A tensor read from a container keeps its codes and region bits
         # packed; the writer stores them as they are.
         path = _write_sample(tmp_path)
-        loaded, memory_model = read_all(path)
+        loaded = read_all(path)
         assert all(isinstance(q.codes, PackedCodes) for q in loaded if not q.passthrough)
         again = tmp_path / "again.qnt"
-        write_container(loaded, memory_model, again)
+        write_container(loaded, again)
         assert again.read_bytes() == path.read_bytes()
 
 
@@ -214,13 +211,13 @@ class TestReadBack:
         path = tmp_path / "model.qnt"
         with pytest.raises(CorruptHeader,
                            match=f"^{name}: group {last_group}: invalid parameter record"):
-            write_container(mixed_model(), MemoryModel(), path)
+            write_container(mixed_model(), path)
         assert list(tmp_path.iterdir()) == []
 
 
 def _write_sample(tmp_path):
     path = tmp_path / "model.qnt"
-    write_container(mixed_model(), MemoryModel(), path)
+    write_container(mixed_model(), path)
     return path
 
 
@@ -305,6 +302,16 @@ class TestCorruption:
         with pytest.raises(CorruptHeader):
             read_all(path)
 
+    @pytest.mark.parametrize("mutate", [
+        lambda header: header["memory_model"].update(param_bytes_pwlq=12),
+        lambda header: header.pop("memory_model"),
+    ], ids=["other-charges", "missing"])
+    def test_memory_model_is_the_papers(self, tmp_path, mutate):
+        path = _write_sample(tmp_path)
+        _patch_header(path, mutate)
+        with pytest.raises(CorruptHeader, match="memory_model"):
+            read_all(path)
+
     def test_unknown_method(self, tmp_path):
         path = _write_sample(tmp_path)
 
@@ -323,8 +330,7 @@ class TestParamsBitFlips:
         zeroed[:36] = 0.0  # one all-zero filter: a short uniform record among pwlq ones
         tensors[0] = WeightTensor("t0", TensorShape(8, 4, 3, 3), zeroed)
         path = tmp_path / "model.qnt"
-        write_container([quantize_tensor(t, FILTER_WISE, PWLQ, 4) for t in tensors],
-                        MemoryModel(), path)
+        write_container([quantize_tensor(t, FILTER_WISE, PWLQ, 4) for t in tensors], path)
         blob = path.read_bytes()
         newline = blob.index(b"\n")
         header_len = int(blob[:newline].split()[1])
@@ -342,8 +348,7 @@ class TestParamsBitFlips:
             flipped[start + bit // 8] ^= 1 << (bit % 8)
             path.write_bytes(bytes(flipped))
             try:
-                loaded, _ = read_all(path)
-                for q in loaded:
+                for q in read_all(path):
                     dequantize_tensor(q)
             except QuantError:
                 rejected += 1
@@ -365,12 +370,12 @@ class TestBitWidths:
         q.params["center"]["bits"] = 2
         path = tmp_path / "model.qnt"
         with pytest.raises(InvalidInput):
-            write_container([q], MemoryModel(), path)
+            write_container([q], path)
         assert not path.exists()
 
     def test_reader_rejects_pwlq_below_three_bits(self, tmp_path):
         path = tmp_path / "model.qnt"
-        write_container([one_zero_pwlq_tensor()], MemoryModel(), path)
+        write_container([one_zero_pwlq_tensor()], path)
         blob = bytearray(path.read_bytes())
         newline = blob.index(b"\n")
         header_len = int(blob[:newline].split()[1])
@@ -419,7 +424,7 @@ class TestRecordValidation:
         # stores equal; a record whose tails differ is corrupt.
         path = tmp_path / "model.qnt"
         write_container([quantize_tensor(gaussian_tensor((4, 4, 3, 3), 0), FILTER_WISE, PWLQ, 4)],
-                        MemoryModel(), path)
+                        path)
         blob, start, length = _params_section(path)
         records = np.frombuffer(blob[start:start + length], container._PWLQ_DISK).copy()
         assert np.array_equal(records["neg_tail"]["scale"], records["pos_tail"]["scale"])
@@ -433,7 +438,7 @@ class TestRecordValidation:
         # A piecewise tensor's all-zero group decodes as its affine center
         # with zero-point 0, which the writer always stores.
         path = tmp_path / "model.qnt"
-        write_container([one_zero_pwlq_tensor()], MemoryModel(), path)
+        write_container([one_zero_pwlq_tensor()], path)
         blob, start, length = _params_section(path)
         record = np.frombuffer(blob[start:start + length], container._UNIFORM_DISK).copy()
         assert record["kind"][0] == 0 and record["zero_point"][0] == 0

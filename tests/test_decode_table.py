@@ -24,13 +24,12 @@ from convquant import (
     WeightTensor,
     dequantize_tensor,
     granularity,
-    pack_codes,
     quantize_tensor,
     tensor_store,
 )
 from convquant.errors import CorruptCodes
 
-from conftest import gaussian_tensor, unpacked
+from conftest import gaussian_tensor, pack_codes, unpacked
 
 F16_MAX = float(np.finfo(np.float16).max)
 

@@ -16,7 +16,6 @@ from convquant import (
     WeightTensor,
     dequantize_tensor,
     element_index,
-    pack_codes,
     quantize_tensor,
     tensor_store,
 )
@@ -31,7 +30,7 @@ from convquant.granularity import (
 from convquant.pwlq import PWLQ_KIND, scaled_squares
 from convquant.uniform import KIND_BY_SCHEME
 
-from conftest import gaussian_tensor, unpacked
+from conftest import gaussian_tensor, pack_codes, unpacked
 import scalar_oracle as oracle
 
 shapes = st.tuples(st.integers(1, 5), st.integers(1, 5),

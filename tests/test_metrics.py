@@ -13,7 +13,7 @@ from convquant import (
     GRANULARITIES,
     LAYER_WISE,
     PWLQ,
-    MemoryModel,
+    SYMMETRIC_RESTRICTED,
     TensorShape,
     WeightTensor,
     figure_of_merit,
@@ -220,43 +220,38 @@ class TestMemoryModel:
     def test_worked_f_shape_example(self):
         assert oracle.group_bytes(36864, 4, 576, 4) == 20736
         q = quantized((64, 64, 3, 3), F_SHAPE_WISE)
-        mm = MemoryModel()
-        assert memory_bytes(q, mm) == 20736
-        assert baseline_bytes(q, mm) == 73728
+        assert memory_bytes(q) == 20736
+        assert baseline_bytes(q) == 73728
         assert memory_saving([q]) == pytest.approx(3.5556, abs=5e-5)
 
     def test_worked_layer_example(self):
         assert oracle.group_bytes(36864, 4, 1, 4) == 18436
         q = quantized((64, 64, 3, 3), LAYER_WISE)
-        mm = MemoryModel()
-        assert memory_bytes(q, mm) == 18436
+        assert memory_bytes(q) == 18436
         assert memory_saving([q]) == pytest.approx(3.9991, abs=5e-5)
 
     def test_passthrough_counts_at_baseline(self):
         q = quantized((16, 16, 1, 1), CHANNEL_WISE)
         assert q.passthrough
-        mm = MemoryModel()
-        assert memory_bytes(q, mm) == baseline_bytes(q, mm) == 512
+        assert memory_bytes(q) == baseline_bytes(q) == 512
         assert memory_saving([q]) == 1.0
 
     def test_region_bits_charged_only_for_pwlq(self):
-        mm_off = MemoryModel()
-        mm_on = MemoryModel(charge_region_bits=True)
         qp = quantized((8, 8, 3, 3), FILTER_WISE, method=PWLQ)
         qa = quantized((8, 8, 3, 3), FILTER_WISE, method=AFFINE)
         extra = -(-qp.element_count // 8)
-        assert memory_bytes(qp, mm_on) == memory_bytes(qp, mm_off) + extra
-        assert memory_bytes(qa, mm_on) == memory_bytes(qa, mm_off)
+        assert memory_bytes(qp, region_bits=True) == memory_bytes(qp) + extra
+        assert memory_bytes(qa, region_bits=True) == memory_bytes(qa)
 
     def test_param_cost_per_method(self):
-        mm = MemoryModel()
         q_sym = quantized((4, 4, 3, 3), FILTER_WISE, method="symmetric-full")
+        q_res = quantized((4, 4, 3, 3), FILTER_WISE, method=SYMMETRIC_RESTRICTED)
         q_aff = quantized((4, 4, 3, 3), FILTER_WISE, method=AFFINE)
         q_pw = quantized((4, 4, 3, 3), FILTER_WISE, method=PWLQ)
         codes = -(-q_aff.element_count * 4 // 8)
-        assert memory_bytes(q_sym, mm) == codes + 4 * 2
-        assert memory_bytes(q_aff, mm) == codes + 4 * 4
-        assert memory_bytes(q_pw, mm) == codes + 4 * 10
+        assert memory_bytes(q_sym) == memory_bytes(q_res) == codes + 4 * 2
+        assert memory_bytes(q_aff) == codes + 4 * 4
+        assert memory_bytes(q_pw) == codes + 4 * 10
 
     def test_ratio_approaches_bit_ratio_for_large_groups(self):
         q = quantized((8, 32, 8, 8), LAYER_WISE)  # G/E = 1/16384
@@ -270,10 +265,6 @@ class TestMemoryModel:
                                    LAYER_WISE, AFFINE, 4)
         both = memory_saving([kept, skipped])
         assert 1.0 < both < memory_saving([kept])
-
-    def test_model_validation(self):
-        with pytest.raises(InvalidInput):
-            MemoryModel(param_bytes_affine=0)
 
 
 class TestMixedSelection:

@@ -4,11 +4,22 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from convquant import PackedCodes, pack_codes, tensor_store, unpack_codes
+from convquant import (
+    AFFINE,
+    LAYER_WISE,
+    SYMMETRIC_RESTRICTED,
+    PackedCodes,
+    dequantize_tensor,
+    quantize_tensor,
+    tensor_store,
+    unpack_codes,
+)
 from convquant.packing import pack_bits, unpack_bits
-from convquant.errors import CodeOutOfDomain, InvalidInput, TruncatedData
+from convquant.errors import CodeOutOfDomain, CorruptCodes, InvalidInput, TruncatedData
+from convquant.uniform import check_code_range, range_records
 
 import scalar_oracle as oracle
+from conftest import gaussian_tensor, pack_codes, unpacked
 
 
 class TestKnownLayouts:
@@ -36,16 +47,20 @@ class TestKnownLayouts:
 
 class TestValidation:
     def test_out_of_domain_code(self):
+        # pack_into takes codes unchecked; the domain is checked where the
+        # codes are made, against the group's record.
+        rec = range_records(AFFINE, 4, np.array([-1.0]), np.array([1.0]))
+        check_code_range(rec, np.array([-8]), np.array([7]))
         with pytest.raises(CodeOutOfDomain):
-            pack_codes([8], 4)
+            check_code_range(rec, np.array([0]), np.array([8]))
         with pytest.raises(CodeOutOfDomain):
-            pack_codes([-9], 4)
+            check_code_range(rec, np.array([-9]), np.array([0]))
 
     def test_bits_out_of_range(self):
         with pytest.raises(InvalidInput):
-            pack_codes([0], 1)
+            PackedCodes(1, 1, b"\x00")
         with pytest.raises(InvalidInput):
-            pack_codes([0], 9)
+            PackedCodes(9, 1, b"\x00\x00")
 
     def test_truncated_stream(self):
         with pytest.raises(TruncatedData):
@@ -174,11 +189,20 @@ class TestChunks:
 
     @pytest.mark.parametrize("block", [1, 3])
     def test_out_of_domain_code_in_a_later_chunk(self, monkeypatch, block):
+        # A layer-wise group spans every chunk, so its code range is reduced
+        # across them: a symmetric-restricted -8, which a 4-bit stream holds,
+        # in the last one is refused when the stream is decoded.
         monkeypatch.setattr(tensor_store, "BLOCK", block)
-        codes = np.zeros(5 * 8 * block, dtype=np.int8)
-        codes[-1] = 8
-        with pytest.raises(CodeOutOfDomain):
-            pack_codes(codes, 4)
+        t = gaussian_tensor((5 * 8 * block, 2, 1, 1), seed=block)
+        q = quantize_tensor(t, LAYER_WISE, SYMMETRIC_RESTRICTED, 4)
+        assert not q.passthrough
+        dequantize_tensor(q)
+        codes = unpacked(q)[0]
+        assert codes.min() > -8
+        codes[-1] = -8
+        q.codes = pack_codes(codes, 4)
+        with pytest.raises(CorruptCodes, match=r"^t: group 0: "):
+            dequantize_tensor(q)
 
 
 class TestRegionBitmaps:
@@ -203,7 +227,7 @@ class TestRegionBitmaps:
 
 
 def _traced_extra(count, bits=4):
-    """Peak bytes traced inside pack_codes and unpack_codes beyond what each
+    """Peak bytes traced inside pack_into and unpack_codes beyond what each
     returns, for ``count`` int8 codes."""
     half = 1 << (bits - 1)
     codes = np.random.default_rng(count).integers(-half, half, count).astype(np.int8)

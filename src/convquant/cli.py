@@ -253,7 +253,7 @@ def _parse_bits_range(text: str, method: str) -> range:
     return range(lo, hi + 1)
 
 
-def _load_loss_file(path) -> dict[int, float]:
+def _load_loss_file(path, bit_range: range) -> dict[int, float]:
     try:
         doc = json.loads(Path(path).read_text("utf-8"))
         if not isinstance(doc, dict):
@@ -263,10 +263,14 @@ def _load_loss_file(path) -> dict[int, float]:
             if (isinstance(loss, bool) or not isinstance(loss, (int, float))
                     or not math.isfinite(loss) or loss < 0):
                 raise ValueError(f"loss for {key!r} is {loss!r}, not a finite number >= 0")
-            losses[int(key)] = float(loss)
+            bits = int(key)
+            if bits not in bit_range or bits in losses:
+                raise ValueError(f"key {key!r} is outside --bits "
+                                 f"{bit_range[0]}:{bit_range[-1]} or repeats a width")
+            losses[bits] = float(loss)
         return losses
     except (ValueError, OverflowError) as exc:
-        raise InvalidRange(f"loss file must map bit widths to accuracy "
+        raise InvalidRange(f"loss file {path} must map bit widths to accuracy "
                            f"loss percentages: {exc}") from exc
 
 
@@ -277,7 +281,7 @@ def cmd_sweep(args) -> int:
         _check_outputs({"--manifest": args.manifest, "--loss-file": args.loss_file},
                        {"--out": args.out}, data_files)
         bit_range = _parse_bits_range(args.bits, args.method)
-        losses = _load_loss_file(args.loss_file) if args.loss_file else {}
+        losses = _load_loss_file(args.loss_file, bit_range) if args.loss_file else {}
         if args.out:
             staged.append(staging_file(args.out))
         summaries = {bits: [] for bits in bit_range}

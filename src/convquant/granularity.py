@@ -295,15 +295,6 @@ def _block_error(x: np.ndarray, decoded: np.ndarray) -> tuple[float, float]:
     return float(np.add.reduce(x.reshape(-1))), float(np.abs(decoded, out=decoded).max())
 
 
-def _report(errors, count: int) -> ErrorReport:
-    """The error of a tensor from its blocks' (sum of squares, max) in order."""
-    sse = worst = 0.0
-    for block_sse, block_worst in errors:
-        sse += block_sse
-        worst = max(worst, block_worst)
-    return ErrorReport(sse / count, worst, count)
-
-
 def _fine_points(center: np.ndarray, grid_points: int):
     """Yield, per group, each lattice point within FINE_RADIUS of its best
     coarse point ``center``, the window shifted inward at the ends of the
@@ -411,10 +402,11 @@ def quantize_tensor(t: WeightTensor, scheme: str, method: str, bits: int,
 
     Each group's parameters come from its statistics (extremes, and for
     pwlq its breakpoint), gathered over every block first; then each block
-    is encoded, decoded for the error and packed into the tensor's codes
-    and region bitmap. The extremes are those of the whole float64 group
-    matrix and the sums follow their defined order, so the result does not
-    depend on the block size.
+    is encoded, packed straight into the tensor's codes and region bitmap
+    from its first code on, and decoded for the error, whose sum and max
+    are added up as the blocks arrive. The extremes are those of the whole
+    float64 group matrix and the sums follow their defined order, so the
+    result does not depend on the block size.
 
     Channel-wise on a 1x1 kernel returns a passthrough tensor: each group
     would hold a single weight and the layer cannot be usefully quantized at
@@ -440,28 +432,18 @@ def quantize_tensor(t: WeightTensor, scheme: str, method: str, bits: int,
     count, per_filter = t.shape.element_count, t.shape.element_count // t.shape.n
     words = np.empty(-(-count // 8) * bits, np.uint8)
     bitmap = np.empty(-(-count // 8), np.uint8) if pwlq else None
-    # Each block's codes and region bits are staged after the fewer than 8
-    # of the blocks before that fill no whole word of the codes.
-    staged = np.empty((2, min(blocks.step, t.shape.n) * per_filter + 7), np.uint8)
-    carry, (lo, hi), errors = 0, code_domain(method, bits), []
+    (lo, hi), sse, worst = code_domain(method, bits), 0.0, 0.0
     for f0, f1, x in blocks.walk(t):
-        start, end = f0 * per_filter - carry, carry + x.size
-        codes, regions = staged[:, carry:end].reshape(2, *x.shape)
-        codes = codes.view(np.int8)
         if pwlq:
-            regions[...], codes[...], decoded = _pwlq.encode(
-                x, blocks.of(table, f0, f1), bits, buffers)
+            regions, codes, decoded = _pwlq.encode(x, blocks.of(table, f0, f1), bits, buffers)
+            pack_bits(bitmap, f0 * per_filter, regions.reshape(-1), buffers)
         else:
             rec, work = blocks.of(params, f0, f1), buffers.take(x.shape, np.float64, "q", "work")
-            codes[...] = _uniform.encode(x, rec["scale"], rec["zero_point"], lo, hi, work)
+            codes = _uniform.encode(x, rec["scale"], rec["zero_point"], lo, hi, work)
             decoded = _uniform.decode(codes, rec["scale"], rec["zero_point"], out=work[0])
-        errors.append(_block_error(x, decoded))
-        whole = end if f1 == t.shape.n else end - end % 8
-        pack_into(words, start, staged[0, :whole].view(np.int8), bits, buffers)
-        if pwlq:
-            pack_bits(bitmap, start, staged[1, :whole], buffers)
-        staged[:, :end - whole] = staged[:, whole:end]
-        carry = end - whole
+        pack_into(words, f0 * per_filter, codes.reshape(-1), bits, buffers)
+        block_sse, block_worst = _block_error(x, decoded)
+        sse, worst = sse + block_sse, max(worst, block_worst)
     if pwlq:
         bitmap.flags.writeable = False
 
@@ -470,7 +452,7 @@ def quantize_tensor(t: WeightTensor, scheme: str, method: str, bits: int,
         params=params, codes=packed_stream(words, count, bits),
         region_bits=memoryview(bitmap) if pwlq else None,
         source_bits=t.source_precision_bits,
-        error=_report(errors, count))
+        error=ErrorReport(sse / count, worst, count))
 
 
 def _stored_blocks(q: QuantizedTensor, blocks: _Blocks, buffers: _store.Buffers):

@@ -11,7 +11,7 @@ every k, and only the final partial block is padded. Chunks of
 8 * tensor_store.BLOCK codes go at a time through two word arrays, which a
 caller that packs or unpacks a block at a time reuses from block to block
 (a :class:`convquant.tensor_store.Buffers`), into one output array, which
-:func:`pack_into` also fills a span of codes at a time, as they are made.
+:func:`pack_into` fills a span of codes at a time, any spans in order from 0.
 A region bitmap is the same layout at k = 1, unbiased (:func:`pack_bits`).
 
 Example, k=4: codes [1, -1] bias to [9, 7] and pack to the single byte
@@ -101,26 +101,31 @@ def _pack(out: np.ndarray, start: int, values: np.ndarray, bits: int, bias: int,
           buffers: Buffers | None) -> None:
     """Pack the low ``bits`` bits of each uint8 value plus ``bias`` as values
     [start, start + len(values)) of a stream whose bytes ``out`` holds in
-    whole words of 8; ``start`` must begin a word. A final partial word is
-    padded with zero bits."""
+    whole words of 8, packed up to ``start`` with zero spare bits: the span
+    ORs its codes into its first word and pads its last with zero bits."""
     bias = np.uint64(bias * 0x0101010101010101)
-    for lo, hi, blocks, tmp in _chunks(0, values.size, buffers or Buffers()):
+    rows = out.reshape(-1, bits)
+    for lo, hi, blocks, tmp in _chunks(start - start % 8, start + values.size,
+                                       buffers or Buffers()):
+        first = max(lo, start) - lo         # the span's first value in the chunk
         biased = blocks.reshape(-1)
-        biased[:hi - lo] = values[lo:hi]
+        biased[first:hi - lo] = values[lo + first - start:hi - start]
         words = biased.view("<u8")
         words ^= bias
-        biased[hi - lo:] = 0                # zero padding: zero spare bits
+        biased[:first] = biased[hi - lo:] = 0     # zero bits outside the span
         _move_codes(words, bits, False, tmp)
-        out.reshape(-1, bits)[(start + lo) // 8:][:len(blocks)] = blocks[:, :bits]
+        if first:       # the first word holds the codes before the span
+            blocks[0, :bits] |= rows[lo // 8]
+        rows[lo // 8:][:len(blocks)] = blocks[:, :bits]
 
 
 def pack_into(out: np.ndarray, start: int, codes: np.ndarray, bits: int,
               buffers: Buffers | None = None) -> None:
     """Pack int8 codes, each in [-2^(k-1), 2^(k-1)-1] (not checked), as
     codes [start, start + len(codes)) of a stream whose bytes ``out`` holds
-    in whole words of 8 codes; ``start`` must begin a word. A final partial
-    word is padded with zero bits. ``buffers`` holds the arrays to pack in,
-    which a caller can reuse from block to block."""
+    in whole words of 8 codes: any spans in order from 0, as unpack_codes
+    unpacks any span. A final partial word is padded with zero bits.
+    ``buffers`` holds the arrays to pack in, reused from span to span."""
     # Adding 2^(k-1) to a k-bit code flips its bit k-1; the bits above are dropped.
     _pack(out, start, codes.view(np.uint8), bits, 1 << (bits - 1), buffers)
 
@@ -128,7 +133,8 @@ def pack_into(out: np.ndarray, start: int, codes: np.ndarray, bits: int,
 def pack_bits(out: np.ndarray, start: int, flags: np.ndarray,
               buffers: Buffers | None = None) -> None:
     """Pack flags, each 0 or 1, as bits [start, start + len(flags)) of a
-    little-endian bitmap, as :func:`pack_into` packs unbiased 1-bit codes."""
+    little-endian bitmap, as :func:`pack_into` packs unbiased 1-bit codes:
+    any spans, in order from bit 0."""
     _pack(out, start, flags.view(np.uint8), 1, 0, buffers)
 
 

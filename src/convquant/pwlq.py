@@ -32,6 +32,7 @@ from .uniform import (
     SYMMETRIC_FULL,
     check_bits,
     range_records,
+    round_half_away,
 )
 from .uniform import RECORD as UNIFORM_RECORD
 
@@ -166,9 +167,7 @@ def _pieces(x, table, bits: int, buffers: Buffers, fold: bool = False):
     zero = _select(tail, pos_zero + quarter, decoded)
     zero += _select(neg, neg_zero - pos_zero - half, work)
     q += zero
-    # trunc(q + copysign(0.5, q)) is round_half_away(q), zero signs included.
-    q += np.copysign(0.5, q, out=work)
-    np.trunc(q, out=q)
+    round_half_away(q, out=q, scratch=work)
     bound = _select(tail, quarter, work)
     bound -= half                           # -2^(k-1), or -2^(k-2) in a tail
     np.maximum(q, bound, out=q)

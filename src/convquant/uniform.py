@@ -13,8 +13,9 @@ scale s and the code domain are chosen:
 * ``symmetric-full``: range [-alpha, alpha], s = 2 * alpha / (2^k - 1),
   z = 0, codes using the full domain [-2^(k-1), 2^(k-1) - 1].
 
-Rounding is half-away-from-zero everywhere, for codes in ``round_codes``,
-so results are reproducible across platforms. All arithmetic is float64.
+Rounding is half-away-from-zero everywhere, by the one rule of
+``round_half_away``, so results are reproducible across platforms. All
+arithmetic is float64.
 
 ``range_records`` derives one :data:`RECORD` per group from its value
 range, and ``encode`` and ``decode`` map values to codes and back with
@@ -48,10 +49,13 @@ RECORD = np.dtype([("kind", "u1"), ("bits", "u1"), ("scale", "f8"),
                    ("zero_point", "f8"), ("beta", "f8"), ("alpha", "f8")])
 
 
-def round_half_away(x):
-    """Round to nearest integer, ties away from zero. Works on scalars and arrays."""
+def round_half_away(x, out=None, scratch=None):
+    """Round to nearest integer, ties away from zero, zero signs kept, as
+    trunc(x + copysign(0.5, x)), whose sum is that of floor(|x| + 0.5) or
+    its negation. Works on scalars and arrays; ``out`` (x itself, say) and
+    ``scratch`` are optional float64 arrays of x's shape."""
     x = np.asarray(x, dtype=np.float64)
-    return np.copysign(np.floor(np.abs(x) + 0.5), x)
+    return np.trunc(np.add(x, np.copysign(0.5, x, out=scratch), out=out), out=out)
 
 
 def code_domain(scheme: str, bits: int) -> tuple[int, int]:
@@ -91,17 +95,6 @@ def settle_zero_signs(vmin, vmax, any_negative, all_negative) -> None:
     np.copysign(vmax, np.where(all_negative, -1.0, 1.0), out=vmax, where=vmax == 0)
 
 
-def round_codes(q: np.ndarray, lo, hi, scratch=None) -> np.ndarray:
-    """``clip(round_half_away(q), lo, hi)`` computed in the float64 array
-    ``q``, which is returned; ``scratch`` is an optional buffer of q's shape.
-    """
-    t = np.abs(q, out=scratch)
-    t += 0.5
-    np.floor(t, out=t)
-    np.copysign(t, q, out=q)
-    return np.clip(q, lo, hi, out=q)
-
-
 def encode(x, scale, zero_point, lo: int, hi: int, work=(None, None)) -> np.ndarray:
     """int8 codes ``clip(round_half_away(x / scale + zero_point), lo, hi)``.
 
@@ -111,7 +104,8 @@ def encode(x, scale, zero_point, lo: int, hi: int, work=(None, None)) -> np.ndar
     """
     q = np.divide(x, scale, out=work[0])
     q += zero_point
-    return round_codes(q, lo, hi, work[1]).astype(np.int8)
+    round_half_away(q, out=q, scratch=work[1])
+    return np.clip(q, lo, hi, out=q).astype(np.int8)
 
 
 def decode(codes, scale, zero_point, out=None) -> np.ndarray:

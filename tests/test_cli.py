@@ -842,6 +842,27 @@ class TestSweepCommand:
         assert "loss file" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("text, key", [('{"40": 1.0, "-3": 2}', "'40'"),
+                                           ('{"5": 1.0}', "'5'"),
+                                           ('{"4": 1.0, "04": 2.0}', "'04'")])
+    def test_loss_keys_must_be_widths_of_the_range_once(self, tmp_path, monkeypatch,
+                                                        capsys, text, key):
+        manifest = synthetic_model(tmp_path, include_1x1=False)
+        loss_file = tmp_path / "loss.json"
+        loss_file.write_text(text)
+        out = tmp_path / "sweep.csv"
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a tensor was quantized")
+
+        monkeypatch.setattr(cli, "quantize_tensor", refuse)
+        rc = main(["sweep", "--manifest", str(manifest), "--bits", "4:4",
+                   "--loss-file", str(loss_file), "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert f"loss file {loss_file}" in err and f"key {key}" in err
+        assert not out.exists()
+
     def test_output_at_loss_file_path_is_refused(self, tmp_path, capsys):
         manifest = synthetic_model(tmp_path, include_1x1=False)
         loss_file = tmp_path / "loss.json"

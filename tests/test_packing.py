@@ -14,7 +14,7 @@ from convquant import (
     tensor_store,
     unpack_codes,
 )
-from convquant.packing import pack_bits, unpack_bits
+from convquant.packing import pack_bits, pack_into, unpack_bits
 from convquant.errors import CodeOutOfDomain, CorruptCodes, InvalidInput, TruncatedData
 from convquant.uniform import check_code_range, range_records
 
@@ -203,6 +203,42 @@ class TestChunks:
         q.codes = pack_codes(codes, 4)
         with pytest.raises(CorruptCodes, match=r"^t: group 0: "):
             dequantize_tensor(q)
+
+
+class TestSpans:
+    """Spans packed in order from code 0 join into one stream, wherever the
+    cuts fall: a span that starts mid-word fills the rest of that word."""
+
+    @given(bits=st.integers(1, 8), block=st.integers(1, 3), data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_spans_packed_in_order_join_into_the_whole_stream(self, bits, block, data):
+        # bits 1 is a region bitmap (pack_bits): flags are codes + 1.
+        count = data.draw(st.integers(0, 100), label="count")
+        cuts = sorted(data.draw(st.lists(st.integers(0, count), max_size=6), label="cuts"))
+        half = 1 << (bits - 1)
+        codes = data.draw(st.lists(st.integers(-half, half - 1), min_size=count,
+                                   max_size=count), label="codes")
+        values = np.array(codes, np.int8)
+        expected = oracle.pack_bits(codes, bits)
+        out = np.full(-(-count // 8) * bits, 0xFF, np.uint8)
+        buffers = tensor_store.Buffers()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(tensor_store, "BLOCK", block)
+            for lo, hi in zip([0, *cuts], [*cuts, count]):
+                if bits == 1:
+                    pack_bits(out, lo, (values[lo:hi] + 1).view(np.uint8), buffers)
+                else:
+                    pack_into(out, lo, values[lo:hi], bits, buffers)
+            assert out.tobytes() == expected + bytes(out.size - len(expected))
+            start = data.draw(st.integers(0, count), label="start")
+            stop = data.draw(st.integers(start, count), label="stop")
+            if bits == 1:
+                flags = unpack_bits(out, start, stop, np.empty(stop - start, np.uint8))
+                got = flags.astype(np.int8) - 1
+            else:
+                got = unpack_codes(PackedCodes(bits, count, out[:len(expected)].tobytes()),
+                                   start, stop)
+        assert got.tolist() == codes[start:stop]
 
 
 class TestRegionBitmaps:

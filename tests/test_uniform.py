@@ -51,6 +51,40 @@ class TestRounding:
         assert round_half_away(x) == expected
 
 
+class TestOneRoundingRule:
+    """round_half_away is trunc(x + copysign(0.5, x)): bit for bit the
+    copysign(floor(|x| + 0.5), x) it replaced, zero signs included."""
+
+    @staticmethod
+    def floor_rule(x):
+        return np.copysign(np.floor(np.abs(x) + 0.5), x)
+
+    def test_in_place_matches_the_floor_rule_bit_for_bit(self):
+        big = [2.0**52, 2.0**53]
+        edges = [0.0, 0.49999999999999994, 0.5, np.inf, 5e-324, 2.2250738585072014e-308,
+                 *(n + 0.5 for n in range(12)), *(2.0**e + 0.5 for e in range(1, 52)),
+                 *big, *np.nextafter(big, 0), *np.nextafter(big, np.inf),
+                 *(b + d for b in big for d in (-1.5, -1.0, -0.5, 0.5, 1.0, 1.5, 2.0, 3.0))]
+        rng = np.random.default_rng(28)
+        x = np.concatenate([edges, np.negative(edges), rng.normal(0, 1e3, 20_000),
+                            rng.integers(0, 2**64, 200_000, np.uint64,
+                                         endpoint=False).view(np.float64)])
+        with np.errstate(invalid="ignore"):
+            expected = self.floor_rule(x)
+            scratch = np.empty_like(x)
+            got = round_half_away(x, out=x, scratch=scratch)
+        assert got is x
+        nan = np.isnan(expected)
+        assert nan.any() and np.array_equal(np.isnan(got), nan)
+        assert np.array_equal(got[~nan].view(np.uint64), expected[~nan].view(np.uint64))
+
+    @pytest.mark.parametrize("x", [2.5, -2.5, -0.4, 0.0, -0.0, 7, 0.49999999999999994])
+    def test_scalar_call(self, x):
+        got, expected = round_half_away(x), self.floor_rule(np.float64(x))
+        assert type(got) is np.float64
+        assert got == expected and np.signbit(got) == np.signbit(expected)
+
+
 class TestParamDerivation:
     def test_affine_symmetric_unit_range(self):
         # Crosscheck against the scalar oracle, then freeze: s = 2/15, z = 0.

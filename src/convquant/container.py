@@ -349,6 +349,8 @@ def _check_record(record, payload_size: int, claimed: list) -> tuple[QuantizedTe
         sections = record["sections"]
     except KeyError as exc:
         raise CorruptHeader(f"tensor record missing key {exc}") from exc
+    if not isinstance(name, str):
+        raise CorruptHeader(f"tensor name must be a string, got {name!r}")
     if method not in METHODS or scheme not in GRANULARITIES:
         raise CorruptHeader(f"{name}: unknown method/scheme {method!r}/{scheme!r}")
     if (not isinstance(shape_raw, list) or len(shape_raw) != 4

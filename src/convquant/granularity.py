@@ -72,10 +72,9 @@ GRANULARITIES = tuple(GROUP_LAYOUT)
 METHODS = UNIFORM_SCHEMES + (PWLQ,)
 
 BREAKPOINT_MODES = ("approx", "bruteforce")
-# The breakpoint search's coarse scan scores lattice points COARSE_FIRST,
-# COARSE_FIRST + COARSE_STEP, ...; its fine scan, those within FINE_RADIUS
-# of a group's best coarse point.
-COARSE_FIRST, COARSE_STEP, FINE_RADIUS = 4, 8, 7
+# The breakpoint search scores the lattice points within WINDOW_RADIUS of
+# the one that the quantization-noise model picks for a group.
+WINDOW_RADIUS = 3
 
 
 def _view_dims(shape: TensorShape) -> tuple[int, int, int]:
@@ -135,6 +134,9 @@ class _Blocks:
         self.spans = 0 not in groups
         self.step = max(1, _store.BLOCK // (c * hw))
         self.ranges = [(f, min(f + self.step, n)) for f in range(0, n, self.step)]
+        # The elements and the groups that the largest block holds a part of.
+        self.block_size = min(self.step, n) * c * hw
+        self.block_groups = self.groups(0, min(self.step, n)).stop
 
     def groups(self, f0: int, f1: int) -> slice:
         """The groups that filters [f0, f1) hold a part of: all of them when
@@ -222,6 +224,29 @@ class _Blocks:
         else:               # numpy adds the rows one at a time along the fast axis
             np.add.reduce(parts, axis=0, out=acc)
 
+    def lattice_counts(self, t: WeightTensor, m: np.ndarray, lattice: int,
+                       buffers: _store.Buffers) -> np.ndarray:
+        """Per group of nonzero max magnitude ``m``, how many of a tensor's
+        values fall in each bin floor(|x| / m · lattice) = 0 .. lattice, in
+        the smallest unsigned dtype that holds a group's size; the
+        temporaries are arrays of ``buffers``."""
+        counts = np.zeros((self.count, lattice + 1),
+                          np.min_scalar_type(self.shape.element_count // self.count))
+        one = counts.dtype.type(1)      # a scalar of the counts' dtype keeps add.at unbuffered
+        # Each group's first bin, counted from the first group of its block.
+        first = np.arange(self.block_groups) * float(lattice + 1)
+        for f0, f1, x in self.walk(t):
+            rows = self.groups(f0, f1)
+            bins = np.abs(x, out=x)
+            bins /= self.of(m, f0, f1)
+            bins *= lattice
+            np.floor(bins, out=bins)
+            bins += self.shaped(first[:rows.stop - rows.start])
+            index, = buffers.take(x.shape, np.intp, "q")
+            np.copyto(index, bins, casting="unsafe")
+            np.add.at(counts[rows].reshape(-1), index.reshape(-1), one)
+        return counts
+
     def square_sums(self, t: WeightTensor, m: np.ndarray) -> np.ndarray:
         """Per group, the sum of :func:`convquant.pwlq.scaled_squares` of a
         tensor's values in the order of :meth:`fold`."""
@@ -295,17 +320,34 @@ def _block_error(x: np.ndarray, decoded: np.ndarray) -> tuple[float, float]:
     return float(np.add.reduce(x.reshape(-1))), float(np.abs(decoded, out=decoded).max())
 
 
-def _fine_points(center: np.ndarray, grid_points: int):
-    """Yield, per group, each lattice point within FINE_RADIUS of its best
-    coarse point ``center``, the window shifted inward at the ends of the
-    lattice, less ``center`` itself. Lattice indices are whole float64
-    values: int64 arithmetic here would page in numpy loops that nothing
-    else runs, about 0.25 MB of peak RSS."""
-    width = min(2 * FINE_RADIUS + 1, grid_points)
-    lo = np.clip(center - FINE_RADIUS, 1, grid_points - width + 1)
-    for i in range(width - 1):
-        point = lo + i
-        yield point + (point >= center)
+def _model_points(blocks: _Blocks, t: WeightTensor, m: np.ndarray, bits: int,
+                  grid_points: int, buffers: _store.Buffers) -> np.ndarray:
+    """Per group of max magnitude ``m`` (nonzero), the lattice point i of
+    least expected noise N_center·Δ_center² + N_tail·Δ_tail² (Fang et al.),
+    ties going to the smaller point. In units of m², at p/m = r = i / L, L =
+    grid_points + 1, Δ_center = 2r / (2^k - 1) and Δ_tail = (1 - r) /
+    (2^(k-1) - 1); N_center counts the values with floor(|x| / m · L) < i.
+    The noise is evaluated as S·Δ_tail² + N_center·(Δ_center² - Δ_tail²),
+    S the group's size, a block's worth of groups at a time in arrays of
+    ``buffers``; the :meth:`_Blocks.lattice_counts` go when this returns."""
+    lattice = grid_points + 1
+    counts = blocks.lattice_counts(t, m, lattice, buffers)
+    r = np.arange(1, lattice) / lattice
+    tail_noise = ((1 - r) / ((1 << (bits - 1)) - 1)) ** 2
+    # What each value that moves from a tail into the center adds.
+    gain = (2 * r / ((1 << bits) - 1)) ** 2 - tail_noise
+    base = t.shape.element_count // len(m) * tail_noise
+    points, step = np.empty(len(m)), max(1, blocks.block_size // grid_points)
+    for g in range(0, len(m), step):
+        part = counts[g:g + step, :grid_points]
+        noise, = buffers.take(part.shape, np.float64, "q")
+        np.copyto(noise, part)
+        np.cumsum(noise, axis=1, out=noise)     # N_center at i = 1, 2, ...
+        noise *= gain
+        noise += base
+        best, = buffers.take((len(part),), np.intp, "tail")
+        np.copyto(points[g:g + len(part)], np.argmin(noise, axis=1, out=best))
+    return points + 1
 
 
 def _scan(blocks: _Blocks, t: WeightTensor, m: np.ndarray, candidates, bits: int,
@@ -341,32 +383,33 @@ def _scan(blocks: _Blocks, t: WeightTensor, m: np.ndarray, candidates, bits: int
 def _search_breakpoints(blocks: _Blocks, t: WeightTensor, m: np.ndarray, ratio: np.ndarray,
                         bits: int, grid_points: int, buffers: _store.Buffers) -> np.ndarray:
     """Per group, the breakpoint of least sum of squared reconstruction
-    errors found by a coarse-to-fine scan of the ratios p/m.
+    errors among the closed form and the lattice points around the noise
+    model's choice.
 
     ``m`` and ``ratio`` are each group's max magnitude and closed-form p/m.
     The lattice is the ``grid_points`` interior points i / (grid_points + 1)
-    of (0, 1). One walk scores the coarse points i = 4, 12, 20, ... (every
-    point when grid_points < 4); a second, the closed form and the lattice
-    points within FINE_RADIUS of each group's best coarse point. All-zero
-    groups get 0.
+    of (0, 1). A counting walk gives each group's :func:`_model_points`
+    choice; one scan then scores the closed form and the lattice points
+    within WINDOW_RADIUS of that choice, the window shifted inward at the
+    ends of the lattice (the whole lattice when it has no more points).
+    All-zero groups get 0. Lattice points are whole float64 values: int64
+    arithmetic would page in numpy loops that nothing else runs, about
+    0.25 MB of peak RSS.
     """
     if grid_points < 3:
         raise InvalidInput(f"grid_points must be >= 3, got {grid_points}")
-    lattice = grid_points + 1
-    first, step = (COARSE_FIRST, COARSE_STEP) if grid_points >= COARSE_FIRST else (1, 1)
-    coarse = np.arange(first, lattice, step, dtype=np.float64) / lattice
+    lattice, width = grid_points + 1, min(2 * WINDOW_RADIUS + 1, grid_points)
     live_m = np.where(m > 0, m, 1.0)
-    best = np.full(len(m), np.inf), np.zeros(len(m))
-    _scan(blocks, t, live_m, lambda rows: coarse, bits, buffers, best)
-    center = np.rint(best[1] * lattice)
+    first = np.clip(_model_points(blocks, t, live_m, bits, grid_points, buffers)
+                    - WINDOW_RADIUS, 1, grid_points - width + 1)
 
-    def closed_form_and_fine(rows):
+    def closed_form_and_window(rows):
         yield ratio[rows]
-        if grid_points >= COARSE_FIRST:     # else the coarse scan took every point
-            for point in _fine_points(center[rows], grid_points):
-                yield point / lattice
+        for i in range(width):
+            yield (first[rows] + i) / lattice
 
-    _scan(blocks, t, live_m, closed_form_and_fine, bits, buffers, best)
+    best = np.full(len(m), np.inf), np.zeros(len(m))
+    _scan(blocks, t, live_m, closed_form_and_window, bits, buffers, best)
     return m * best[1]
 
 
@@ -460,11 +503,10 @@ def _stored_blocks(q: QuantizedTensor, blocks: _Blocks, buffers: _store.Buffers)
     the block's (n, c, h*w) shape, unpacked into arrays of ``buffers`` that
     the next block reuses. Region bits are None for the uniform methods."""
     per_filter = q.element_count // q.shape.n
-    size = min(blocks.step, q.shape.n) * per_filter
-    codes, = buffers.take((size,), np.int8, "codes")
+    codes, = buffers.take((blocks.block_size,), np.int8, "codes")
     if q.region_bits is not None:
         bitmap = np.frombuffer(q.region_bits, np.uint8)
-        regions, = buffers.take((size,), np.uint8, "regions")
+        regions, = buffers.take((blocks.block_size,), np.uint8, "regions")
     for f0, f1 in blocks.ranges:
         start, stop = f0 * per_filter, f1 * per_filter
         shape = (f1 - f0, *blocks.dims[1:])
@@ -561,7 +603,7 @@ def decode_blocks(q: QuantizedTensor, dtype) -> Iterator[np.ndarray]:
     """
     blocks = _Blocks(q.shape, q.scheme)
     per_filter = q.element_count // q.shape.n
-    out = np.empty(min(blocks.step, q.shape.n) * per_filter, dtype)
+    out = np.empty(blocks.block_size, dtype)
     if q.passthrough:
         for f0, f1 in blocks.ranges:
             part = out[:(f1 - f0) * per_filter]
@@ -576,8 +618,7 @@ def decode_blocks(q: QuantizedTensor, dtype) -> Iterator[np.ndarray]:
     check, half = q.method == SYMMETRIC_RESTRICTED, 1 << (q.bits - 1)
     if width:
         # A value's table entry: its group's first + 2^(k-1), + code, + 2^k in a tail.
-        widest = blocks.groups(0, min(blocks.step, q.shape.n))
-        first, tables = np.arange(widest.stop) * width + half, None
+        first, tables = np.arange(blocks.block_groups) * width + half, None
     for f0, f1, codes, regions in _stored_blocks(q, blocks, buffers):
         if check and codes.min() == -half:
             _check_codes(q, blocks)     # raises, or finds every code in its domain

@@ -301,8 +301,10 @@ def _entries(manifest_path, extra_exclude=()) -> tuple[
         if name in names:
             raise DuplicateName(f"tensor name {name!r} appears twice")
         names.add(name)
-        if dtype not in DTYPE_BITS:
+        if not isinstance(dtype, str) or dtype not in DTYPE_BITS:
             raise ManifestError(f"{name}: unknown dtype tag {dtype!r}")
+        if not isinstance(file_rel, str):
+            raise ManifestError(f"{name}: data file must be a path string, got {file_rel!r}")
         bits = DTYPE_BITS[dtype]
 
         data_path = path.parent / file_rel

@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -31,6 +32,14 @@ def write_manifest(dir_path, tensors, exclude=()):
     manifest = dir_path / "model.json"
     manifest.write_text(json.dumps({"exclude": list(exclude), "tensors": entries}))
     return manifest
+
+
+def replace_halved(path):
+    """Put a new file in the place of the f16 data file ``path``: its
+    values halved, so the same size under another inode."""
+    fresh = path.with_name(path.name + ".new")
+    fresh.write_bytes((np.frombuffer(path.read_bytes(), "<f2") * 0.5).astype("<f2").tobytes())
+    os.replace(fresh, path)
 
 
 def gaussian_tensor(shape, seed, scale=1.0, name="t"):

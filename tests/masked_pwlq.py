@@ -10,7 +10,7 @@ what that arithmetic must reproduce bit for bit.
 
 import numpy as np
 
-from convquant import granularity, pwlq
+from convquant import pwlq
 from convquant.errors import CodeOutOfDomain
 from convquant.pwlq import PIECES
 from convquant.uniform import round_half_away
@@ -103,16 +103,33 @@ def decode(records, tail_bits, folded, bits):
         records, "scale", neg, pos)
 
 
+def model_points(block, live_m, bits, grid_points):
+    """Per row, the lattice point of least expected noise: N_center times
+    (2r / (2^k - 1))^2 plus N_tail times ((1 - r) / (2^(k-1) - 1))^2 at
+    r = i / (grid_points + 1), N_center counting the row's values whose
+    floor(|x| / m * (grid_points + 1)) is below i, evaluated as the row's
+    size times the tail term plus N_center times the terms' difference;
+    ties go to the smaller point. Each count compares every value with
+    every point."""
+    lattice = grid_points + 1
+    bins = np.floor(np.abs(block) / live_m[:, None] * lattice)
+    points = np.arange(1, lattice)
+    n_center = (bins[:, :, None] < points).sum(axis=1)
+    r = points / lattice
+    center, tail = (2 * r / (2**bits - 1)) ** 2, ((1 - r) / (2**(bits - 1) - 1)) ** 2
+    noise = block.shape[1] * tail + n_center * (center - tail)
+    return points[noise.argmin(axis=1)]
+
+
 def search_breakpoints(mat, bits, grid_points=pwlq.DEFAULT_GRID_POINTS,
                        row_sums=lambda values: values.sum(axis=1)):
-    """The coarse-to-fine breakpoint search over the rows of a group
-    matrix, each candidate scored with the masked kernels above, whole rows
-    at a time, by its sum of squared errors. ``row_sums`` sums a matrix of
+    """The breakpoint search over the rows of a group matrix: per row, the
+    closed form and the 7 consecutive lattice points (fewer on a shorter
+    lattice) centred on the noise model's choice, pushed back inside the
+    lattice, each scored with the masked kernels above, whole rows at a
+    time, by its sum of squared errors. ``row_sums`` sums a matrix of
     per-element values by row, for the errors and the closed form's RMS."""
     lattice = grid_points + 1
-    first, step = ((granularity.COARSE_FIRST, granularity.COARSE_STEP)
-                   if grid_points >= granularity.COARSE_FIRST else (1, 1))
-    coarse = np.arange(first, lattice, step, dtype=np.float64)
     block = np.asarray(mat, dtype=np.float64)
     m = np.abs(block).max(axis=1)
     live_m = np.where(m > 0, m, 1.0)
@@ -127,10 +144,9 @@ def search_breakpoints(mat, bits, grid_points=pwlq.DEFAULT_GRID_POINTS,
             np.copyto(best_err, err, where=take)
             np.copyto(best, ratio, where=take)
 
-    scan(coarse[:, None] / lattice)
-    if grid_points >= granularity.COARSE_FIRST:
-        fine = granularity._fine_points(np.rint(best * lattice), grid_points)
-        scan(np.array(list(fine)) / lattice)
+    width = min(7, grid_points)
+    first = np.clip(model_points(block, live_m, bits, grid_points) - 3, 1, lattice - width)
+    scan((first + np.arange(width)[:, None]) / lattice)
     sums = row_sums(pwlq.scaled_squares(block, m[:, None]))
     scan(pwlq.ratios_from_squares(m, sums, block.shape[1])[None])
     return best * m

@@ -33,9 +33,10 @@ from convquant import (
     write_container,
 )
 from convquant.cli import main
-from convquant.errors import CorruptCodes
+from convquant.errors import CorruptCodes, SourceChanged
 
-from conftest import bruteforce, group_sse, pack_codes, unpacked, write_manifest
+from conftest import (bruteforce, group_sse, pack_codes, replace_halved, unpacked,
+                      write_manifest)
 
 
 def _tensor(name, dims, dtype, seed, zeros=False):
@@ -331,6 +332,32 @@ def _model_sources(tmp_path, dtype):
     in_memory = [WeightTensor(t.name, t.shape, t.load().copy(), t.source_precision_bits)
                  for t in from_files]
     return from_files, in_memory
+
+
+@pytest.mark.parametrize("when", ["before-quantize", "before-search"])
+def test_replaced_data_file_raises_source_changed(tmp_path, monkeypatch, when):
+    # The data file is replaced after iter_manifest checked its values:
+    # before quantize_tensor reads it, or once the square sums are taken,
+    # so that the breakpoint search's counting walk reads it first.
+    values = np.random.default_rng(4).laplace(0.0, 0.05, 288)
+    manifest = write_manifest(tmp_path, [("conv", (8, 4, 3, 3), values, "f16")])
+    data = tmp_path / "conv.bin"
+    _, tensors, _ = tensor_store.iter_manifest(manifest)
+    t, = tensors
+    if when == "before-quantize":
+        replace_halved(data)
+    else:
+        square_sums = granularity._Blocks.square_sums
+
+        def then_replace(*args):
+            sums = square_sums(*args)
+            replace_halved(data)
+            return sums
+
+        monkeypatch.setattr(granularity._Blocks, "square_sums", then_replace)
+    with pytest.raises(SourceChanged) as raised:
+        quantize_tensor(t, FILTER_WISE, PWLQ, 4, breakpoint_mode="bruteforce")
+    assert str(raised.value) == f"conv: {data} changed since its values were checked"
 
 
 @pytest.mark.parametrize("block", [1, 97, tensor_store.BLOCK],

@@ -25,7 +25,7 @@ from convquant import (
 from convquant.cli import main
 from convquant.errors import CorruptHeader
 
-from conftest import pack_codes, split_container, write_manifest
+from conftest import pack_codes, replace_halved, split_container, write_manifest
 
 
 def synthetic_model(dir_path, include_1x1=True, seed=0):
@@ -300,6 +300,46 @@ class TestQuantizeCommand:
         assert "conv3" in capsys.readouterr().err
         assert calls == []
 
+    @pytest.mark.parametrize("command", ["quantize", "sweep"])
+    @pytest.mark.parametrize("key,value", [("file", 5), ("file", None), ("dtype", ["f16"])])
+    def test_entry_fields_of_the_wrong_type_are_refused(self, tmp_path, capsys, command, key,
+                                                        value):
+        manifest = four_tensor_model(tmp_path)
+        doc = json.loads(manifest.read_text())
+        doc["tensors"][2][key] = value
+        manifest.write_text(json.dumps(doc))
+        before = sorted(tmp_path.iterdir())
+        out = ["--out", str(tmp_path / "m.qnt"), "--report", str(tmp_path / "r.json")]
+        if command == "sweep":
+            out = ["--bits", "4:4", "--out", str(tmp_path / "sweep.csv")]
+        assert main([command, "--manifest", str(manifest), *out]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: conv2: ") and repr(value) in err, err
+        assert sorted(tmp_path.iterdir()) == before
+
+    def test_data_file_replaced_after_its_check_fails_cleanly(self, tmp_path, monkeypatch,
+                                                             capsys):
+        # conv1.bin is replaced by a new file of the same size once
+        # iter_manifest has read it to check its values.
+        manifest = four_tensor_model(tmp_path)
+        data = tmp_path / "conv1.bin"
+        checked = tensor_store._checked
+
+        def check_then_replace(name, *args):
+            t = checked(name, *args)
+            if name == "conv1":
+                replace_halved(data)
+            return t
+
+        monkeypatch.setattr(tensor_store, "_checked", check_then_replace)
+        before = sorted(tmp_path.iterdir())
+        rc = main(["quantize", "--manifest", str(manifest), "--out", str(tmp_path / "m.qnt"),
+                   "--report", str(tmp_path / "r.json")])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: conv1: {data} changed since its values were checked\n")
+        assert sorted(tmp_path.iterdir()) == before
+
     def test_bad_last_tensor_leaves_no_files(self, tmp_path, capsys):
         manifest = four_tensor_model(tmp_path)
         last = tmp_path / "conv3.bin"
@@ -488,9 +528,10 @@ def _sha256_dir(path):
 # binaries and the two commands' stdout for each run of frozen_model, recorded
 # before the one-group API was removed (the layer- and filter-wise runs before
 # the group layouts moved into one table, the two pwlq runs after the
-# closed-form breakpoint began to take m in units of the group's RMS), the
-# container hashes since the header is written as compact JSON. A change
-# that means to keep the output format must keep them.
+# closed-form breakpoint began to take m in units of the group's RMS, the
+# bruteforce run again since the search scores a window around the noise
+# model's choice), the container hashes since the header is written as
+# compact JSON. A change that means to keep the output format must keep them.
 FROZEN_OUTPUTS = {
     "affine-layer": (
         ["--method", "affine", "--granularity", "layer"],
@@ -531,10 +572,10 @@ FROZEN_OUTPUTS = {
     "pwlq-bruteforce-fshape": (
         ["--method", "pwlq", "--granularity", "fshape", "--breakpoint", "bruteforce",
          "--grid-points", "16", "--bits", "6"],
-        "ada07b13efec62b4da6140f97b91fc57dac832311ea065ee0a371e0d0ddf3aca",
-        "7f7be308b7401760d44efd562164290ce1d6d5c1fc7c5df3cd8e7c86344a194f",
-        "9290e80c9088cec92725f3ccda324af52dbee31a40a0fbaa9c3927eb9679c83d",
-        "706e53e30bda7a66fb615c98be90822b4cf72d9d54d38da3fbc9bd8505c71c97"),
+        "8b2036bd0f2f18015c5d351e3a2778cbb2d801a5a6134fa2fec5f3cb2e406b9d",
+        "0222db8a3afd3564d9e6a5d90d772827e7731f0883217b277d387a6d9dc174ec",
+        "6d65d2fbe390e2f4dff9aa5f49421422b417db533759da7a6a20b2d8059bc9ee",
+        "f948abee7adcfb8c35aa8d40af4b6e1d95ed3b6189f33d6caaff80341a720676"),
     "affine-channel": (
         ["--method", "affine", "--granularity", "channel", "--bits", "8"],
         "c23a17002896d840f576e9b7c30b51299c20d8b718f89936c4aec260f504e556",

@@ -22,6 +22,7 @@ from convquant import (
     write_container,
 )
 from convquant import container
+from convquant.cli import main
 from convquant.metrics import MEMORY_MODEL
 from convquant.errors import (
     CorruptHeader,
@@ -285,6 +286,20 @@ class TestCorruption:
         _patch_header(path, mutate)
         with pytest.raises(CorruptHeader):
             read_all(path)
+
+    @pytest.mark.parametrize("name", [5, ["a"], None])
+    def test_name_that_is_not_a_string(self, tmp_path, name):
+        path = _write_sample(tmp_path)
+
+        def mutate(header):
+            header["tensors"][0]["name"] = name
+
+        _patch_header(path, mutate)
+        with pytest.raises(CorruptHeader, match="name must be a string"):
+            read_all(path)
+        # The header is refused before dequantize makes its output directory.
+        assert main(["dequantize", str(path), str(tmp_path / "out" / "model.json")]) == 1
+        assert not (tmp_path / "out").exists()
 
     def test_payload_size_mismatch(self, tmp_path):
         path = _write_sample(tmp_path)

@@ -133,12 +133,15 @@ def test_batched_search_matches_one_row_searches(mat, bits):
 def reference_search(mat, bits, grid_points=pwlq.DEFAULT_GRID_POINTS, full_grid=False):
     """The bruteforce breakpoints of a matrix's rows, one row at a time,
     from the public records, encode and decode. A row scores lattice points
-    i / (grid_points + 1): every one with ``full_grid``, else i = 4, 12, 20,
-    ... (all of them below 4 points) and then the unscored ones among the 15
-    consecutive points (fewer on a short lattice) centred on the best of
-    those, pushed back inside the lattice. Then the closed form of
-    quantize_tensor. The least sum of squared errors wins, ties going to the
-    smaller breakpoint."""
+    i / (grid_points + 1): every one with ``full_grid``, else the 7
+    consecutive points (fewer on a short lattice) centred on the one of
+    least expected noise, pushed back inside the lattice. At r = i /
+    (grid_points + 1), that noise is N_center * (2r / (2^k - 1))^2 + N_tail
+    * ((1 - r) / (2^(k-1) - 1))^2, where N_center counts the values whose
+    floor(|x| / m * (grid_points + 1)) is below i, evaluated as the row's
+    size times the tail term plus N_center times the terms' difference.
+    Then the closed form of quantize_tensor. The least sum of squared
+    errors wins, ties going to the smaller point or breakpoint."""
     approx = quantize_tensor(matrix_tensor(mat), FILTER_WISE, PWLQ, bits).params["p"]
     lattice = grid_points + 1
     found = []
@@ -155,15 +158,20 @@ def reference_search(mat, bits, grid_points=pwlq.DEFAULT_GRID_POINTS, full_grid=
             tail, codes, _ = pwlq.encode(row, table, bits)
             return float(((row - pwlq.decode(table, tail, codes)) ** 2).sum())
 
-        coarse = list(range(4, lattice, 8)) or list(range(1, lattice))
-        scored = {i: sse(i / lattice * m) for i in (range(1, lattice) if full_grid else coarse)}
-        if not full_grid:
-            centre = min(scored, key=lambda i: (scored[i], i))
-            first = max(1, min(centre - 7, lattice - 15))
-            for i in range(first, min(first + 15, lattice)):
-                if i not in scored:
-                    scored[i] = sse(i / lattice * m)
-        candidates = [(err, i / lattice * m) for i, err in scored.items()]
+        if full_grid:
+            points = range(1, lattice)
+        else:
+            bins = np.floor(np.abs(row) / m * lattice)
+
+            def noise(i):
+                r = i / lattice
+                center, tail = (2 * r / (2**bits - 1)) ** 2, ((1 - r) / (2**(bits - 1) - 1)) ** 2
+                return len(row) * tail + int((bins < i).sum()) * (center - tail)
+
+            centre = min(range(1, lattice), key=lambda i: (noise(i), i))
+            first = max(1, min(centre - 3, lattice - 7))
+            points = range(first, min(first + 7, lattice))
+        candidates = [(sse(i / lattice * m), i / lattice * m) for i in points]
         found.append(min(candidates + [(sse(p_approx), p_approx)])[1])
     return found
 
@@ -190,12 +198,12 @@ def test_search_matches_reference_from_public_kernels(monkeypatch, mat, bits):
 
 @pytest.mark.parametrize("grid_points", range(3, 21))
 def test_search_on_short_lattices(grid_points):
-    # From 12 points on, the fine window of a row whose best coarse point
-    # is near an end is shifted inward over a second coarse point.
+    # From 8 points on, the window of a row whose model choice is near an
+    # end of the lattice is shifted inward.
     mat = _f16_matrix_without_zero_or_constant_rows()
     found = bruteforce(matrix_tensor(mat), FILTER_WISE, 4, grid_points).tolist()
     assert found == reference_search(mat, 4, grid_points)
-    if grid_points <= 11:   # the 15-point window then holds the whole lattice
+    if grid_points <= 7:    # the 7-point window then holds the whole lattice
         assert found == reference_search(mat, 4, grid_points, full_grid=True)
 
 

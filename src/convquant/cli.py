@@ -48,7 +48,6 @@ from .pwlq import DEFAULT_GRID_POINTS, PWLQ
 from .tensor_store import (
     NUMPY_DTYPES,
     TensorBlocks,
-    check_manifest,
     export_manifest,
     iter_manifest,
     staging_file,
@@ -221,21 +220,14 @@ def _decoded(q) -> TensorBlocks:
 
 
 def cmd_dequantize(args) -> int:
-    created = []
-    new_dirs = [d for d in Path(args.out_manifest).parents if not d.exists()]
     try:
         _check_outputs({"container": args.container}, {"out_manifest": args.out_manifest})
         with open_container(args.container) as tensors:
             # map holds no tensor between items
-            created = export_manifest(map(_decoded, tensors), args.out_manifest)
-        count = check_manifest(args.out_manifest)   # the export reads back, block by block
-        print(f"wrote {count} tensors to {args.out_manifest}")
+            written = export_manifest(map(_decoded, tensors), args.out_manifest)
+        print(f"wrote {len(written) - 1} tensors to {args.out_manifest}")
         return 0
     except (QuantError, OSError) as exc:
-        _cleanup(created)
-        for new_dir in new_dirs:    # deepest first, emptied by the cleanup
-            with contextlib.suppress(OSError):
-                new_dir.rmdir()
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

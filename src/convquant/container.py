@@ -247,7 +247,7 @@ def _section(sections: dict, name: str, payload_size: int, claimed: list, tensor
              expected: int | None = None) -> tuple[int, int]:
     entry = sections.get(name)
     if (not isinstance(entry, list) or len(entry) != 2
-            or not all(isinstance(v, int) and v >= 0 for v in entry)):
+            or not all(type(v) is int and v >= 0 for v in entry)):   # not a bool
         raise CorruptHeader(f"malformed section entry {name!r}: {entry!r}")
     off, length = entry
     if off + length > payload_size:
@@ -354,17 +354,19 @@ def _check_record(record, payload_size: int, claimed: list) -> tuple[QuantizedTe
     if method not in METHODS or scheme not in GRANULARITIES:
         raise CorruptHeader(f"{name}: unknown method/scheme {method!r}/{scheme!r}")
     if (not isinstance(shape_raw, list) or len(shape_raw) != 4
-            or not all(isinstance(d, int) and d >= 1 for d in shape_raw)):
+            or not all(type(d) is int and d >= 1 for d in shape_raw)):   # not a bool
         raise CorruptHeader(f"{name}: malformed shape {shape_raw!r}")
     check_bits(bits, method == PWLQ, CorruptHeader, name)
-    if not isinstance(groups, int) or groups < 0:
+    if type(groups) is not int or groups < 0:
         raise CorruptHeader(f"{name}: bad group count {groups!r}")
     if not isinstance(source_bits, int) or source_bits not in NUMPY_DTYPES:
         raise CorruptHeader(f"{name}: bad source precision {source_bits!r}")
+    if not isinstance(passthrough, bool):
+        raise CorruptHeader(f"{name}: passthrough must be true or false, got {passthrough!r}")
     if not isinstance(sections, dict):
         raise CorruptHeader(f"{name}: sections must be an object")
     q = QuantizedTensor(name=name, shape=TensorShape(*shape_raw), method=method, bits=bits,
-                        scheme=scheme, passthrough=bool(passthrough), source_bits=source_bits)
+                        scheme=scheme, passthrough=passthrough, source_bits=source_bits)
     count = q.element_count
 
     def span(section: str, expected: int | None = None) -> tuple[int, int]:

@@ -396,8 +396,8 @@ def _search_breakpoints(blocks: _Blocks, t: WeightTensor, m: np.ndarray, ratio: 
     arithmetic would page in numpy loops that nothing else runs, about
     0.25 MB of peak RSS.
     """
-    if grid_points < 3:
-        raise InvalidInput(f"grid_points must be >= 3, got {grid_points}")
+    if not 3 <= grid_points <= 1023:    # binary16 p, m: N + 1 <= 1024 keeps points a step apart
+        raise InvalidInput(f"grid_points must be >= 3 and <= 1023, got {grid_points}")
     lattice, width = grid_points + 1, min(2 * WINDOW_RADIUS + 1, grid_points)
     live_m = np.where(m > 0, m, 1.0)
     first = np.clip(_model_points(blocks, t, live_m, bits, grid_points, buffers)

@@ -22,8 +22,8 @@ working set does not grow with the tensor. The source precision
 is also remembered in bits, so files can be written back byte-identically.
 
 Writing back streams: :func:`export_manifest` writes each tensor's blocks
-to disk as they arrive, and :func:`check_manifest` reads an export back
-BLOCK values at a time, so neither holds a whole tensor that it is not given.
+to disk as they arrive, and reads each file back BLOCK values at a time
+before any moves into place, so it holds no whole tensor it is not given.
 """
 
 from __future__ import annotations
@@ -71,7 +71,7 @@ class TensorShape:
 
     def __post_init__(self):
         for name, dim in zip("nchw", self.dims):
-            if not isinstance(dim, int) or dim < 1:
+            if type(dim) is not int or dim < 1:     # not a bool (JSON true)
                 raise ManifestError(f"dimension {name}={dim!r} must be a positive integer")
 
     @property
@@ -208,7 +208,7 @@ def resolve_exclusions(names, patterns) -> frozenset[str]:
 
 def _parse_shape(raw, name: str) -> TensorShape:
     if (not isinstance(raw, list) or not 1 <= len(raw) <= 4
-            or not all(isinstance(d, int) and d >= 1 for d in raw)):
+            or not all(type(d) is int and d >= 1 for d in raw)):     # not a bool
         raise ManifestError(f"{name}: shape must be a list of 1-4 positive integers, got {raw!r}")
     dims = list(raw) + [1] * (4 - len(raw))
     return TensorShape(*dims)
@@ -264,10 +264,18 @@ def _checked(name: str, shape: TensorShape, bits: int, data_path: Path,
     return t
 
 
-def _entries(manifest_path, extra_exclude=()) -> tuple[
-        frozenset[str], list[tuple[str, TensorShape, int, Path]], frozenset[tuple[int, int]]]:
-    """The excluded names, each entry's (name, shape, bits, data path) and
-    the data files' ``(st_dev, st_ino)``, as :func:`iter_manifest` checks them."""
+def iter_manifest(manifest_path, extra_exclude=()) -> tuple[
+        frozenset[str], Iterator[WeightTensor], frozenset[tuple[int, int]]]:
+    """Check that the manifest lists at least one tensor and check every
+    entry (keys, unique name, shape, dtype, data file size), then return the
+    excluded names, an iterator that reads each tensor, in manifest order,
+    only when it is asked for, and the ``(st_dev, st_ino)`` of every data
+    file, by which a path that leads to one can be told. A tensor's read
+    checks its values finite and leaves them in the file, which must not
+    change while they are used; an excluded tensor's are loaded, as they
+    are written raw. ``extra_exclude`` adds glob patterns on top of the
+    manifest's own ``exclude`` list.
+    """
     path = Path(manifest_path)
     if not path.is_file():
         raise MissingFile(f"manifest not found: {path}")
@@ -318,33 +326,9 @@ def _entries(manifest_path, extra_exclude=()) -> tuple[
         files.add((info.st_dev, info.st_ino))
         entries.append((name, shape, bits, data_path))
 
-    return resolve_exclusions(names, patterns), entries, frozenset(files)
-
-
-def iter_manifest(manifest_path, extra_exclude=()) -> tuple[
-        frozenset[str], Iterator[WeightTensor], frozenset[tuple[int, int]]]:
-    """Check that the manifest lists at least one tensor and check every
-    entry (keys, unique name, shape, dtype, data file size), then return the
-    excluded names, an iterator that reads each tensor, in manifest order,
-    only when it is asked for, and the ``(st_dev, st_ino)`` of every data
-    file, by which a path that leads to one can be told. A tensor's read
-    checks its values finite and leaves them in the file, which must not
-    change while they are used; an excluded tensor's are loaded, as they
-    are written raw. ``extra_exclude`` adds glob patterns on top of the
-    manifest's own ``exclude`` list.
-    """
-    excluded, entries, files = _entries(manifest_path, extra_exclude)
-    return excluded, (_checked(*entry, entry[0] in excluded) for entry in entries), files
-
-
-def check_manifest(manifest_path) -> int:
-    """Check a manifest as :func:`iter_manifest` does, and every value of its
-    data files finite, reading each file BLOCK values at a time into one
-    array; return how many tensors it lists."""
-    _, entries, _ = _entries(manifest_path)
-    for entry in entries:
-        _checked(*entry)
-    return len(entries)
+    excluded = resolve_exclusions(names, patterns)
+    return (excluded, (_checked(*entry, entry[0] in excluded) for entry in entries),
+            frozenset(files))
 
 
 def open_staging(path) -> tuple[Path, BinaryIO]:
@@ -382,29 +366,36 @@ def _listed_files(manifest: Path) -> set[Path]:
 
 def export_manifest(tensors: Iterable[WeightTensor | TensorBlocks], manifest_path) -> list[Path]:
     """Write each tensor's raw binary as it arrives, then the manifest;
-    returns every path written.
+    returns every path written, the manifest last.
 
     Values are stored at each tensor's source precision, so a freshly loaded
     model writes back byte-identically. A tensor's blocks go to its file as
     they arrive, so beyond what ``tensors`` holds, the export holds one
     block at a time; a WeightTensor's are BLOCK values. A data file is named
     after its tensor, with a serial where the name is taken, by another
-    tensor or by the manifest itself. Every file is first written to its
-    :func:`open_staging` file, and all are moved into place, the manifest last,
-    only once every one is written. If a write fails or ``tensors`` raises,
-    the staging files and the files already moved into place are removed
-    before the error propagates. A file in the way that the manifest already
-    at ``manifest_path`` does not list, such as a source weight, is never replaced.
+    tensor or by the manifest itself. Every file is written to its
+    :func:`open_staging` file, where a data file is read back as
+    :func:`iter_manifest` reads one (its size, then every value finite,
+    BLOCK at a time); all move into place, the manifest last, once every
+    one is checked. On any failure, an empty ``tensors`` or a repeated name,
+    the staging files, the files already placed and the directories the
+    export made are removed before the error propagates. A file in the way
+    that the manifest already at ``manifest_path`` does not list, such as a
+    source weight, is never replaced.
     """
     path = Path(manifest_path)
+    new_dirs = [d for d in path.parents if not d.exists()]     # deepest first
     path.parent.mkdir(parents=True, exist_ok=True)
     replaceable = _listed_files(path)
     entries = []
     staged = []     # (staging file, final path)
     placed = []
-    used = {path.name}
+    names, used = set(), {path.name}
     try:
         for tensor in tensors:
+            if tensor.name in names:
+                raise DuplicateName(f"tensor name {tensor.name!r} appears twice")
+            names.add(tensor.name)
             stem = _file_stem(tensor.name)
             file_rel = f"{stem}.bin"
             serial = 1
@@ -420,6 +411,7 @@ def export_manifest(tensors: Iterable[WeightTensor | TensorBlocks], manifest_pat
             staged.append((tmp, final))
             with fh:
                 fh.writelines(block.astype(dtype, copy=False) for block in tensor.blocks)
+            _checked(tensor.name, tensor.shape, tensor.source_precision_bits, tmp)
             entries.append({
                 "name": tensor.name,
                 "shape": list(tensor.shape.dims),
@@ -427,6 +419,8 @@ def export_manifest(tensors: Iterable[WeightTensor | TensorBlocks], manifest_pat
                 "file": file_rel,
             })
             del tensor      # not held while the next one is made
+        if not entries:
+            raise ManifestError(f"{path}: manifest lists no tensors")
         doc = {"exclude": [], "tensors": entries}
         tmp, fh = open_staging(path)
         staged.append((tmp, path))
@@ -438,5 +432,8 @@ def export_manifest(tensors: Iterable[WeightTensor | TensorBlocks], manifest_pat
     except BaseException:
         for leftover in [tmp for tmp, _ in staged] + placed:
             leftover.unlink(missing_ok=True)
+        for new_dir in new_dirs:
+            with contextlib.suppress(OSError):
+                new_dir.rmdir()
         raise
     return placed

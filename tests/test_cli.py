@@ -23,7 +23,7 @@ from convquant import (
     write_container,
 )
 from convquant.cli import main
-from convquant.errors import CorruptHeader
+from convquant.errors import CorruptHeader, InvalidValue
 
 from conftest import pack_codes, replace_halved, split_container, write_manifest
 
@@ -301,7 +301,8 @@ class TestQuantizeCommand:
         assert calls == []
 
     @pytest.mark.parametrize("command", ["quantize", "sweep"])
-    @pytest.mark.parametrize("key,value", [("file", 5), ("file", None), ("dtype", ["f16"])])
+    @pytest.mark.parametrize("key,value", [("file", 5), ("file", None), ("dtype", ["f16"]),
+                                           ("shape", [16, 16, True, 1])])
     def test_entry_fields_of_the_wrong_type_are_refused(self, tmp_path, capsys, command, key,
                                                         value):
         manifest = four_tensor_model(tmp_path)
@@ -390,7 +391,7 @@ class TestQuantizeCommand:
         assert err.startswith(f"error: conv1: {data} changed"), err
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir() if p != data} == before
 
-    @pytest.mark.parametrize("grid_points", [2, 0, -1])
+    @pytest.mark.parametrize("grid_points", [2, 0, -1, 1024, 2 ** 62])
     def test_bruteforce_rejects_small_grid(self, tmp_path, capsys, grid_points):
         manifest = synthetic_model(tmp_path, include_1x1=False)
         out = tmp_path / "model.qnt"
@@ -398,7 +399,8 @@ class TestQuantizeCommand:
                    "--granularity", "filter", "--breakpoint", "bruteforce",
                    "--grid-points", str(grid_points), "--out", str(out)])
         assert rc == 1
-        assert "grid_points must be >= 3" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"grid_points must be >= 3 and <= 1023, got {grid_points}" in err
         assert not out.exists()
 
     def test_report_records_the_bruteforce_lattice(self, tmp_path):
@@ -722,16 +724,25 @@ class TestDequantizeCommand:
         assert "conv3: group 0: invalid parameter record" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_empty_container_leaves_no_directory(self, tmp_path, capsys):
+    @pytest.mark.parametrize("earlier", [False, True])
+    def test_empty_container_leaves_no_directory(self, tmp_path, capsys, earlier):
+        out = tmp_path / "out"
+        if earlier:     # an earlier export at the same path stays as it was
+            qnt = tmp_path / "m.qnt"
+            assert main(["quantize", "--manifest", str(four_tensor_model(tmp_path)),
+                         "--out", str(qnt)]) == 0
+            assert main(["dequantize", str(qnt), str(out / "sub" / "model.json")]) == 0
+        before = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
         empty = tmp_path / "e.qnt"
         write_container([], empty)
-        out = tmp_path / "out"
         rc = main(["dequantize", str(empty), str(out / "sub" / "model.json")])
         assert rc == 1
         assert "manifest lists no tensors" in capsys.readouterr().err
-        assert not out.exists()
+        assert out.exists() == earlier
+        assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
 
-    def test_bad_code_keeps_earlier_export(self, tmp_path, capsys):
+    @pytest.mark.parametrize("fault", ["code", "read-back"])
+    def test_bad_code_keeps_earlier_export(self, tmp_path, monkeypatch, capsys, fault):
         good = tmp_path / "good.qnt"
         assert main(["quantize", "--manifest", str(four_tensor_model(tmp_path)),
                      "--method", "sym-restricted", "--out", str(good)]) == 0
@@ -739,17 +750,29 @@ class TestDequantizeCommand:
         assert main(["dequantize", str(good), str(out / "model.json")]) == 0
         before = {p.name: p.read_bytes() for p in out.iterdir()}
 
-        with open_container(good) as tensors:
-            tensors = list(tensors)
-        q = tensors[1]
-        data = bytearray(q.codes.data)
-        data[0] &= 0xF0     # code 0, biased by 8, to -8: outside [-7, 7], the 4-bit domain
-        q.codes = PackedCodes(q.bits, q.codes.count, bytes(data))
-        bad = tmp_path / "bad.qnt"
-        write_container(tensors, bad)
+        if fault == "code":
+            with open_container(good) as tensors:
+                tensors = list(tensors)
+            q = tensors[1]
+            data = bytearray(q.codes.data)
+            data[0] &= 0xF0     # code 0, biased by 8, to -8: outside [-7, 7], the 4-bit domain
+            q.codes = PackedCodes(q.bits, q.codes.count, bytes(data))
+            bad = tmp_path / "bad.qnt"
+            write_container(tensors, bad)
+            message = "conv1: group 0: code outside"
+        else:   # the staged file of the last tensor reads back wrong
+            checked = tensor_store._checked
+
+            def failing(name, *args):
+                if name == "conv3":
+                    raise InvalidValue(f"{name}: non-finite value in weight data")
+                return checked(name, *args)
+
+            monkeypatch.setattr(tensor_store, "_checked", failing)
+            bad, message = good, "conv3: non-finite"
         rc = main(["dequantize", str(bad), str(out / "model.json")])
         assert rc == 1
-        assert "conv1: group 0: code outside" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
     @pytest.mark.parametrize("granularity,group", [("filter", 7), ("fshape", 143)])

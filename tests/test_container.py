@@ -327,6 +327,21 @@ class TestCorruption:
         with pytest.raises(CorruptHeader, match="memory_model"):
             read_all(path)
 
+    @pytest.mark.parametrize("mutate", [
+        lambda header: header["tensors"][4].update(shape=[8, 8, True, 1]),
+        lambda header: header["tensors"][3].update(group_count=True),
+        lambda header: header["tensors"][0]["sections"]["params"].__setitem__(0, False),
+        lambda header: header["tensors"][4].update(passthrough="false"),
+        lambda header: header["tensors"][3].update(passthrough=0),
+    ], ids=["shape", "group-count", "offset", "passthrough-string", "passthrough-int"])
+    def test_json_booleans_and_integers_are_told_apart(self, tmp_path, mutate):
+        path = _write_sample(tmp_path)
+        _patch_header(path, mutate)
+        with pytest.raises(CorruptHeader):
+            read_all(path)
+        assert main(["dequantize", str(path), str(tmp_path / "out" / "model.json")]) == 1
+        assert not (tmp_path / "out").exists()
+
     def test_unknown_method(self, tmp_path):
         path = _write_sample(tmp_path)
 

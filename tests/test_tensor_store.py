@@ -24,7 +24,7 @@ from convquant.errors import (
     ShapeMismatch,
 )
 from convquant import tensor_store
-from convquant.tensor_store import check_manifest, staging_file
+from convquant.tensor_store import TensorBlocks, staging_file
 
 from conftest import write_manifest
 import scalar_oracle as oracle
@@ -208,17 +208,21 @@ class TestLoadManifest:
 
     def test_block_read_back_checks_every_piece(self, tmp_path, monkeypatch):
         monkeypatch.setattr(tensor_store, "BLOCK", 2)
-        values = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
-        manifest = write_manifest(tmp_path, [("a", (2,), [1.0, 2.0], "f32"),
-                                             ("b", (5,), values, "f16")])
-        assert check_manifest(manifest) == 2
-        values[4] = np.inf      # in the last, short piece
-        (tmp_path / "b.bin").write_bytes(values.astype("<f2").tobytes())
+        values = np.array([1.0, 2.0, 3.0, 4.0, np.inf], "<f2")   # inf in the last, short piece
+
+        def export(*blocks):
+            a = TensorBlocks("a", TensorShape(2, 1, 1, 1), 32, [np.array([1.0, 2.0], "<f4")])
+            b = TensorBlocks("b", TensorShape(5, 1, 1, 1), 16, blocks)
+            return export_manifest([a, b], tmp_path / "out" / "model.json")
+
         with pytest.raises(InvalidValue, match="^b: non-finite"):
-            check_manifest(manifest)
-        (tmp_path / "b.bin").write_bytes(b"\x00" * 12)
-        with pytest.raises(ShapeMismatch, match="b: 12 bytes"):
-            check_manifest(manifest)
+            export(values[:3], values[3:])
+        assert list(tmp_path.iterdir()) == []
+        with pytest.raises(ShapeMismatch, match="b: 8 bytes"):
+            export(values[:2], values[2:4])     # a block one value short
+        assert list(tmp_path.iterdir()) == []
+        values[4] = 5.0
+        assert len(export(values[:3], values[3:])) == 3
 
     def test_tensors_read_when_asked_for(self, tmp_path):
         manifest = write_manifest(tmp_path, [("a", (1,), [1.0], "f16")])
@@ -275,15 +279,23 @@ class TestWriteBack:
         assert [(t.name, t.load().tolist()) for t in back] == [
             ("a/b", [1.0]), ("a_b", [2.0]), ("a:b", [3.0])]
 
-    def test_failing_source_leaves_no_files(self, tmp_path):
+    @pytest.mark.parametrize("fault,error,message", [
+        ("raises", InvalidValue, "b: non-finite"),
+        ("repeats", DuplicateName, "'a' appears twice"),
+        ("empty", ManifestError, "model.json: manifest lists no tensors")])
+    def test_failing_source_leaves_no_files(self, tmp_path, fault, error, message):
         def tensors():
-            yield WeightTensor("a", TensorShape(1, 1, 1, 1), np.zeros(1))
-            raise InvalidValue("b: non-finite value")
+            if fault != "empty":
+                yield WeightTensor("a", TensorShape(1, 1, 1, 1), np.zeros(1))
+            if fault == "raises":
+                raise InvalidValue("b: non-finite value")
+            if fault == "repeats":
+                yield WeightTensor("a", TensorShape(1, 1, 1, 1), np.ones(1))
 
         out = tmp_path / "out"
-        with pytest.raises(InvalidValue):
-            export_manifest(tensors(), out / "model.json")
-        assert list(out.iterdir()) == []
+        with pytest.raises(error, match=message):
+            export_manifest(tensors(), out / "sub" / "model.json")
+        assert not out.exists()
 
     def test_failing_source_keeps_earlier_export(self, tmp_path):
         def tensors(fail):
@@ -316,15 +328,17 @@ class TestWriteBack:
                                                                         monkeypatch):
         opened = []
 
-        def recording_open(file, *args, **kwargs):
-            opened.append(file)
-            return open(file, *args, **kwargs)
+        def recording_open(file, mode="r", *args, **kwargs):
+            opened.append((file, mode))
+            return open(file, mode, *args, **kwargs)
 
         monkeypatch.setattr(tensor_store, "open", recording_open, raising=False)
         tensors = [WeightTensor(name, TensorShape(1, 1, 1, 1), np.array([1.0]))
                    for name in ("a", "b")]
         export_manifest(tensors, tmp_path / "model.json")
-        assert len(opened) == 3 and all(isinstance(file, int) for file in opened)
+        # The other opens are the read-back's, of the staging files.
+        writes = [file for file, mode in opened if mode != "rb"]
+        assert len(writes) == 3 and all(isinstance(file, int) for file in writes)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["a.bin", "b.bin", "model.json"]
 
     def test_staging_files_are_new_with_a_new_file_s_permissions(self, tmp_path):

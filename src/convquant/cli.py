@@ -10,6 +10,9 @@ Three subcommands:
 Granularity ``auto`` picks the lowest-error scheme per tensor among
 filter/channel/f-shape/c-shape; ``auto3`` drops channel-wise, which wrecks
 the memory ratio on 1x1-kernel layers.
+
+Each command writes its outputs in one ``tensor_store.staged_outputs``
+transaction, so any exception leaves earlier outputs and no staging file.
 """
 
 from __future__ import annotations
@@ -50,7 +53,7 @@ from .tensor_store import (
     TensorBlocks,
     export_manifest,
     iter_manifest,
-    staging_file,
+    staged_outputs,
 )
 from .uniform import AFFINE, SYMMETRIC_FULL, SYMMETRIC_RESTRICTED, check_bits
 
@@ -166,49 +169,41 @@ def _check_outputs(inputs: dict, outputs: dict, data_files=frozenset()) -> None:
                     raise InvalidInput(f"{arg} is a data file that --manifest lists: {p}")
 
 
-def _cleanup(paths) -> None:
-    for p in paths:
-        Path(p).unlink(missing_ok=True)
-
-
-def _quantized(tensors, excluded, args, rows):
-    """Quantize tensors one at a time, appending each one's summary row."""
+def _quantized(tensors, excluded, args, rows, report):
+    """Quantize tensors one at a time, appending each one's summary row;
+    after the last, write the report to ``report``, if given, and parse it
+    back."""
     for tensor in tensors:
         q, was_excluded = _quantize_one(tensor, excluded, args, args.bits)
         del tensor      # neither it nor q is held while the next one is read
         rows.append(_summary(q, was_excluded))
         yield q
         del q
+    if report:
+        _write_report(report, args, rows, _totals(rows))
+        json.loads(report.read_text("utf-8"))
 
 
 def cmd_quantize(args) -> int:
-    staged = []     # (staging file, final path)
     try:
         excluded, tensors, data_files = iter_manifest(args.manifest, extra_exclude=args.exclude)
         _check_outputs({"--manifest": args.manifest},
                        {"--report": args.report, "--out": args.out}, data_files)
-        # Both outputs are written to staging files first, and moved into
-        # place only once both are written, so a failure keeps earlier ones.
-        if args.report:
-            report_tmp = staging_file(args.report)
-            staged.append((report_tmp, args.report))
-        out_tmp = staging_file(args.out)
-        staged.append((out_tmp, args.out))
-        rows = []
-        write_container(_quantized(tensors, excluded, args, rows), out_tmp)
+        # Both outputs are staged before any tensor is read, and both are
+        # written and read back, the report first, before either moves.
+        rows, report = [], None
+        with staged_outputs() as stage:
+            if args.report:
+                report, fh = stage(args.report)
+                fh.close()
+            write_container(_quantized(tensors, excluded, args, rows, report), args.out)
         totals = _totals(rows)
-        if args.report:
-            _write_report(report_tmp, args, rows, totals)
-            json.loads(report_tmp.read_text("utf-8"))
-        for tmp, path in staged:
-            os.replace(tmp, path)
         print(f"quantized {len(rows)} tensors: "
               f"saving {totals['memory_saving']:.4f}x "
               f"({totals['memory_saving_with_region_bits']:.4f}x with region bits), "
               f"mse {totals['mse']:.3e}")
         return 0
     except (QuantError, OSError) as exc:
-        _cleanup(tmp for tmp, _ in staged)
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
@@ -267,40 +262,39 @@ def _load_loss_file(path, bit_range: range) -> dict[int, float]:
 
 
 def cmd_sweep(args) -> int:
-    staged = []     # the CSV is written here and moved to --out once whole
     try:
         excluded, tensors, data_files = iter_manifest(args.manifest, extra_exclude=args.exclude)
         _check_outputs({"--manifest": args.manifest, "--loss-file": args.loss_file},
                        {"--out": args.out}, data_files)
         bit_range = _parse_bits_range(args.bits, args.method)
         losses = _load_loss_file(args.loss_file, bit_range) if args.loss_file else {}
-        if args.out:
-            staged.append(staging_file(args.out))
-        summaries = {bits: [] for bits in bit_range}
-        for tensor in tensors:   # read each tensor once, for every bit width
+        with staged_outputs() as stage:     # the CSV moves to --out once whole
+            if args.out:
+                out, fh = stage(args.out)
+                fh.close()
+            summaries = {bits: [] for bits in bit_range}
+            for tensor in tensors:   # read each tensor once, for every bit width
+                for bits, summary in summaries.items():
+                    summary.append(_summary(*_quantize_one(tensor, excluded, args, bits)))
+                del tensor      # not held while the next one is read
+
+            table = [["bits", "total_mse", "memory_saving",
+                      "memory_saving_with_region_bits", "figure_of_merit"]]
             for bits, summary in summaries.items():
-                summary.append(_summary(*_quantize_one(tensor, excluded, args, bits)))
-            del tensor      # not held while the next one is read
+                totals = _totals(summary)
+                fom = ""
+                if bits in losses:
+                    fom = figure_of_merit(totals["memory_saving"], losses[bits])
+                table.append([bits, totals["mse"], totals["memory_saving"],
+                              totals["memory_saving_with_region_bits"], fom])
 
-        table = [["bits", "total_mse", "memory_saving",
-                  "memory_saving_with_region_bits", "figure_of_merit"]]
-        for bits, summary in summaries.items():
-            totals = _totals(summary)
-            fom = ""
-            if bits in losses:
-                fom = figure_of_merit(totals["memory_saving"], losses[bits])
-            table.append([bits, totals["mse"], totals["memory_saving"],
-                          totals["memory_saving_with_region_bits"], fom])
-
-        if not args.out:
-            csv.writer(sys.stdout).writerows(table)
-            return 0
-        with open(staged[0], "w", newline="") as fh:
-            csv.writer(fh).writerows(table)
-        os.replace(staged[0], args.out)
+            if not args.out:
+                csv.writer(sys.stdout).writerows(table)
+            else:
+                with open(out, "w", newline="") as fh:
+                    csv.writer(fh).writerows(table)
         return 0
     except (QuantError, OSError) as exc:
-        _cleanup(staged)
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

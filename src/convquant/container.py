@@ -28,8 +28,10 @@ zero-points as 16-bit signed integers, so round-trip equality is defined
 after that rounding. Values outside those ranges, and scales that round to
 zero, are an InvalidInput naming the tensor and the group, raised before
 anything is written. The reader rejects every record that decode could not
-use with CorruptHeader. It keeps the codes and region bits packed, as
-stored; decode unpacks them a block at a time.
+use with CorruptHeader, and each refusal of a record or its sections names
+the tensor. It keeps the codes and region bits packed, as stored; decode
+unpacks them a block at a time. The writer reads the file back while it is
+staged (``tensor_store.staged_outputs``).
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ import tempfile
 from collections.abc import Iterable
 from contextlib import contextmanager
 from dataclasses import replace
-from pathlib import Path
+from functools import partial
 
 import numpy as np
 
@@ -56,7 +58,7 @@ from .metrics import MEMORY_MODEL
 from .packing import PackedCodes
 from .pwlq import PIECES, PWLQ, PWLQ_KIND
 from .pwlq import RECORD as PWLQ_RECORD
-from .tensor_store import NUMPY_DTYPES, TensorShape, staging_file
+from .tensor_store import NUMPY_DTYPES, TensorShape, staged_outputs
 from .uniform import AFFINE, KIND_BY_SCHEME, SYMMETRIC_FULL, check_bits
 from .uniform import RECORD as UNIFORM_RECORD
 
@@ -139,7 +141,7 @@ def _pack_params(q: QuantizedTensor) -> np.ndarray:
     return rows[keep]
 
 
-def _record_starts(buf: bytes, group_count: int) -> np.ndarray:
+def _record_starts(name: str, buf: bytes, group_count: int) -> np.ndarray:
     """Offsets of a pwlq params section's records, which vary in size."""
     if len(buf) == group_count * _PWLQ_DISK.itemsize:
         return np.arange(group_count) * _PWLQ_DISK.itemsize
@@ -147,11 +149,11 @@ def _record_starts(buf: bytes, group_count: int) -> np.ndarray:
     offset = 0
     for g in range(group_count):
         if offset >= len(buf):
-            raise CorruptHeader("fewer parameter records than groups")
+            raise CorruptHeader(f"{name}: fewer parameter records than groups")
         starts[g] = offset
         offset += (_PWLQ_DISK if buf[offset] == PWLQ_KIND else _UNIFORM_DISK).itemsize
     if offset != len(buf):
-        raise CorruptHeader("parameter records do not tile the params section")
+        raise CorruptHeader(f"{name}: parameter records do not tile the params section")
     return starts
 
 
@@ -166,7 +168,7 @@ def _unpack_params(name: str, buf: bytes, group_count: int, method: str,
                                 f"for {group_count} records")
         records = raw.view(_UNIFORM_DISK).astype(UNIFORM_RECORD)
     else:
-        starts = _record_starts(buf, group_count)
+        starts = _record_starts(name, buf, group_count)
         piecewise = raw[starts] == PWLQ_KIND
         records = np.zeros(group_count, PWLQ_RECORD)
         for rows, disk, target in ((piecewise, _PWLQ_DISK, records),
@@ -195,16 +197,16 @@ def write_container(tensors: Iterable[QuantizedTensor], path) -> None:
     """Serialize quantized tensors, taken one at a time from any iterable;
     identical inputs give identical bytes.
 
-    Sections are spooled to an unnamed temporary file as each tensor
-    arrives, and copied after the header once every offset is known. The
-    finished file is read back in full before it replaces ``path``, so a
-    failure leaves an earlier file at ``path`` as it was.
+    The file is staged before the first tensor is taken. Sections are
+    spooled to an unnamed temporary file as each tensor arrives, and copied
+    after the header once every offset is known. The finished file is read
+    back in full before it replaces ``path``, so a failure leaves an earlier
+    file at ``path`` as it was.
     """
-    out = Path(path)
-    tmp = staging_file(out)
     records = []
-    try:
-        with tempfile.TemporaryFile(dir=out.parent) as spool:
+    with staged_outputs() as stage:
+        tmp, fh = stage(path)
+        with fh, tempfile.TemporaryFile(dir=tmp.parent) as spool:
             for q in tensors:
                 check_bits(q.bits, q.method == PWLQ, InvalidInput, q.name)
                 sections = {name: [spool.tell(), spool.write(data)]
@@ -230,17 +232,13 @@ def write_container(tensors: Iterable[QuantizedTensor], path) -> None:
             }
             header_bytes = json.dumps(header, separators=(",", ":"),
                                       sort_keys=True).encode("utf-8")
-            with open(tmp, "wb") as fh:
-                fh.write(f"{FORMAT_VERSION} {len(header_bytes)}\n".encode("ascii"))
-                fh.write(header_bytes)
-                spool.seek(0)
-                shutil.copyfileobj(spool, fh)
+            fh.write(f"{FORMAT_VERSION} {len(header_bytes)}\n".encode("ascii"))
+            fh.write(header_bytes)
+            spool.seek(0)
+            shutil.copyfileobj(spool, fh)
         with open_container(tmp) as written:
             for q in written:
                 del q   # read back, one tensor at a time
-        os.replace(tmp, out)
-    finally:
-        tmp.unlink(missing_ok=True)
 
 
 def _section(sections: dict, name: str, payload_size: int, claimed: list, tensor: str,
@@ -248,15 +246,15 @@ def _section(sections: dict, name: str, payload_size: int, claimed: list, tensor
     entry = sections.get(name)
     if (not isinstance(entry, list) or len(entry) != 2
             or not all(type(v) is int and v >= 0 for v in entry)):   # not a bool
-        raise CorruptHeader(f"malformed section entry {name!r}: {entry!r}")
+        raise CorruptHeader(f"{tensor}: malformed section entry {name!r}: {entry!r}")
     off, length = entry
     if off + length > payload_size:
-        raise OffsetOutOfBounds(
-            f"section {name!r} [{off}, {off + length}) past payload end {payload_size}")
+        raise OffsetOutOfBounds(f"{tensor}: section {name!r} [{off}, {off + length}) "
+                                f"past payload end {payload_size}")
     if expected is not None and length != expected:
         raise CorruptHeader(f"{tensor}: {name} section is {length} bytes, "
                             f"expected {expected}")
-    claimed.append((off, off + length, name))
+    claimed.append((off, off + length, tensor, name))
     return off, length
 
 
@@ -274,14 +272,14 @@ def open_container(path):
     with open(path, "rb") as fh:
         records, payload_start = _read_header(fh)
 
-        def read(span: tuple[int, int]) -> bytes:
+        def read(tensor: str, span: tuple[int, int]) -> bytes:
             fh.seek(payload_start + span[0])
             data = fh.read(span[1])
             if len(data) != span[1]:
-                raise CorruptHeader("container cut short while it was read")
+                raise CorruptHeader(f"{tensor}: container cut short while it was read")
             return data
 
-        yield (_read_tensor(*record, read) for record in records)
+        yield (_read_tensor(q, spans, partial(read, q.name)) for q, spans in records)
 
 
 def _read_header(fh) -> tuple[list, int]:
@@ -323,12 +321,13 @@ def _read_header(fh) -> tuple[list, int]:
     if not isinstance(raw_records, list):
         raise CorruptHeader("header 'tensors' must be a list")
 
-    claimed: list[tuple[int, int, str]] = []
+    claimed: list[tuple[int, int, str, str]] = []
     records = [_check_record(record, payload_size, claimed) for record in raw_records]
     claimed.sort()
-    for (_, prev_end, prev_name), (start, _, name) in zip(claimed, claimed[1:]):
+    for (_, prev_end, prev_tensor, prev), (start, _, tensor, name) in zip(claimed, claimed[1:]):
         if start < prev_end:
-            raise OffsetOutOfBounds(f"sections {prev_name!r} and {name!r} overlap")
+            raise OffsetOutOfBounds(f"{prev_tensor}: section {prev!r} overlaps "
+                                    f"{tensor}: section {name!r}")
     return records, payload_start
 
 

@@ -559,10 +559,10 @@ def _table_width(q: QuantizedTensor, dtype) -> int:
     """Entries of each group's decode table, one per code (and region bit,
     for pwlq), where :func:`decode_blocks` reads one; 0 where it decodes
     each value. A table serves where it takes no more entries than the
-    group has values, and no more bytes than the group's record."""
+    group has values, and at most 32 bytes per code plane (its 2^k codes)."""
     width = 2 << q.bits if q.method == PWLQ else 1 << q.bits
     fits = (width <= q.element_count // q.group_count
-            and width * np.dtype(dtype).itemsize <= q.params.itemsize)
+            and (1 << q.bits) * np.dtype(dtype).itemsize <= 32)
     return width if fits else 0
 
 

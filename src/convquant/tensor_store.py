@@ -24,6 +24,8 @@ is also remembered in bits, so files can be written back byte-identically.
 Writing back streams: :func:`export_manifest` writes each tensor's blocks
 to disk as they arrive, and reads each file back BLOCK values at a time
 before any moves into place, so it holds no whole tensor it is not given.
+Every writer stages its outputs in a :func:`staged_outputs` transaction,
+which moves them all into place or, on any exception, removes them all.
 """
 
 from __future__ import annotations
@@ -331,24 +333,35 @@ def iter_manifest(manifest_path, extra_exclude=()) -> tuple[
             frozenset(files))
 
 
-def open_staging(path) -> tuple[Path, BinaryIO]:
-    """Create an empty file beside ``path``, under a name that no file had,
-    to write ``path`` under before it is moved into place; return its path
-    and the file, open for writing through the descriptor that created it.
-    Unlike tempfile.mkstemp's 0600 file, it takes a new file's usual
-    permissions."""
-    path = Path(path)
-    while True:
-        tmp = path.with_name(f"{path.name}.{os.urandom(4).hex()}.tmp")
-        with contextlib.suppress(FileExistsError):
-            return tmp, open(os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666), "wb")
+@contextlib.contextmanager
+def staged_outputs():
+    """A transaction over output files. Yields ``stage(path)``, which creates
+    an empty file beside ``path`` under a name no file had, with a new file's
+    usual permissions (not mkstemp's 0600), and returns its path and the
+    file, open for writing through the descriptor that created it, for the
+    caller to close. On a clean exit the staged files move into place in
+    order; any exception (KeyboardInterrupt too), from the block or a move,
+    first removes every file staged or moved. Only paths are held."""
+    staged, placed = [], []     # (staging file, final path); final paths moved
 
+    def stage(path) -> tuple[Path, BinaryIO]:
+        path = Path(path)
+        while True:
+            tmp = path.with_name(f"{path.name}.{os.urandom(4).hex()}.tmp")
+            with contextlib.suppress(FileExistsError):
+                fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+                staged.append((tmp, path))
+                return tmp, open(fd, "wb")
 
-def staging_file(path) -> Path:
-    """The path of a closed :func:`open_staging` file."""
-    tmp, fh = open_staging(path)
-    fh.close()
-    return tmp
+    try:
+        yield stage
+        for tmp, path in staged:
+            os.replace(tmp, path)
+            placed.append(path)
+    except BaseException:
+        for leftover in [tmp for tmp, _ in staged] + placed:
+            leftover.unlink(missing_ok=True)
+        raise
 
 
 def _file_stem(name: str) -> str:
@@ -373,67 +386,59 @@ def export_manifest(tensors: Iterable[WeightTensor | TensorBlocks], manifest_pat
     they arrive, so beyond what ``tensors`` holds, the export holds one
     block at a time; a WeightTensor's are BLOCK values. A data file is named
     after its tensor, with a serial where the name is taken, by another
-    tensor or by the manifest itself. Every file is written to its
-    :func:`open_staging` file, where a data file is read back as
+    tensor or by the manifest itself. Every file is written in one
+    :func:`staged_outputs` transaction, where a data file is read back as
     :func:`iter_manifest` reads one (its size, then every value finite,
     BLOCK at a time); all move into place, the manifest last, once every
     one is checked. On any failure, an empty ``tensors`` or a repeated name,
-    the staging files, the files already placed and the directories the
-    export made are removed before the error propagates. A file in the way
-    that the manifest already at ``manifest_path`` does not list, such as a
-    source weight, is never replaced.
+    the transaction removes its files and the export the directories it
+    made before the error propagates. A file in the way that the manifest
+    already at ``manifest_path`` does not list, such as a source weight, is
+    never replaced.
     """
     path = Path(manifest_path)
     new_dirs = [d for d in path.parents if not d.exists()]     # deepest first
     path.parent.mkdir(parents=True, exist_ok=True)
     replaceable = _listed_files(path)
     entries = []
-    staged = []     # (staging file, final path)
-    placed = []
     names, used = set(), {path.name}
     try:
-        for tensor in tensors:
-            if tensor.name in names:
-                raise DuplicateName(f"tensor name {tensor.name!r} appears twice")
-            names.add(tensor.name)
-            stem = _file_stem(tensor.name)
-            file_rel = f"{stem}.bin"
-            serial = 1
-            while file_rel in used:
-                file_rel = f"{stem}.{serial}.bin"
-                serial += 1
-            used.add(file_rel)
-            dtype = NUMPY_DTYPES[tensor.source_precision_bits]
-            final = path.parent / file_rel
-            if os.path.lexists(final) and final not in replaceable:
-                raise InvalidInput(f"refusing to replace {final}: {path} does not list it")
-            tmp, fh = open_staging(final)
-            staged.append((tmp, final))
+        with staged_outputs() as stage:
+            for tensor in tensors:
+                if tensor.name in names:
+                    raise DuplicateName(f"tensor name {tensor.name!r} appears twice")
+                names.add(tensor.name)
+                stem = _file_stem(tensor.name)
+                file_rel = f"{stem}.bin"
+                serial = 1
+                while file_rel in used:
+                    file_rel = f"{stem}.{serial}.bin"
+                    serial += 1
+                used.add(file_rel)
+                dtype = NUMPY_DTYPES[tensor.source_precision_bits]
+                final = path.parent / file_rel
+                if os.path.lexists(final) and final not in replaceable:
+                    raise InvalidInput(f"refusing to replace {final}: {path} does not list it")
+                tmp, fh = stage(final)
+                with fh:
+                    fh.writelines(block.astype(dtype, copy=False) for block in tensor.blocks)
+                _checked(tensor.name, tensor.shape, tensor.source_precision_bits, tmp)
+                entries.append({
+                    "name": tensor.name,
+                    "shape": list(tensor.shape.dims),
+                    "dtype": "f16" if tensor.source_precision_bits == 16 else "f32",
+                    "file": file_rel,
+                })
+                del tensor      # not held while the next one is made
+            if not entries:
+                raise ManifestError(f"{path}: manifest lists no tensors")
+            doc = {"exclude": [], "tensors": entries}
+            _, fh = stage(path)
             with fh:
-                fh.writelines(block.astype(dtype, copy=False) for block in tensor.blocks)
-            _checked(tensor.name, tensor.shape, tensor.source_precision_bits, tmp)
-            entries.append({
-                "name": tensor.name,
-                "shape": list(tensor.shape.dims),
-                "dtype": "f16" if tensor.source_precision_bits == 16 else "f32",
-                "file": file_rel,
-            })
-            del tensor      # not held while the next one is made
-        if not entries:
-            raise ManifestError(f"{path}: manifest lists no tensors")
-        doc = {"exclude": [], "tensors": entries}
-        tmp, fh = open_staging(path)
-        staged.append((tmp, path))
-        with fh:
-            fh.write((json.dumps(doc, indent=1) + "\n").encode("utf-8"))
-        for tmp, final in staged:
-            os.replace(tmp, final)
-            placed.append(final)
+                fh.write((json.dumps(doc, indent=1) + "\n").encode("utf-8"))
     except BaseException:
-        for leftover in [tmp for tmp, _ in staged] + placed:
-            leftover.unlink(missing_ok=True)
         for new_dir in new_dirs:
             with contextlib.suppress(OSError):
                 new_dir.rmdir()
         raise
-    return placed
+    return [path.parent / entry["file"] for entry in entries] + [path]

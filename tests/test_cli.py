@@ -500,6 +500,59 @@ class TestQuantizeCommand:
         assert "unrecognized arguments" in capsys.readouterr().err
 
 
+def snapshot(dir_path):
+    return {p.relative_to(dir_path): p.read_bytes() for p in dir_path.rglob("*") if p.is_file()}
+
+
+class TestOneTransaction:
+    @pytest.mark.parametrize("exc", [KeyboardInterrupt, RuntimeError])
+    @pytest.mark.parametrize("command", ["quantize", "sweep", "dequantize"])
+    def test_exception_at_the_second_tensor_leaves_earlier_outputs(self, tmp_path,
+                                                                   monkeypatch, command, exc):
+        manifest = four_tensor_model(tmp_path)
+        outputs = ["--out", str(tmp_path / "m.qnt"), "--report", str(tmp_path / "r.json")]
+        export = str(tmp_path / "out" / "model.json")
+        sweep = ["sweep", "--manifest", str(manifest), "--out", str(tmp_path / "s.csv")]
+        assert main(["quantize", "--manifest", str(manifest), *outputs]) == 0
+        assert main(["quantize", "--manifest", str(manifest), "--bits", "3",
+                     "--out", str(tmp_path / "m3.qnt")]) == 0
+        assert main(["dequantize", str(tmp_path / "m.qnt"), export]) == 0
+        assert main([*sweep, "--bits", "4:4"]) == 0
+        before = snapshot(tmp_path)
+        name = "_decoded" if command == "dequantize" else "_quantize_one"
+        original, calls = getattr(cli, name), []
+
+        def failing(*args):
+            calls.append(args)
+            if len(calls) == 2:
+                raise exc("at the second tensor")
+            return original(*args)
+
+        monkeypatch.setattr(cli, name, failing)
+        argv = {"quantize": ["quantize", "--manifest", str(manifest), "--bits", "3", *outputs],
+                "sweep": [*sweep, "--bits", "3:3"],
+                "dequantize": ["dequantize", str(tmp_path / "m3.qnt"), export]}[command]
+        with pytest.raises(exc, match="at the second tensor"):
+            main(argv)
+        assert len(calls) == 2
+        assert snapshot(tmp_path) == before
+        assert not list(tmp_path.rglob("*.tmp"))
+
+    def test_quantize_stages_each_output_once(self, tmp_path, monkeypatch):
+        manifest = four_tensor_model(tmp_path)
+        os_open, staged = os.open, []
+
+        def recording(path, flags, *args, **kwargs):
+            if flags & os.O_EXCL and str(path).endswith(".tmp"):
+                staged.append(os.path.basename(path))
+            return os_open(path, flags, *args, **kwargs)
+
+        monkeypatch.setattr(os, "open", recording)
+        assert main(["quantize", "--manifest", str(manifest), "--out", str(tmp_path / "m.qnt"),
+                     "--report", str(tmp_path / "r.json")]) == 0
+        assert sorted(name.split(".")[0] for name in staged) == ["m", "r"], staged
+
+
 def frozen_model(dir_path):
     """A seeded f16 model: 3x3, 5x5 and 1x1 convs and a bn tensor. The first
     conv has one all-zero filter and one all-zero input channel, so filter-,

@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from convquant import (
     quantize_tensor,
     write_container,
 )
-from convquant import container
+from convquant import container, tensor_store
 from convquant.cli import main
 from convquant.metrics import MEMORY_MODEL
 from convquant.errors import (
@@ -193,6 +194,22 @@ class TestReadBack:
                   for span in record["sections"].values()]
         assert len(stored) == 10 and sorted(spans) == sorted(stored)
 
+    def test_the_file_is_written_through_the_descriptor_that_created_it(self, tmp_path,
+                                                                        monkeypatch):
+        opened = []
+
+        def recording_open(file, mode="r", *args, **kwargs):
+            opened.append((file, mode))
+            return open(file, mode, *args, **kwargs)
+
+        for module in (container, tensor_store):
+            monkeypatch.setattr(module, "open", recording_open, raising=False)
+        _write_sample(tmp_path)
+        # The other open is the read-back's, of the staging file.
+        writes = [file for file, mode in opened if mode != "rb"]
+        assert len(writes) == 1 and isinstance(writes[0], int)
+        assert [p.name for p in tmp_path.iterdir()] == ["model.qnt"]
+
     @pytest.mark.parametrize("name,last_group", [("a", 3), ("b", 17), ("c", 7), ("d", 0)])
     def test_every_params_record_is_validated(self, tmp_path, monkeypatch, name, last_group):
         # The writer checks the records it narrows and the read-back what it
@@ -261,7 +278,7 @@ class TestCorruption:
             header["tensors"][0]["sections"]["codes"][0] = header["payload_size"] + 100
 
         _patch_header(path, mutate)
-        with pytest.raises(OffsetOutOfBounds):
+        with pytest.raises(OffsetOutOfBounds, match=r"^a: section 'codes' \["):
             read_all(path)
 
     def test_overlapping_sections(self, tmp_path):
@@ -273,8 +290,41 @@ class TestCorruption:
             codes[0] = params[0]  # force the two sections onto each other
 
         _patch_header(path, mutate)
-        with pytest.raises(OffsetOutOfBounds):
+        with pytest.raises(OffsetOutOfBounds,
+                           match=r"^a: section 'params' overlaps a: section 'codes'$"):
             read_all(path)
+
+    def test_sections_of_two_tensors_that_overlap_are_both_named(self, tmp_path):
+        path = _write_sample(tmp_path)
+
+        def mutate(header):
+            codes = [record["sections"]["codes"] for record in header["tensors"][:2]]
+            codes[1][0] = codes[0][0]   # b's 45 bytes of codes inside a's 72
+
+        _patch_header(path, mutate)
+        with pytest.raises(OffsetOutOfBounds,
+                           match=r"^b: section 'codes' overlaps a: section 'codes'$"):
+            read_all(path)
+
+    def test_pwlq_params_that_do_not_tile_name_the_tensor(self, tmp_path):
+        path = _write_sample(tmp_path)
+
+        def mutate(header):
+            header["tensors"][3]["sections"]["params"][1] -= 1     # d: one 36-byte record
+
+        _patch_header(path, mutate)
+        with pytest.raises(CorruptHeader, match="^d: parameter records do not tile"):
+            read_all(path)
+
+    def test_file_cut_short_while_read_names_the_tensor(self, tmp_path):
+        # The codes (18 KB) lie past what the open file has buffered.
+        path = tmp_path / "model.qnt"
+        t = gaussian_tensor((64, 64, 3, 3), 0, name="big")
+        write_container([quantize_tensor(t, LAYER_WISE, AFFINE, 4)], path)
+        with open_container(path) as tensors:
+            os.truncate(path, path.stat().st_size - 1)
+            with pytest.raises(CorruptHeader, match="^big: container cut short while it was read$"):
+                list(tensors)
 
     @pytest.mark.parametrize("source_bits", [8, [16], "16", None])
     def test_bad_source_precision(self, tmp_path, source_bits):
@@ -327,17 +377,17 @@ class TestCorruption:
         with pytest.raises(CorruptHeader, match="memory_model"):
             read_all(path)
 
-    @pytest.mark.parametrize("mutate", [
-        lambda header: header["tensors"][4].update(shape=[8, 8, True, 1]),
-        lambda header: header["tensors"][3].update(group_count=True),
-        lambda header: header["tensors"][0]["sections"]["params"].__setitem__(0, False),
-        lambda header: header["tensors"][4].update(passthrough="false"),
-        lambda header: header["tensors"][3].update(passthrough=0),
+    @pytest.mark.parametrize("mutate,name", [
+        (lambda header: header["tensors"][4].update(shape=[8, 8, True, 1]), "e"),
+        (lambda header: header["tensors"][3].update(group_count=True), "d"),
+        (lambda header: header["tensors"][0]["sections"]["params"].__setitem__(0, False), "a"),
+        (lambda header: header["tensors"][4].update(passthrough="false"), "e"),
+        (lambda header: header["tensors"][3].update(passthrough=0), "d"),
     ], ids=["shape", "group-count", "offset", "passthrough-string", "passthrough-int"])
-    def test_json_booleans_and_integers_are_told_apart(self, tmp_path, mutate):
+    def test_json_booleans_and_integers_are_told_apart(self, tmp_path, mutate, name):
         path = _write_sample(tmp_path)
         _patch_header(path, mutate)
-        with pytest.raises(CorruptHeader):
+        with pytest.raises(CorruptHeader, match=f"^{name}: "):
             read_all(path)
         assert main(["dequantize", str(path), str(tmp_path / "out" / "model.json")]) == 1
         assert not (tmp_path / "out").exists()

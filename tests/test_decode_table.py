@@ -1,6 +1,7 @@
 """decode_blocks decodes a group's every code once, into a table that the
-group's codes index, where the table is no larger than the group and its
-record; elsewhere it decodes each value. The two must give the same bytes,
+group's codes index, where the table has no more entries than the group
+has values and at most 32 bytes per code plane; elsewhere it decodes each
+value. The two must give the same bytes,
 saturation and errors included.
 """
 
@@ -110,8 +111,8 @@ def test_symmetric_restricted_lowest_code_names_its_group(monkeypatch, bits, tab
 
 
 # (shape, granularity, method, bits, output dtype, whether a table serves):
-# a table needs no more entries than the group has values, and no more
-# bytes than its record (34 for the uniform methods, 120 for pwlq).
+# a table needs no more entries than the group has values, and at most 32
+# bytes per code plane (2^k values; pwlq's table has two planes).
 PATHS = [
     ((64, 8, 3, 3), F_SHAPE_WISE, AFFINE, 4, np.float16, True),    # 16 x 2 B
     ((64, 8, 3, 3), F_SHAPE_WISE, PWLQ, 4, np.float16, True),      # 32 x 2 B

@@ -24,7 +24,7 @@ from convquant.errors import (
     ShapeMismatch,
 )
 from convquant import tensor_store
-from convquant.tensor_store import TensorBlocks, staging_file
+from convquant.tensor_store import TensorBlocks, staged_outputs
 
 from conftest import write_manifest
 import scalar_oracle as oracle
@@ -345,11 +345,34 @@ class TestWriteBack:
         (tmp_path / "x.bin.tmp").write_text("keep")
         usual = tmp_path / "usual"
         usual.write_text("")
-        staged = {staging_file(tmp_path / "x.bin") for _ in range(3)}
-        assert len(staged) == 3 and (tmp_path / "x.bin.tmp").read_text() == "keep"
-        for path in staged:
-            assert path.parent == tmp_path and path.read_bytes() == b""
-            assert stat.S_IMODE(path.stat().st_mode) == stat.S_IMODE(usual.stat().st_mode)
+        with pytest.raises(KeyboardInterrupt), staged_outputs() as stage:
+            staged = set()
+            for _ in range(3):
+                path, fh = stage(tmp_path / "x.bin")
+                fh.close()
+                staged.add(path)
+            assert len(staged) == 3 and (tmp_path / "x.bin.tmp").read_text() == "keep"
+            for path in staged:
+                assert path.parent == tmp_path and path.read_bytes() == b""
+                assert stat.S_IMODE(path.stat().st_mode) == stat.S_IMODE(usual.stat().st_mode)
+            raise KeyboardInterrupt
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["usual", "x.bin.tmp"]
+
+    def test_staged_files_move_in_order_and_a_failed_move_removes_the_moved(self, tmp_path):
+        def transaction(*names):
+            with staged_outputs() as stage:
+                for i, name in enumerate(names):
+                    _, fh = stage(tmp_path / name)
+                    with fh:
+                        fh.write(b"%d" % i)
+
+        transaction("a.bin", "a.bin", "b.bin")     # the later a.bin moves last
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == {
+            "a.bin": b"1", "b.bin": b"2"}
+        (tmp_path / "d").mkdir()
+        with pytest.raises(IsADirectoryError):     # the second move fails
+            transaction("c.bin", "d")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.bin", "b.bin", "d"]
 
 
 class TestExclusionResolution:

@@ -185,27 +185,23 @@ def _quantized(tensors, excluded, args, rows, report):
 
 
 def cmd_quantize(args) -> int:
-    try:
-        excluded, tensors, data_files = iter_manifest(args.manifest, extra_exclude=args.exclude)
-        _check_outputs({"--manifest": args.manifest},
-                       {"--report": args.report, "--out": args.out}, data_files)
-        # Both outputs are staged before any tensor is read, and both are
-        # written and read back, the report first, before either moves.
-        rows, report = [], None
-        with staged_outputs() as stage:
-            if args.report:
-                report, fh = stage(args.report)
-                fh.close()
-            write_container(_quantized(tensors, excluded, args, rows, report), args.out)
-        totals = _totals(rows)
-        print(f"quantized {len(rows)} tensors: "
-              f"saving {totals['memory_saving']:.4f}x "
-              f"({totals['memory_saving_with_region_bits']:.4f}x with region bits), "
-              f"mse {totals['mse']:.3e}")
-        return 0
-    except (QuantError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    excluded, tensors, data_files = iter_manifest(args.manifest, extra_exclude=args.exclude)
+    _check_outputs({"--manifest": args.manifest},
+                   {"--report": args.report, "--out": args.out}, data_files)
+    # Both outputs are staged before any tensor is read, and both are
+    # written and read back, the report first, before either moves.
+    rows, report = [], None
+    with staged_outputs() as stage:
+        if args.report:
+            report, fh = stage(args.report)
+            fh.close()
+        write_container(_quantized(tensors, excluded, args, rows, report), args.out)
+    totals = _totals(rows)
+    print(f"quantized {len(rows)} tensors: "
+          f"saving {totals['memory_saving']:.4f}x "
+          f"({totals['memory_saving_with_region_bits']:.4f}x with region bits), "
+          f"mse {totals['mse']:.3e}")
+    return 0
 
 
 def _decoded(q) -> TensorBlocks:
@@ -215,16 +211,12 @@ def _decoded(q) -> TensorBlocks:
 
 
 def cmd_dequantize(args) -> int:
-    try:
-        _check_outputs({"container": args.container}, {"out_manifest": args.out_manifest})
-        with open_container(args.container) as tensors:
-            # map holds no tensor between items
-            written = export_manifest(map(_decoded, tensors), args.out_manifest)
-        print(f"wrote {len(written) - 1} tensors to {args.out_manifest}")
-        return 0
-    except (QuantError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    _check_outputs({"container": args.container}, {"out_manifest": args.out_manifest})
+    with open_container(args.container) as tensors:
+        # map holds no tensor between items
+        written = export_manifest(map(_decoded, tensors), args.out_manifest)
+    print(f"wrote {len(written) - 1} tensors to {args.out_manifest}")
+    return 0
 
 
 def _parse_bits_range(text: str, method: str) -> range:
@@ -262,41 +254,37 @@ def _load_loss_file(path, bit_range: range) -> dict[int, float]:
 
 
 def cmd_sweep(args) -> int:
-    try:
-        excluded, tensors, data_files = iter_manifest(args.manifest, extra_exclude=args.exclude)
-        _check_outputs({"--manifest": args.manifest, "--loss-file": args.loss_file},
-                       {"--out": args.out}, data_files)
-        bit_range = _parse_bits_range(args.bits, args.method)
-        losses = _load_loss_file(args.loss_file, bit_range) if args.loss_file else {}
-        with staged_outputs() as stage:     # the CSV moves to --out once whole
-            if args.out:
-                out, fh = stage(args.out)
-                fh.close()
-            summaries = {bits: [] for bits in bit_range}
-            for tensor in tensors:   # read each tensor once, for every bit width
-                for bits, summary in summaries.items():
-                    summary.append(_summary(*_quantize_one(tensor, excluded, args, bits)))
-                del tensor      # not held while the next one is read
-
-            table = [["bits", "total_mse", "memory_saving",
-                      "memory_saving_with_region_bits", "figure_of_merit"]]
+    excluded, tensors, data_files = iter_manifest(args.manifest, extra_exclude=args.exclude)
+    _check_outputs({"--manifest": args.manifest, "--loss-file": args.loss_file},
+                   {"--out": args.out}, data_files)
+    bit_range = _parse_bits_range(args.bits, args.method)
+    losses = _load_loss_file(args.loss_file, bit_range) if args.loss_file else {}
+    with staged_outputs() as stage:     # the CSV moves to --out once whole
+        if args.out:
+            out, fh = stage(args.out)
+            fh.close()
+        summaries = {bits: [] for bits in bit_range}
+        for tensor in tensors:   # read each tensor once, for every bit width
             for bits, summary in summaries.items():
-                totals = _totals(summary)
-                fom = ""
-                if bits in losses:
-                    fom = figure_of_merit(totals["memory_saving"], losses[bits])
-                table.append([bits, totals["mse"], totals["memory_saving"],
-                              totals["memory_saving_with_region_bits"], fom])
+                summary.append(_summary(*_quantize_one(tensor, excluded, args, bits)))
+            del tensor      # not held while the next one is read
 
-            if not args.out:
-                csv.writer(sys.stdout).writerows(table)
-            else:
-                with open(out, "w", newline="") as fh:
-                    csv.writer(fh).writerows(table)
-        return 0
-    except (QuantError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        table = [["bits", "total_mse", "memory_saving",
+                  "memory_saving_with_region_bits", "figure_of_merit"]]
+        for bits, summary in summaries.items():
+            totals = _totals(summary)
+            fom = ""
+            if bits in losses:
+                fom = figure_of_merit(totals["memory_saving"], losses[bits])
+            table.append([bits, totals["mse"], totals["memory_saving"],
+                          totals["memory_saving_with_region_bits"], fom])
+
+        if not args.out:
+            csv.writer(sys.stdout).writerows(table)
+        else:
+            with open(out, "w", newline="") as fh:
+                csv.writer(fh).writerows(table)
+    return 0
 
 
 def _add_common_flags(sub) -> None:
@@ -356,7 +344,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     _validate(parser, args)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (QuantError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

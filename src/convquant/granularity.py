@@ -17,12 +17,12 @@ precision instead.
 
 A tensor is quantized and decoded one block of whole filters at a time: a
 contiguous range of the flat array, about ``tensor_store.BLOCK`` elements,
-upcast to float64 on its own, and read again on each pass (from the data
-file of a tensor that keeps its values there). Each group's statistics are
-gathered over every block before any block is encoded: the extremes are
-those of the whole float64 group matrix, and the sums that pwlq's
-breakpoints need follow the order that :meth:`_Blocks.fold` defines.
-Neither depends on the block size. Codes are packed as each block is
+read again on each pass (from the data file of a tensor that keeps its
+values there). Each group's statistics are gathered over every block before
+any block is encoded: the extremes, exact, from integer keys of the source's
+bits; the sums that pwlq's breakpoints need, over blocks upcast to float64,
+in the order that :meth:`_Blocks.fold` defines. Neither depends on the
+block size. Codes are packed as each block is
 encoded and unpacked as it is decoded, so the working set is a few blocks
 whatever the size of the tensor. :func:`decode_blocks` yields each decoded
 block at the output precision, so a decode can be written out a block at a
@@ -110,8 +110,19 @@ def _as_group_matrix(flat: np.ndarray, shape: TensorShape, scheme: str) -> np.nd
             .reshape(group_count(shape, scheme), -1))
 
 
-# _Blocks._reduce folds contiguous rows shorter than this column by column.
+# _Blocks._min_max folds contiguous rows shorter than this column by column.
 _SHORT_ROW = 32
+
+
+def _order_keys(v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """v ^ ((v >> (w - 1)) & (2^(w - 1) - 1)) for w-bit signed integers v (in
+    ``out``): of IEEE 754 floats' bits, keys in their total order, -0 (key
+    -1) below +0 (key 0); and of a key, its float's bits."""
+    w = 8 * v.itemsize
+    out = np.right_shift(v, w - 1, out=out)
+    out &= (1 << (w - 1)) - 1
+    out ^= v
+    return out
 
 
 class _Blocks:
@@ -175,17 +186,17 @@ class _Blocks:
                 block = buf[:f1 - f0]
             yield f0, f1, block
 
-    def _reduce(self, blocks, ufuncs, starts) -> list[np.ndarray]:
-        """Per group and ufunc, ``ufunc.reduce`` over the group's rows in
-        every (f0, f1, block) of ``blocks``, folded into ``start``. Short
-        contiguous rows (channel-wise ones, say) are folded column by
-        column, much faster in numpy; min, max, and, or give the same result
-        in any order, up to the zero signs that settle_zero_signs fixes."""
-        out = [np.full(self.count, start) for start in starts]
+    def _min_max(self, blocks, dtype) -> tuple[np.ndarray, np.ndarray]:
+        """Per group, the min and max of the group's rows in every (f0, f1,
+        block) of ``blocks``, integers of ``dtype``, in accumulators of that
+        dtype. Short contiguous rows (channel-wise ones, say) are folded
+        column by column, much faster in numpy."""
+        limits = np.iinfo(dtype)
+        out = np.full(self.count, limits.max, dtype), np.full(self.count, limits.min, dtype)
         for f0, f1, x in blocks:
             rows, mat = self.rows(x, f0, f1)
             by_column = mat.shape[1] < _SHORT_ROW and mat.strides[1] == mat.itemsize
-            for acc, ufunc in zip(out, ufuncs):
+            for acc, ufunc in zip(out, (np.minimum, np.maximum)):
                 if by_column:
                     for column in mat.T:
                         ufunc(acc[rows], column, out=acc[rows])
@@ -193,16 +204,20 @@ class _Blocks:
                     ufunc(acc[rows], ufunc.reduce(mat, axis=1), out=acc[rows])
         return out
 
-    def extremes(self, t: WeightTensor) -> tuple[np.ndarray, np.ndarray]:
-        """Per-group min and max of a tensor's values, zero extremes signed by
-        :func:`convquant.uniform.settle_zero_signs`."""
-        vmin, vmax = self._reduce(self.walk(t), (np.minimum, np.maximum),
-                                  (np.inf, -np.inf))
-        if not (vmin.all() and vmax.all()):
-            signs = ((f0, f1, np.signbit(x)) for f0, f1, x in self.walk(t, upcast=False))
-            _uniform.settle_zero_signs(
-                vmin, vmax, *self._reduce(signs, (np.logical_or, np.logical_and), (False, True)))
-        return vmin, vmax
+    def extremes(self, t: WeightTensor,
+                 buffers: _store.Buffers | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """Per-group min and max of a tensor's values in float64, from one
+        walk over the :func:`_order_keys` of their bits at the source
+        precision, made in an array of ``buffers``: a zero min is -0 when its
+        group holds a -0, a zero max only when all its values are -0."""
+        source = (_store.NUMPY_DTYPES[t.source_precision_bits] if t.values is None
+                  else t.values.dtype)
+        # The signed integers of the source's width and byte order.
+        keys, buffers = source.str.replace("f", "i"), buffers or _store.Buffers()
+        blocks = ((f0, f1, _order_keys(x.view(keys), out=buffers.take(x.shape, keys, "q")[0]))
+                  for f0, f1, x in self.walk(t, upcast=False))
+        return tuple(_order_keys(k).view(f"f{source.itemsize}").astype(np.float64)
+                     for k in self._min_max(blocks, keys))
 
     def fold(self, acc: np.ndarray, values: np.ndarray, f0: int, f1: int) -> None:
         """Add each group's part of a block's per-element ``values``, which
@@ -427,7 +442,7 @@ def _breakpoints(t: WeightTensor, blocks: _Blocks, bits: int, mode: str, grid_po
 def _params(t: WeightTensor, blocks: _Blocks, method: str, bits: int, breakpoint_mode: str,
             grid_points: int, buffers: _store.Buffers) -> np.ndarray:
     """Each group's record; its statistics are dropped before encoding."""
-    vmin, vmax = blocks.extremes(t)
+    vmin, vmax = blocks.extremes(t, buffers)
     try:
         if method == PWLQ:
             p = _breakpoints(t, blocks, bits, breakpoint_mode, grid_points,
@@ -447,9 +462,9 @@ def quantize_tensor(t: WeightTensor, scheme: str, method: str, bits: int,
     pwlq its breakpoint), gathered over every block first; then each block
     is encoded, packed straight into the tensor's codes and region bitmap
     from its first code on, and decoded for the error, whose sum and max
-    are added up as the blocks arrive. The extremes are those of the whole
-    float64 group matrix and the sums follow their defined order, so the
-    result does not depend on the block size.
+    are added up as the blocks arrive. The extremes are exact and the sums
+    follow their defined order, so the result does not depend on the block
+    size.
 
     Channel-wise on a 1x1 kernel returns a passthrough tensor: each group
     would hold a single weight and the layer cannot be usefully quantized at
@@ -522,7 +537,7 @@ def _check_codes(q: QuantizedTensor, blocks: _Blocks) -> None:
     code outside its record's domain."""
     stored = ((f0, f1, codes)
               for f0, f1, codes, _ in _stored_blocks(q, blocks, _store.Buffers()))
-    cmin, cmax = blocks._reduce(stored, (np.minimum, np.maximum), (np.inf, -np.inf))
+    cmin, cmax = blocks._min_max(stored, np.int8)
     try:
         _uniform.check_code_range(q.params, cmin, cmax)
     except CodeOutOfDomain as exc:

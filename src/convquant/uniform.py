@@ -81,20 +81,6 @@ def check_bits(bits, piecewise: bool = False, error=IncompatibleBits,
         raise error(f"{where}bit width {bits!r} outside [{floor}, {MAX_BITS}]{method}")
 
 
-def settle_zero_signs(vmin, vmax, any_negative, all_negative) -> None:
-    """Give zero extremes, in place, the sign of IEEE 754 minimum and maximum.
-
-    A reduction over +0 and -0 may return either, depending on the loop
-    numpy picks for the layout, and the sign ends up in stored clip bounds.
-    So a zero minimum is -0 when its group holds a -0 (``any_negative``:
-    any sign bit set) and a zero maximum is -0 only when every value of its
-    group is -0 (``all_negative``); equal inputs then give equal container
-    bytes, however their groups were reduced.
-    """
-    np.copysign(vmin, np.where(any_negative, -1.0, 1.0), out=vmin, where=vmin == 0)
-    np.copysign(vmax, np.where(all_negative, -1.0, 1.0), out=vmax, where=vmax == 0)
-
-
 def encode(x, scale, zero_point, lo: int, hi: int, work=(None, None)) -> np.ndarray:
     """int8 codes ``clip(round_half_away(x / scale + zero_point), lo, hi)``.
 

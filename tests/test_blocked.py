@@ -7,10 +7,13 @@ follows its defined order, and the working set must not grow with the
 tensor.
 """
 
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from convquant import (
     AFFINE,
@@ -191,6 +194,56 @@ def test_zero_extremes_take_ieee_signs_in_every_block_order(monkeypatch):
         assert q.params[["beta", "alpha"]].tolist() == [(0.0, 1.0), (-3.0, 0.0), (-1.0, 0.0)]
         assert np.signbit(q.params["beta"]).tolist() == [True, True, True]
         assert np.signbit(q.params["alpha"]).tolist() == [False, False, True]
+
+
+def _finite_patterns(dtype):
+    """The bit patterns of finite floats of ``dtype``: any one, and each of
+    +-0, the least and greatest subnormals and +-max."""
+    info = np.finfo(dtype)
+    sign, top, mantissa = 1 << (info.bits - 1), (1 << info.nexp) - 1, (1 << info.nmant) - 1
+    edges = [0, 1, mantissa, (top - 1) << info.nmant | mantissa]
+    return st.one_of(st.sampled_from(edges + [sign | b for b in edges]),
+                     st.integers(0, 2 * sign - 1).filter(lambda b: b >> info.nmant & top != top))
+
+
+@st.composite
+def _sources(draw):
+    """A shape, values of any finite bit patterns as f16, f32 or f64, and
+    whether they are read from a data file (f16 and f32 only)."""
+    dtype = draw(st.sampled_from([np.float16, np.float32, np.float64]))
+    shape = TensorShape(*draw(st.tuples(st.integers(1, 5), st.integers(1, 3),
+                                        st.integers(1, 2), st.integers(1, 2))))
+    count, width = shape.element_count, np.dtype(dtype).itemsize
+    patterns = draw(st.lists(_finite_patterns(dtype), min_size=count, max_size=count))
+    values = np.array(patterns, f"u{width}").view(dtype)
+    return shape, values, dtype != np.float64 and draw(st.booleans())
+
+
+@given(source=_sources(), scheme=st.sampled_from(GRANULARITIES), block=st.integers(1, 3))
+@settings(max_examples=300, deadline=None)
+def test_extremes_are_the_float64_ones_with_ieee_zero_signs(source, scheme, block):
+    # At 1-3 elements a block holds 1-3 filters, so groups that run through
+    # the filters span blocks. A zero min is -0 if its group holds a -0, a
+    # zero max only if all its values are -0.
+    shape, values, in_file = source
+    mat = granularity._as_group_matrix(values.astype(np.float64), shape, scheme)
+    negative = np.signbit(mat)
+    vmin, vmax = mat.min(axis=1), mat.max(axis=1)
+    expected = (np.where(vmin == 0, np.where(negative.any(axis=1), -0.0, 0.0), vmin),
+                np.where(vmax == 0, np.where(negative.all(axis=1), -0.0, 0.0), vmax))
+    bits = 16 if values.dtype == np.float16 else 32
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
+        patch.setattr(tensor_store, "BLOCK", block)
+        if in_file:
+            manifest = write_manifest(Path(tmp), [("t", shape.dims, values, f"f{bits}")])
+            _, tensors, _ = tensor_store.iter_manifest(manifest)
+            t, = tensors
+        else:
+            t = WeightTensor("t", shape, values, bits)
+        extremes = granularity._Blocks(shape, scheme).extremes(t)
+    for got, want in zip(extremes, expected):
+        assert got.dtype == np.float64
+        assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
 
 
 def _traced_peaks(monkeypatch, t, scheme, method, mode):
